@@ -27,10 +27,10 @@ from .lsp import (PathSpec, Wavefunction, PoleClearanceViolated,
                   StepUnderflow, IncompatibleSystem, BranchAmbiguity,
                   propagate, integrate_reduced, integrate_full,
                   picard_series, gauge_matrix, gauge_equivalence_residual)
-from .immersion import (DomainRect, SurfacePatch, FrameSample, LambdaZero,
-                        DegenerateFrame, sym_immersion, shifted_immersion,
-                        enneper_weierstrass, loop_period, sample_surface,
-                        frame_and_curvature)
+from .immersion import (DomainRect, SurfacePatch, FrameSample, FrameSweep,
+                        LambdaZero, DegenerateFrame, sym_immersion,
+                        shifted_immersion, enneper_weierstrass, loop_period,
+                        sample_surface, frame_sweep, frame_and_curvature)
 from .odebridge import (OdeSpec, NonIntegrableForm, AntiderivativeNode,
                         ode_coefficients, standard_potential,
                         weierstrass_from_ode, erf_example_data,

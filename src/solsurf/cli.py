@@ -18,14 +18,13 @@ reports apart from wall_ms.
 
 A configuration file (--config, plain key=value lines, '#' comments) may
 supply any long flag by name; explicit flags win over the file.  Domain
-syntax is re_min:re_max:im_min:im_max.  The environment variable
-SOLSURF_THREADS caps row-level parallelism.
+syntax is re_min:re_max:im_min:im_max.  --threads and the environment
+variable SOLSURF_THREADS are accepted for compatibility and have no
+effect: sampling runs on one thread.
 """
 
 import argparse
 import json
-import math
-import os
 import sys
 import time
 
@@ -34,8 +33,11 @@ import numpy as np
 from .expr import parse
 from .geom import (SurfaceFields, WeierstrassData, fields_from_weierstrass,
                    gmc_residual, zero_curvature_residual)
-from .immersion import (DegenerateFrame, DomainRect, frame_and_curvature,
-                        loop_period, sample_surface, enneper_weierstrass)
+# frame_and_curvature is not called here; it stays a module name because
+# the benchmark tracer in solbench/ wraps cli.frame_and_curvature
+from .immersion import (FRAME_OK, DomainRect, frame_and_curvature,  # noqa: F401
+                        frame_sweep, loop_period, sample_surface,
+                        enneper_weierstrass)
 from .lsp import PathSpec, propagate, gauge_equivalence_residual, _ID4
 from .immersion import _shifted4_tuple
 from .odebridge import (erf_example_surface, kummer_crosscheck,
@@ -244,17 +246,6 @@ def _domain_rect(cfg):
     return DomainRect(a, b, c, d, res, res)
 
 
-def _effective_threads(cfg):
-    want = int(cfg.get("threads", 1))
-    cap = os.environ.get("SOLSURF_THREADS")
-    if cap is not None:
-        try:
-            want = min(want, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, want)
-
-
 def _validate_run(cfg):
     tol = float(cfg["tol"])
     if not (0.0 < tol <= 1e-2):
@@ -270,8 +261,8 @@ def _validate_run(cfg):
 # report assembly
 
 def _check(values, threshold):
-    arr = np.asarray([v for v in np.ravel(values) if math.isfinite(v)],
-                     dtype=float)
+    arr = np.ravel(np.asarray(values, dtype=float))
+    arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         return {"max": float("nan"), "mean": float("nan"),
                 "threshold": float(threshold), "pass": False}
@@ -386,27 +377,14 @@ def _battery(data, patch, cfg, perturb=False):
 
     # frame sweep: conformality and mean curvature at interior samples,
     # two rings in when the grid affords the wide fourth-order stencils
-    conf_vals, h_vals = [], []
     expected_h = lam if target == "h3" else 0.0
     ny, nx = patch.valid.shape
-    ring = 2 if (ny >= 5 and nx >= 5) else 1
-    for i in range(ring, ny - ring):
-        for j in range(ring, nx - ring):
-            try:
-                fr = frame_and_curvature(patch, (i, j))
-            except (DegenerateFrame, ValueError):
-                continue
-            lorentz = patch.points.shape[-1] == 4
-            fz = fr.F_z
-            if lorentz:
-                ip = fz[1] ** 2 + fz[2] ** 2 + fz[3] ** 2 - fz[0] ** 2
-            else:
-                ip = fz[0] ** 2 + fz[1] ** 2 + fz[2] ** 2
-            conf_vals.append(abs(ip) / math.exp(fr.u))
-            h_vals.append(abs(fr.H_est - expected_h))
-    checks["conformality"] = _check(conf_vals, 1e-5)
+    sweep = frame_sweep(patch, 2 if (ny >= 5 and nx >= 5) else 1)
+    ok = sweep.reason == FRAME_OK
+    checks["conformality"] = _check(sweep.conformality[ok], 1e-5)
     h_thresh = 5e-3 + (abs(lam) if target == "e3-limit" else 0.0)
-    checks["mean_curvature"] = _check(h_vals, h_thresh)
+    checks["mean_curvature"] = _check(np.abs(sweep.H_est[ok] - expected_h),
+                                      h_thresh)
 
     if "hyperboloid" in patch.residuals:
         vals = patch.residuals["hyperboloid"][patch.valid]
@@ -441,31 +419,31 @@ def _mesh_arrays(patch):
 
 
 def _vertex_index_map(valid):
-    ny, nx = valid.shape
-    index = np.full((ny, nx), -1, dtype=int)
-    count = 0
-    for i in range(ny):
-        for j in range(nx):
-            if valid[i, j]:
-                index[i, j] = count
-                count += 1
-    return index, count
+    """Row-major vertex number of each valid sample, -1 elsewhere."""
+    index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
+    return index, int(np.count_nonzero(valid))
 
 
 def _quad_triangles(valid, index):
-    ny, nx = valid.shape
-    tris = []
-    for i in range(ny - 1):
-        for j in range(nx - 1):
-            if valid[i, j] and valid[i, j + 1] and valid[i + 1, j + 1] \
-                    and valid[i + 1, j]:
-                a = index[i, j]
-                b = index[i, j + 1]
-                c = index[i + 1, j + 1]
-                d = index[i + 1, j]
-                tris.append((a, b, c))
-                tris.append((a, c, d))
+    """(n, 3) vertex numbers: each grid cell with four valid corners
+    a, b, c, d (counterclockwise from its lower-left sample), in
+    row-major cell order, split into (a, b, c) and (a, c, d)."""
+    quad = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
+    a = index[:-1, :-1][quad]
+    b = index[:-1, 1:][quad]
+    c = index[1:, 1:][quad]
+    d = index[1:, :-1][quad]
+    tris = np.empty((2 * a.size, 3), dtype=index.dtype)
+    tris[0::2] = np.stack([a, b, c], axis=1)
+    tris[1::2] = np.stack([a, c, d], axis=1)
     return tris
+
+
+def _face_rows(tris, chunk=4096):
+    """Rows of tris as Python ints, converted one chunk at a time so that
+    the writers never hold every face as Python objects at once."""
+    for k in range(0, len(tris), chunk):
+        yield from tris[k:k + chunk].tolist()
 
 
 def write_obj(patch, path):
@@ -488,7 +466,7 @@ def write_obj(patch, path):
                 if x0 is not None:
                     fh.write("# x0 %.17g\n" % x0[i, j])
                 fh.write("v %.17g %.17g %.17g\n" % tuple(xyz[i, j]))
-        for a, b, c in tris:
+        for a, b, c in _face_rows(tris):
             fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
     return count, len(tris)
 
@@ -516,7 +494,7 @@ def write_ply(patch, path):
                 if x0 is not None:
                     row += " %.17g" % x0[i, j]
                 fh.write(row + "\n")
-        for a, b, c in tris:
+        for a, b, c in _face_rows(tris):
             fh.write("3 %d %d %d\n" % (a, b, c))
     return count, len(tris)
 
@@ -539,8 +517,7 @@ def cmd_generate(cfg, stream, start):
     _validate_run(cfg)
     data = _load_data(cfg)
     domain = _domain_rect(cfg)
-    patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]),
-                           threads=_effective_threads(cfg))
+    patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]))
     checks = _battery(data, patch, cfg)
     if cfg.get("out"):
         _write_mesh(patch, cfg["out"], stream)
@@ -554,8 +531,7 @@ def cmd_verify(cfg, stream, start):
     _validate_run(cfg)
     data = _load_data(cfg)
     domain = _domain_rect(cfg)
-    patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]),
-                           threads=_effective_threads(cfg))
+    patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]))
     checks = _battery(data, patch, cfg, perturb=bool(cfg.get("perturb")))
     report = _finish_report({}, cfg, "verify", start, checks)
     _print_checks(checks, stream)
@@ -650,8 +626,7 @@ def cmd_ode_erf(cfg, stream, start):
     n = int(cfg["n"])
     domain = _domain_rect(cfg)
     patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=lam,
-                                domain=domain, tol=tol,
-                                threads=_effective_threads(cfg))
+                                domain=domain, tol=tol)
     data = patch.data
     cfg2 = dict(cfg)
     cfg2["target"] = "h3"

@@ -23,12 +23,14 @@ which this module treats as the canonical Euclidean output.
 Grid sampling integrates one seed column and then reuses the wavefunction
 at the previous point of each row as the initial value for the next
 (one integration sweep per row), so that the cost is O(grid) short
-integrations.  Rows are independent after the seed column and may run on
-a thread pool.
+integrations.  Rows run one after another on the calling thread: the hops
+are Python code, so a thread pool only contends for the interpreter lock.
+
+frame_sweep reconstructs the frame and curvature estimates over the whole
+grid with array stencils; frame_and_curvature is the same computation at
+one sample.
 """
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +42,10 @@ from .lsp import (PathSpec, StepUnderflow, Wavefunction, _det4, _ID4,
 from .mcore import lorentz_from_hermitian
 
 __all__ = [
-    "DomainRect", "SurfacePatch", "FrameSample", "LambdaZero", "DegenerateFrame",
-    "sym_immersion", "shifted_immersion", "enneper_weierstrass", "loop_period",
-    "sample_surface", "frame_and_curvature",
+    "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
+    "DegenerateFrame", "sym_immersion", "shifted_immersion",
+    "enneper_weierstrass", "loop_period", "sample_surface", "frame_sweep",
+    "frame_and_curvature",
 ]
 
 TARGETS = ("h3", "e3-limit", "e3-direct")
@@ -263,6 +266,8 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
 
     The grid is probed first; points where the data fails to evaluate are
     masked, as are points whose row integration fails.
+
+    threads is accepted and ignored; rows always run on the calling thread.
     """
     if target not in TARGETS:
         raise ValueError("target must be one of %r" % (TARGETS,))
@@ -358,13 +363,8 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
             cur = nxt
             cur_z = z
 
-    rows = [i for i in range(ny)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, rows))
-    else:
-        for i in rows:
-            run_row(i)
+    for i in range(ny):
+        run_row(i)
 
     return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
                         tol=tol, points=points, valid=valid, residuals=residuals)
@@ -375,11 +375,221 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
 
 _G_LORENTZ = np.diag([-1.0, 1.0, 1.0, 1.0])
 
+# per-sample outcome codes of the frame reconstruction; FRAME_OK marks an
+# evaluated sample, FRAME_EDGE one outside the swept ring
+FRAME_OK = 0
+FRAME_EDGE = 1
+FRAME_MASKED = 2
+FRAME_CONFORMAL = 3
+FRAME_RANK = 4
+FRAME_TIMELIKE = 5
+FRAME_COLLINEAR = 6
 
-def _inner_c(x, y, lorentz):
+_FRAME_MESSAGES = {
+    FRAME_MASKED: "stencil touches a masked sample at (%d, %d)",
+    FRAME_CONFORMAL: "conformal factor nonpositive at (%d, %d)",
+    FRAME_RANK: "frame rows rank-deficient at (%d, %d)",
+    FRAME_TIMELIKE: "normal direction not spacelike at (%d, %d)",
+    FRAME_COLLINEAR: "tangents collinear at (%d, %d)",
+}
+
+# output rows per block of frame_sweep; each block also reads a two-row
+# halo, so the temporaries stay a few grid rows deep instead of grid-sized
+_SWEEP_ROWS = 8
+
+
+@dataclass
+class FrameSweep:
+    """Frame and curvature estimates over a whole grid (see frame_sweep).
+
+    All arrays are (ny, nx).  reason holds one FRAME_* code per sample.
+    u, H_est, Q_est and conformality, the normalized residual
+    |(F_z|F_z)| e^{-u}, are NaN wherever reason is not FRAME_OK.
+    """
+    reason: np.ndarray
+    u: np.ndarray
+    H_est: np.ndarray
+    Q_est: np.ndarray
+    conformality: np.ndarray
+
+
+def _form(w, lorentz):
+    """Sum a componentwise product over the last axis with the target's
+    signature: w1 + w2 + w3 - w0 (Lorentz) or w0 + w1 + w2."""
     if lorentz:
-        return complex(x[1] * y[1] + x[2] * y[2] + x[3] * y[3] - x[0] * y[0])
-    return complex(x[0] * y[0] + x[1] * y[1] + x[2] * y[2])
+        return w[..., 1] + w[..., 2] + w[..., 3] - w[..., 0]
+    return w[..., 0] + w[..., 1] + w[..., 2]
+
+
+def _rowdot(x, y):
+    """x[k] @ y[k] for each row k, by a stacked matmul.
+
+    Near a pole the Lorentz normal is almost null and (N|N) cancels by
+    several digits, so the summation order shows in H and Q; the stacked
+    matmul rounds like the 1-D product x[k] @ y[k], which keeps the sweep
+    within 1e-9 of the per-point reference in tests/test_frame_sweep.py.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _window(patch, r0, r1, c0, c1):
+    """Points and mask over rows r0-2 .. r1+1 and columns c0-2 .. c1+1,
+    the samples [r0:r1, c0:c1] with a two-sample halo; halo cells that
+    fall outside the grid are masked."""
+    ny, nx, dim = patch.points.shape
+    p = np.full((r1 - r0 + 4, c1 - c0 + 4, dim), np.nan)
+    v = np.zeros(p.shape[:2], dtype=bool)
+    i0, i1 = max(r0 - 2, 0), min(r1 + 2, ny)
+    j0, j1 = max(c0 - 2, 0), min(c1 + 2, nx)
+    dst = (slice(i0 - r0 + 2, i1 - r0 + 2), slice(j0 - c0 + 2, j1 - c0 + 2))
+    p[dst] = patch.points[i0:i1, j0:j1]
+    v[dst] = patch.valid[i0:i1, j0:j1]
+    return p, v
+
+
+def _frame_block(p, valid, dx, dy):
+    """Frame and curvature at every inner sample of a window from _window.
+
+    Returns (reason, vals): reason is the FRAME_* code of each inner
+    sample, and vals maps F, fx, fy, N, u, H, Q and conf to arrays over
+    the samples with code FRAME_OK, in row-major order.
+    """
+    lorentz = p.shape[-1] == 4
+    ny, nx = valid.shape[0] - 4, valid.shape[1] - 4
+
+    def at(di, dj, a=p):
+        return a[2 + di:2 + di + ny, 2 + dj:2 + dj + nx]
+
+    near = np.ones((ny, nx), dtype=bool)
+    wide = np.ones((ny, nx), dtype=bool)
+    for di in range(-2, 3):
+        for dj in range(-2, 3):
+            wide &= at(di, dj, valid)
+            if abs(di) <= 1 and abs(dj) <= 1:
+                near &= at(di, dj, valid)
+
+    f = at(0, 0)
+    fx = (at(0, 1) - at(0, -1)) / (2.0 * dx)
+    fy = (at(1, 0) - at(-1, 0)) / (2.0 * dy)
+    fxx = (at(0, 1) - 2.0 * f + at(0, -1)) / (dx * dx)
+    fyy = (at(1, 0) - 2.0 * f + at(-1, 0)) / (dy * dy)
+    fxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * dx * dy)
+
+    # fourth-order stencils where the whole 5x5 block is valid; exact
+    # through quartics, which keeps the conformality residual at
+    # truncation level even on coarse grids
+    def d1x(di):
+        return (-at(di, 2) + 8.0 * at(di, 1)
+                - 8.0 * at(di, -1) + at(di, -2)) / (12.0 * dx)
+
+    w = wide[..., None]
+    fx = np.where(w, d1x(0), fx)
+    fy = np.where(w, (-at(2, 0) + 8.0 * at(1, 0)
+                      - 8.0 * at(-1, 0) + at(-2, 0)) / (12.0 * dy), fy)
+    fxx = np.where(w, (-at(0, 2) + 16.0 * at(0, 1) - 30.0 * f
+                       + 16.0 * at(0, -1) - at(0, -2)) / (12.0 * dx * dx), fxx)
+    fyy = np.where(w, (-at(2, 0) + 16.0 * at(1, 0) - 30.0 * f
+                       + 16.0 * at(-1, 0) - at(-2, 0)) / (12.0 * dy * dy), fyy)
+    fxy = np.where(w, (-d1x(2) + 8.0 * d1x(1)
+                       - 8.0 * d1x(-1) + d1x(-2)) / (12.0 * dy), fxy)
+
+    # e^u = 2 (F_z|F_zbar) with F_z = a - i c, F_zbar = a + i c
+    a = 0.5 * fx
+    c = 0.5 * fy
+    eu = 2.0 * _form(a * a + c * c, lorentz)
+    conformal = near & (eu > 0.0) & np.isfinite(eu)
+    reason = np.where(near, np.where(conformal, FRAME_OK, FRAME_CONFORMAL),
+                      FRAME_MASKED).astype(np.int8)
+
+    # from here on, only the samples that passed, as (K, dim) arrays
+    sel = np.flatnonzero(conformal)
+
+    def pick(x):
+        return x.reshape(ny * nx, -1)[sel]
+
+    f, fx, fy, a, c, fxx, fyy, fxy = map(pick, (f, fx, fy, a, c,
+                                                fxx, fyy, fxy))
+    eu = eu.reshape(-1)[sel]
+    f_zzbar = 0.25 * (fxx + fyy)
+    zz_re = 0.25 * (fxx - fyy)
+    zz_im = -(0.5 * fxy)
+    if lorentz:
+        rows = np.stack([f, fx, fy], axis=1)
+        _, sv, vt = np.linalg.svd(rows @ _G_LORENTZ)
+        # rank < 3 means the nullspace is not one-dimensional and the
+        # normal direction is ambiguous
+        bad = (sv[:, 0] == 0.0) | (sv[:, 2] <= 1e-8 * sv[:, 0])
+        n_vec = vt[:, -1]
+        nn = _rowdot(n_vec @ _G_LORENTZ, n_vec)
+        timelike = ~bad & (nn <= 1e-12)
+        codes = np.where(bad, FRAME_RANK, FRAME_TIMELIKE)
+        bad |= timelike
+        n_vec = n_vec / np.sqrt(np.where(bad, 1.0, nn))[:, None]
+        flip = _rowdot(f_zzbar @ _G_LORENTZ, n_vec) < 0.0
+        n_vec = np.where(flip[:, None], -n_vec, n_vec)
+    else:
+        n_vec = np.cross(fx, fy)
+        norm = np.sqrt(_rowdot(n_vec, n_vec))
+        bad = norm <= 1e-14
+        codes = np.full(bad.shape, FRAME_COLLINEAR)
+        n_vec = n_vec / np.where(bad, 1.0, norm)[:, None]
+    reason.reshape(-1)[sel[bad]] = codes[bad]
+
+    keep = ~bad
+    eu = eu[keep]
+    n_vec = n_vec[keep]
+    a = a[keep]
+    c = c[keep]
+    # (F_z|F_z) = sum (a_k - i c_k)^2 with the target's signature
+    ip_re = _form(a * a - c * c, lorentz)
+    ip_im = 2.0 * _form(a * c, lorentz)
+    q = np.empty(eu.shape, dtype=complex)
+    q.real = _form(zz_re[keep] * n_vec, lorentz)
+    q.imag = _form(zz_im[keep] * n_vec, lorentz)
+    vals = {"F": f[keep], "fx": fx[keep], "fy": fy[keep], "N": n_vec,
+            "u": np.log(eu),
+            "H": 2.0 * _form(f_zzbar[keep] * n_vec, lorentz) / eu,
+            "Q": q, "conf": np.hypot(ip_re, ip_im) / eu}
+    return reason, vals
+
+
+def frame_sweep(patch, ring=1):
+    """Frame and curvature estimates at every sample at least ring samples
+    from the grid edge, as arrays; the grid-wide form of
+    frame_and_curvature, with identical values and skip rules.
+
+    Each sample takes the fourth-order stencils when it lies two or more
+    samples from every edge and its whole 5x5 block is valid, else the
+    second-order ones, which need the 3x3 block valid.  A sample is
+    skipped, with the FRAME_* code of the reason, when its stencil touches
+    a masked sample, e^u is not positive and finite, the Lorentz frame
+    rows are rank-deficient or the Lorentz normal is not spacelike, or the
+    Euclidean tangents are collinear.  The grid is processed in blocks of
+    output rows, which bounds the temporaries.
+    """
+    ring = int(ring)
+    if ring < 1:
+        raise ValueError("ring must be at least 1, got %d" % ring)
+    ny, nx, _ = patch.points.shape
+    reason = np.full((ny, nx), FRAME_EDGE, dtype=np.int8)
+    u = np.full((ny, nx), np.nan)
+    h_est = np.full((ny, nx), np.nan)
+    q_est = np.full((ny, nx), complex(np.nan, np.nan))
+    conf = np.full((ny, nx), np.nan)
+    c0, c1 = ring, nx - ring
+    if c1 > c0:
+        for r0 in range(ring, ny - ring, _SWEEP_ROWS):
+            r1 = min(r0 + _SWEEP_ROWS, ny - ring)
+            p, v = _window(patch, r0, r1, c0, c1)
+            code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy)
+            reason[r0:r1, c0:c1] = code
+            ok = code == FRAME_OK
+            u[r0:r1, c0:c1][ok] = vals["u"]
+            h_est[r0:r1, c0:c1][ok] = vals["H"]
+            q_est[r0:r1, c0:c1][ok] = vals["Q"]
+            conf[r0:r1, c0:c1][ok] = vals["conf"]
+    return FrameSweep(reason=reason, u=u, H_est=h_est, Q_est=q_est,
+                      conformality=conf)
 
 
 def frame_and_curvature(patch, index, lam=None):
@@ -393,73 +603,21 @@ def frame_and_curvature(patch, index, lam=None):
     estimates follow the defining relations
 
         e^u = 2 (F_z|F_zbar),  H = 2 e^{-u} (F_zzbar|N),  Q = (F_zz|N).
+
+    Stencils and skip rules are those of frame_sweep, evaluated on the 5x5
+    window around the index; a skipped sample raises DegenerateFrame.
     """
     i, j = index
-    ny, nx, dim = patch.points.shape
+    ny, nx, _ = patch.points.shape
     if not (1 <= i <= ny - 2 and 1 <= j <= nx - 2):
         raise ValueError("interior grid point required, got (%d, %d)" % (i, j))
-    block = patch.valid[i - 1:i + 2, j - 1:j + 2]
-    if not bool(np.all(block)):
-        raise DegenerateFrame("stencil touches a masked sample at (%d, %d)" % (i, j))
-    lorentz = dim == 4
-    p = patch.points
-    dx = patch.domain.dx
-    dy = patch.domain.dy
-    f = p[i, j].astype(float)
-    wide = (2 <= i <= ny - 3 and 2 <= j <= nx - 3
-            and bool(np.all(patch.valid[i - 2:i + 3, j - 2:j + 3])))
-    if wide:
-        # fourth-order stencils; exact through quartics, which keeps the
-        # conformality residual at truncation level even on coarse grids
-        def d1x(r):
-            return (-p[r, j + 2] + 8.0 * p[r, j + 1]
-                    - 8.0 * p[r, j - 1] + p[r, j - 2]) / (12.0 * dx)
-
-        fx = d1x(i)
-        fy = (-p[i + 2, j] + 8.0 * p[i + 1, j]
-              - 8.0 * p[i - 1, j] + p[i - 2, j]) / (12.0 * dy)
-        fxx = (-p[i, j + 2] + 16.0 * p[i, j + 1] - 30.0 * p[i, j]
-               + 16.0 * p[i, j - 1] - p[i, j - 2]) / (12.0 * dx * dx)
-        fyy = (-p[i + 2, j] + 16.0 * p[i + 1, j] - 30.0 * p[i, j]
-               + 16.0 * p[i - 1, j] - p[i - 2, j]) / (12.0 * dy * dy)
-        fxy = (-d1x(i + 2) + 8.0 * d1x(i + 1)
-               - 8.0 * d1x(i - 1) + d1x(i - 2)) / (12.0 * dy)
-    else:
-        fx = (p[i, j + 1] - p[i, j - 1]) / (2.0 * dx)
-        fy = (p[i + 1, j] - p[i - 1, j]) / (2.0 * dy)
-        fxx = (p[i, j + 1] - 2.0 * p[i, j] + p[i, j - 1]) / (dx * dx)
-        fyy = (p[i + 1, j] - 2.0 * p[i, j] + p[i - 1, j]) / (dy * dy)
-        fxy = (p[i + 1, j + 1] - p[i + 1, j - 1] - p[i - 1, j + 1]
-               + p[i - 1, j - 1]) / (4.0 * dx * dy)
-    f_z = 0.5 * (fx - 1j * fy)
-    f_zbar = 0.5 * (fx + 1j * fy)
-    f_zzbar = 0.25 * (fxx + fyy)            # real vector
-    f_zz = 0.25 * (fxx - fyy) - 0.5j * fxy
-    eu = 2.0 * _inner_c(f_z, f_zbar, lorentz).real
-    if not (eu > 0.0 and math.isfinite(eu)):
-        raise DegenerateFrame("conformal factor nonpositive at (%d, %d)" % (i, j))
-    u = math.log(eu)
-    if lorentz:
-        rows = np.vstack([f, fx, fy])
-        _, sv, vt = np.linalg.svd(rows @ _G_LORENTZ)
-        if sv[0] == 0.0 or sv[2] <= 1e-8 * sv[0]:
-            # rank < 3 means the nullspace is not one-dimensional and the
-            # normal direction is ambiguous
-            raise DegenerateFrame("frame rows rank-deficient at (%d, %d)" % (i, j))
-        n_vec = vt[-1]
-        nn = float(n_vec @ _G_LORENTZ @ n_vec)
-        if nn <= 1e-12:
-            raise DegenerateFrame("normal direction not spacelike at (%d, %d)" % (i, j))
-        n_vec = n_vec / math.sqrt(nn)
-        if float(f_zzbar @ _G_LORENTZ @ n_vec) < 0.0:
-            n_vec = -n_vec
-    else:
-        n_vec = np.cross(fx, fy)
-        norm = float(np.linalg.norm(n_vec))
-        if norm <= 1e-14:
-            raise DegenerateFrame("tangents collinear at (%d, %d)" % (i, j))
-        n_vec = n_vec / norm
-    h_est = 2.0 * _inner_c(f_zzbar, n_vec, lorentz).real / eu
-    q_est = _inner_c(f_zz, n_vec, lorentz)
-    return FrameSample(F=f, F_z=f_z, F_zbar=f_zbar, N=n_vec,
-                       u=u, H_est=h_est, Q_est=q_est)
+    p, v = _window(patch, i, i + 1, j, j + 1)
+    code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy)
+    if code[0, 0] != FRAME_OK:
+        raise DegenerateFrame(_FRAME_MESSAGES[int(code[0, 0])] % (i, j))
+    fx = vals["fx"][0]
+    fy = vals["fy"][0]
+    return FrameSample(F=vals["F"][0], F_z=0.5 * (fx - 1j * fy),
+                       F_zbar=0.5 * (fx + 1j * fy), N=vals["N"][0],
+                       u=float(vals["u"][0]), H_est=float(vals["H"][0]),
+                       Q_est=complex(vals["Q"][0]))

@@ -244,13 +244,13 @@ def erf_example_surface(n, c=1.0, c1=0.0, lam=1.0, domain=None, tol=1e-8,
 
     Integrates the reduced system from z0 = 1 and applies the Sym-type
     formula; the unitarity of the gauge makes this the same surface as the
-    full-system immersion up to one global isometry.
+    full-system immersion up to one global isometry.  threads is accepted
+    and ignored, as in sample_surface.
     """
     data = erf_example_data(n, c=c, c1=c1, lam=lam)
     if domain is None:
         domain = DomainRect(0.68, 1.32, -0.32, 0.32, 65, 65)
-    return sample_surface(data, domain, "h3", tol=tol, threads=threads,
-                          system="reduced")
+    return sample_surface(data, domain, "h3", tol=tol, system="reduced")
 
 
 def _erf_closed_columns(n, c, c1, lam, sigma):

@@ -7,7 +7,9 @@ import os
 import tempfile
 import unittest
 
-from solsurf.cli import main
+import numpy as np
+
+from solsurf.cli import _quad_triangles, _vertex_index_map, main
 
 SMALL = ["--domain", "-0.5:0.5:-0.5:0.5", "--res", "17"]
 # fine enough for the frame-stencil truncation of generic (non-flat) data
@@ -240,6 +242,33 @@ class TestDeterminism(CliCase):
         # the echo reflects the request, not the environment cap, so the
         # report stays byte-stable across differently capped machines
         self.assertEqual(self.report()["config_echo"]["threads"], 8)
+
+
+class TestMeshIndex(unittest.TestCase):
+    def test_masked_grid_faces(self):
+        # 4 x 5 grid with samples (1, 2) and (3, 0) masked; vertices are
+        # numbered row-major over the valid samples
+        valid = np.ones((4, 5), dtype=bool)
+        valid[1, 2] = False
+        valid[3, 0] = False
+        index, count = _vertex_index_map(valid)
+        self.assertEqual(count, 18)
+        self.assertEqual(index.tolist(), [[0, 1, 2, 3, 4],
+                                          [5, 6, -1, 7, 8],
+                                          [9, 10, 11, 12, 13],
+                                          [-1, 14, 15, 16, 17]])
+        faces = [[0, 1, 6], [0, 6, 5], [3, 4, 8], [3, 8, 7],
+                 [5, 6, 10], [5, 10, 9], [7, 8, 13], [7, 13, 12],
+                 [10, 11, 15], [10, 15, 14], [11, 12, 16], [11, 16, 15],
+                 [12, 13, 17], [12, 17, 16]]
+        self.assertEqual(_quad_triangles(valid, index).tolist(), faces)
+
+    def test_no_valid_quad(self):
+        valid = np.zeros((3, 3), dtype=bool)
+        valid[1, 1] = True
+        index, count = _vertex_index_map(valid)
+        self.assertEqual(count, 1)
+        self.assertEqual(_quad_triangles(valid, index).shape, (0, 3))
 
 
 if __name__ == "__main__":
