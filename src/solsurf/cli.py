@@ -39,7 +39,9 @@ from .immersion import (FRAME_OK, DomainRect, frame_and_curvature,  # noqa: F401
                         frame_sweep, loop_period, sample_surface,
                         enneper_weierstrass)
 from .lsp import PathSpec, propagate, gauge_equivalence_residual, _ID4
-from .immersion import _shifted4_tuple
+# the tuple form of the shifted immersion: shifted_immersion's 1e-6
+# determinant check would reject runs at a legal --tol up to 1e-2
+from .immersion import _lorentz4
 from .odebridge import (erf_example_surface, kummer_crosscheck,
                         ode_coefficients, standard_potential,
                         weierstrass_from_ode, OdeSpec, free_params)
@@ -412,12 +414,6 @@ def _battery(data, patch, cfg, perturb=False):
 # ---------------------------------------------------------------------------
 # mesh export
 
-def _mesh_arrays(patch):
-    if patch.points.shape[-1] == 4:
-        return patch.points[:, :, 1:4], patch.points[:, :, 0]
-    return patch.points, None
-
-
 def _vertex_index_map(valid):
     """Row-major vertex number of each valid sample, -1 elsewhere."""
     index = np.where(valid, np.cumsum(valid).reshape(valid.shape) - 1, -1)
@@ -439,11 +435,12 @@ def _quad_triangles(valid, index):
     return tris
 
 
-def _face_rows(tris, chunk=4096):
-    """Rows of tris as Python ints, converted one chunk at a time so that
-    the writers never hold every face as Python objects at once."""
-    for k in range(0, len(tris), chunk):
-        yield from tris[k:k + chunk].tolist()
+def _rows(arr, chunk=4096):
+    """Rows of a 2-D array as Python lists, converted one chunk at a time
+    so that the writers never hold every vertex or face as Python objects
+    at once."""
+    for k in range(0, len(arr), chunk):
+        yield from arr[k:k + chunk].tolist()
 
 
 def write_obj(patch, path):
@@ -452,49 +449,44 @@ def write_obj(patch, path):
     For Lorentz targets the written coordinates are (X1, X2, X3); the X0
     component precedes each vertex as a comment line.
     """
-    xyz, x0 = _mesh_arrays(patch)
     index, count = _vertex_index_map(patch.valid)
     tris = _quad_triangles(patch.valid, index)
     ny, nx = patch.valid.shape
+    vertex = "v %.17g %.17g %.17g\n"
+    if patch.points.shape[-1] == 4:
+        # Lorentz points are (X0, X1, X2, X3)
+        vertex = "# x0 %.17g\n" + vertex
     with open(path, "w") as fh:
         fh.write("# surface mesh, target %s, %d x %d grid\n"
                  % (patch.target, ny, nx))
-        for i in range(ny):
-            for j in range(nx):
-                if not patch.valid[i, j]:
-                    continue
-                if x0 is not None:
-                    fh.write("# x0 %.17g\n" % x0[i, j])
-                fh.write("v %.17g %.17g %.17g\n" % tuple(xyz[i, j]))
-        for a, b, c in _face_rows(tris):
+        for row in _rows(patch.points[patch.valid]):
+            fh.write(vertex % tuple(row))
+        for a, b, c in _rows(tris):
             fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
     return count, len(tris)
 
 
 def write_ply(patch, path):
     """ASCII PLY mirroring the OBJ layout, with x0 as an extra property."""
-    xyz, x0 = _mesh_arrays(patch)
     index, count = _vertex_index_map(patch.valid)
     tris = _quad_triangles(patch.valid, index)
-    ny, nx = patch.valid.shape
+    verts = patch.points[patch.valid]
+    lorentz = verts.shape[-1] == 4
+    if lorentz:
+        verts = verts[:, [1, 2, 3, 0]]      # x y z x0
+    vertex = " ".join(["%.17g"] * verts.shape[-1]) + "\n"
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write("comment surface mesh, target %s\n" % patch.target)
         fh.write("element vertex %d\n" % count)
         fh.write("property float x\nproperty float y\nproperty float z\n")
-        if x0 is not None:
+        if lorentz:
             fh.write("property float x0\n")
         fh.write("element face %d\n" % len(tris))
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for i in range(ny):
-            for j in range(nx):
-                if not patch.valid[i, j]:
-                    continue
-                row = "%.17g %.17g %.17g" % tuple(xyz[i, j])
-                if x0 is not None:
-                    row += " %.17g" % x0[i, j]
-                fh.write(row + "\n")
-        for a, b, c in _face_rows(tris):
+        for row in _rows(verts):
+            fh.write(vertex % tuple(row))
+        for a, b, c in _rows(tris):
             fh.write("3 %d %d %d\n" % (a, b, c))
     return count, len(tris)
 
@@ -563,7 +555,7 @@ def cmd_limit(cfg, stream, start):
         worst = 0.0
         for z, tgt in zip(zs, targets):
             y = propagate(data, data.z0, z, _ID4, tol=tol, system="reduced")
-            x = np.array(_shifted4_tuple(y, lam))
+            x = np.array(_lorentz4(y, lam, 1.0))
             worst = max(worst, float(np.max(np.abs(x - tgt))))
         table.append([lam, worst])
         errs.append(worst)

@@ -75,14 +75,15 @@ class UnboundParameter(ValueError):
 
 
 class PoleOrOverflow(ArithmeticError):
-    """A subexpression evaluated to a non-finite value or beyond the blowup bound."""
+    """An expression evaluated to a non-finite value or beyond the blowup
+    bound, or hit a pole (division by zero, log of zero) on the way."""
 
 
 def _checked(v, blowup):
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise PoleOrOverflow("non-finite subexpression value %r" % (v,))
+        raise PoleOrOverflow("non-finite value %r" % (v,))
     if abs(v.real) > blowup or abs(v.imag) > blowup:
-        raise PoleOrOverflow("subexpression magnitude exceeds blowup bound %g" % blowup)
+        raise PoleOrOverflow("magnitude exceeds blowup bound %g" % blowup)
     return v
 
 
@@ -105,12 +106,14 @@ class Expr:
     def eval(self, z, params=None, blowup=DEFAULT_BLOWUP):
         """Evaluate at the complex point z.
 
-        params maps parameter names to values.  Every subexpression value
-        is checked to be finite and below blowup in magnitude; violations
-        (including division by zero and log of zero) raise PoleOrOverflow.
+        params maps parameter names to values.  The tree is compiled and
+        the value checked to be finite and below blowup in magnitude; a
+        violation, or a division by zero or log of zero on the way, raises
+        PoleOrOverflow.  Intermediate values are not checked: a large
+        factor that cancels, as in exp(z)*exp(-z), evaluates normally.
         """
         try:
-            return self._ev(complex(z), params or {}, blowup)
+            return _checked(self._compile(params or {})(complex(z)), blowup)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             if isinstance(exc, (UnboundParameter, UnknownIdentifier)):
                 raise
@@ -123,9 +126,11 @@ class Expr:
     def compiled(self, params=None):
         """Bind parameters and return a plain closure z -> value.
 
-        The closure skips the per-node finiteness checks of eval; callers
-        on hot paths (integrators, grid sweeps) guard the results
-        themselves.  Unknown parameters fail here, at compile time.
+        This is the only evaluator: eval wraps it with the finiteness and
+        blowup check of the result.  The bare closure checks nothing and
+        raises the arithmetic's own errors; callers on hot paths
+        (integrators, grid sweeps) guard the results themselves.  Unknown
+        parameters fail here, at compile time.
         """
         return self._compile(params or {})
 
@@ -143,9 +148,6 @@ class Expr:
 class Num(Expr):
     """Nonnegative real literal.  Other constants are composite nodes."""
     value: float
-
-    def _ev(self, z, params, blowup):
-        return complex(self.value)
 
     def _d(self):
         return Num(0.0)
@@ -169,9 +171,6 @@ class Const(Expr):
     """Built-in named constant: i, pi, or e."""
     name: str
 
-    def _ev(self, z, params, blowup):
-        return _CONSTANTS[self.name]
-
     def _d(self):
         return Num(0.0)
 
@@ -189,9 +188,6 @@ class Const(Expr):
 @dataclass(frozen=True, repr=False)
 class Var(Expr):
     """The free variable z."""
-
-    def _ev(self, z, params, blowup):
-        return z
 
     def _d(self):
         return Num(1.0)
@@ -211,12 +207,6 @@ class Var(Expr):
 class Param(Expr):
     """Named parameter, bound at evaluation time."""
     name: str
-
-    def _ev(self, z, params, blowup):
-        try:
-            return complex(params[self.name])
-        except KeyError:
-            raise UnboundParameter(self.name) from None
 
     def _d(self):
         return Num(0.0)
@@ -240,9 +230,6 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def _ev(self, z, params, blowup):
-        return _checked(self.left._ev(z, params, blowup) + self.right._ev(z, params, blowup), blowup)
-
     def _d(self):
         return add(self.left._d(), self.right._d())
 
@@ -262,9 +249,6 @@ class Add(Expr):
 class Sub(Expr):
     left: Expr
     right: Expr
-
-    def _ev(self, z, params, blowup):
-        return _checked(self.left._ev(z, params, blowup) - self.right._ev(z, params, blowup), blowup)
 
     def _d(self):
         return sub(self.left._d(), self.right._d())
@@ -286,9 +270,6 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def _ev(self, z, params, blowup):
-        return _checked(self.left._ev(z, params, blowup) * self.right._ev(z, params, blowup), blowup)
-
     def _d(self):
         return add(mul(self.left._d(), self.right), mul(self.left, self.right._d()))
 
@@ -308,9 +289,6 @@ class Mul(Expr):
 class Div(Expr):
     left: Expr
     right: Expr
-
-    def _ev(self, z, params, blowup):
-        return _checked(self.left._ev(z, params, blowup) / self.right._ev(z, params, blowup), blowup)
 
     def _d(self):
         num = sub(mul(self.left._d(), self.right), mul(self.left, self.right._d()))
@@ -332,9 +310,6 @@ class Div(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def _ev(self, z, params, blowup):
-        return -self.arg._ev(z, params, blowup)
-
     def _d(self):
         return neg(self.arg._d())
 
@@ -354,11 +329,6 @@ class Neg(Expr):
 class Pow(Expr):
     base: Expr
     expo: Expr
-
-    def _ev(self, z, params, blowup):
-        b = self.base._ev(z, params, blowup)
-        e = self.expo._ev(z, params, blowup)
-        return _checked(_pow_value(b, e), blowup)
 
     def _d(self):
         f, g = self.base, self.expo
@@ -397,10 +367,6 @@ class Pow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
-
-    def _ev(self, z, params, blowup):
-        v = self.arg._ev(z, params, blowup)
-        return _checked(complex(_FUNCTIONS[self.func](v)), blowup)
 
     def _d(self):
         a = self.arg

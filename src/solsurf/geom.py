@@ -145,14 +145,22 @@ def _eval_stencil(f, pts):
         raise StencilOutOfDomain("stencil evaluation failed: %s" % exc) from exc
 
 
+def wirtinger_pair(fe, fw, fn, fs, h):
+    """(d/dz, d/dzbar) by central differences from the values of f at
+    z + h, z - h, z + ih and z - ih."""
+    dx = fe - fw
+    idy = 1j * (fn - fs)
+    return 0.5 * (dx - idy) / (2.0 * h), 0.5 * (dx + idy) / (2.0 * h)
+
+
 def _dz_once(f, z, h):
     fe, fw, fn, fs = _eval_stencil(f, (z + h, z - h, z + 1j * h, z - 1j * h))
-    return 0.5 * ((fe - fw) - 1j * (fn - fs)) / (2.0 * h)
+    return wirtinger_pair(fe, fw, fn, fs, h)[0]
 
 
 def _dzbar_once(f, z, h):
     fe, fw, fn, fs = _eval_stencil(f, (z + h, z - h, z + 1j * h, z - 1j * h))
-    return 0.5 * ((fe - fw) + 1j * (fn - fs)) / (2.0 * h)
+    return wirtinger_pair(fe, fw, fn, fs, h)[1]
 
 
 def _lap4_once(f, z, h):

@@ -18,7 +18,11 @@ where F is the classical representation
 
     F = Re int (1/2 (1 - psi^2), i/2 (1 + psi^2), psi) eta^2 dz
 
-which this module treats as the canonical Euclidean output.
+which this module treats as the canonical Euclidean output.  Both
+immersions are one formula with a shift, (Phi^H Phi - s I)/lambda for
+s = 0 or 1, written once on the entries of Phi (_lorentz4); the grid
+sampler and the public sym_immersion / shifted_immersion share it.  The
+classical integral and the loop period share one segment loop.
 
 Grid sampling integrates one seed column and then reuses the wavefunction
 at the previous point of each row as the initial value for the next
@@ -37,9 +41,7 @@ import numpy as np
 
 from ._quad import QuadratureFailure, adaptive_gl
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import (PathSpec, StepUnderflow, Wavefunction, _det4, _ID4,
-                  _sweep, propagate)
-from .mcore import lorentz_from_hermitian
+from .lsp import StepUnderflow, _det4, _ID4, propagate
 
 __all__ = [
     "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
@@ -142,15 +144,29 @@ def _check_wavefunction(phi):
     return v
 
 
+def _lorentz4(y, lam, shift=0.0):
+    """Lorentz 4-vector of (Phi^H Phi - shift I)/lambda, Phi given as the
+    row-major 4-tuple y of its entries.
+
+    Shift 0 is the Sym-type formula, shift 1 its origin-shifted form.  The
+    components are read off the Hermitian matrix as in mcore, whose
+    lorentz_from_hermitian the tests keep as the reference.
+    """
+    a, b, c, d = y
+    q11 = (a.conjugate() * a + c.conjugate() * c).real - shift
+    q22 = (b.conjugate() * b + d.conjugate() * d).real - shift
+    p12 = a.conjugate() * b + c.conjugate() * d
+    return (0.5 * (q11 + q22) / lam, p12.real / lam,
+            -p12.imag / lam, 0.5 * (q11 - q22) / lam)
+
+
 def sym_immersion(phi, lam=None):
     """Hyperboloid point (1/lambda) Phi^H Phi as a Lorentz 4-vector."""
     lam = phi.lam if lam is None else float(lam)
     if lam == 0.0:
         raise LambdaZero("lambda = 0 has no hyperboloid; use the shifted limit")
     v = _check_wavefunction(phi)
-    p = v.conj().T @ v
-    p = 0.5 * (p + p.conj().T)
-    return lorentz_from_hermitian(p, tol=1e-8) / lam
+    return np.array(_lorentz4(v.ravel(), lam))
 
 
 def shifted_immersion(phi, lam=None):
@@ -163,9 +179,7 @@ def shifted_immersion(phi, lam=None):
     if lam == 0.0:
         raise LambdaZero("the shift is evaluated at finite lambda")
     v = _check_wavefunction(phi)
-    p = v.conj().T @ v - np.eye(2)
-    p = 0.5 * (p + p.conj().T)
-    return lorentz_from_hermitian(p, tol=1e-8) / lam
+    return np.array(_lorentz4(v.ravel(), lam, 1.0))
 
 
 def _phi_vector_fn(data):
@@ -183,14 +197,20 @@ def _phi_vector_fn(data):
     return fvec
 
 
-def enneper_weierstrass(data, path, tol=1e-10):
-    """Classical minimal-surface integral F = Re int phi dz along the path."""
+def _path_integral(data, path, tol):
+    """Complex integral of the integrand vector along the validated path,
+    segment by segment."""
     path.validate()
     fvec = _phi_vector_fn(data)
     total = np.zeros(3, dtype=complex)
     for a, b in path.segments():
         total = total + adaptive_gl(fvec, a, b, tol=tol)
-    return total.real.copy()
+    return total
+
+
+def enneper_weierstrass(data, path, tol=1e-10):
+    """Classical minimal-surface integral F = Re int phi dz along the path."""
+    return _path_integral(data, path, tol).real.copy()
 
 
 def loop_period(data, path, tol=1e-10):
@@ -201,34 +221,11 @@ def loop_period(data, path, tol=1e-10):
     """
     if path.points[0] != path.points[-1]:
         raise ValueError("loop_period requires a closed path")
-    path.validate()
-    fvec = _phi_vector_fn(data)
-    total = np.zeros(3, dtype=complex)
-    for a, b in path.segments():
-        total = total + adaptive_gl(fvec, a, b, tol=tol)
-    return total
+    return _path_integral(data, path, tol)
 
 
 # ---------------------------------------------------------------------------
 # grid sampling
-
-def _sym4_tuple(y, lam):
-    a, b, c, d = y
-    p11 = (a.conjugate() * a + c.conjugate() * c).real
-    p22 = (b.conjugate() * b + d.conjugate() * d).real
-    p12 = a.conjugate() * b + c.conjugate() * d
-    return (0.5 * (p11 + p22) / lam, p12.real / lam,
-            -p12.imag / lam, 0.5 * (p11 - p22) / lam)
-
-
-def _shifted4_tuple(y, lam):
-    a, b, c, d = y
-    q11 = (a.conjugate() * a + c.conjugate() * c).real - 1.0
-    q22 = (b.conjugate() * b + d.conjugate() * d).real - 1.0
-    p12 = a.conjugate() * b + c.conjugate() * d
-    return (0.5 * (q11 + q22) / lam, p12.real / lam,
-            -p12.imag / lam, 0.5 * (q11 - q22) / lam)
-
 
 def _probe_validity(data, zgrid, need_deta):
     eta_f, deta_f, psi_f, dpsi_f = data.functions()
@@ -311,17 +308,17 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
 
         start_acc = _ID4
         hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
+        shift = 0.0 if target == "h3" else 1.0
 
         def emit(i, j, y):
             drift = abs(_det4(y) - 1.0)
             residuals["det_drift"][i, j] = drift
+            x = _lorentz4(y, lam, shift)
             if target == "h3":
-                x = _sym4_tuple(y, lam)
                 residuals["hyperboloid"][i, j] = (x[1] * x[1] + x[2] * x[2]
                                                   + x[3] * x[3] - x[0] * x[0]
                                                   + 1.0 / (lam * lam))
             else:
-                x = _shifted4_tuple(y, lam)
                 residuals["x0_abs"][i, j] = abs(x[0])
             points[i, j, :] = x
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._quad import QuadratureFailure, integration_matrix
 from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain, WeierstrassData,
-                   fields_from_weierstrass, gmc_residual)
+                   fields_from_weierstrass, gmc_residual, wirtinger_pair)
 
 __all__ = [
     "PathSpec", "Wavefunction", "PoleClearanceViolated", "StepUnderflow",
@@ -554,13 +554,10 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
         gn = g_at(mid + 1j * h)
         gs = g_at(mid - 1j * h)
         gc = g_at(mid)
-        gz = 0.5 * ((ge - gw) - 1j * (gn - gs)) / (2.0 * h)
-        gzb = 0.5 * ((ge - gw) + 1j * (gn - gs)) / (2.0 * h)
+        gz, gzb = wirtinger_pair(ge, gw, gn, gs, h)
         gc_inv = np.linalg.inv(gc)
-        ev = eta_f(mid)
+        a_mat = reduced_coefficient(data, mid)
         pv = psi_f(mid)
-        w2 = data.lam * ev * ev
-        a_mat = np.array([[w2 * pv, -w2], [w2 * pv * pv, -w2 * pv]], dtype=complex)
         out["dz_residual"] = max(out["dz_residual"],
                                  float(np.max(np.abs(gz @ gc_inv - a_mat))))
         out["dzbar_residual"] = max(out["dzbar_residual"],

@@ -33,7 +33,7 @@ from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    _factor_product, _poly_coeffs)
 from .geom import WeierstrassData
 from .immersion import DomainRect, sample_surface
-from .lsp import PathSpec, integrate_reduced
+from .lsp import PathSpec, integrate_reduced, reduced_coefficient
 from .specfun import SQRT_PI, erf_c, hermite_h, kummer_c
 
 __all__ = [
@@ -66,11 +66,6 @@ class AntiderivativeNode(Expr):
     """
     integrand: Expr
     base: complex
-
-    def _ev(self, z, params, blowup):
-        f = self.integrand
-        return adaptive_gl(lambda t: f._ev(t, params, blowup),
-                           self.base, z, tol=1e-12)
 
     def _d(self):
         return self.integrand
@@ -283,17 +278,6 @@ def _erf_closed_columns(n, c, c1, lam, sigma):
     return column
 
 
-def _system_matrix(data):
-    eta_f, _, psi_f, _ = data.functions()
-
-    def mat(z):
-        w = data.lam * eta_f(z) ** 2
-        pv = psi_f(z)
-        return np.array([[w * pv, -w], [w * pv * pv, -w * pv]])
-
-    return mat
-
-
 def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j, tol=1e-10):
     """Compare the printed closed-form wavefunction with integration.
 
@@ -341,7 +325,6 @@ def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j, tol=1e-10):
             deviation[k][j] = abs(vz[j] - pred[j]) / scale
 
     # finite-difference residual of each printed column against the system
-    mat = _system_matrix(data)
     h = 1e-5
     fd = {"outside": 0.0, "inside": 0.0}
     for scope in fd:
@@ -349,7 +332,7 @@ def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j, tol=1e-10):
         for t in (0.35, 0.7):
             w = 1.0 + t * (z - 1.0)
             dv = (column(w + h, sigma, scope) - column(w - h, sigma, scope)) / (2 * h)
-            rhs = mat(w) @ column(w, sigma, scope)
+            rhs = reduced_coefficient(data, w) @ column(w, sigma, scope)
             scale = max(float(np.max(np.abs(rhs))), 1e-30)
             worst = max(worst, float(np.max(np.abs(dv - rhs))) / scale)
         fd[scope] = worst

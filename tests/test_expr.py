@@ -9,6 +9,7 @@ import numpy as np
 from solsurf.expr import (ExprSyntaxError, UnknownFunction, UnknownIdentifier,
                           UnboundParameter, PoleOrOverflow, Param, Num, parse,
                           evaluate, derivative, simplify, subst_params)
+from solsurf.odebridge import AntiderivativeNode
 
 POINTS = [0.3 + 0.4j, -1.2 + 0.1j, 2.0 - 0.5j, 0.05j, 1.0 + 0.0j]
 
@@ -140,6 +141,37 @@ class TestDerivative(unittest.TestCase):
         for z in POINTS:
             self.assertAlmostEqual(evaluate(de, z, params=binding), 5.0 * z,
                                    places=12)
+
+
+class TestSingleEvaluator(unittest.TestCase):
+    """eval is the compiled closure with a check of the result only."""
+
+    def test_eval_is_the_compiled_closure(self):
+        for text in TestDerivative.EXPRS:
+            e = parse(text)
+            f = e.compiled()
+            for z in POINTS:
+                got = evaluate(e, z)
+                want = f(z)
+                self.assertEqual((got.real, got.imag), (want.real, want.imag),
+                                 "%s at %r" % (text, z))
+
+    def test_result_checked(self):
+        with self.assertRaises(PoleOrOverflow):
+            evaluate(parse("exp(z)"), 30.0)          # beyond the blowup bound
+        with self.assertRaises(PoleOrOverflow):
+            evaluate(parse("log(z)"), 0.0)
+
+    def test_intermediate_values_unchecked(self):
+        # exp(30) exceeds the bound, but the product cancels it
+        v = evaluate(parse("exp(z)*exp(-z)"), 30.0)
+        self.assertLess(abs(v - 1.0), 1e-12)
+
+    def test_antiderivative_node(self):
+        node = AntiderivativeNode(parse("sin(z)*exp(z)"), 0.2 + 0.1j)
+        f = node.compiled()
+        for z in POINTS:
+            self.assertEqual(node.eval(z), f(z), "at %r" % (z,))
 
 
 class TestSubstParams(unittest.TestCase):

@@ -12,6 +12,7 @@ from solsurf.immersion import (DomainRect, LambdaZero, DegenerateFrame,
                                sym_immersion, shifted_immersion,
                                enneper_weierstrass, loop_period,
                                sample_surface, frame_and_curvature)
+from solsurf.mcore import lorentz_from_hermitian
 
 ENNEPER = {"eta": parse("1"), "psi": parse("z"), "z0": 0j}
 
@@ -72,6 +73,28 @@ class TestPointImmersion(unittest.TestCase):
         self.assertGreater(errs[0] / errs[1], 5.0)
 
 
+class TestImmersionOracle(unittest.TestCase):
+    """The tuple formula against the Hermitian-matrix model in mcore."""
+
+    def check(self, got, phi, lam, shift):
+        v = phi.value
+        want = lorentz_from_hermitian(v.conj().T @ v - shift * np.eye(2),
+                                      tol=1e-8) / lam
+        scale = float(np.max(np.abs(want)))
+        self.assertLess(float(np.max(np.abs(got - want))), 1e-14 * scale)
+
+    def test_sym_and_shifted_match_matrix_model(self):
+        data = WeierstrassData(eta=parse("1+0.3*z"), psi=parse("z^2-0.4*i*z"),
+                               z0=0j, lam=0.8)
+        for z in (0.6 + 0.3j, -0.4 + 0.7j, 0.2 - 0.5j):
+            path = PathSpec.line(0j, z)
+            full = integrate_full(data, path, tol=1e-12)
+            reduced = integrate_reduced(data, path, tol=1e-12)
+            self.check(sym_immersion(full), full, 0.8, 0.0)
+            self.check(sym_immersion(reduced, lam=0.3), reduced, 0.3, 0.0)
+            self.check(shifted_immersion(reduced), reduced, 0.8, 1.0)
+
+
 class TestEnneperIntegral(unittest.TestCase):
     def test_classical_anchors(self):
         data = enneper(1.0)
@@ -117,6 +140,23 @@ class TestSampleSurface(unittest.TestCase):
         z = dom.point(3, 4)
         want = enneper_weierstrass(data, PathSpec.line(0j, z), tol=1e-12)
         self.assertTrue(np.allclose(patch.points[3, 4], want, atol=1e-9))
+
+    def test_h3_matches_path_integral(self):
+        data = enneper(1.0)
+        dom = DomainRect(-0.5, 0.5, -0.5, 0.5, 5, 5)
+        patch = sample_surface(data, dom, "h3", tol=1e-10)
+        z = dom.point(3, 4)
+        want = sym_immersion(integrate_full(data, PathSpec.line(0j, z), tol=1e-12))
+        self.assertTrue(np.allclose(patch.points[3, 4], want, rtol=0.0, atol=1e-7))
+
+    def test_limit_matches_path_integral(self):
+        data = enneper(0.1)
+        dom = DomainRect(-0.5, 0.5, -0.5, 0.5, 5, 5)
+        patch = sample_surface(data, dom, "e3-limit", tol=1e-10)
+        z = dom.point(3, 4)
+        want = shifted_immersion(integrate_reduced(data, PathSpec.line(0j, z),
+                                                   tol=1e-12))
+        self.assertTrue(np.allclose(patch.points[3, 4], want, rtol=0.0, atol=1e-7))
 
     def test_limit_patch_x0_small(self):
         patch = sample_surface(enneper(1e-3), DomainRect(-0.5, 0.5, -0.5, 0.5, 5, 5),
