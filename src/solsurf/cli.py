@@ -435,12 +435,16 @@ def _quad_triangles(valid, index):
     return tris
 
 
-def _rows(arr, chunk=4096):
-    """Rows of a 2-D array as Python lists, converted one chunk at a time
-    so that the writers never hold every vertex or face as Python objects
-    at once."""
+def _write_rows(fh, template, arr, chunk=4096):
+    """Write each row of a 2-D array through the %-template of one row.
+
+    Each chunk of rows is formatted by one % of the template repeated,
+    so that the writers never hold every vertex or face as Python
+    objects at once.
+    """
     for k in range(0, len(arr), chunk):
-        yield from arr[k:k + chunk].tolist()
+        block = arr[k:k + chunk]
+        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_obj(patch, path):
@@ -450,7 +454,7 @@ def write_obj(patch, path):
     component precedes each vertex as a comment line.
     """
     index, count = _vertex_index_map(patch.valid)
-    tris = _quad_triangles(patch.valid, index)
+    tris = _quad_triangles(patch.valid, index + 1)      # OBJ counts from 1
     ny, nx = patch.valid.shape
     vertex = "v %.17g %.17g %.17g\n"
     if patch.points.shape[-1] == 4:
@@ -459,10 +463,8 @@ def write_obj(patch, path):
     with open(path, "w") as fh:
         fh.write("# surface mesh, target %s, %d x %d grid\n"
                  % (patch.target, ny, nx))
-        for row in _rows(patch.points[patch.valid]):
-            fh.write(vertex % tuple(row))
-        for a, b, c in _rows(tris):
-            fh.write("f %d %d %d\n" % (a + 1, b + 1, c + 1))
+        _write_rows(fh, vertex, patch.points[patch.valid])
+        _write_rows(fh, "f %d %d %d\n", tris)
     return count, len(tris)
 
 
@@ -484,10 +486,8 @@ def write_ply(patch, path):
             fh.write("property float x0\n")
         fh.write("element face %d\n" % len(tris))
         fh.write("property list uchar int vertex_indices\nend_header\n")
-        for row in _rows(verts):
-            fh.write(vertex % tuple(row))
-        for a, b, c in _rows(tris):
-            fh.write("3 %d %d %d\n" % (a, b, c))
+        _write_rows(fh, vertex, verts)
+        _write_rows(fh, "3 %d %d %d\n", tris)
     return count, len(tris)
 
 

@@ -23,9 +23,13 @@ the simplifier below never manufactures a literal the grammar cannot spell
 import cmath
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
-from .specfun import erf_c
+import numpy as np
+
+from ._carith import cdiv, cmul, cpowi
+from .specfun import erf_array, erf_c
 
 _FUNCTIONS = {
     "exp": cmath.exp,
@@ -37,6 +41,36 @@ _FUNCTIONS = {
     "cosh": cmath.cosh,
     "erf": erf_c,
 }
+
+_NAN = complex(math.nan, math.nan)
+
+
+def _raised_as_nan(fn):
+    """fn over arrays, NaN wherever its value is not finite.
+
+    A scalar function or power raises where its value would overflow or
+    hit a pole (exp(800), log 0, 0^-1); numpy returns inf there, which a
+    later quotient can turn finite again (1/exp(800) is 0).  As NaN, the
+    point stays non-finite through the rest of the tree, as the raise
+    ends the scalar evaluation.
+    """
+    def array_fn(*args):
+        v = fn(*args)
+        return np.where(np.isfinite(v), v, _NAN)
+
+    return array_fn
+
+
+_ARRAY_FUNCTIONS = {name: _raised_as_nan(fn) for name, fn in {
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "erf": erf_array,
+}.items()}
 
 _CONSTANTS = {"i": 1j, "pi": complex(math.pi), "e": complex(math.e)}
 
@@ -98,6 +132,27 @@ def _pow_value(base, expo):
     return base ** expo
 
 
+@_raised_as_nan
+def _array_power(base, expo):
+    # _pow_value over arrays: a constant integer exponent takes CPython's
+    # integer-power route, anything else numpy's complex power
+    if np.ndim(expo) == 0:
+        e = complex(expo)
+        if e.imag == 0.0 and e.real == int(e.real) and abs(e.real) <= 100:
+            return cpowi(base, int(e.real))
+    return np.power(base, expo)
+
+
+# What a compiled tree bottoms out in.  Every node compiles through the
+# same _compile walk, given one of these two libraries: scalar closures
+# take builtin complex and cmath, array closures numpy arrays, ufuncs and
+# the CPython-rounded products and quotients of _carith.
+_Leaves = namedtuple("_Leaves", "array var functions power")
+_SCALAR = _Leaves(False, complex, _FUNCTIONS, _pow_value)
+_ARRAY = _Leaves(True, lambda z: np.asarray(z, dtype=complex),
+                 _ARRAY_FUNCTIONS, _array_power)
+
+
 class Expr:
     """Base node.  Subclasses implement the small protocol below."""
 
@@ -113,7 +168,8 @@ class Expr:
         factor that cancels, as in exp(z)*exp(-z), evaluates normally.
         """
         try:
-            return _checked(self._compile(params or {})(complex(z)), blowup)
+            return _checked(self._compile(params or {}, _SCALAR)(complex(z)),
+                            blowup)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             if isinstance(exc, (UnboundParameter, UnknownIdentifier)):
                 raise
@@ -130,9 +186,34 @@ class Expr:
         blowup check of the result.  The bare closure checks nothing and
         raises the arithmetic's own errors; callers on hot paths
         (integrators, grid sweeps) guard the results themselves.  Unknown
-        parameters fail here, at compile time.
+        parameters fail here, at compile time.  compiled_array is the same
+        tree walk over numpy arrays.
         """
-        return self._compile(params or {})
+        return self._compile(params or {}, _SCALAR)
+
+    def compiled_array(self, params=None):
+        """Bind parameters and return a closure over numpy arrays: z ->
+        complex array of z's shape, one value per element.
+
+        Same tree walk as compiled, with numpy leaves.  Products, quotients
+        and integer powers up to 100 round as Python's complex type does,
+        and erf runs the same series, so each element equals the scalar
+        closure's value bit for bit; log and other powers go through
+        numpy's routines and may differ in the last bits.  Nothing raises at
+        run time: where the scalar closure raises (a pole, log 0, a
+        function or power that overflows), the value is NaN, and it stays
+        NaN through the rest of the tree.  numpy's floating-point warnings
+        are suppressed inside the closure.
+        """
+        f = self._compile(params or {}, _ARRAY)
+
+        def evaluate_array(z):
+            shape = np.shape(z)
+            with np.errstate(all="ignore"):
+                v = f(z)
+            return v if np.shape(v) == shape else np.full(shape, v)
+
+        return evaluate_array
 
     def has_z(self):
         return self._has_z()
@@ -152,7 +233,7 @@ class Num(Expr):
     def _d(self):
         return Num(0.0)
 
-    def _compile(self, params):
+    def _compile(self, params, lib):
         v = complex(self.value)
         return lambda z: v
 
@@ -174,7 +255,7 @@ class Const(Expr):
     def _d(self):
         return Num(0.0)
 
-    def _compile(self, params):
+    def _compile(self, params, lib):
         v = _CONSTANTS[self.name]
         return lambda z: v
 
@@ -192,9 +273,10 @@ class Var(Expr):
     def _d(self):
         return Num(1.0)
 
-    def _compile(self, params):
-        # builtin complex keeps arithmetic raising (not warning) at poles
-        return lambda z: complex(z)
+    def _compile(self, params, lib):
+        # builtin complex keeps scalar arithmetic raising (not warning) at
+        # poles
+        return lib.var
 
     def _has_z(self):
         return True
@@ -211,7 +293,7 @@ class Param(Expr):
     def _d(self):
         return Num(0.0)
 
-    def _compile(self, params):
+    def _compile(self, params, lib):
         try:
             v = complex(params[self.name])
         except KeyError:
@@ -233,8 +315,8 @@ class Add(Expr):
     def _d(self):
         return add(self.left._d(), self.right._d())
 
-    def _compile(self, params):
-        lf, rf = self.left._compile(params), self.right._compile(params)
+    def _compile(self, params, lib):
+        lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
         return lambda z: lf(z) + rf(z)
 
     def _has_z(self):
@@ -253,8 +335,8 @@ class Sub(Expr):
     def _d(self):
         return sub(self.left._d(), self.right._d())
 
-    def _compile(self, params):
-        lf, rf = self.left._compile(params), self.right._compile(params)
+    def _compile(self, params, lib):
+        lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
         return lambda z: lf(z) - rf(z)
 
     def _has_z(self):
@@ -273,8 +355,10 @@ class Mul(Expr):
     def _d(self):
         return add(mul(self.left._d(), self.right), mul(self.left, self.right._d()))
 
-    def _compile(self, params):
-        lf, rf = self.left._compile(params), self.right._compile(params)
+    def _compile(self, params, lib):
+        lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
+        if lib.array:
+            return lambda z: cmul(lf(z), rf(z))
         return lambda z: lf(z) * rf(z)
 
     def _has_z(self):
@@ -294,8 +378,10 @@ class Div(Expr):
         num = sub(mul(self.left._d(), self.right), mul(self.left, self.right._d()))
         return div(num, mul(self.right, self.right))
 
-    def _compile(self, params):
-        lf, rf = self.left._compile(params), self.right._compile(params)
+    def _compile(self, params, lib):
+        lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
+        if lib.array:
+            return lambda z: cdiv(lf(z), rf(z))
         return lambda z: lf(z) / rf(z)
 
     def _has_z(self):
@@ -313,8 +399,8 @@ class Neg(Expr):
     def _d(self):
         return neg(self.arg._d())
 
-    def _compile(self, params):
-        f = self.arg._compile(params)
+    def _compile(self, params, lib):
+        f = self.arg._compile(params, lib)
         return lambda z: -f(z)
 
     def _has_z(self):
@@ -346,14 +432,16 @@ class Pow(Expr):
         inner = add(mul(g._d(), Call("log", f)), div(mul(g, f._d()), f))
         return mul(self, inner)
 
-    def _compile(self, params):
-        bf = self.base._compile(params)
+    def _compile(self, params, lib):
+        bf = self.base._compile(params, lib)
         if isinstance(self.expo, Num) and self.expo.value == int(self.expo.value) \
                 and abs(self.expo.value) <= 1024:
             n = int(self.expo.value)
-            return lambda z: bf(z) ** n
-        ef = self.expo._compile(params)
-        return lambda z: _pow_value(bf(z), ef(z))
+            if not lib.array:
+                return lambda z: bf(z) ** n
+        ef = self.expo._compile(params, lib)
+        power = lib.power
+        return lambda z: power(bf(z), ef(z))
 
     def _has_z(self):
         return self.base._has_z() or self.expo._has_z()
@@ -393,9 +481,9 @@ class Call(Expr):
             raise UnknownFunction(self.func, -1)
         return mul(outer, da)
 
-    def _compile(self, params):
-        fn = _FUNCTIONS[self.func]
-        af = self.arg._compile(params)
+    def _compile(self, params, lib):
+        fn = lib.functions[self.func]
+        af = self.arg._compile(params, lib)
         return lambda z: fn(af(z))
 
     def _has_z(self):

@@ -60,6 +60,7 @@ class WeierstrassData:
         self.z0 = complex(self.z0)
         self.lam = float(self.lam)
         self._fns = None
+        self._array_fns = None
 
     def functions(self):
         """Compiled closures (eta, eta', psi, psi'), cached."""
@@ -69,6 +70,16 @@ class WeierstrassData:
                          self.psi.compiled(self.params),
                          self.psi.derivative().compiled(self.params))
         return self._fns
+
+    def array_functions(self):
+        """The same four closures over numpy arrays (Expr.compiled_array),
+        cached; NaN marks a point where the scalar closure raises."""
+        if self._array_fns is None:
+            self._array_fns = tuple(
+                e.compiled_array(self.params)
+                for e in (self.eta, self.eta.derivative(),
+                          self.psi, self.psi.derivative()))
+        return self._array_fns
 
 
 @dataclass(eq=False)

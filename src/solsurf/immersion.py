@@ -22,13 +22,18 @@ which this module treats as the canonical Euclidean output.  Both
 immersions are one formula with a shift, (Phi^H Phi - s I)/lambda for
 s = 0 or 1, written once on the entries of Phi (_lorentz4); the grid
 sampler and the public sym_immersion / shifted_immersion share it.  The
-classical integral and the loop period share one segment loop.
+classical integral, the loop period and the e3-direct sampler share one
+integrand over the array closures and one batched quadrature.
 
-Grid sampling integrates one seed column and then reuses the wavefunction
-at the previous point of each row as the initial value for the next
-(one integration sweep per row), so that the cost is O(grid) short
-integrations.  Rows run one after another on the calling thread: the hops
-are Python code, so a thread pool only contends for the interpreter lock.
+Grid sampling probes the data over the grid in array passes, integrates
+one seed column and then each row from its column-0 value.  The ODE
+targets hop point by point, each hop starting from the wavefunction at
+the previous point, so that the cost is O(grid) short integrations.  The
+classical integral carries no state from hop to hop, so e3-direct
+integrates all hops of the seed column, and then of each row, as one
+batch of quadratures (adaptive_gl_batch over the array closures) and
+accumulates them with a cumsum.  Rows run one after another on the
+calling thread.
 
 frame_sweep reconstructs the frame and curvature estimates over the whole
 grid with array stencils; frame_and_curvature is the same computation at
@@ -39,7 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import QuadratureFailure, adaptive_gl
+from ._carith import cmul
+# adaptive_gl is not called here; it stays a module name because the
+# benchmark tracer in solbench/ wraps immersion.adaptive_gl
+from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
 from .lsp import StepUnderflow, _det4, _ID4, propagate
 
@@ -51,6 +59,11 @@ __all__ = [
 ]
 
 TARGETS = ("h3", "e3-limit", "e3-direct")
+
+# grid rows per block of the array passes over the grid (the probe, and the
+# output rows of frame_sweep, which also read a two-row halo), so their
+# temporaries stay a few grid rows deep instead of grid-sized
+_SWEEP_ROWS = 8
 
 
 class LambdaZero(ValueError):
@@ -182,29 +195,37 @@ def shifted_immersion(phi, lam=None):
     return np.array(_lorentz4(v.ravel(), lam, 1.0))
 
 
-def _phi_vector_fn(data):
-    eta_f, _, psi_f, _ = data.functions()
+def _phi_vector_batch(data):
+    """The integrand (1/2 (1 - psi^2), i/2 (1 + psi^2), psi) eta^2 over an
+    array of points, one row per point, from the array closures of eta
+    and psi; cmul rounds each product as Python's complex type does."""
+    eta_a, _, psi_a, _ = data.array_functions()
 
-    def fvec(z):
-        ev = eta_f(z)
-        pv = psi_f(z)
-        e2 = ev * ev
-        p2 = pv * pv
-        return np.array([0.5 * (1.0 - p2) * e2,
-                         0.5j * (1.0 + p2) * e2,
-                         pv * e2])
+    def fvals(z):
+        ev, pv = eta_a(z), psi_a(z)
+        e2 = cmul(ev, ev)
+        p2 = cmul(pv, pv)
+        return np.stack((cmul(cmul(0.5, 1.0 - p2), e2),
+                         cmul(cmul(0.5j, 1.0 + p2), e2), cmul(pv, e2)), axis=1)
 
-    return fvec
+    return fvals
 
 
 def _path_integral(data, path, tol):
-    """Complex integral of the integrand vector along the validated path,
-    segment by segment."""
+    """Complex integral of the integrand vector along the validated path:
+    every segment in one batch, summed in path order.  A segment where
+    the data is not finite, or that misses tol, raises QuadratureFailure."""
     path.validate()
-    fvec = _phi_vector_fn(data)
+    ends = np.array(path.segments(), dtype=complex).reshape(-1, 2)
+    parts, failed = adaptive_gl_batch(_phi_vector_batch(data), ends[:, 0],
+                                      ends[:, 1], tol=tol)
+    if failed.any():
+        a, b = ends[np.flatnonzero(failed)[0]]
+        raise QuadratureFailure("path segment %r -> %r: non-finite integrand, "
+                                "or error above tol %.3e" % (a, b, tol))
     total = np.zeros(3, dtype=complex)
-    for a, b in path.segments():
-        total = total + adaptive_gl(fvec, a, b, tol=tol)
+    for part in parts:
+        total = total + part
     return total
 
 
@@ -228,23 +249,75 @@ def loop_period(data, path, tol=1e-10):
 # grid sampling
 
 def _probe_validity(data, zgrid, need_deta):
-    eta_f, deta_f, psi_f, dpsi_f = data.functions()
-    ny, nx = zgrid.shape
-    valid = np.zeros((ny, nx), dtype=bool)
-    for i in range(ny):
-        for j in range(nx):
-            z = zgrid[i, j]
-            try:
-                ev = eta_f(z)
-                psi_f(z)
-                dpsi_f(z)
-                if need_deta:
-                    deta_f(z)
-                ok = ev != 0.0
-            except EVAL_ERRORS:
-                ok = False
-            valid[i, j] = ok
+    """Samples where eta, psi, psi' (and eta' for the full system) are
+    finite and eta is nonzero, by array evaluation over blocks of rows
+    (which bounds the temporaries of series such as erf)."""
+    eta_a, deta_a, psi_a, dpsi_a = data.array_functions()
+    others = (psi_a, dpsi_a) + ((deta_a,) if need_deta else ())
+    valid = np.empty(zgrid.shape, dtype=bool)
+    for r0 in range(0, zgrid.shape[0], _SWEEP_ROWS):
+        z = zgrid[r0:r0 + _SWEEP_ROWS]
+        ev = eta_a(z)
+        ok = np.isfinite(ev) & (ev != 0.0)
+        for f in others:
+            ok &= np.isfinite(f(z))
+        valid[r0:r0 + _SWEEP_ROWS] = ok
     return valid
+
+
+def _direct_run(fvals, z_start, acc, zs, tol):
+    """Classical integral at the points zs, accumulated hop by hop from
+    z_start, where it is acc.
+
+    Every hop between consecutive points is integrated in one batch and
+    the running sums are a cumsum seeded by acc.  A hop that fails masks
+    its end point; the hop after it is re-planned from the last good
+    point in a further batch.  Returns (values, ok), ok False at the
+    masked points.
+    """
+    m = len(zs)
+    vals = np.full((m, 3), complex(np.nan, np.nan))
+    ok = np.zeros(m, dtype=bool)
+    if m == 0:
+        return vals, ok
+    starts = np.concatenate([[z_start], zs[:-1]])
+    hops, failed = adaptive_gl_batch(fvals, starts, zs, tol=tol)
+    k = 0
+    while k < m:
+        bad = np.flatnonzero(failed[k:])
+        stop = k + bad[0] if bad.size else m
+        if stop > k:
+            vals[k:stop] = np.cumsum(np.vstack([acc, hops[k:stop]]),
+                                     axis=0)[1:]
+            ok[k:stop] = True
+            acc = vals[stop - 1]
+            z_start = zs[stop - 1]
+        k = stop + 1
+        if k < m:
+            hops[k:k + 1], failed[k:k + 1] = adaptive_gl_batch(
+                fvals, [z_start], zs[k:k + 1], tol=tol)
+    return vals, ok
+
+
+def _sample_direct(data, zgrid, valid, tol):
+    """Points of the classical integral over the grid, masking valid where
+    a hop fails: the seed column from z0 as one batch, then each row as
+    one batch from its column-0 value."""
+    ny, nx = zgrid.shape
+    points = np.full((ny, nx, 3), np.nan)
+    fvals = _phi_vector_batch(data)
+    rows = np.flatnonzero(valid[:, 0])
+    col, ok = _direct_run(fvals, data.z0, np.zeros(3, dtype=complex),
+                          zgrid[rows, 0], tol)
+    valid[rows[~ok], 0] = False
+    valid[~valid[:, 0], 1:] = False
+    for i, acc in zip(rows[ok], col[ok]):
+        points[i, 0] = acc.real
+        cols = 1 + np.flatnonzero(valid[i, 1:])
+        vals, ok_row = _direct_run(fvals, zgrid[i, 0], acc, zgrid[i, cols], tol)
+        points[i, cols[ok_row]] = vals[ok_row].real
+        valid[i, cols[~ok_row]] = False
+    return points
 
 
 def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
@@ -261,8 +334,11 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
     the holomorphic form, whose Sym-type image is the same surface moved
     by one global isometry (the gauge between the systems is unitary).
 
-    The grid is probed first; points where the data fails to evaluate are
-    masked, as are points whose row integration fails.
+    The grid is probed first, by array evaluation of the data: points
+    where it is not finite, or eta vanishes, are masked, as are points
+    whose hop fails.  The ODE targets hop point by point along the
+    seed column and each row; e3-direct integrates the seed column and
+    then each row as one batch of quadratures (see _direct_run).
 
     threads is accepted and ignored; rows always run on the calling thread.
     """
@@ -279,89 +355,70 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
     ny, nx = zgrid.shape
     valid = _probe_validity(data, zgrid, need_deta=(system == "full"))
     if target == "e3-direct":
-        points = np.full((ny, nx, 3), np.nan)
-        residuals = {}
+        points = _sample_direct(data, zgrid, valid, tol)
+        return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
+                            tol=tol, points=points, valid=valid, residuals={})
+
+    points = np.full((ny, nx, 4), np.nan)
+    residuals = {"det_drift": np.full((ny, nx), np.nan)}
+    if target == "h3":
+        residuals["hyperboloid"] = np.full((ny, nx), np.nan)
     else:
-        points = np.full((ny, nx, 4), np.nan)
-        residuals = {"det_drift": np.full((ny, nx), np.nan)}
-        if target == "h3":
-            residuals["hyperboloid"] = np.full((ny, nx), np.nan)
-        else:
-            residuals["x0_abs"] = np.full((ny, nx), np.nan)
+        residuals["x0_abs"] = np.full((ny, nx), np.nan)
 
     hval = lam if H is None else float(H)
+    hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
+    shift = 0.0 if target == "h3" else 1.0
 
-    if target == "e3-direct":
-        fvec = _phi_vector_fn(data)
+    def hop(z_from, z_to, y):
+        return propagate(data, z_from, z_to, y, tol=tol, system=system, H=hval)
 
-        def hop(z_from, z_to, acc):
-            return acc + adaptive_gl(fvec, z_from, z_to, tol=tol)
-
-        start_acc = np.zeros(3, dtype=complex)
-        hop_errors = (QuadratureFailure,) + EVAL_ERRORS
-
-        def emit(i, j, acc):
-            points[i, j, :] = acc.real
-    else:
-        def hop(z_from, z_to, y):
-            return propagate(data, z_from, z_to, y, tol=tol, system=system, H=hval)
-
-        start_acc = _ID4
-        hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
-        shift = 0.0 if target == "h3" else 1.0
-
-        def emit(i, j, y):
-            drift = abs(_det4(y) - 1.0)
-            residuals["det_drift"][i, j] = drift
-            x = _lorentz4(y, lam, shift)
-            if target == "h3":
-                residuals["hyperboloid"][i, j] = (x[1] * x[1] + x[2] * x[2]
-                                                  + x[3] * x[3] - x[0] * x[0]
-                                                  + 1.0 / (lam * lam))
-            else:
-                residuals["x0_abs"][i, j] = abs(x[0])
-            points[i, j, :] = x
+    def emit(i, j, y):
+        drift = abs(_det4(y) - 1.0)
+        residuals["det_drift"][i, j] = drift
+        x = _lorentz4(y, lam, shift)
+        if target == "h3":
+            residuals["hyperboloid"][i, j] = (x[1] * x[1] + x[2] * x[2]
+                                              + x[3] * x[3] - x[0] * x[0]
+                                              + 1.0 / (lam * lam))
+        else:
+            residuals["x0_abs"][i, j] = abs(x[0])
+        points[i, j, :] = x
 
     # seed: base point to the first valid point of column 0, then down it
     col_vals = [None] * ny
-    cur = None
+    cur = _ID4
     cur_z = data.z0
     for i in range(ny):
         if not valid[i, 0]:
             continue
         z = zgrid[i, 0]
         try:
-            nxt = hop(cur_z, z, start_acc if cur is None else cur)
+            cur = hop(cur_z, z, cur)
         except hop_errors:
             valid[i, 0] = False
             continue
-        col_vals[i] = nxt
-        cur = nxt
+        col_vals[i] = cur
         cur_z = z
 
-    def run_row(i):
+    for i in range(ny):
         y = col_vals[i]
         if y is None:
             valid[i, 1:] = False
-            return
+            continue
         emit(i, 0, y)
-        cur = y
         cur_z = zgrid[i, 0]
         for j in range(1, nx):
             if not valid[i, j]:
                 continue
             z = zgrid[i, j]
             try:
-                nxt = hop(cur_z, z, cur)
+                y = hop(cur_z, z, y)
             except hop_errors:
                 valid[i, j] = False
                 continue
-            emit(i, j, nxt)
-            cur = nxt
+            emit(i, j, y)
             cur_z = z
-
-    for i in range(ny):
-        run_row(i)
 
     return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
                         tol=tol, points=points, valid=valid, residuals=residuals)
@@ -390,9 +447,6 @@ _FRAME_MESSAGES = {
     FRAME_COLLINEAR: "tangents collinear at (%d, %d)",
 }
 
-# output rows per block of frame_sweep; each block also reads a two-row
-# halo, so the temporaries stay a few grid rows deep instead of grid-sized
-_SWEEP_ROWS = 8
 
 
 @dataclass

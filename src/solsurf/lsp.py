@@ -299,19 +299,25 @@ def _full_segment_coef(entries, a, b):
     return cfun
 
 
+def _segment_coefs(data, system, H):
+    """(a, b) -> the chosen system's coefficient along the segment a -> b;
+    the full system's entry function is built once, here."""
+    if system == "reduced":
+        return lambda a, b: _reduced_segment_coef(data, a, b)
+    entries = _full_entries_fn(data, H if H is not None else data.lam)
+    return lambda a, b: _full_segment_coef(entries, a, b)
+
+
 def _sweep(data, path, tol, system, H=None, y0=_ID4, renormalize=False):
     """Shared propagation core; returns the final 4-tuple."""
-    entries = None if system == "reduced" else _full_entries_fn(data, H if H is not None else data.lam)
+    coef = _segment_coefs(data, system, H)
     y = y0
     for a, b in path.segments():
         hmax = 1.0
         if path.max_step is not None:
             hmax = max(min(1.0, path.max_step / abs(b - a)), 1e-6)
-        if system == "reduced":
-            cfun = _reduced_segment_coef(data, a, b)
-        else:
-            cfun = _full_segment_coef(entries, a, b)
-        y = _integrate_unit(cfun, y, tol, hmax=hmax, renormalize=renormalize)
+        y = _integrate_unit(coef(a, b), y, tol, hmax=hmax,
+                            renormalize=renormalize)
     return y
 
 
@@ -320,12 +326,13 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
 
     No pole validation or compatibility probing; building block for grid
     sweeps and finite-difference stencils.  y0 and the result are 4-tuples
-    (row-major 2x2 entries).
+    (row-major 2x2 entries).  The single segment goes straight to the
+    integrator, with the arithmetic of a one-segment path.
     """
     if z_from == z_to:
         return y0
-    path = PathSpec(points=(z_from, z_to))
-    return _sweep(data, path, tol, system, H=H, y0=tuple(y0))
+    cfun = _segment_coefs(data, system, H)(complex(z_from), complex(z_to))
+    return _integrate_unit(cfun, tuple(y0), tol)
 
 
 def integrate_reduced(data, path, tol=1e-10, renormalize=False):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_gl
+from ._quad import adaptive_gl, adaptive_gl_batch
 from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    mul, neg, num_signed, pow_, simplify, sub, subst_params,
                    _factor_product, _poly_coeffs)
@@ -61,7 +61,8 @@ class AntiderivativeNode(Expr):
 
     Evaluation integrates along the straight segment from base to z, which
     is path-independent for holomorphic integrands on simply connected
-    domains.  The symbolic derivative is exact (the integrand); printing is
+    domains; the array closure integrates all its points as one batch.
+    The symbolic derivative is exact (the integrand); printing is
     informational only, this node is outside the parseable grammar.
     """
     integrand: Expr
@@ -70,10 +71,23 @@ class AntiderivativeNode(Expr):
     def _d(self):
         return self.integrand
 
-    def _compile(self, params):
-        f = self.integrand._compile(params)
+    def _compile(self, params, lib):
+        f = self.integrand._compile(params, lib)
         base = self.base
-        return lambda z: adaptive_gl(f, base, z, tol=1e-12)
+        if not lib.array:
+            return lambda z: adaptive_gl(f, base, z, tol=1e-12)
+
+        def integral(z):
+            # one batch of segments from the base to every point; a failed
+            # segment gives NaN where the scalar closure raises
+            z = np.asarray(z, dtype=complex)
+            pts = z.ravel()
+            total, _ = adaptive_gl_batch(
+                lambda w: np.broadcast_to(f(w), w.shape),
+                np.full(pts.shape, base), pts, tol=1e-12)
+            return total.reshape(z.shape)
+
+        return integral
 
     def _has_z(self):
         return True

@@ -10,6 +10,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._carith import cdiv, cmul
+
 SQRT_PI = math.sqrt(math.pi)
 
 ERF_RADIUS = 8.0
@@ -105,6 +109,83 @@ def _erf_maclaurin(z, z2, tol):
 def erf_c(z, tol=1e-12):
     """Value-only convenience wrapper around erf_series."""
     return erf_series(z, tol=tol).value
+
+
+def erf_array(z, tol=1e-12):
+    """erf_c over an array, element by element; NaN where erf_c raises.
+
+    The same two series, term recurrences and stopping rules as
+    erf_series, with every complex product and quotient rounded as Python
+    rounds it (see _carith), so each element equals erf_c at that point
+    bit for bit.  Each element's value is taken in the term where its own
+    series stops.  NaN marks |z| > 8, a non-finite argument, or no convergence within
+    the term budget.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    out = np.full(flat.shape, complex(math.nan, math.nan))
+    with np.errstate(all="ignore"):
+        z2 = cmul(flat, flat)
+        ok = np.isfinite(flat) & (np.hypot(flat.real, flat.imag) <= ERF_RADIUS)
+        scaled = z2.real >= 0.0
+        for sel, series in ((ok & scaled, _erf_scaled_array),
+                            (ok & ~scaled, _erf_maclaurin_array)):
+            idx = np.flatnonzero(sel)
+            if idx.size:
+                out[idx] = series(flat[idx], z2[idx], tol)
+    return out.reshape(z.shape)
+
+
+def _abs(x):
+    return np.hypot(x.real, x.imag)
+
+
+def _erf_scaled_array(z, z2, tol):
+    # _erf_scaled on each element; an element's value is taken when its
+    # own stopping rule first holds
+    out = np.full(z.shape, complex(math.nan, math.nan))
+    pending = np.ones(z.shape, dtype=bool)
+    pref = cmul(cmul(2.0 / SQRT_PI, z), np.exp(-z2))
+    w = cmul(2.0, z2)
+    term = np.ones(z.shape, dtype=complex)
+    total = term
+    apref = _abs(pref)
+    aw = _abs(w)
+    for k in range(1, _MAX_TERMS + 1):
+        term = cdiv(cmul(term, w), 2 * k + 1)
+        total = total + term
+        ratio = aw / (2 * k + 3)
+        tail = _abs(term) * ratio / (1.0 - ratio)
+        done = pending & (ratio < 1.0) & (apref * tail <= 0.5 * tol)
+        if done.any():
+            out[done] = cmul(pref[done], total[done])
+            pending &= ~done
+            if not pending.any():
+                break
+    return out
+
+
+def _erf_maclaurin_array(z, z2, tol):
+    # _erf_maclaurin on each element, as _erf_scaled_array
+    out = np.full(z.shape, complex(math.nan, math.nan))
+    pending = np.ones(z.shape, dtype=bool)
+    pref = 2.0 / SQRT_PI
+    total = z
+    power = z
+    mz2 = -z2
+    az2 = _abs(z2)
+    for k in range(1, _MAX_TERMS + 1):
+        power = cdiv(cmul(power, mz2), k)
+        term = cdiv(power, 2 * k + 1)
+        total = total + term
+        nxt = _abs(power) * az2 / ((k + 1) * (2 * k + 3))
+        done = pending & (nxt < _abs(term)) & (pref * nxt <= 0.5 * tol)
+        if done.any():
+            out[done] = cmul(pref, total[done])
+            pending &= ~done
+            if not pending.any():
+                break
+    return out
 
 
 def kummer_series(a, b, z, tol=1e-12, max_terms=_MAX_TERMS):

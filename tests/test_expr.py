@@ -3,6 +3,7 @@
 import cmath
 import math
 import unittest
+import warnings
 
 import numpy as np
 
@@ -172,6 +173,85 @@ class TestSingleEvaluator(unittest.TestCase):
         f = node.compiled()
         for z in POINTS:
             self.assertEqual(node.eval(z), f(z), "at %r" % (z,))
+
+
+def _bits(v):
+    return np.asarray(v, dtype=complex).reshape(-1).view(np.uint64).tolist()
+
+
+class TestArrayClosures(unittest.TestCase):
+    """compiled_array against the scalar closure, element by element."""
+
+    PARAMS = {"a": 2.0, "b": 0.7 - 0.2j}
+    # points on the principal cuts of sqrt and log, with both signed zeros
+    CUT_POINTS = [-1.0 + 0.0j, complex(-1.0, -0.0),
+                  complex(-4.0, 1e-300), complex(-4.0, -1e-300)]
+    # one expression per node type, rounded exactly as the scalar closure
+    EXACT = ["2.5", "pi", "i", "z", "b", "z+b", "z-2", "z*b", "b/z",
+             "(1+z)/(2-i*z)", "-z", "z^2", "z^3", "z^-2", "z^a", "z^(0-3)",
+             "exp(z)", "sqrt(z)", "sin(z)", "cos(z)", "sinh(z)", "cosh(z)",
+             "erf(z)", "erf(z)*exp(z^2/2)-sqrt(pi)*cosh(b*z)"]
+    # numpy's own log and complex power
+    ULP = ["log(z)", "log(2+z)*z", "(1+z)^0.5", "z^0.5", "2^z", "z^b"]
+
+    def points(self):
+        return np.array(POINTS + self.CUT_POINTS)
+
+    def compare(self, f, g, exact, label, rel=4e-16):
+        pts = self.points()
+        got = g(pts)
+        self.assertEqual(got.shape, pts.shape, label)
+        for k, z in enumerate(pts.tolist()):
+            want = f(z)
+            if exact:
+                self.assertEqual(_bits(got[k]), _bits(want),
+                                 "%s at %r: %r vs %r" % (label, z, got[k], want))
+            else:
+                self.assertLessEqual(abs(got[k] - want), rel * abs(want),
+                                     "%s at %r: %r vs %r"
+                                     % (label, z, got[k], want))
+
+    def test_every_node_type(self):
+        for exact, texts in ((True, self.EXACT), (False, self.ULP)):
+            for text in texts:
+                e = parse(text)
+                self.compare(e.compiled(self.PARAMS),
+                             e.compiled_array(self.PARAMS), exact, text)
+
+    def test_large_power_phase(self):
+        # numpy's power is exp(b log z) and Python's rotates by b arg z:
+        # their last-bit difference grows with |b arg z|, here to 5.5e-16
+        e = parse("z^2.5")
+        self.compare(e.compiled(), e.compiled_array(), False, "z^2.5",
+                     rel=1e-15)
+
+    def test_antiderivative_node(self):
+        node = AntiderivativeNode(parse("sin(z)*exp(z)"), 0.2 + 0.1j)
+        self.compare(node.compiled(), node.compiled_array(), False,
+                     "antiderivative")
+
+    def test_shape(self):
+        z = np.linspace(-1, 1, 6).reshape(2, 3) + 0.5j
+        for text in ("3", "z", "exp(z)"):
+            self.assertEqual(parse(text).compiled_array()(z).shape, (2, 3))
+
+    def test_raising_points_are_non_finite(self):
+        cases = [("1/z", 0.0), ("log(z)", 0.0), ("(2*z-1)^(0-1)", 0.5),
+                 ("exp(z)", 800.0), ("erf(z)", 9.0),
+                 # an overflow divided into stays non-finite
+                 ("1/exp(z)", 710.0), ("1/cosh(z)", 711.0),
+                 ("1/sin(z)", 800j), ("1/z^100", 1e4), ("1/z^2.5", 1e200)]
+        for text, z in cases:
+            e = parse(text)
+            with self.assertRaises((ZeroDivisionError, OverflowError,
+                                    ValueError), msg=text):
+                e.compiled()(z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = e.compiled_array()(np.array([z, 0.5 + 0.5j]))
+            self.assertFalse(bool(np.isfinite(got[0])), text)
+            want = e.compiled()(0.5 + 0.5j)
+            self.assertLessEqual(abs(got[1] - want), 4e-16 * abs(want), text)
 
 
 class TestSubstParams(unittest.TestCase):

@@ -7,7 +7,8 @@ import unittest
 import numpy as np
 
 from solsurf.specfun import (SeriesResult, PoleInParameter, erf_series, erf_c,
-                             kummer_series, kummer_c, gamma_half, hermite_h)
+                             erf_array, kummer_series, kummer_c, gamma_half,
+                             hermite_h)
 
 # reference value of erf(1), to 15 digits
 ERF_ONE = 0.842700792949715
@@ -24,6 +25,26 @@ def d2(f, z, h=1e-2):
     """Fourth-order second derivative."""
     return (-f(z + 2 * h) + 16 * f(z + h) - 30 * f(z)
             + 16 * f(z - h) - f(z - 2 * h)) / (12 * h * h)
+
+
+class TestErfArray(unittest.TestCase):
+    def test_equals_scalar_series(self):
+        # both series, the diagonals between them, the radius, and beyond
+        re, im = np.meshgrid(np.linspace(-8.5, 8.5, 41),
+                             np.linspace(-6.0, 6.0, 25))
+        z = (re + 1j * im).ravel()
+        z = np.concatenate([z, [0j, 1e-300j, 8.0 + 0j, 3.0 + 3.0j,
+                                complex(np.nan, 0.0)]])
+        got = erf_array(z.reshape(-1, 5)).ravel()
+        for k, w in enumerate(z.tolist()):
+            try:
+                want = erf_c(w)
+            except (ValueError, ArithmeticError):
+                self.assertTrue(bool(np.isnan(got[k])), repr(w))
+                continue
+            self.assertEqual(np.array([got[k]]).view(np.uint64).tolist(),
+                             np.array([want]).view(np.uint64).tolist(),
+                             repr(w))
 
 
 class TestErf(unittest.TestCase):
