@@ -1,11 +1,12 @@
 """Complex arithmetic on numpy arrays, rounded as CPython rounds it.
 
 numpy's complex multiply is fused (FMA) on hardware that has it, its
-division scales by a reciprocal, and its integer powers take other
-routes; each can move a value by an ulp against Python's complex type.
-The array closures of expr and the vectorized erf series use these
-helpers instead, so that an array closure returns the same bits as the
-scalar closure compiled from the same tree.  Each helper spells out
+division scales by a reciprocal, and its integer powers, square root and
+modulus take other routes; each can move a value by an ulp against
+Python's complex type and cmath.  The array closures of expr, the
+vectorized erf series and the batched integrator step use these helpers
+instead, so that array code returns the same bits as the scalar code
+written with the same formula.  Each helper spells out
 CPython's formula one rounded float operation at a time; where Python
 raises ZeroDivisionError the value is NaN.  Callers suppress numpy's
 floating-point warnings.
@@ -15,9 +16,10 @@ Operands may be arrays, numpy scalars or Python numbers; they broadcast.
 
 import numpy as np
 
-__all__ = ["cmul", "cdiv", "cpowi"]
+__all__ = ["cabs", "cmul", "cdiv", "cpowi", "csqrt"]
 
 _NAN = float("nan")
+_DBL_MIN = np.finfo(float).tiny
 
 
 def _parts(x):
@@ -30,6 +32,14 @@ def _pack(re, im):
     out.real = re
     out.imag = im
     return out
+
+
+def cabs(x):
+    """abs(x) as Python's complex abs computes it, hypot of the parts;
+    inf where Python raises OverflowError.  np.abs on complex arrays
+    rounds differently on about a third of near-unit values."""
+    xr, xi = _parts(x)
+    return np.hypot(xr, xi)
 
 
 def cmul(x, y):
@@ -86,3 +96,26 @@ def cpowi(x, n):
     if n <= 0:
         r = cdiv(1.0 + 0.0j, r)
     return r
+
+
+def csqrt(x):
+    """The principal square root by CPython's cmath.sqrt, for finite x.
+
+    numpy's sqrt rounds differently on the imaginary axis, in about half
+    of the values there."""
+    xr, xi = _parts(x)
+    ax, ay = np.abs(xr), np.abs(xi)
+    # where hypot(ax, ay) would be subnormal, cmath scales by 2^53 and
+    # the root back by 2^-27
+    tiny = (ax < _DBL_MIN) & (ay < _DBL_MIN)
+    ax_up = np.ldexp(ax, 53)
+    s = np.where(tiny,
+                 np.ldexp(np.sqrt(ax_up + np.hypot(ax_up, np.ldexp(ay, 53))),
+                          -27),
+                 2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)))
+    d = ay / (2.0 * s)
+    right = xr >= 0.0
+    re = np.where(right, s, d)
+    im = np.copysign(np.where(right, d, s), xi)
+    zero = (xr == 0.0) & (xi == 0.0)
+    return _pack(np.where(zero, 0.0, re), np.where(zero, xi, im))

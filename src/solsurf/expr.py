@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._carith import cdiv, cmul, cpowi
+from ._carith import cdiv, cmul, cpowi, csqrt
 from .specfun import erf_array, erf_c
 
 _FUNCTIONS = {
@@ -64,7 +64,7 @@ def _raised_as_nan(fn):
 _ARRAY_FUNCTIONS = {name: _raised_as_nan(fn) for name, fn in {
     "exp": np.exp,
     "log": np.log,
-    "sqrt": np.sqrt,
+    "sqrt": csqrt,
     "sin": np.sin,
     "cos": np.cos,
     "sinh": np.sinh,
@@ -197,10 +197,10 @@ class Expr:
 
         Same tree walk as compiled, with numpy leaves.  Products, quotients
         and integer powers up to 100 round as Python's complex type does,
-        and erf runs the same series, so each element equals the scalar
-        closure's value bit for bit; log and other powers go through
-        numpy's routines and may differ in the last bits.  Nothing raises at
-        run time: where the scalar closure raises (a pole, log 0, a
+        sqrt follows cmath's algorithm and erf runs the same series, so
+        each element equals the scalar closure's value bit for bit; log
+        and other powers go through numpy's routines and may differ in the
+        last bits.  Nothing raises at run time: where the scalar closure raises (a pole, log 0, a
         function or power that overflows), the value is NaN, and it stays
         NaN through the rest of the tree.  numpy's floating-point warnings
         are suppressed inside the closure.

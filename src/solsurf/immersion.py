@@ -27,13 +27,17 @@ integrand over the array closures and one batched quadrature.
 
 Grid sampling probes the data over the grid in array passes, integrates
 one seed column and then each row from its column-0 value.  The ODE
-targets hop point by point, each hop starting from the wavefunction at
-the previous point, so that the cost is O(grid) short integrations.  The
+targets hop from sample to sample, each hop starting from the
+wavefunction at the previous one: down the seed column one scalar
+propagate at a time, then along all rows at once, one column per array
+pass.  Each row's hop is first tried as the single full Dormand-Prince
+step the scalar integrator starts with, over coefficient tables of the
+array closures; the hops that step does not settle go through the scalar
+propagate, so the results are those of hopping sample by sample.  The
 classical integral carries no state from hop to hop, so e3-direct
 integrates all hops of the seed column, and then of each row, as one
 batch of quadratures (adaptive_gl_batch over the array closures) and
-accumulates them with a cumsum.  Rows run one after another on the
-calling thread.
+accumulates them with a cumsum.  Everything runs on the calling thread.
 
 frame_sweep reconstructs the frame and curvature estimates over the whole
 grid with array stencils; frame_and_curvature is the same computation at
@@ -44,12 +48,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._carith import cmul
+from ._carith import cabs, cmul
 # adaptive_gl is not called here; it stays a module name because the
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import StepUnderflow, _det4, _ID4, propagate
+from .lsp import (StepUnderflow, _ID4, _UNIT_NODES, _segment_coefs_array,
+                  _unit_step_array, propagate)
 
 __all__ = [
     "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
@@ -60,9 +65,10 @@ __all__ = [
 
 TARGETS = ("h3", "e3-limit", "e3-direct")
 
-# grid rows per block of the array passes over the grid (the probe, and the
-# output rows of frame_sweep, which also read a two-row halo), so their
-# temporaries stay a few grid rows deep instead of grid-sized
+# grid rows (or columns) per block of the array passes over the grid (the
+# probe, the coefficient tables of the ODE row sweep, and the output rows
+# of frame_sweep, which also read a two-row halo), so their temporaries
+# stay a few grid rows deep instead of grid-sized
 _SWEEP_ROWS = 8
 
 
@@ -158,19 +164,26 @@ def _check_wavefunction(phi):
 
 
 def _lorentz4(y, lam, shift=0.0):
-    """Lorentz 4-vector of (Phi^H Phi - shift I)/lambda, Phi given as the
-    row-major 4-tuple y of its entries.
+    """Lorentz 4-vector of (Phi^H Phi - shift I)/lambda, Phi given by its
+    row-major entries y: a 4-tuple of complex numbers, or of arrays (one
+    wavefunction per element).
 
     Shift 0 is the Sym-type formula, shift 1 its origin-shifted form.  The
     components are read off the Hermitian matrix as in mcore, whose
-    lorentz_from_hermitian the tests keep as the reference.
+    lorentz_from_hermitian the tests keep as the reference.  The entry
+    products are written on the real parts, Re(conj(a) b) = ar br + ai bi
+    and Im(conj(a) b) = ar bi - ai br, which round alike for Python floats
+    and numpy arrays (and as Python's complex product does).
     """
     a, b, c, d = y
-    q11 = (a.conjugate() * a + c.conjugate() * c).real - shift
-    q22 = (b.conjugate() * b + d.conjugate() * d).real - shift
-    p12 = a.conjugate() * b + c.conjugate() * d
-    return (0.5 * (q11 + q22) / lam, p12.real / lam,
-            -p12.imag / lam, 0.5 * (q11 - q22) / lam)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+    q11 = (ar * ar + ai * ai) + (cr * cr + ci * ci) - shift
+    q22 = (br * br + bi * bi) + (dr * dr + di * di) - shift
+    p_re = (ar * br + ai * bi) + (cr * dr + ci * di)
+    p_im = (ar * bi - ai * br) + (cr * di - ci * dr)
+    return (0.5 * (q11 + q22) / lam, p_re / lam,
+            -p_im / lam, 0.5 * (q11 - q22) / lam)
 
 
 def sym_immersion(phi, lam=None):
@@ -336,8 +349,10 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
 
     The grid is probed first, by array evaluation of the data: points
     where it is not finite, or eta vanishes, are masked, as are points
-    whose hop fails.  The ODE targets hop point by point along the
-    seed column and each row; e3-direct integrates the seed column and
+    whose hop fails.  The ODE targets hop sample by sample down the seed
+    column and then along all rows at once, a column at a time, with the
+    scalar integrator only for the hops that one full step does not
+    settle (see _sample_ode); e3-direct integrates the seed column and
     then each row as one batch of quadratures (see _direct_run).
 
     threads is accepted and ignored; rows always run on the calling thread.
@@ -359,69 +374,106 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
         return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
                             tol=tol, points=points, valid=valid, residuals={})
 
+    hval = lam if H is None else float(H)
+    points, residuals = _sample_ode(data, zgrid, valid, target, tol, system,
+                                    hval)
+    return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
+                        tol=tol, points=points, valid=valid, residuals=residuals)
+
+
+def _sample_ode(data, zgrid, valid, target, tol, system, hval):
+    """Points and residual records of the ODE targets over the grid,
+    masking valid where a hop fails.
+
+    The seed column hops from z0 down column 0, one scalar propagate per
+    sample, since each hop starts where the last ended.  Then the rows
+    advance together, one column at a time.  The hop into each sample was
+    planned from the probe mask, starting at the row's previous valid
+    sample; the coefficient at the stage times of one full step is
+    tabulated for all planned hops of a block of columns, and every
+    row's step is taken at once (lsp._unit_step_array).  A hop whose step
+    _integrate_unit would not accept as it stands, or that starts
+    elsewhere because an earlier hop of its row failed, goes through the
+    scalar propagate, so the adaptive control stays in one place and the
+    results are those of hopping sample by sample.
+    """
+    lam = data.lam
+    ny, nx = zgrid.shape
+    shift = 0.0 if target == "h3" else 1.0
     points = np.full((ny, nx, 4), np.nan)
     residuals = {"det_drift": np.full((ny, nx), np.nan)}
-    if target == "h3":
-        residuals["hyperboloid"] = np.full((ny, nx), np.nan)
-    else:
-        residuals["x0_abs"] = np.full((ny, nx), np.nan)
-
-    hval = lam if H is None else float(H)
+    record = "hyperboloid" if target == "h3" else "x0_abs"
+    residuals[record] = np.full((ny, nx), np.nan)
     hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
-    shift = 0.0 if target == "h3" else 1.0
 
     def hop(z_from, z_to, y):
         return propagate(data, z_from, z_to, y, tol=tol, system=system, H=hval)
 
-    def emit(i, j, y):
-        drift = abs(_det4(y) - 1.0)
-        residuals["det_drift"][i, j] = drift
+    def emit(j, rows):
+        y = cur[:, rows]
         x = _lorentz4(y, lam, shift)
+        points[rows, j] = np.stack(x, axis=1)
+        residuals["det_drift"][rows, j] = cabs(
+            cmul(y[0], y[3]) - cmul(y[1], y[2]) - 1.0)
         if target == "h3":
-            residuals["hyperboloid"][i, j] = (x[1] * x[1] + x[2] * x[2]
-                                              + x[3] * x[3] - x[0] * x[0]
-                                              + 1.0 / (lam * lam))
+            residuals[record][rows, j] = (x[1] * x[1] + x[2] * x[2]
+                                          + x[3] * x[3] - x[0] * x[0]
+                                          + 1.0 / (lam * lam))
         else:
-            residuals["x0_abs"][i, j] = abs(x[0])
-        points[i, j, :] = x
+            residuals[record][rows, j] = np.abs(x[0])
 
-    # seed: base point to the first valid point of column 0, then down it
-    col_vals = [None] * ny
-    cur = _ID4
+    # the wavefunction at each row's last good sample, and its column
+    cur = np.zeros((4, ny), dtype=complex)
+    last = np.zeros(ny, dtype=int)
+    y = _ID4
     cur_z = data.z0
-    for i in range(ny):
-        if not valid[i, 0]:
-            continue
-        z = zgrid[i, 0]
+    for i in np.flatnonzero(valid[:, 0]):
         try:
-            cur = hop(cur_z, z, cur)
+            y = hop(cur_z, zgrid[i, 0], y)
         except hop_errors:
             valid[i, 0] = False
             continue
-        col_vals[i] = cur
-        cur_z = z
-
-    for i in range(ny):
-        y = col_vals[i]
-        if y is None:
-            valid[i, 1:] = False
-            continue
-        emit(i, 0, y)
+        cur[:, i] = y
         cur_z = zgrid[i, 0]
-        for j in range(1, nx):
-            if not valid[i, j]:
-                continue
-            z = zgrid[i, j]
-            try:
-                y = hop(cur_z, z, y)
-            except hop_errors:
-                valid[i, j] = False
-                continue
-            emit(i, j, y)
-            cur_z = z
+    valid[~valid[:, 0], 1:] = False
+    emit(0, np.flatnonzero(valid[:, 0]))
 
-    return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
-                        tol=tol, points=points, valid=valid, residuals=residuals)
+    # plan: the hop into (i, j) starts at row i's previous valid column
+    cols = np.where(valid, np.arange(nx), -1)
+    prev = np.maximum.accumulate(cols, axis=1)[:, :-1]
+    coef = _segment_coefs_array(data, system, hval)
+    with np.errstate(all="ignore"):
+        for j0 in range(1, nx, _SWEEP_ROWS):
+            j1 = min(j0 + _SWEEP_ROWS, nx)
+            # planned hops of the block, column by column
+            jj, ii = np.nonzero(valid[:, j0:j1].T)
+            za = zgrid[ii, prev[ii, j0 - 1 + jj]]
+            d = zgrid[ii, j0 + jj] - za
+            table = [coef(za, d, t) for t in _UNIT_NODES]
+            bounds = np.searchsorted(jj, np.arange(j1 - j0 + 1))
+            for j in range(j0, j1):
+                lo, hi = bounds[j - j0], bounds[j - j0 + 1]
+                rows = ii[lo:hi]
+                k = np.flatnonzero(last[rows] == prev[rows, j - 1])
+                ynew, ok = _unit_step_array([c[:, lo + k] for c in table],
+                                            cur[:, rows[k]], tol)
+                done = np.zeros(rows.size, dtype=bool)
+                done[k[ok]] = True
+                cur[:, rows[done]] = ynew[:, ok]
+                for n in np.flatnonzero(~done):
+                    i = rows[n]
+                    try:
+                        y = hop(zgrid[i, last[i]], zgrid[i, j],
+                                tuple(cur[:, i].tolist()))
+                    except hop_errors:
+                        valid[i, j] = False
+                        continue
+                    cur[:, i] = y
+                    done[n] = True
+                rows = rows[done]
+                last[rows] = j
+                emit(j, rows)
+    return points, residuals
 
 
 # ---------------------------------------------------------------------------

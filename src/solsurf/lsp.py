@@ -16,7 +16,10 @@ hand-rolled adaptive Dormand-Prince 5(4) pair over plain 4-tuples of
 complex entries (the 2x2 hot path does not justify numpy dispatch per
 stage); step control is on the matrix max-norm and the determinant is
 left untouched unless renormalization is requested, since raw det drift
-is itself a diagnostic.
+is itself a diagnostic.  The grid sampler's row sweep takes the
+integrator's first step, h = 1, for many segments at once over (4, n)
+arrays (_unit_step_array, with the same stages and acceptance rule); the
+segments whose step is not accepted go through the scalar integrator.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -27,10 +30,12 @@ the Runge-Kutta stepping.
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._carith import cabs, cdiv, cmul
 from ._quad import QuadratureFailure, integration_matrix
 from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain, WeierstrassData,
                    fields_from_weierstrass, gmc_residual, wirtinger_pair)
@@ -176,6 +181,52 @@ def _lc4(y, h, terms):
     return (r0, r1, r2, r3)
 
 
+def _mul4_array(a, b):
+    """_mul4 over (4, n) arrays, products rounded as Python's."""
+    return (cmul(a[[0, 0, 2, 2]], b[[0, 1, 0, 1]])
+            + cmul(a[[1, 1, 3, 3]], b[[2, 3, 2, 3]]))
+
+
+def _lc4_array(y, h, terms):
+    """_lc4 over (4, n) arrays, products rounded as Python's."""
+    for c, k in terms:
+        y = y + cmul(h * c, k)
+    return y
+
+
+# the 4-tuple arithmetic and its array form, for the stages of _dp_step
+_Ops = namedtuple("_Ops", "mul4 lc4 zero")
+_TUPLE_OPS = _Ops(_mul4, _lc4, (0.0j, 0.0j, 0.0j, 0.0j))
+_ARRAY_OPS = _Ops(_mul4_array, _lc4_array, 0.0j)
+
+
+def _dp_step(y, h, k1, c2, c3, c4, c5, c6, ops):
+    """The stages of one Dormand-Prince step of size h from y.
+
+    k1 = C(t) y; c2 .. c6 are the coefficient at t + C2 h, t + C3 h,
+    t + C4 h, t + C5 h and t + h.  Returns (ynew, k7, errv), k7 =
+    C(t + h) ynew and errv the embedded error estimate, in one term order
+    for the 4-tuples of _integrate_unit and the arrays of
+    _unit_step_array.
+    """
+    mul4, lc4 = ops.mul4, ops.lc4
+    y2 = lc4(y, h, ((_A21, k1),))
+    k2 = mul4(c2, y2)
+    y3 = lc4(y, h, ((_A31, k1), (_A32, k2)))
+    k3 = mul4(c3, y3)
+    y4 = lc4(y, h, ((_A41, k1), (_A42, k2), (_A43, k3)))
+    k4 = mul4(c4, y4)
+    y5 = lc4(y, h, ((_A51, k1), (_A52, k2), (_A53, k3), (_A54, k4)))
+    k5 = mul4(c5, y5)
+    y6 = lc4(y, h, ((_A61, k1), (_A62, k2), (_A63, k3), (_A64, k4), (_A65, k5)))
+    k6 = mul4(c6, y6)
+    ynew = lc4(y, h, ((_B1, k1), (_B3, k3), (_B4, k4), (_B5, k5), (_B6, k6)))
+    k7 = mul4(c6, ynew)
+    errv = lc4(ops.zero, h, ((_E1, k1), (_E3, k3), (_E4, k4), (_E5, k5),
+                             (_E6, k6), (_E7, k7)))
+    return ynew, k7, errv
+
+
 def _integrate_unit(cfun, y, tol, hmax=1.0, renormalize=False):
     """Advance dY/dt = C(t) Y from t=0 to t=1, Y a 4-tuple, C from cfun."""
     t = 0.0
@@ -189,18 +240,9 @@ def _integrate_unit(cfun, y, tol, hmax=1.0, renormalize=False):
             return y
         h = min(h, 1.0 - t)
         try:
-            y2 = _lc4(y, h, ((_A21, k1),))
-            k2 = _mul4(cfun(t + _C2 * h), y2)
-            y3 = _lc4(y, h, ((_A31, k1), (_A32, k2)))
-            k3 = _mul4(cfun(t + _C3 * h), y3)
-            y4 = _lc4(y, h, ((_A41, k1), (_A42, k2), (_A43, k3)))
-            k4 = _mul4(cfun(t + _C4 * h), y4)
-            y5 = _lc4(y, h, ((_A51, k1), (_A52, k2), (_A53, k3), (_A54, k4)))
-            k5 = _mul4(cfun(t + _C5 * h), y5)
-            y6 = _lc4(y, h, ((_A61, k1), (_A62, k2), (_A63, k3), (_A64, k4), (_A65, k5)))
-            k6 = _mul4(cfun(t + h), y6)
-            ynew = _lc4(y, h, ((_B1, k1), (_B3, k3), (_B4, k4), (_B5, k5), (_B6, k6)))
-            k7 = _mul4(cfun(t + h), ynew)
+            ynew, k7, errv = _dp_step(
+                y, h, k1, cfun(t + _C2 * h), cfun(t + _C3 * h),
+                cfun(t + _C4 * h), cfun(t + _C5 * h), cfun(t + h), _TUPLE_OPS)
             bad = not (_finite4(ynew) and _finite4(k7))
         except EVAL_ERRORS + (DomainError,) as exc:
             bad = True
@@ -210,8 +252,6 @@ def _integrate_unit(cfun, y, tol, hmax=1.0, renormalize=False):
                 raise StepUnderflow("step underflow at t=%.6g (non-evaluable "
                                     "coefficients; undeclared pole?)" % t)
             continue
-        errv = _lc4((0.0j, 0.0j, 0.0j, 0.0j), h,
-                    ((_E1, k1), (_E3, k3), (_E4, k4), (_E5, k5), (_E6, k6), (_E7, k7)))
         err = _maxabs4(errv)
         scale = tol * max(1.0, _maxabs4(y), _maxabs4(ynew))
         if err <= scale:
@@ -231,6 +271,34 @@ def _integrate_unit(cfun, y, tol, hmax=1.0, renormalize=False):
             if h < _T_FLOOR:
                 raise StepUnderflow("step underflow at t=%.6g (tol %g)" % (t, tol))
     raise StepUnderflow("step budget exhausted (%d steps)" % _MAX_STEPS)
+
+
+# the stage times of a first step, t = 0 and h = 1, at which the row sweep
+# tabulates the coefficient (0.0 + C2 * 1.0 is C2, and so on)
+_UNIT_NODES = (0.0, _C2, _C3, _C4, _C5, 1.0)
+
+
+def _unit_step_array(coefs, y, tol):
+    """The first step of _integrate_unit, h = 1 from t = 0, for n segments
+    at once.
+
+    coefs holds the (4, n) coefficient arrays at the six _UNIT_NODES, y
+    the (4, n) start values.  Returns (ynew, accepted): where accepted,
+    _integrate_unit takes exactly this step and returns ynew, since the
+    step ends the segment; elsewhere it would reject or shrink the step.
+    Magnitudes are taken by cabs, which rounds as Python's abs, so that
+    an ulp cannot flip the test; call under np.errstate(all="ignore").
+    """
+    c0, c2, c3, c4, c5, c6 = coefs
+    ynew, k7, errv = _dp_step(y, 1.0, _mul4_array(c0, y), c2, c3, c4, c5, c6,
+                              _ARRAY_OPS)
+    err = cabs(errv).max(axis=0)
+    scale = tol * np.maximum(np.maximum(1.0, cabs(y).max(axis=0)),
+                             cabs(ynew).max(axis=0))
+    # a non-finite scale is an |y| that Python's abs refuses (OverflowError)
+    accepted = (np.isfinite(ynew).all(axis=0) & np.isfinite(k7).all(axis=0)
+                & np.isfinite(scale) & (err <= scale))
+    return ynew, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +376,60 @@ def _segment_coefs(data, system, H):
     return lambda a, b: _full_segment_coef(entries, a, b)
 
 
+def _reduced_coef_array(data):
+    """_reduced_segment_coef over arrays: (a, d, t) -> the (4, n) entries
+    at a + t d of the segments from a by d, NaN where the scalar closures
+    raise; products round as Python's (cmul)."""
+    eta_a, _, psi_a, _ = data.array_functions()
+    lam = data.lam
+
+    def coef(a, d, t):
+        z = a + cmul(t, d)
+        ev = eta_a(z)
+        pv = psi_a(z)
+        w = cmul(cmul(cmul(lam, d), ev), ev)
+        wp = cmul(w, pv)
+        return np.stack((wp, -w, cmul(wp, pv), cmul(-w, pv)))
+
+    return coef
+
+
+def _full_coef_array(data, H):
+    """_full_segment_coef of _full_entries_fn over arrays: (a, d, t) ->
+    the (4, n) entries at a + t d of the segments from a by d, NaN where
+    the scalar form raises (a closure, or the conformal factor check);
+    products and quotients round as Python's (cmul, cdiv)."""
+    eta_a, deta_a, psi_a, dpsi_a = data.array_functions()
+    lam = data.lam
+
+    def coef(a, d, t):
+        z = a + cmul(t, d)
+        ev = eta_a(z)
+        pv = psi_a(z)
+        dpv = dpsi_a(z)
+        pc = np.conj(pv)
+        m = cmul(ev, np.conj(ev)).real * (1.0 + cmul(pv, pc).real)
+        m = np.where((m > 0.0) & np.isfinite(m), m, np.nan)
+        uz4 = cmul(0.5, cdiv(deta_a(z), ev)
+                   + cdiv(cmul(pc, dpv), 1.0 + cmul(pv, pc)))
+        off = cdiv(cmul(-cmul(ev, ev), dpv), m)
+        u_mat = (uz4, -off, 0.5 * m * (lam + H), -uz4)
+        vdag = (-np.conj(uz4), 0.5 * m * (lam - H), np.conj(off), np.conj(uz4))
+        dc = np.conj(d)
+        return np.stack([cmul(u, d) + cmul(v, dc) for u, v in zip(u_mat, vdag)])
+
+    return coef
+
+
+def _segment_coefs_array(data, system, H):
+    """The array form of _segment_coefs: (a, d, t) -> the chosen system's
+    coefficient entries, as a (4, n) array, at a + t d along each of the
+    segments a -> a + d.  Call under np.errstate(all="ignore")."""
+    if system == "reduced":
+        return _reduced_coef_array(data)
+    return _full_coef_array(data, H if H is not None else data.lam)
+
+
 def _sweep(data, path, tol, system, H=None, y0=_ID4, renormalize=False):
     """Shared propagation core; returns the final 4-tuple."""
     coef = _segment_coefs(data, system, H)
@@ -324,10 +446,11 @@ def _sweep(data, path, tol, system, H=None, y0=_ID4, renormalize=False):
 def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
     """One straight hop z_from -> z_to from an arbitrary initial value.
 
-    No pole validation or compatibility probing; building block for grid
-    sweeps and finite-difference stencils.  y0 and the result are 4-tuples
-    (row-major 2x2 entries).  The single segment goes straight to the
-    integrator, with the arithmetic of a one-segment path.
+    No pole validation or compatibility probing; building block for
+    finite-difference stencils, and for the grid sampler's seed column and
+    the row hops its batched step does not settle.  y0 and the result are
+    4-tuples (row-major 2x2 entries).  The single segment goes straight to
+    the integrator, with the arithmetic of a one-segment path.
     """
     if z_from == z_to:
         return y0

@@ -1,11 +1,12 @@
 """Tests for the CPython-rounded complex arithmetic on arrays."""
 
+import cmath
 import random
 import unittest
 
 import numpy as np
 
-from solsurf._carith import cdiv, cmul, cpowi
+from solsurf._carith import cabs, cdiv, cmul, cpowi, csqrt
 
 
 def bits(v):
@@ -66,6 +67,36 @@ class TestCarith(unittest.TestCase):
         for n in (0, 1, 2, 3, 5, 8, 13, 100, -1, -2, -7):
             self.check(cpowi(np.array(x), n),
                        python_values(lambda a: a ** n, x))
+
+    def edge_numbers(self, seed):
+        """Tiny, huge, signed-zero, axis and near-unit values."""
+        rng = random.Random(seed)
+        vals = []
+        for scale in (1e-310, 1e-200, 1e-10, 1.0, 1e10, 1e200, 1e307):
+            vals += [complex(rng.uniform(-3, 3) * scale,
+                             rng.uniform(-3, 3) * scale) for _ in range(200)]
+        # near 1 in modulus, where np.abs rounds differently from Python
+        for _ in range(2000):
+            t = rng.uniform(-np.pi, np.pi)
+            r = 1.0 + rng.uniform(-1e-8, 1e-8)
+            vals.append(complex(r * np.cos(t), r * np.sin(t)))
+        # both axes, with both signed zeros
+        for v in (0.0, -0.0):
+            vals += [complex(v, rng.uniform(-3, 3)) for _ in range(200)]
+            vals += [complex(rng.uniform(-3, 3), v) for _ in range(200)]
+            vals += [complex(v, 0.0), complex(v, -0.0), complex(v, 5e-324)]
+        return vals
+
+    def test_modulus(self):
+        x = self.edge_numbers(6)
+        self.assertEqual(bits(cabs(np.array(x)).astype(complex)),
+                         bits(np.array([abs(v) for v in x], dtype=complex)))
+        # where Python's abs raises OverflowError the modulus is inf
+        self.assertEqual(float(cabs(complex(1.5e308, 1.5e308))), np.inf)
+
+    def test_square_root(self):
+        x = self.edge_numbers(7) + self.numbers(8)
+        self.check(csqrt(np.array(x)), [cmath.sqrt(v) for v in x])
 
 
 if __name__ == "__main__":
