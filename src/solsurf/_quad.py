@@ -105,13 +105,16 @@ def _per_interval(a):
 # splitting all 2**max_depth intervals of its last level first.
 _OPEN_PER_SEGMENT = 16
 
+# Gauss-Legendre nodes of the rule on each interval
+_NODES = 15
 
-def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24, n=15):
+
+def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24):
     """Integrals of f along the K straight segments a[k] -> b[k].
 
     f maps a 1-D complex array of points to their values, one row per
     point (shape (m,) or (m, d)).  Each segment follows one rule: the
-    n-point rule on an interval is compared with the summed rule on its
+    15-point rule on an interval is compared with the summed rule on its
     halves; the interval is accepted when the largest difference is at
     most its tolerance share, and otherwise split, each half taking half
     the tolerance and one less depth.  A segment fails when a summed rule
@@ -127,7 +130,7 @@ def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24, n=15):
     Returns (totals, failed): totals has one row per segment, NaN where
     failed is True.
     """
-    x, w = gl_nodes(n)
+    x, w = gl_nodes(_NODES)
     lo = np.asarray(a, dtype=complex).ravel()
     hi = np.asarray(b, dtype=complex).ravel()
     k = lo.size
@@ -195,7 +198,7 @@ def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24, n=15):
     return totals, failed
 
 
-def adaptive_gl(f, a, b, tol=1e-10, max_depth=24, n=15):
+def adaptive_gl(f, a, b, tol=1e-10, max_depth=24):
     """Integral of f along the straight segment a -> b, adaptively bisected.
 
     f may return a complex scalar or an ndarray; exceptions it raises pass
@@ -211,7 +214,7 @@ def adaptive_gl(f, a, b, tol=1e-10, max_depth=24, n=15):
         return np.array([f(z) for z in points.tolist()], dtype=complex)
 
     total, failed = adaptive_gl_batch(values, [complex(a)], [complex(b)],
-                                      tol=tol, max_depth=max_depth, n=n)
+                                      tol=tol, max_depth=max_depth)
     if failed[0]:
         raise QuadratureFailure("segment %r -> %r: non-finite integrand, or "
                                 "error above tol %.3e after %d bisections"

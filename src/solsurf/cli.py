@@ -17,16 +17,18 @@ pass <=> max < threshold.  Identical configurations yield byte-identical
 reports apart from wall_ms.
 
 A configuration file (--config, plain key=value lines, '#' comments) may
-supply any long flag by name; explicit flags win over the file.  Domain
-syntax is re_min:re_max:im_min:im_max.  --threads and the environment
-variable SOLSURF_THREADS are accepted for compatibility and have no
-effect: sampling runs on one thread.
+supply any long flag by name, an on/off flag as true, false, 1 or 0;
+explicit flags win over the file.  Domain syntax is
+re_min:re_max:im_min:im_max.  --threads and the environment variable
+SOLSURF_THREADS are accepted for compatibility and have no effect:
+sampling runs on one thread.
 """
 
 import argparse
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -103,6 +105,15 @@ def _parse_int(text):
         return int(text)
     except ValueError:
         raise UsageError("not an integer: %r" % (text,))
+
+
+def _parse_switch(text):
+    # a config file's value of an on/off flag such as --perturb
+    if text in ("true", "1"):
+        return True
+    if text in ("false", "0"):
+        return False
+    raise UsageError("not true, false, 1 or 0: %r" % (text,))
 
 
 # converters for every value-taking flag, shared by CLI and config files
@@ -202,6 +213,9 @@ def _merge_config(command, ns):
             if key.startswith("param."):
                 params[key[6:]] = _parse_complex(value)
                 continue
+            if key == "perturb":
+                cfg[key] = _parse_switch(value)
+                continue
             if key not in _CONVERTERS:
                 raise UsageError("unknown config key %r" % (key,))
             cfg[key] = _CONVERTERS[key](value)
@@ -248,10 +262,15 @@ def _domain_rect(cfg):
     return DomainRect(a, b, c, d, res, res)
 
 
-def _validate_run(cfg):
+def _tol(cfg):
     tol = float(cfg["tol"])
     if not (0.0 < tol <= 1e-2):
         raise UsageError("--tol must lie in (0, 1e-2]")
+    return tol
+
+
+def _validate_run(cfg):
+    _tol(cfg)
     target = cfg.get("target", "h3")
     if target not in ("h3", "e3-limit", "e3-direct"):
         raise UsageError("--target must be h3, e3-limit or e3-direct")
@@ -435,15 +454,18 @@ def _quad_triangles(valid, index):
     return tris
 
 
-def _write_rows(fh, template, arr, chunk=4096):
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, template, arr):
     """Write each row of a 2-D array through the %-template of one row.
 
-    Each chunk of rows is formatted by one % of the template repeated,
-    so that the writers never hold every vertex or face as Python
-    objects at once.
+    Each chunk of _CHUNK_ROWS rows is formatted by one % of the template
+    repeated, so that the writers never hold every vertex or face as
+    Python objects at once.
     """
-    for k in range(0, len(arr), chunk):
-        block = arr[k:k + chunk]
+    for k in range(0, len(arr), _CHUNK_ROWS):
+        block = arr[k:k + _CHUNK_ROWS]
         fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
@@ -505,27 +527,18 @@ def _write_mesh(patch, path, stream):
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_generate(cfg, stream, start):
+def cmd_sample(cfg, stream, start, command):
+    """generate and verify: sample the patch, run the battery, report.
+    Only generate writes the mesh, only verify injects the perturbation."""
     _validate_run(cfg)
     data = _load_data(cfg)
     domain = _domain_rect(cfg)
     patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]))
-    checks = _battery(data, patch, cfg)
-    if cfg.get("out"):
+    checks = _battery(data, patch, cfg,
+                      perturb=command == "verify" and bool(cfg.get("perturb")))
+    if command == "generate" and cfg.get("out"):
         _write_mesh(patch, cfg["out"], stream)
-    report = _finish_report({}, cfg, "generate", start, checks)
-    _print_checks(checks, stream)
-    _write_report(report, cfg, stream)
-    return _exit_code(checks)
-
-
-def cmd_verify(cfg, stream, start):
-    _validate_run(cfg)
-    data = _load_data(cfg)
-    domain = _domain_rect(cfg)
-    patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]))
-    checks = _battery(data, patch, cfg, perturb=bool(cfg.get("perturb")))
-    report = _finish_report({}, cfg, "verify", start, checks)
+    report = _finish_report({}, cfg, command, start, checks)
     _print_checks(checks, stream)
     _write_report(report, cfg, stream)
     return _exit_code(checks)
@@ -535,9 +548,7 @@ def cmd_limit(cfg, stream, start):
     data0 = _load_data(dict(cfg, **{"lambda": 1.0}))
     lams = cfg["lambdas"]
     a, b, c, d = cfg["domain"]
-    tol = float(cfg["tol"])
-    if not (0.0 < tol <= 1e-2):
-        raise UsageError("--tol must lie in (0, 1e-2]")
+    tol = _tol(cfg)
     xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5)
     ys = np.linspace(c + 0.1 * (d - c), d - 0.1 * (d - c), 2)
     zs = [complex(x, y) for y in ys for x in xs]
@@ -612,9 +623,7 @@ def cmd_ode_erf(cfg, stream, start):
     lam = float(cfg["lambda"])
     if lam == 0.0:
         raise UsageError("--lambda must be nonzero")
-    tol = float(cfg["tol"])
-    if not (0.0 < tol <= 1e-2):
-        raise UsageError("--tol must lie in (0, 1e-2]")
+    tol = _tol(cfg)
     n = int(cfg["n"])
     domain = _domain_rect(cfg)
     patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=lam,
@@ -686,8 +695,8 @@ def main(argv=None, stream=None):
             command = "ode " + subcommand
         cfg = _merge_config(command, ns)
         handler = {
-            "generate": cmd_generate,
-            "verify": cmd_verify,
+            "generate": partial(cmd_sample, command="generate"),
+            "verify": partial(cmd_sample, command="verify"),
             "limit": cmd_limit,
             "ode to-ode": cmd_ode_to,
             "ode from-ode": cmd_ode_from,

@@ -215,8 +215,10 @@ class Expr:
 
         return evaluate_array
 
-    def has_z(self):
-        return self._has_z()
+    def _has_z(self):
+        # whether z occurs in the tree; Var and nodes outside the grammar
+        # that depend on z say so themselves
+        return any(v._has_z() for v in _subtrees(self).values())
 
     def __str__(self):
         return self._fmt(_P_ADD)
@@ -237,9 +239,6 @@ class Num(Expr):
         v = complex(self.value)
         return lambda z: v
 
-    def _has_z(self):
-        return False
-
     def _fmt(self, ctx):
         v = self.value
         if v == int(v) and abs(v) < 1e16:
@@ -258,9 +257,6 @@ class Const(Expr):
     def _compile(self, params, lib):
         v = _CONSTANTS[self.name]
         return lambda z: v
-
-    def _has_z(self):
-        return False
 
     def _fmt(self, ctx):
         return self.name
@@ -300,9 +296,6 @@ class Param(Expr):
             raise UnboundParameter(self.name) from None
         return lambda z: v
 
-    def _has_z(self):
-        return False
-
     def _fmt(self, ctx):
         return self.name
 
@@ -318,9 +311,6 @@ class Add(Expr):
     def _compile(self, params, lib):
         lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
         return lambda z: lf(z) + rf(z)
-
-    def _has_z(self):
-        return self.left._has_z() or self.right._has_z()
 
     def _fmt(self, ctx):
         s = "%s+%s" % (self.left._fmt(_P_ADD), self.right._fmt(_P_MUL))
@@ -338,9 +328,6 @@ class Sub(Expr):
     def _compile(self, params, lib):
         lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
         return lambda z: lf(z) - rf(z)
-
-    def _has_z(self):
-        return self.left._has_z() or self.right._has_z()
 
     def _fmt(self, ctx):
         s = "%s-%s" % (self.left._fmt(_P_ADD), self.right._fmt(_P_MUL))
@@ -360,9 +347,6 @@ class Mul(Expr):
         if lib.array:
             return lambda z: cmul(lf(z), rf(z))
         return lambda z: lf(z) * rf(z)
-
-    def _has_z(self):
-        return self.left._has_z() or self.right._has_z()
 
     def _fmt(self, ctx):
         s = "%s*%s" % (self.left._fmt(_P_MUL), self.right._fmt(_P_NEG))
@@ -384,9 +368,6 @@ class Div(Expr):
             return lambda z: cdiv(lf(z), rf(z))
         return lambda z: lf(z) / rf(z)
 
-    def _has_z(self):
-        return self.left._has_z() or self.right._has_z()
-
     def _fmt(self, ctx):
         s = "%s/%s" % (self.left._fmt(_P_MUL), self.right._fmt(_P_NEG))
         return s if _P_MUL >= ctx else "(%s)" % s
@@ -402,9 +383,6 @@ class Neg(Expr):
     def _compile(self, params, lib):
         f = self.arg._compile(params, lib)
         return lambda z: -f(z)
-
-    def _has_z(self):
-        return self.arg._has_z()
 
     def _fmt(self, ctx):
         s = "-%s" % self.arg._fmt(_P_NEG)
@@ -442,9 +420,6 @@ class Pow(Expr):
         ef = self.expo._compile(params, lib)
         power = lib.power
         return lambda z: power(bf(z), ef(z))
-
-    def _has_z(self):
-        return self.base._has_z() or self.expo._has_z()
 
     def _fmt(self, ctx):
         s = "%s^%s" % (self.base._fmt(_P_ATOM), self.expo._fmt(_P_NEG))
@@ -485,9 +460,6 @@ class Call(Expr):
         fn = lib.functions[self.func]
         af = self.arg._compile(params, lib)
         return lambda z: fn(af(z))
-
-    def _has_z(self):
-        return self.arg._has_z()
 
     def _fmt(self, ctx):
         return "%s(%s)" % (self.func, self.arg._fmt(_P_ADD))
@@ -727,6 +699,18 @@ def derivative(e):
     return e._d()
 
 
+def _subtrees(e):
+    """The Expr-valued dataclass fields of a node, {name: subtree} in
+    field order."""
+    fields = {name: getattr(e, name)
+              for name in getattr(e, "__dataclass_fields__", ())}
+    return {name: v for name, v in fields.items() if isinstance(v, Expr)}
+
+
+# the smart constructor of each operator node, by its subtrees in order
+_SMART = {Add: add, Sub: sub, Mul: mul, Div: div, Neg: neg, Pow: pow_}
+
+
 def subst_params(e, params):
     """Replace bound Param nodes by constant spellings of their values.
 
@@ -737,31 +721,14 @@ def subst_params(e, params):
         if e.name in params:
             return const_expr(complex(params[e.name]))
         return e
-    if isinstance(e, (Num, Const, Var)):
+    if not isinstance(e, Expr):
+        raise TypeError("not an expression node: %r" % (e,))
+    kw = {name: subst_params(v, params) for name, v in _subtrees(e).items()}
+    if not kw:
         return e
-    if isinstance(e, Add):
-        return add(subst_params(e.left, params), subst_params(e.right, params))
-    if isinstance(e, Sub):
-        return sub(subst_params(e.left, params), subst_params(e.right, params))
-    if isinstance(e, Mul):
-        return mul(subst_params(e.left, params), subst_params(e.right, params))
-    if isinstance(e, Div):
-        return div(subst_params(e.left, params), subst_params(e.right, params))
-    if isinstance(e, Neg):
-        return neg(subst_params(e.arg, params))
-    if isinstance(e, Pow):
-        return pow_(subst_params(e.base, params), subst_params(e.expo, params))
-    if isinstance(e, Call):
-        return Call(e.func, subst_params(e.arg, params))
-    if isinstance(e, Expr):
-        # nodes outside the grammar: rebuild their Expr-valued fields
-        kw = {}
-        for name in getattr(e, "__dataclass_fields__", {}):
-            v = getattr(e, name)
-            if isinstance(v, Expr):
-                kw[name] = subst_params(v, params)
-        return replace(e, **kw) if kw else e
-    raise TypeError("not an expression node: %r" % (e,))
+    if type(e) in _SMART:
+        return _SMART[type(e)](*kw.values())
+    return replace(e, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +737,9 @@ def subst_params(e, params):
 _POLY_MAXDEG = 32
 
 
-def _poly_coeffs(e, maxdeg=_POLY_MAXDEG):
+def _poly_coeffs(e):
     """Coefficients [c0, c1, ...] if e is a parameter-free polynomial in z
-    of degree <= maxdeg, else None."""
+    of degree <= _POLY_MAXDEG, else None."""
     if isinstance(e, Num):
         return [complex(e.value)]
     if isinstance(e, Const):
@@ -782,8 +749,8 @@ def _poly_coeffs(e, maxdeg=_POLY_MAXDEG):
     if isinstance(e, (Param, Call)):
         return None
     if isinstance(e, (Add, Sub)):
-        a = _poly_coeffs(e.left, maxdeg)
-        b = _poly_coeffs(e.right, maxdeg)
+        a = _poly_coeffs(e.left)
+        b = _poly_coeffs(e.right)
         if a is None or b is None:
             return None
         n = max(len(a), len(b))
@@ -792,17 +759,17 @@ def _poly_coeffs(e, maxdeg=_POLY_MAXDEG):
         s = 1.0 if isinstance(e, Add) else -1.0
         return _poly_trim([x + s * y for x, y in zip(a, b)])
     if isinstance(e, Neg):
-        a = _poly_coeffs(e.arg, maxdeg)
+        a = _poly_coeffs(e.arg)
         return None if a is None else [-x for x in a]
     if isinstance(e, Mul):
-        a = _poly_coeffs(e.left, maxdeg)
-        b = _poly_coeffs(e.right, maxdeg)
+        a = _poly_coeffs(e.left)
+        b = _poly_coeffs(e.right)
         if a is None or b is None:
             return None
-        return _poly_conv(a, b, maxdeg)
+        return _poly_conv(a, b)
     if isinstance(e, Div):
-        a = _poly_coeffs(e.left, maxdeg)
-        b = _poly_coeffs(e.right, maxdeg)
+        a = _poly_coeffs(e.left)
+        b = _poly_coeffs(e.right)
         if a is None or b is None or len(b) != 1 or b[0] == 0:
             return None
         return [x / b[0] for x in a]
@@ -810,7 +777,7 @@ def _poly_coeffs(e, maxdeg=_POLY_MAXDEG):
         if not (isinstance(e.expo, Num) and e.expo.value == int(e.expo.value)):
             return None
         n = int(e.expo.value)
-        a = _poly_coeffs(e.base, maxdeg)
+        a = _poly_coeffs(e.base)
         if a is None:
             return None
         if n < 0:
@@ -819,7 +786,7 @@ def _poly_coeffs(e, maxdeg=_POLY_MAXDEG):
             return None
         out = [1 + 0j]
         for _ in range(n):
-            out = _poly_conv(out, a, maxdeg)
+            out = _poly_conv(out, a)
             if out is None:
                 return None
         return out
@@ -832,8 +799,8 @@ def _poly_trim(c):
     return c
 
 
-def _poly_conv(a, b, maxdeg):
-    if len(a) + len(b) - 2 > maxdeg:
+def _poly_conv(a, b):
+    if len(a) + len(b) - 2 > _POLY_MAXDEG:
         return None
     out = [0j] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

@@ -22,7 +22,7 @@ plus the zero-curvature residual of the associated Lax pair
     R = dzbar U - dz V^H + U V^H - V^H U.
 
 Derivatives of sampled quantities are central finite differences in the
-Wirtinger sense with optional one-level Richardson extrapolation.
+Wirtinger sense with one level of Richardson extrapolation.
 """
 
 import math
@@ -180,39 +180,34 @@ def _lap4_once(f, z, h):
 
 
 def _richardson(once, f, z, h):
+    z = complex(z)
     coarse = once(f, z, h)
     fine = once(f, z, 0.5 * h)
     return (4.0 * fine - coarse) / 3.0
 
 
-def wirtinger_dz(f, z, h=1e-4, richardson=True):
-    """d/dz = (1/2)(d/dx - i d/dy) by central differences."""
-    z = complex(z)
-    if richardson:
-        return _richardson(_dz_once, f, z, h)
-    return _dz_once(f, z, h)
+def wirtinger_dz(f, z, h=1e-4):
+    """d/dz = (1/2)(d/dx - i d/dy) by central differences at steps h and
+    h/2, Richardson-extrapolated."""
+    return _richardson(_dz_once, f, z, h)
 
 
-def wirtinger_dzbar(f, z, h=1e-4, richardson=True):
-    """d/dzbar = (1/2)(d/dx + i d/dy) by central differences."""
-    z = complex(z)
-    if richardson:
-        return _richardson(_dzbar_once, f, z, h)
-    return _dzbar_once(f, z, h)
+def wirtinger_dzbar(f, z, h=1e-4):
+    """d/dzbar = (1/2)(d/dx + i d/dy) by central differences at steps h
+    and h/2, Richardson-extrapolated."""
+    return _richardson(_dzbar_once, f, z, h)
 
 
-def mixed_dzdzbar(f, z, h=1e-4, richardson=True):
-    """d^2/dz dzbar = (1/4) Laplacian, from the 5-point stencil."""
-    z = complex(z)
-    if richardson:
-        return _richardson(_lap4_once, f, z, h)
-    return _lap4_once(f, z, h)
+def mixed_dzdzbar(f, z, h=1e-4):
+    """d^2/dz dzbar = (1/4) Laplacian, from the 5-point stencil at steps h
+    and h/2, Richardson-extrapolated."""
+    return _richardson(_lap4_once, f, z, h)
 
 
 # ---------------------------------------------------------------------------
 # residuals
 
-def gmc_residual(fields, z, h=1e-3, richardson=True):
+def gmc_residual(fields, z, h=1e-3):
     """Residuals (r1, r2) of the Gauss and Codazzi equations at z.
 
     r1 = u_{z zbar} + (1/2)(H^2 - lambda^2) e^u - 2 |Q|^2 e^{-u}
@@ -224,7 +219,7 @@ def gmc_residual(fields, z, h=1e-3, richardson=True):
     amplifies by 1/h^2.
     """
     z = complex(z)
-    uzz = mixed_dzdzbar(fields.u, z, h=h, richardson=richardson)
+    uzz = mixed_dzdzbar(fields.u, z, h=h)
     try:
         uv = float(fields.u(z))
         qv = complex(fields.Q(z))
@@ -233,7 +228,7 @@ def gmc_residual(fields, z, h=1e-3, richardson=True):
     eu = math.exp(uv)
     r1 = complex(uzz) + 0.5 * (fields.H ** 2 - fields.lam ** 2) * eu \
         - 2.0 * (qv.real ** 2 + qv.imag ** 2) / eu
-    r2 = complex(wirtinger_dzbar(fields.Q, z, h=h, richardson=richardson))
+    r2 = complex(wirtinger_dzbar(fields.Q, z, h=h))
     return r1, r2
 
 
@@ -271,7 +266,7 @@ def zero_curvature_residual(source, z, h=1e-4, H=None):
         u_z = fields.u_z
     else:
         def u_z(w):
-            return complex(wirtinger_dz(fields.u, w, h=h, richardson=True))
+            return complex(wirtinger_dz(fields.u, w, h=h))
 
     def ufun(w):
         return build_UV(fields, u_z(w), w)[0]
@@ -280,8 +275,8 @@ def zero_curvature_residual(source, z, h=1e-4, H=None):
         return build_UV(fields, u_z(w), w)[1].conj().T
 
     z = complex(z)
-    du = wirtinger_dzbar(ufun, z, h=h, richardson=True)
-    dv = wirtinger_dz(vdfun, z, h=h, richardson=True)
+    du = wirtinger_dzbar(ufun, z, h=h)
+    dv = wirtinger_dz(vdfun, z, h=h)
     uu = ufun(z)
     vv = vdfun(z)
     return du - dv + uu @ vv - vv @ uu

@@ -695,7 +695,7 @@ def frame_sweep(patch, ring=1):
                       conformality=conf)
 
 
-def frame_and_curvature(patch, index, lam=None):
+def frame_and_curvature(patch, index):
     """Reconstruct the frame at an interior grid point by differencing.
 
     F_z, F_zbar are Wirtinger central differences of the stored points;

@@ -15,11 +15,13 @@ is holomorphic, so only gamma' enters.  Both are integrated by a
 hand-rolled adaptive Dormand-Prince 5(4) pair over plain 4-tuples of
 complex entries (the 2x2 hot path does not justify numpy dispatch per
 stage); step control is on the matrix max-norm and the determinant is
-left untouched unless renormalization is requested, since raw det drift
-is itself a diagnostic.  The grid sampler's row sweep takes the
-integrator's first step, h = 1, for many segments at once over (4, n)
-arrays (_unit_step_array, with the same stages and acceptance rule); the
-segments whose step is not accepted go through the scalar integrator.
+left untouched, since raw det drift is itself a diagnostic.  propagate,
+one straight hop from a given value, is the one way into the scalar
+integrator: the path integrals and the gauge check hop segment by
+segment through it.  The grid sampler's row sweep takes the integrator's
+first step, h = 1, for many segments at once over (4, n) arrays
+(_unit_step_array, with the same stages and acceptance rule); the
+segments whose step is not accepted go through propagate.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -37,7 +39,7 @@ import numpy as np
 
 from ._carith import cabs, cdiv, cmul
 from ._quad import QuadratureFailure, integration_matrix
-from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain, WeierstrassData,
+from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
                    fields_from_weierstrass, gmc_residual, wirtinger_pair)
 
 __all__ = [
@@ -69,13 +71,11 @@ class PathSpec:
     """Polyline in the complex plane; points[0] is the start.
 
     Declared poles are kept at least `clearance` away from every segment
-    (validated, not rerouted).  max_step, when set, caps the arc length
-    of a single integrator step.
+    (validated, not rerouted).
     """
     points: tuple
     poles: tuple = ()
     clearance: float = 1e-2
-    max_step: float = None
 
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
@@ -143,10 +143,6 @@ def _maxabs4(a):
 
 def _finite4(a):
     return all(math.isfinite(x.real) and math.isfinite(x.imag) for x in a)
-
-
-def _det4(a):
-    return a[0] * a[3] - a[1] * a[2]
 
 
 def _to_matrix(a):
@@ -227,10 +223,10 @@ def _dp_step(y, h, k1, c2, c3, c4, c5, c6, ops):
     return ynew, k7, errv
 
 
-def _integrate_unit(cfun, y, tol, hmax=1.0, renormalize=False):
+def _integrate_unit(cfun, y, tol):
     """Advance dY/dt = C(t) Y from t=0 to t=1, Y a 4-tuple, C from cfun."""
     t = 0.0
-    h = min(1.0, hmax)
+    h = 1.0
     try:
         k1 = _mul4(cfun(0.0), y)
     except EVAL_ERRORS + (DomainError,) as exc:
@@ -258,14 +254,10 @@ def _integrate_unit(cfun, y, tol, hmax=1.0, renormalize=False):
             t += h
             y = ynew
             k1 = k7
-            if renormalize:
-                root = cmath.sqrt(_det4(y))
-                y = (y[0] / root, y[1] / root, y[2] / root, y[3] / root)
-                k1 = (k1[0] / root, k1[1] / root, k1[2] / root, k1[3] / root)
             if err == 0.0:
-                h = min(5.0 * h, hmax)
+                h = min(5.0 * h, 1.0)
             else:
-                h = min(hmax, h * min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2)))
+                h = min(1.0, h * min(5.0, max(0.2, 0.9 * (scale / err) ** 0.2)))
         else:
             h *= max(0.2, 0.9 * (scale / err) ** 0.2)
             if h < _T_FLOOR:
@@ -320,65 +312,71 @@ def reduced_coefficient(data, z):
     return np.array([[w * pv, -w], [w * pv * pv, -w * pv]], dtype=complex)
 
 
-def _reduced_segment_coef(data, a, b):
+def _reduced_coef(data):
+    """(a, b) -> the reduced system's coefficient along the segment a -> b,
+    as a function of t in [0, 1] returning its 4-tuple of entries."""
     eta_f, _, psi_f, _ = data.functions()
     lam = data.lam
-    d = b - a
 
-    def cfun(t):
-        z = a + t * d
-        ev = eta_f(z)
-        pv = psi_f(z)
-        w = lam * d * ev * ev
-        return (w * pv, -w, w * pv * pv, -w * pv)
+    def segment(a, b):
+        d = b - a
 
-    return cfun
+        def cfun(t):
+            z = a + t * d
+            ev = eta_f(z)
+            pv = psi_f(z)
+            w = lam * d * ev * ev
+            return (w * pv, -w, w * pv * pv, -w * pv)
+
+        return cfun
+
+    return segment
 
 
-def _full_entries_fn(data, H):
+def _full_coef(data, H):
+    """(a, b) -> the full system's coefficient U d + V^H conj(d) along the
+    segment a -> b, d = b - a, as a function of t in [0, 1] returning its
+    4-tuple of entries.  U and V are the Lax pair of geom.build_UV over
+    the Weierstrass fields, written out with the analytic u_z; DomainError
+    where the conformal factor degenerates."""
     eta_f, deta_f, psi_f, dpsi_f = data.functions()
     lam = data.lam
 
-    def entries(z):
-        ev = eta_f(z)
-        pv = psi_f(z)
-        pc = pv.conjugate()
-        m = (ev * ev.conjugate()).real * (1.0 + (pv * pc).real)   # e^{u/2}
-        if not (m > 0.0 and math.isfinite(m)):
-            raise DomainError("conformal factor degenerates at %r" % (z,))
-        uz4 = 0.5 * (deta_f(z) / ev + pc * dpsi_f(z) / (1.0 + pv * pc))  # u_z/4
-        off = -(ev * ev) * dpsi_f(z) / m                                 # Q e^{-u/2}
-        u_mat = (uz4, -off, 0.5 * m * (lam + H), -uz4)
-        vdag = (-uz4.conjugate(), 0.5 * m * (lam - H), off.conjugate(), uz4.conjugate())
-        return u_mat, vdag
+    def segment(a, b):
+        d = b - a
+        dc = d.conjugate()
 
-    return entries
+        def cfun(t):
+            z = a + t * d
+            ev = eta_f(z)
+            pv = psi_f(z)
+            pc = pv.conjugate()
+            m = (ev * ev.conjugate()).real * (1.0 + (pv * pc).real)   # e^{u/2}
+            if not (m > 0.0 and math.isfinite(m)):
+                raise DomainError("conformal factor degenerates at %r" % (z,))
+            dpv = dpsi_f(z)
+            uz4 = 0.5 * (deta_f(z) / ev + pc * dpv / (1.0 + pv * pc))   # u_z/4
+            off = -(ev * ev) * dpv / m                                  # Q e^{-u/2}
+            return (uz4 * d + (-uz4.conjugate()) * dc,
+                    -off * d + 0.5 * m * (lam - H) * dc,
+                    0.5 * m * (lam + H) * d + off.conjugate() * dc,
+                    -uz4 * d + uz4.conjugate() * dc)
 
+        return cfun
 
-def _full_segment_coef(entries, a, b):
-    d = b - a
-    dc = d.conjugate()
-
-    def cfun(t):
-        u_mat, vdag = entries(a + t * d)
-        return (u_mat[0] * d + vdag[0] * dc, u_mat[1] * d + vdag[1] * dc,
-                u_mat[2] * d + vdag[2] * dc, u_mat[3] * d + vdag[3] * dc)
-
-    return cfun
+    return segment
 
 
 def _segment_coefs(data, system, H):
-    """(a, b) -> the chosen system's coefficient along the segment a -> b;
-    the full system's entry function is built once, here."""
+    """(a, b) -> the chosen system's coefficient along the segment a -> b."""
     if system == "reduced":
-        return lambda a, b: _reduced_segment_coef(data, a, b)
-    entries = _full_entries_fn(data, H if H is not None else data.lam)
-    return lambda a, b: _full_segment_coef(entries, a, b)
+        return _reduced_coef(data)
+    return _full_coef(data, H if H is not None else data.lam)
 
 
 def _reduced_coef_array(data):
-    """_reduced_segment_coef over arrays: (a, d, t) -> the (4, n) entries
-    at a + t d of the segments from a by d, NaN where the scalar closures
+    """_reduced_coef over arrays: (a, d, t) -> the (4, n) entries at
+    a + t d of the segments from a by d, NaN where the scalar closures
     raise; products round as Python's (cmul)."""
     eta_a, _, psi_a, _ = data.array_functions()
     lam = data.lam
@@ -395,10 +393,10 @@ def _reduced_coef_array(data):
 
 
 def _full_coef_array(data, H):
-    """_full_segment_coef of _full_entries_fn over arrays: (a, d, t) ->
-    the (4, n) entries at a + t d of the segments from a by d, NaN where
-    the scalar form raises (a closure, or the conformal factor check);
-    products and quotients round as Python's (cmul, cdiv)."""
+    """_full_coef over arrays: (a, d, t) -> the (4, n) entries at a + t d
+    of the segments from a by d, NaN where the scalar form raises (a
+    closure, or the conformal factor check); products and quotients round
+    as Python's (cmul, cdiv)."""
     eta_a, deta_a, psi_a, dpsi_a = data.array_functions()
     lam = data.lam
 
@@ -430,27 +428,14 @@ def _segment_coefs_array(data, system, H):
     return _full_coef_array(data, H if H is not None else data.lam)
 
 
-def _sweep(data, path, tol, system, H=None, y0=_ID4, renormalize=False):
-    """Shared propagation core; returns the final 4-tuple."""
-    coef = _segment_coefs(data, system, H)
-    y = y0
-    for a, b in path.segments():
-        hmax = 1.0
-        if path.max_step is not None:
-            hmax = max(min(1.0, path.max_step / abs(b - a)), 1e-6)
-        y = _integrate_unit(coef(a, b), y, tol, hmax=hmax,
-                            renormalize=renormalize)
-    return y
-
-
 def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
     """One straight hop z_from -> z_to from an arbitrary initial value.
 
-    No pole validation or compatibility probing; building block for
-    finite-difference stencils, and for the grid sampler's seed column and
-    the row hops its batched step does not settle.  y0 and the result are
-    4-tuples (row-major 2x2 entries).  The single segment goes straight to
-    the integrator, with the arithmetic of a one-segment path.
+    The one hop primitive: the path integrals go through it segment by
+    segment, and so do the gauge check's finite-difference stencils and
+    the grid sampler's seed column and the row hops its batched step does
+    not settle.  No pole validation or compatibility probing.  y0 and the
+    result are 4-tuples (row-major 2x2 entries).
     """
     if z_from == z_to:
         return y0
@@ -458,10 +443,12 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
     return _integrate_unit(cfun, tuple(y0), tol)
 
 
-def integrate_reduced(data, path, tol=1e-10, renormalize=False):
+def integrate_reduced(data, path, tol=1e-10):
     """Solve the reduced (holomorphic) system along the path, Psi(start) = I."""
     path.validate()
-    y = _sweep(data, path, tol, "reduced", renormalize=renormalize)
+    y = _ID4
+    for a, b in path.segments():
+        y = propagate(data, a, b, y, tol=tol)
     return Wavefunction(_to_matrix(y), at=path.points[-1], lam=data.lam, which="reduced")
 
 
@@ -487,7 +474,9 @@ def integrate_full(data, path, tol=1e-10, H=None, check_compatibility=True):
             if max(abs(r1), abs(r2)) > 1e-4:
                 raise IncompatibleSystem("GMC residual %.3e at %r exceeds 1e-4"
                                          % (max(abs(r1), abs(r2)), p))
-    y = _sweep(data, path, tol, "full", H=H)
+    y = _ID4
+    for a, b in path.segments():
+        y = propagate(data, a, b, y, tol=tol, system="full", H=H)
     return Wavefunction(_to_matrix(y), at=path.points[-1], lam=data.lam, which="full")
 
 
@@ -558,7 +547,7 @@ def _principal_half_phase(wv):
     return cmath.exp(0.5j * cmath.phase(wv))
 
 
-def gauge_matrix(data, z, branch_seed=None, steps=64):
+def gauge_matrix(data, z, branch_seed=None):
     """SU(2) gauge matrix
 
         M = (1 + psi conj(psi))^{-1/2} [[conj(s psi), s], [-conj(s), s psi]]
@@ -590,7 +579,7 @@ def gauge_matrix(data, z, branch_seed=None, steps=64):
         if abs(seed * seed - e0 / e0.conjugate()) > 1e-6:
             raise ValueError("branch_seed is not a square root of eta/conj(eta) at z0")
         s = seed
-    s = _track_branch(eta_f, z0, z, s, steps)
+    s = _track_branch(eta_f, z0, z, s, 64)
     try:
         pv = psi_f(z)
     except EVAL_ERRORS as exc:
@@ -652,7 +641,6 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
     eta_f, _, psi_f, _ = data.functions()
     z0 = path.points[0]
     hval = data.lam if H is None else float(H)
-    entries = _full_entries_fn(data, hval)
 
     m0 = gauge_matrix(data, z0)
     m0_inv = m0.conj().T          # unitary
@@ -667,8 +655,8 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
         mid = 0.5 * (a + b)
         for target in (a, mid):
             if target != prev:
-                cfun = _full_segment_coef(entries, prev, target)
-                y = _integrate_unit(cfun, y, tol)
+                y = propagate(data, prev, target, y, tol=tol, system="full",
+                              H=hval)
                 s = _track_branch(eta_f, prev, target, s, 16)
                 prev = target
         phi_mid = _to_matrix(y)

@@ -30,7 +30,7 @@ import numpy as np
 from ._quad import adaptive_gl, adaptive_gl_batch
 from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    mul, neg, num_signed, pow_, simplify, sub, subst_params,
-                   _factor_product, _poly_coeffs)
+                   _factor_product, _poly_coeffs, _subtrees)
 from .geom import WeierstrassData
 from .immersion import DomainRect, sample_surface
 from .lsp import PathSpec, integrate_reduced, reduced_coefficient
@@ -100,12 +100,7 @@ def free_params(e):
     """Names of unbound Param nodes in the tree."""
     if isinstance(e, Param):
         return {e.name}
-    out = set()
-    for name in getattr(e, "__dataclass_fields__", {}):
-        v = getattr(e, name)
-        if isinstance(v, Expr):
-            out |= free_params(v)
-    return out
+    return set().union(*(free_params(v) for v in _subtrees(e).values()))
 
 
 def ode_coefficients(data):

@@ -188,14 +188,14 @@ def _erf_maclaurin_array(z, z2, tol):
     return out
 
 
-def kummer_series(a, b, z, tol=1e-12, max_terms=_MAX_TERMS):
+def kummer_series(a, b, z, tol=1e-12):
     """Confluent hypergeometric 1F1(a; b; z) by its Taylor series.
 
     Terms follow t_{k+1} = t_k (a+k)/(b+k) z/(k+1), t_0 = 1.  Terminates
     exactly when a is a nonpositive integer.  Raises PoleInParameter when
     b is a nonpositive integer (the series has a pole there) and
     NoConvergence if two consecutive below-tolerance terms are not found
-    within max_terms.
+    within 800 terms.
     """
     a = complex(a)
     b = complex(b)
@@ -205,7 +205,7 @@ def kummer_series(a, b, z, tol=1e-12, max_terms=_MAX_TERMS):
     term = 1.0 + 0.0j
     total = term
     small_streak = 0
-    for k in range(max_terms):
+    for k in range(_MAX_TERMS):
         term = term * (a + k) / (b + k) * z / (k + 1)
         total += term
         if term == 0.0:
@@ -217,7 +217,7 @@ def kummer_series(a, b, z, tol=1e-12, max_terms=_MAX_TERMS):
                 return SeriesResult(total, k + 2, 2.0 * abs(term))
         else:
             small_streak = 0
-    raise NoConvergence("1F1 series: %d terms without reaching tol %g" % (max_terms, tol))
+    raise NoConvergence("1F1 series: %d terms without reaching tol %g" % (_MAX_TERMS, tol))
 
 
 def kummer_c(a, b, z, tol=1e-12):

@@ -213,6 +213,32 @@ class TestConfigFile(CliCase):
         cfg = self.write_config("eta = 1\npsi = z\nshininess = 3\n")
         self.assertEqual(run_cli("generate", "--config", cfg)[0], 1)
 
+    def test_config_perturb_matches_flag(self):
+        args = ["verify", "--eta", "1", "--psi", "z", "--res", "17",
+                "--domain", "-0.32:0.32:-0.32:0.32"]
+        for value in ("true", "1"):
+            cfg = self.write_config("perturb = %s\n" % value)
+            code, text = run_cli(*args, "--config", cfg,
+                                 "--report", self.path("file.json"))
+            self.assertEqual(code, 2)
+            flag_code, flag_text = run_cli(*args, "--perturb",
+                                           "--report", self.path("flag.json"))
+            self.assertEqual(flag_code, 2)
+            self.assertEqual(text.replace("file.json", "flag.json"), flag_text)
+            reports = [self.report(name) for name in ("file.json", "flag.json")]
+            for rep in reports:
+                rep.pop("wall_ms")
+                rep["config_echo"].pop("report")
+            self.assertEqual(reports[0], reports[1])
+        for value in ("false", "0"):
+            cfg = self.write_config("perturb = %s\n" % value)
+            self.assertEqual(run_cli(*args, "--config", cfg)[0], 0)
+
+    def test_config_perturb_bad_value(self):
+        for value in ("yes", "2", ""):
+            cfg = self.write_config("eta = 1\npsi = z\nperturb = %s\n" % value)
+            self.assertEqual(run_cli("verify", "--config", cfg)[0], 1)
+
 
 class TestDeterminism(CliCase):
     ARGS = ["generate", "--eta", "1+0.2*z", "--psi", "z^2", *FINE]

@@ -7,11 +7,12 @@ import unittest
 import numpy as np
 
 from solsurf.expr import parse
-from solsurf.geom import WeierstrassData
+from solsurf.geom import WeierstrassData, build_UV, fields_from_weierstrass
 from solsurf.lsp import (PathSpec, PoleClearanceViolated, BranchAmbiguity,
                          IncompatibleSystem, Wavefunction, propagate,
                          integrate_reduced, integrate_full, picard_series,
-                         gauge_matrix, gauge_equivalence_residual)
+                         gauge_matrix, gauge_equivalence_residual,
+                         _segment_coefs)
 
 
 def make_data(eta, psi, lam, z0=0j):
@@ -88,6 +89,24 @@ class TestFullIntegration(unittest.TestCase):
         wf = integrate_full(self.DATA, PathSpec.line(0.0, 0.25), H=0.3,
                             check_compatibility=False)
         self.assertEqual(wf.at, 0.25 + 0j)
+
+    def test_coefficient_is_lax_pair(self):
+        # the integrator's coefficient along a -> b is U d + V^H conj(d),
+        # d = b - a, with (U, V) the Lax pair geom builds from the fields
+        data = make_data("1+0.3*z-0.2*z^2", "z^2+0.5*z", 0.8)
+        rng = np.random.default_rng(5)
+        for H in (data.lam, 0.3):
+            fields = fields_from_weierstrass(data, H)
+            segment = _segment_coefs(data, "full", H)
+            for _ in range(20):
+                a, b = rng.uniform(-0.6, 0.6, 2) + 1j * rng.uniform(-0.6, 0.6, 2)
+                t = rng.uniform()
+                z = a + t * (b - a)
+                U, V = build_UV(fields, fields.u_z(z), z)
+                want = U * (b - a) + V.conj().T * np.conj(b - a)
+                got = np.array(segment(a, b)(t)).reshape(2, 2)
+                self.assertLess(np.max(np.abs(got - want)),
+                                1e-13 * np.max(np.abs(want)))
 
     def test_round_trip(self):
         y = propagate(self.DATA, 0.0, 0.5 + 0.3j, (1, 0, 0, 1), system="full")
