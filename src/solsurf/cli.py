@@ -17,11 +17,12 @@ pass <=> max < threshold.  Identical configurations yield byte-identical
 reports apart from wall_ms.
 
 A configuration file (--config, plain key=value lines, '#' comments) may
-supply any long flag by name, an on/off flag as true, false, 1 or 0;
-explicit flags win over the file.  Domain syntax is
-re_min:re_max:im_min:im_max.  --threads and the environment variable
-SOLSURF_THREADS are accepted for compatibility and have no effect:
-sampling runs on one thread.
+supply any long flag of its command by name, an on/off flag as true,
+false, 1 or 0, a --param binding as param.NAME; a key the command has no
+flag for is a usage error, and explicit flags win over the file.  Domain
+syntax is re_min:re_max:im_min:im_max.  --threads and the environment
+variable SOLSURF_THREADS are accepted for compatibility and have no
+effect: sampling runs on one thread.
 """
 
 import argparse
@@ -130,40 +131,50 @@ _CONVERTERS = {
 _FLAG_NAMES = sorted("--" + k for k in _CONVERTERS)
 
 
-def _add_common(p, *names):
-    for name in names:
+# the flags of each command, for its parser and for the keys its config
+# file may set; "param" is the repeatable --param name=value, which a
+# config file writes as param.NAME = value
+_COMMAND_FLAGS = {
+    "generate": ("eta", "psi", "lambda", "z0", "target", "domain", "res",
+                 "tol", "out", "report", "threads", "config", "param"),
+    "verify": ("eta", "psi", "lambda", "z0", "target", "domain", "res",
+               "tol", "report", "threads", "config", "perturb", "param"),
+    "limit": ("eta", "psi", "z0", "lambdas", "domain", "tol", "report",
+              "config", "param"),
+    "ode to-ode": ("eta", "psi", "lambda", "z0", "report", "config",
+                   "param"),
+    "ode from-ode": ("p", "q", "lambda", "c", "c1", "z0", "report",
+                     "config"),
+    "ode erf-example": ("n", "c", "c1", "lambda", "domain", "res", "tol",
+                        "out", "report", "threads", "config", "z"),
+}
+
+
+def _add_flags(p, command):
+    for name in _COMMAND_FLAGS[command]:
         kwargs = {"default": argparse.SUPPRESS}
         if name == "perturb":
-            p.add_argument("--perturb", action="store_true",
-                           **kwargs)
-            continue
-        p.add_argument("--" + name, type=str, **kwargs)
+            p.add_argument("--perturb", action="store_true", **kwargs)
+        elif name == "param":
+            p.add_argument("--param", action="append", **kwargs)
+        else:
+            p.add_argument("--" + name, type=str, **kwargs)
 
 
 def _build_parser():
     top = _Parser(prog="solsurf", add_help=True)
     sub = top.add_subparsers(dest="command")
-    gen = sub.add_parser("generate", help="sample a surface patch and export")
-    _add_common(gen, "eta", "psi", "lambda", "z0", "target", "domain", "res",
-                "tol", "out", "report", "threads", "config")
-    ver = sub.add_parser("verify", help="run the residual battery")
-    _add_common(ver, "eta", "psi", "lambda", "z0", "target", "domain", "res",
-                "tol", "report", "threads", "config", "perturb")
-    lim = sub.add_parser("limit", help="flat-limit convergence study")
-    _add_common(lim, "eta", "psi", "z0", "lambdas", "domain", "tol",
-                "report", "config")
+    _add_flags(sub.add_parser("generate",
+                              help="sample a surface patch and export"),
+               "generate")
+    _add_flags(sub.add_parser("verify", help="run the residual battery"),
+               "verify")
+    _add_flags(sub.add_parser("limit", help="flat-limit convergence study"),
+               "limit")
     ode = sub.add_parser("ode", help="scalar-equation bridge")
     odesub = ode.add_subparsers(dest="subcommand")
-    to = odesub.add_parser("to-ode")
-    _add_common(to, "eta", "psi", "lambda", "z0", "report", "config")
-    fro = odesub.add_parser("from-ode")
-    _add_common(fro, "p", "q", "lambda", "c", "c1", "z0", "report", "config")
-    erf = odesub.add_parser("erf-example")
-    _add_common(erf, "n", "c", "c1", "lambda", "domain", "res", "tol", "out",
-                "report", "threads", "config", "z")
-    # repeatable parameter bindings
-    for p in (gen, ver, lim, to):
-        p.add_argument("--param", action="append", default=argparse.SUPPRESS)
+    for name in ("to-ode", "from-ode", "erf-example"):
+        _add_flags(odesub.add_parser(name), "ode " + name)
     return top
 
 
@@ -201,7 +212,10 @@ def _read_config_file(path):
 
 
 def _merge_config(command, ns):
-    """defaults < config file < explicit flags; returns a plain dict."""
+    """defaults < config file < explicit flags; returns a plain dict.
+
+    A config file may set only the command's own flags (_COMMAND_FLAGS)."""
+    flags = _COMMAND_FLAGS[command]
     cfg = dict(_DEFAULTS[command])
     given = dict(vars(ns))
     given.pop("command", None)
@@ -210,14 +224,15 @@ def _merge_config(command, ns):
     file_path = given.pop("config", None)
     if file_path is not None:
         for key, value in _read_config_file(file_path).items():
-            if key.startswith("param."):
+            if key.startswith("param.") and "param" in flags:
                 params[key[6:]] = _parse_complex(value)
                 continue
+            if key not in flags or key == "param":
+                raise UsageError("unknown config key %r for %s"
+                                 % (key, command))
             if key == "perturb":
                 cfg[key] = _parse_switch(value)
                 continue
-            if key not in _CONVERTERS:
-                raise UsageError("unknown config key %r" % (key,))
             cfg[key] = _CONVERTERS[key](value)
     for key, value in given.items():
         if key == "param":

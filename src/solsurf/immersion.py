@@ -31,13 +31,15 @@ targets hop from sample to sample, each hop starting from the
 wavefunction at the previous one: down the seed column one scalar
 propagate at a time, then along all rows at once, one column per array
 pass.  Each row's hop is first tried as the single full Dormand-Prince
-step the scalar integrator starts with, over coefficient tables of the
-array closures; the hops that step does not settle go through the scalar
-propagate, so the results are those of hopping sample by sample.  The
-classical integral carries no state from hop to hop, so e3-direct
-integrates all hops of the seed column, and then of each row, as one
-batch of quadratures (adaptive_gl_batch over the array closures) and
-accumulates them with a cumsum.  Everything runs on the calling thread.
+step the scalar integrator starts with, over a coefficient table of the
+array closures that one pass per block of columns fills at all six
+stage times, and with one stacked product per stage; the hops that step
+does not settle go through the scalar propagate, so the results are
+those of hopping sample by sample.  The classical integral carries no
+state from hop to hop, so e3-direct integrates all hops of the seed
+column, and then of each row, as one batch of quadratures
+(adaptive_gl_batch over the array closures) and accumulates them with a
+cumsum.  Everything runs on the calling thread.
 
 frame_sweep reconstructs the frame and curvature estimates over the whole
 grid with array stencils; frame_and_curvature is the same computation at
@@ -70,6 +72,10 @@ TARGETS = ("h3", "e3-limit", "e3-direct")
 # of frame_sweep, which also read a two-row halo), so their temporaries
 # stay a few grid rows deep instead of grid-sized
 _SWEEP_ROWS = 8
+
+# the Dormand-Prince nodes of one full step as a column, so that one call
+# of the array coefficient tabulates a block's hops at all six: (6, 4, m)
+_NODE_AXIS = np.array(_UNIT_NODES)[:, None]
 
 
 class LambdaZero(ValueError):
@@ -389,13 +395,15 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
     sample, since each hop starts where the last ended.  Then the rows
     advance together, one column at a time.  The hop into each sample was
     planned from the probe mask, starting at the row's previous valid
-    sample; the coefficient at the stage times of one full step is
-    tabulated for all planned hops of a block of columns, and every
-    row's step is taken at once (lsp._unit_step_array).  A hop whose step
-    _integrate_unit would not accept as it stands, or that starts
-    elsewhere because an earlier hop of its row failed, goes through the
-    scalar propagate, so the adaptive control stays in one place and the
-    results are those of hopping sample by sample.
+    sample.  For each block of _SWEEP_ROWS columns, one call of the array
+    coefficient over the (6, 1) node axis _NODE_AXIS tabulates all
+    planned hops at the stage times of one full step, a (6, 4, m) table;
+    per column one fancy index gathers its hops' six node tables, and
+    every row's step is taken at once (lsp._unit_step_array).  A hop
+    whose step _integrate_unit would not accept as it stands, or that
+    starts elsewhere because an earlier hop of its row failed, goes
+    through the scalar propagate, so the adaptive control stays in one
+    place and the results are those of hopping sample by sample.
     """
     lam = data.lam
     ny, nx = zgrid.shape
@@ -449,13 +457,13 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
             jj, ii = np.nonzero(valid[:, j0:j1].T)
             za = zgrid[ii, prev[ii, j0 - 1 + jj]]
             d = zgrid[ii, j0 + jj] - za
-            table = [coef(za, d, t) for t in _UNIT_NODES]
+            table = coef(za, d, _NODE_AXIS)
             bounds = np.searchsorted(jj, np.arange(j1 - j0 + 1))
             for j in range(j0, j1):
                 lo, hi = bounds[j - j0], bounds[j - j0 + 1]
                 rows = ii[lo:hi]
                 k = np.flatnonzero(last[rows] == prev[rows, j - 1])
-                ynew, ok = _unit_step_array([c[:, lo + k] for c in table],
+                ynew, ok = _unit_step_array(table[:, :, lo + k],
                                             cur[:, rows[k]], tol)
                 done = np.zeros(rows.size, dtype=bool)
                 done[k[ok]] = True

@@ -21,7 +21,11 @@ integrator: the path integrals and the gauge check hop segment by
 segment through it.  The grid sampler's row sweep takes the integrator's
 first step, h = 1, for many segments at once over (4, n) arrays
 (_unit_step_array, with the same stages and acceptance rule); the
-segments whose step is not accepted go through propagate.
+segments whose step is not accepted go through propagate.  The array
+coefficients take a t of any shape that broadcasts against the
+segments, so one call with a (6, 1) t tabulates all six stage times as
+a (6, 4, n) array, and each stage of the array step is one stacked
+product whose terms are added in the scalar term order.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -141,10 +145,6 @@ def _maxabs4(a):
     return max(abs(a[0]), abs(a[1]), abs(a[2]), abs(a[3]))
 
 
-def _finite4(a):
-    return all(math.isfinite(x.real) and math.isfinite(x.imag) for x in a)
-
-
 def _to_matrix(a):
     return np.array([[a[0], a[1]], [a[2], a[3]]], dtype=complex)
 
@@ -178,15 +178,20 @@ def _lc4(y, h, terms):
 
 
 def _mul4_array(a, b):
-    """_mul4 over (4, n) arrays, products rounded as Python's."""
-    return (cmul(a[[0, 0, 2, 2]], b[[0, 1, 0, 1]])
-            + cmul(a[[1, 1, 3, 3]], b[[2, 3, 2, 3]]))
+    """_mul4 over (4, n) arrays, products rounded as Python's: its eight
+    products in one cmul, summed pairwise as _mul4 sums them."""
+    p = cmul(a[[0, 0, 2, 2, 1, 1, 3, 3]], b[[0, 1, 0, 1, 2, 3, 2, 3]])
+    return p[:4] + p[4:]
 
 
 def _lc4_array(y, h, terms):
-    """_lc4 over (4, n) arrays, products rounded as Python's."""
-    for c, k in terms:
-        y = y + cmul(h * c, k)
+    """_lc4 over (4, n) arrays, products rounded as Python's: the stage's
+    products in one cmul over the stacked k, added to y one at a time in
+    term order, as _lc4 adds them (a reduction would reorder the sum)."""
+    cs, ks = zip(*terms)
+    hc = np.array([h * c for c in cs])
+    for p in cmul(hc[:, None, None], np.stack(ks)):
+        y = y + p
     return y
 
 
@@ -225,8 +230,10 @@ def _dp_step(y, h, k1, c2, c3, c4, c5, c6, ops):
 
 def _integrate_unit(cfun, y, tol):
     """Advance dY/dt = C(t) Y from t=0 to t=1, Y a 4-tuple, C from cfun."""
+    isfinite = cmath.isfinite
     t = 0.0
     h = 1.0
+    ymax = None   # _maxabs4(y), kept from the step that accepted y
     try:
         k1 = _mul4(cfun(0.0), y)
     except EVAL_ERRORS + (DomainError,) as exc:
@@ -239,7 +246,12 @@ def _integrate_unit(cfun, y, tol):
             ynew, k7, errv = _dp_step(
                 y, h, k1, cfun(t + _C2 * h), cfun(t + _C3 * h),
                 cfun(t + _C4 * h), cfun(t + _C5 * h), cfun(t + h), _TUPLE_OPS)
-            bad = not (_finite4(ynew) and _finite4(k7))
+            # spelled out: a generator over the eight entries costs more
+            p0, p1, p2, p3 = ynew
+            q0, q1, q2, q3 = k7
+            bad = not (isfinite(p0) and isfinite(p1) and isfinite(p2)
+                       and isfinite(p3) and isfinite(q0) and isfinite(q1)
+                       and isfinite(q2) and isfinite(q3))
         except EVAL_ERRORS + (DomainError,) as exc:
             bad = True
         if bad:
@@ -249,10 +261,14 @@ def _integrate_unit(cfun, y, tol):
                                     "coefficients; undeclared pole?)" % t)
             continue
         err = _maxabs4(errv)
-        scale = tol * max(1.0, _maxabs4(y), _maxabs4(ynew))
+        if ymax is None:
+            ymax = _maxabs4(y)
+        ynewmax = _maxabs4(ynew)
+        scale = tol * max(1.0, ymax, ynewmax)
         if err <= scale:
             t += h
             y = ynew
+            ymax = ynewmax
             k1 = k7
             if err == 0.0:
                 h = min(5.0 * h, 1.0)
@@ -274,19 +290,20 @@ def _unit_step_array(coefs, y, tol):
     """The first step of _integrate_unit, h = 1 from t = 0, for n segments
     at once.
 
-    coefs holds the (4, n) coefficient arrays at the six _UNIT_NODES, y
-    the (4, n) start values.  Returns (ynew, accepted): where accepted,
-    _integrate_unit takes exactly this step and returns ynew, since the
-    step ends the segment; elsewhere it would reject or shrink the step.
-    Magnitudes are taken by cabs, which rounds as Python's abs, so that
-    an ulp cannot flip the test; call under np.errstate(all="ignore").
+    coefs holds the coefficient at the six _UNIT_NODES, a (6, 4, n) array
+    or six (4, n) arrays, y the (4, n) start values.  Returns (ynew,
+    accepted): where accepted, _integrate_unit takes exactly this step
+    and returns ynew, since the step ends the segment; elsewhere it would
+    reject or shrink the step.  Each stage is one stacked product
+    (_mul4_array, _lc4_array), and the magnitudes of errv, y and ynew are
+    one cabs, which rounds as Python's abs, so that an ulp cannot flip
+    the test; call under np.errstate(all="ignore").
     """
     c0, c2, c3, c4, c5, c6 = coefs
     ynew, k7, errv = _dp_step(y, 1.0, _mul4_array(c0, y), c2, c3, c4, c5, c6,
                               _ARRAY_OPS)
-    err = cabs(errv).max(axis=0)
-    scale = tol * np.maximum(np.maximum(1.0, cabs(y).max(axis=0)),
-                             cabs(ynew).max(axis=0))
+    err, ymax, ynewmax = cabs(np.stack((errv, y, ynew))).max(axis=1)
+    scale = tol * np.maximum(np.maximum(1.0, ymax), ynewmax)
     # a non-finite scale is an |y| that Python's abs refuses (OverflowError)
     accepted = (np.isfinite(ynew).all(axis=0) & np.isfinite(k7).all(axis=0)
                 & np.isfinite(scale) & (err <= scale))
@@ -387,7 +404,7 @@ def _reduced_coef_array(data):
         pv = psi_a(z)
         w = cmul(cmul(cmul(lam, d), ev), ev)
         wp = cmul(w, pv)
-        return np.stack((wp, -w, cmul(wp, pv), cmul(-w, pv)))
+        return np.stack((wp, -w, cmul(wp, pv), cmul(-w, pv)), axis=-2)
 
     return coef
 
@@ -414,7 +431,8 @@ def _full_coef_array(data, H):
         u_mat = (uz4, -off, 0.5 * m * (lam + H), -uz4)
         vdag = (-np.conj(uz4), 0.5 * m * (lam - H), np.conj(off), np.conj(uz4))
         dc = np.conj(d)
-        return np.stack([cmul(u, d) + cmul(v, dc) for u, v in zip(u_mat, vdag)])
+        return np.stack([cmul(u, d) + cmul(v, dc) for u, v in zip(u_mat, vdag)],
+                        axis=-2)
 
     return coef
 
@@ -422,7 +440,9 @@ def _full_coef_array(data, H):
 def _segment_coefs_array(data, system, H):
     """The array form of _segment_coefs: (a, d, t) -> the chosen system's
     coefficient entries, as a (4, n) array, at a + t d along each of the
-    segments a -> a + d.  Call under np.errstate(all="ignore")."""
+    segments a -> a + d; a t of shape (k, 1) gives a (k, 4, n) array, the
+    entries at each of the k times, in one pass over the closures.  Call
+    under np.errstate(all="ignore")."""
     if system == "reduced":
         return _reduced_coef_array(data)
     return _full_coef_array(data, H if H is not None else data.lam)

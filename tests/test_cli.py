@@ -10,6 +10,7 @@ import unittest
 import numpy as np
 
 from solsurf.cli import _quad_triangles, _vertex_index_map, main
+from solsurf.cli import _COMMAND_FLAGS, _build_parser, _merge_config
 
 SMALL = ["--domain", "-0.5:0.5:-0.5:0.5", "--res", "17"]
 # fine enough for the frame-stencil truncation of generic (non-flat) data
@@ -212,6 +213,51 @@ class TestConfigFile(CliCase):
     def test_unknown_key_rejected(self):
         cfg = self.write_config("eta = 1\npsi = z\nshininess = 3\n")
         self.assertEqual(run_cli("generate", "--config", cfg)[0], 1)
+
+    def test_key_of_another_command_rejected(self):
+        # flags that exist, but not on this command
+        for command, line in ((["generate"], "lambdas = 1,0.5,0.1"),
+                              (["generate"], "n = 4"),
+                              (["generate"], "perturb = true"),
+                              (["limit"], "lambda = 0.5"),
+                              (["ode", "from-ode"], "param.a = 0.2"),
+                              (["ode", "erf-example"], "eta = 1")):
+            cfg = self.write_config("eta = 1\npsi = z\n%s\n" % line)
+            self.assertEqual(run_cli(*command, "--config", cfg)[0], 1,
+                             "%s %s" % (command, line))
+
+    # a legal value for every flag a config file may set
+    OWN_VALUES = {
+        "eta": "1", "psi": "z", "p": "-2*z", "q": "-4", "lambda": "0.5",
+        "z0": "0", "c": "1", "c1": "0", "z": "1.5", "n": "2", "res": "9",
+        "tol": "1e-8", "threads": "1", "target": "h3",
+        "domain": "-0.5:0.5:-0.5:0.5", "lambdas": "0.1,0.01,0.001",
+        "out": "mesh.obj", "report": "report.json", "config": "other.cfg",
+        "perturb": "true",
+    }
+
+    def test_every_own_key_accepted(self):
+        parser = _build_parser()
+        for command, flags in _COMMAND_FLAGS.items():
+            lines = ["%s = %s" % (k, self.OWN_VALUES[k]) if k != "param"
+                     else "param.a = 0.2" for k in flags]
+            cfg = self.write_config("\n".join(lines) + "\n")
+            ns = parser.parse_args(command.split() + ["--config", cfg])
+            merged = _merge_config(command, ns)
+            for key in flags:
+                if key == "param":
+                    self.assertEqual(merged["params"], {"a": 0.2 + 0j}, command)
+                else:
+                    self.assertIn(key, merged, "%s %s" % (command, key))
+            # and each is a flag of the command's own parser
+            for key in flags:
+                argv = command.split()
+                if key == "perturb":
+                    argv.append("--perturb")
+                else:
+                    value = "a=0.2" if key == "param" else self.OWN_VALUES[key]
+                    argv.append("--%s=%s" % (key, value))
+                parser.parse_args(argv)
 
     def test_config_perturb_matches_flag(self):
         args = ["verify", "--eta", "1", "--psi", "z", "--res", "17",

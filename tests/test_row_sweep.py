@@ -15,6 +15,8 @@ from solsurf.immersion import DomainRect, _lorentz4, _probe_validity, sample_sur
 from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _integrate_unit,
                          _segment_coefs, _segment_coefs_array,
                          _unit_step_array, propagate)
+from solsurf.immersion import _SWEEP_ROWS
+from solsurf.odebridge import erf_example_data
 
 _HOP_ERRORS = (StepUnderflow, DomainError) + EVAL_ERRORS
 
@@ -398,6 +400,83 @@ class TestLorentzForms(unittest.TestCase):
                 # and the former complex-product formula
                 self.assertEqual(_bits(want).tolist(),
                                  _bits(_old_lorentz4(col, 0.7, shift)).tolist())
+
+
+class TestOnePassTables(unittest.TestCase):
+    """The sampler tabulates a block's hops at all six nodes in one call of
+    the array coefficient, over a (6, 1) node axis, and steps on (6, 4, n)
+    slices of that table."""
+
+    def setUp(self):
+        errstate = np.errstate(all="ignore")
+        errstate.__enter__()
+        self.addCleanup(errstate.__exit__, None, None, None)
+
+    def hops(self, name):
+        """(data, a, d) of every hop between horizontal neighbours of the
+        grid; the erf data's grid reaches past |z| = 8, where its erf
+        series is not trusted and the array closure gives NaN."""
+        if name == "erf":
+            data = erf_example_data(2, lam=0.7)
+            domain = DomainRect(-9.0, 9.0, -1.0, 1.0, 13, 5)
+        else:
+            data, domain = _data(name)
+        zgrid = domain.grid()
+        a = zgrid[:, :-1].ravel()
+        return data, a, zgrid[:, 1:].ravel() - a
+
+    def test_one_pass_equals_per_node_tables(self):
+        nodes = np.array(_UNIT_NODES)[:, None]
+        nan_lanes = 0
+        for name in ("clean", "pole_on_sample", "pole_off_sample", "erf"):
+            data, a, d = self.hops(name)
+            for system in ("full", "reduced"):
+                coef = _segment_coefs_array(data, system, data.lam)
+                table = coef(a, d, nodes)
+                label = "%s %s" % (name, system)
+                self.assertEqual(table.shape, (6, 4, len(a)), label)
+                per_node = np.stack([coef(a, d, t) for t in _UNIT_NODES])
+                np.testing.assert_array_equal(_bits(table.view(float)),
+                                              _bits(per_node.view(float)),
+                                              label)
+                nan_lanes += int(np.isnan(table).any(axis=(0, 1)).sum())
+        # the pole and erf data put NaN lanes into the comparison
+        self.assertGreater(nan_lanes, 0)
+
+    def test_step_takes_a_list_or_a_stacked_table(self):
+        data, a, d = self.hops("pole_off_sample")
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
+        for system in ("full", "reduced"):
+            coef = _segment_coefs_array(data, system, data.lam)
+            table = np.stack([coef(a, d, t) for t in _UNIT_NODES])
+            for tol in (1e-8, 1e-2):
+                got, got_ok = _unit_step_array(table, y, tol)
+                want, want_ok = _unit_step_array(list(table), y, tol)
+                np.testing.assert_array_equal(got_ok, want_ok)
+                np.testing.assert_array_equal(_bits(got.view(float)),
+                                              _bits(want.view(float)))
+
+    def test_one_coefficient_call_per_block(self):
+        data, domain = _data("clean")
+        self.assertEqual(domain.nx, 17)
+        for target in ("h3", "e3-limit"):
+            calls = []
+
+            def counting(*args, _real=_segment_coefs_array):
+                coef = _real(*args)
+
+                def counted(a, d, t):
+                    calls.append(np.shape(t))
+                    return coef(a, d, t)
+
+                return counted
+
+            with mock.patch.object(solsurf.immersion, "_segment_coefs_array",
+                                   counting):
+                sample_surface(data, domain, target)
+            blocks = -(-(domain.nx - 1) // _SWEEP_ROWS)
+            self.assertEqual(calls, [(6, 1)] * blocks, target)
 
 
 if __name__ == "__main__":
