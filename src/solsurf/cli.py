@@ -19,14 +19,17 @@ reports apart from wall_ms.
 A configuration file (--config, plain key=value lines, '#' comments) may
 supply any long flag of its command by name, an on/off flag as true,
 false, 1 or 0, a --param binding as param.NAME; a key the command has no
-flag for is a usage error, and explicit flags win over the file.  Domain
-syntax is re_min:re_max:im_min:im_max.  --threads and the environment
+flag for is a usage error, and explicit flags win over the file.  A
+number that is nan or infinite is a usage error too.  Domain syntax is
+re_min:re_max:im_min:im_max.  --threads and the environment
 variable SOLSURF_THREADS are accepted for compatibility and have no
 effect: sampling runs on one thread.
 """
 
 import argparse
+import cmath
 import json
+import math
 import sys
 import time
 from functools import partial
@@ -61,11 +64,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the number parsers, for flags, --param and config files alike, refuse
+# nan and inf, which float() and complex() accept
 def _parse_complex(text):
     try:
-        return complex(str(text).strip().replace("i", "j"))
+        value = complex(str(text).strip().replace("i", "j"))
     except ValueError:
         raise UsageError("not a complex number: %r" % (text,))
+    if not cmath.isfinite(value):
+        raise UsageError("not a finite number: %r" % (text,))
+    return value
 
 
 def _parse_domain(text):
@@ -74,9 +82,9 @@ def _parse_domain(text):
         raise UsageError("domain must be re_min:re_max:im_min:im_max, got %r"
                          % (text,))
     try:
-        a, b, c, d = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError("domain bounds must be numbers: %r" % (text,))
+        a, b, c, d = (_parse_float(p) for p in parts)
+    except UsageError:
+        raise UsageError("domain bounds must be finite numbers: %r" % (text,))
     if not (b > a and d > c):
         raise UsageError("empty domain %r" % (text,))
     return (a, b, c, d)
@@ -84,8 +92,8 @@ def _parse_domain(text):
 
 def _parse_lambdas(text):
     try:
-        vals = [float(p) for p in str(text).split(",") if p.strip()]
-    except ValueError:
+        vals = [_parse_float(p) for p in str(text).split(",") if p.strip()]
+    except UsageError:
         raise UsageError("bad --lambdas list %r" % (text,))
     if len(vals) < 3:
         raise UsageError("--lambdas needs at least 3 values")
@@ -96,9 +104,12 @@ def _parse_lambdas(text):
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UsageError("not a number: %r" % (text,))
+    if not math.isfinite(value):
+        raise UsageError("not a finite number: %r" % (text,))
+    return value
 
 
 def _parse_int(text):

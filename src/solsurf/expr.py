@@ -809,9 +809,6 @@ def _poly_conv(a, b):
     return _poly_trim(out)
 
 
-_PRODUCT_NODES = (Mul, Div, Neg, Pow, Num)
-
-
 def simplify(e):
     """Cancel structurally equal factors across products and quotients.
 

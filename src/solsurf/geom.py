@@ -164,14 +164,9 @@ def wirtinger_pair(fe, fw, fn, fs, h):
     return 0.5 * (dx - idy) / (2.0 * h), 0.5 * (dx + idy) / (2.0 * h)
 
 
-def _dz_once(f, z, h):
+def _wirtinger_once(f, z, h):
     fe, fw, fn, fs = _eval_stencil(f, (z + h, z - h, z + 1j * h, z - 1j * h))
-    return wirtinger_pair(fe, fw, fn, fs, h)[0]
-
-
-def _dzbar_once(f, z, h):
-    fe, fw, fn, fs = _eval_stencil(f, (z + h, z - h, z + 1j * h, z - 1j * h))
-    return wirtinger_pair(fe, fw, fn, fs, h)[1]
+    return np.stack(wirtinger_pair(fe, fw, fn, fs, h))
 
 
 def _lap4_once(f, z, h):
@@ -189,13 +184,13 @@ def _richardson(once, f, z, h):
 def wirtinger_dz(f, z, h=1e-4):
     """d/dz = (1/2)(d/dx - i d/dy) by central differences at steps h and
     h/2, Richardson-extrapolated."""
-    return _richardson(_dz_once, f, z, h)
+    return _richardson(_wirtinger_once, f, z, h)[0]
 
 
 def wirtinger_dzbar(f, z, h=1e-4):
     """d/dzbar = (1/2)(d/dx + i d/dy) by central differences at steps h
     and h/2, Richardson-extrapolated."""
-    return _richardson(_dzbar_once, f, z, h)
+    return _richardson(_wirtinger_once, f, z, h)[1]
 
 
 def mixed_dzdzbar(f, z, h=1e-4):
@@ -268,15 +263,12 @@ def zero_curvature_residual(source, z, h=1e-4, H=None):
         def u_z(w):
             return complex(wirtinger_dz(fields.u, w, h=h))
 
-    def ufun(w):
-        return build_UV(fields, u_z(w), w)[0]
-
-    def vdfun(w):
-        return build_UV(fields, u_z(w), w)[1].conj().T
+    def uvdag(w):
+        U, V = build_UV(fields, u_z(w), w)
+        return np.stack((U, V.conj().T))
 
     z = complex(z)
-    du = wirtinger_dzbar(ufun, z, h=h)
-    dv = wirtinger_dz(vdfun, z, h=h)
-    uu = ufun(z)
-    vv = vdfun(z)
-    return du - dv + uu @ vv - vv @ uu
+    # d/dz and d/dzbar of the stack (U, V^H), from one stencil
+    dz, dzbar = _richardson(_wirtinger_once, uvdag, z, h)
+    uu, vv = uvdag(z)
+    return dzbar[0] - dz[1] + uu @ vv - vv @ uu

@@ -27,19 +27,20 @@ integrand over the array closures and one batched quadrature.
 
 Grid sampling probes the data over the grid in array passes, integrates
 one seed column and then each row from its column-0 value.  The ODE
-targets hop from sample to sample, each hop starting from the
-wavefunction at the previous one: down the seed column one scalar
-propagate at a time, then along all rows at once, one column per array
-pass.  Each row's hop is first tried as the single full Dormand-Prince
-step the scalar integrator starts with, over a coefficient table of the
-array closures that one pass per block of columns fills at all six
-stage times, and with one stacked product per stage; the hops that step
-does not settle go through the scalar propagate, so the results are
-those of hopping sample by sample.  The classical integral carries no
-state from hop to hop, so e3-direct integrates all hops of the seed
-column, and then of each row, as one batch of quadratures
-(adaptive_gl_batch over the array closures) and accumulates them with a
-cumsum.  Everything runs on the calling thread.
+targets integrate first and immerse afterwards.  They hop from sample to
+sample, each hop starting from the wavefunction at the previous one:
+down the seed column one scalar propagate at a time, then along all rows
+at once, one column per array pass.  Each row's hop is first tried as
+the single full Dormand-Prince step the scalar integrator starts with,
+over a coefficient table of the array closures that one pass per block
+of columns fills at all six stage times, and with one stacked product
+per stage; the hops that step does not settle go through the scalar
+propagate, so the results are those of hopping sample by sample.  A pass
+over the valid samples then applies the Sym-type formula.  The classical
+integral carries no state from hop to hop, so e3-direct integrates all
+hops of the seed column, and then of each row, as one batch of
+quadratures (adaptive_gl_batch over the array closures) and accumulates
+them with a cumsum.  Everything runs on the calling thread.
 
 frame_sweep reconstructs the frame and curvature estimates over the whole
 grid with array stencils; frame_and_curvature is the same computation at
@@ -68,9 +69,10 @@ __all__ = [
 TARGETS = ("h3", "e3-limit", "e3-direct")
 
 # grid rows (or columns) per block of the array passes over the grid (the
-# probe, the coefficient tables of the ODE row sweep, and the output rows
-# of frame_sweep, which also read a two-row halo), so their temporaries
-# stay a few grid rows deep instead of grid-sized
+# probe, the coefficient tables of the ODE row sweep, the immersion pass
+# after it, and the output rows of frame_sweep, which also read a two-row
+# halo), so their temporaries stay a few grid rows deep instead of
+# grid-sized
 _SWEEP_ROWS = 8
 
 # the Dormand-Prince nodes of one full step as a column, so that one call
@@ -358,8 +360,9 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
     whose hop fails.  The ODE targets hop sample by sample down the seed
     column and then along all rows at once, a column at a time, with the
     scalar integrator only for the hops that one full step does not
-    settle (see _sample_ode); e3-direct integrates the seed column and
-    then each row as one batch of quadratures (see _direct_run).
+    settle, and then apply the formula (see _sample_ode); e3-direct
+    integrates the seed column and then each row as one batch of
+    quadratures (see _direct_run).
 
     threads is accepted and ignored; rows always run on the calling thread.
     """
@@ -373,16 +376,13 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
     elif target != "h3" or system not in ("full", "reduced"):
         raise ValueError("system override applies to the h3 target only")
     zgrid = domain.grid()
-    ny, nx = zgrid.shape
     valid = _probe_validity(data, zgrid, need_deta=(system == "full"))
     if target == "e3-direct":
-        points = _sample_direct(data, zgrid, valid, tol)
-        return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
-                            tol=tol, points=points, valid=valid, residuals={})
-
-    hval = lam if H is None else float(H)
-    points, residuals = _sample_ode(data, zgrid, valid, target, tol, system,
-                                    hval)
+        points, residuals = _sample_direct(data, zgrid, valid, tol), {}
+    else:
+        hval = lam if H is None else float(H)
+        points, residuals = _sample_ode(data, zgrid, valid, target, tol,
+                                        system, hval)
     return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
                         tol=tol, points=points, valid=valid, residuals=residuals)
 
@@ -391,6 +391,7 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
     """Points and residual records of the ODE targets over the grid,
     masking valid where a hop fails.
 
+    The sweep fills one (4, ny, nx) grid with the wavefunction's entries.
     The seed column hops from z0 down column 0, one scalar propagate per
     sample, since each hop starts where the last ended.  Then the rows
     advance together, one column at a time.  The hop into each sample was
@@ -400,39 +401,22 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
     planned hops at the stage times of one full step, a (6, 4, m) table;
     per column one fancy index gathers its hops' six node tables, and
     every row's step is taken at once (lsp._unit_step_array).  A hop
-    whose step _integrate_unit would not accept as it stands, or that
-    starts elsewhere because an earlier hop of its row failed, goes
-    through the scalar propagate, so the adaptive control stays in one
-    place and the results are those of hopping sample by sample.
+    whose step _integrate_unit would not accept as it stands, or whose
+    planned start failed, goes through the scalar propagate from the
+    row's last valid sample, so the adaptive control stays in one place
+    and the results are those of hopping sample by sample.  Then one pass
+    over the valid samples, _SWEEP_ROWS rows at a time, applies _lorentz4
+    and fills the records; masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
-    shift = 0.0 if target == "h3" else 1.0
-    points = np.full((ny, nx, 4), np.nan)
-    residuals = {"det_drift": np.full((ny, nx), np.nan)}
-    record = "hyperboloid" if target == "h3" else "x0_abs"
-    residuals[record] = np.full((ny, nx), np.nan)
     hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
 
     def hop(z_from, z_to, y):
         return propagate(data, z_from, z_to, y, tol=tol, system=system, H=hval)
 
-    def emit(j, rows):
-        y = cur[:, rows]
-        x = _lorentz4(y, lam, shift)
-        points[rows, j] = np.stack(x, axis=1)
-        residuals["det_drift"][rows, j] = cabs(
-            cmul(y[0], y[3]) - cmul(y[1], y[2]) - 1.0)
-        if target == "h3":
-            residuals[record][rows, j] = (x[1] * x[1] + x[2] * x[2]
-                                          + x[3] * x[3] - x[0] * x[0]
-                                          + 1.0 / (lam * lam))
-        else:
-            residuals[record][rows, j] = np.abs(x[0])
-
-    # the wavefunction at each row's last good sample, and its column
-    cur = np.zeros((4, ny), dtype=complex)
-    last = np.zeros(ny, dtype=int)
+    # the wavefunction's row-major entries at every valid sample
+    phi = np.zeros((4, ny, nx), dtype=complex)
     y = _ID4
     cur_z = data.z0
     for i in np.flatnonzero(valid[:, 0]):
@@ -441,10 +425,9 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
         except hop_errors:
             valid[i, 0] = False
             continue
-        cur[:, i] = y
+        phi[:, i, 0] = y
         cur_z = zgrid[i, 0]
     valid[~valid[:, 0], 1:] = False
-    emit(0, np.flatnonzero(valid[:, 0]))
 
     # plan: the hop into (i, j) starts at row i's previous valid column
     cols = np.where(valid, np.arange(nx), -1)
@@ -462,26 +445,41 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
             for j in range(j0, j1):
                 lo, hi = bounds[j - j0], bounds[j - j0 + 1]
                 rows = ii[lo:hi]
-                k = np.flatnonzero(last[rows] == prev[rows, j - 1])
+                start = prev[rows, j - 1]
+                k = np.flatnonzero(valid[rows, start])
                 ynew, ok = _unit_step_array(table[:, :, lo + k],
-                                            cur[:, rows[k]], tol)
-                done = np.zeros(rows.size, dtype=bool)
-                done[k[ok]] = True
-                cur[:, rows[done]] = ynew[:, ok]
-                for n in np.flatnonzero(~done):
-                    i = rows[n]
+                                            phi[:, rows[k], start[k]], tol)
+                phi[:, rows[k[ok]], j] = ynew[:, ok]
+                # the rest start at the row's last valid sample
+                failed = np.ones(rows.size, dtype=bool)
+                failed[k[ok]] = False
+                for i in rows[failed]:
+                    last = np.flatnonzero(valid[i, :j])[-1]
                     try:
-                        y = hop(zgrid[i, last[i]], zgrid[i, j],
-                                tuple(cur[:, i].tolist()))
+                        phi[:, i, j] = hop(zgrid[i, last], zgrid[i, j],
+                                           tuple(phi[:, i, last].tolist()))
                     except hop_errors:
                         valid[i, j] = False
-                        continue
-                    cur[:, i] = y
-                    done[n] = True
-                rows = rows[done]
-                last[rows] = j
-                emit(j, rows)
-    return points, residuals
+
+        # immerse the valid samples, a block of rows at a time
+        shift = 0.0 if target == "h3" else 1.0
+        points = np.full((ny, nx, 4), np.nan)
+        drift = np.full((ny, nx), np.nan)
+        record = np.full((ny, nx), np.nan)
+        for r0 in range(0, ny, _SWEEP_ROWS):
+            block = slice(r0, r0 + _SWEEP_ROWS)
+            ok = valid[block]
+            y = phi[:, block][:, ok]
+            x = _lorentz4(y, lam, shift)
+            points[block][ok] = np.stack(x, axis=1)
+            drift[block][ok] = cabs(cmul(y[0], y[3]) - cmul(y[1], y[2]) - 1.0)
+            if target == "h3":
+                record[block][ok] = (x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
+                                     - x[0] * x[0] + 1.0 / (lam * lam))
+            else:
+                record[block][ok] = np.abs(x[0])
+    name = "hyperboloid" if target == "h3" else "x0_abs"
+    return points, {"det_drift": drift, name: record}
 
 
 # ---------------------------------------------------------------------------

@@ -428,11 +428,14 @@ def _full_coef_array(data, H):
         uz4 = cmul(0.5, cdiv(deta_a(z), ev)
                    + cdiv(cmul(pc, dpv), 1.0 + cmul(pv, pc)))
         off = cdiv(cmul(-cmul(ev, ev), dpv), m)
-        u_mat = (uz4, -off, 0.5 * m * (lam + H), -uz4)
-        vdag = (-np.conj(uz4), 0.5 * m * (lam - H), np.conj(off), np.conj(uz4))
-        dc = np.conj(d)
-        return np.stack([cmul(u, d) + cmul(v, dc) for u, v in zip(u_mat, vdag)],
-                        axis=-2)
+        # U d + V^H conj(d), two stacked products (real entries get imag
+        # +0.0, as in cmul) summed in place, so U's stack is freed early
+        entries = cmul(np.stack((uz4, -off, 0.5 * m * (lam + H), -uz4),
+                                axis=-2), d)
+        entries += cmul(np.stack((-np.conj(uz4), 0.5 * m * (lam - H),
+                                  np.conj(off), np.conj(uz4)), axis=-2),
+                        np.conj(d))
+        return entries
 
     return coef
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._carith import cdiv, cmul
+from ._carith import cabs, cdiv, cmul
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -136,10 +136,6 @@ def erf_array(z, tol=1e-12):
     return out.reshape(z.shape)
 
 
-def _abs(x):
-    return np.hypot(x.real, x.imag)
-
-
 def _erf_scaled_array(z, z2, tol):
     # _erf_scaled on each element; an element's value is taken when its
     # own stopping rule first holds
@@ -149,13 +145,13 @@ def _erf_scaled_array(z, z2, tol):
     w = cmul(2.0, z2)
     term = np.ones(z.shape, dtype=complex)
     total = term
-    apref = _abs(pref)
-    aw = _abs(w)
+    apref = cabs(pref)
+    aw = cabs(w)
     for k in range(1, _MAX_TERMS + 1):
         term = cdiv(cmul(term, w), 2 * k + 1)
         total = total + term
         ratio = aw / (2 * k + 3)
-        tail = _abs(term) * ratio / (1.0 - ratio)
+        tail = cabs(term) * ratio / (1.0 - ratio)
         done = pending & (ratio < 1.0) & (apref * tail <= 0.5 * tol)
         if done.any():
             out[done] = cmul(pref[done], total[done])
@@ -173,13 +169,13 @@ def _erf_maclaurin_array(z, z2, tol):
     total = z
     power = z
     mz2 = -z2
-    az2 = _abs(z2)
+    az2 = cabs(z2)
     for k in range(1, _MAX_TERMS + 1):
         power = cdiv(cmul(power, mz2), k)
         term = cdiv(power, 2 * k + 1)
         total = total + term
-        nxt = _abs(power) * az2 / ((k + 1) * (2 * k + 3))
-        done = pending & (nxt < _abs(term)) & (pref * nxt <= 0.5 * tol)
+        nxt = cabs(power) * az2 / ((k + 1) * (2 * k + 3))
+        done = pending & (nxt < cabs(term)) & (pref * nxt <= 0.5 * tol)
         if done.any():
             out[done] = cmul(pref, total[done])
             pending &= ~done

@@ -77,6 +77,47 @@ class TestUsage(CliCase):
         self.assertEqual(echo["params"], {"a": [0.1, 0.0]})
 
 
+class TestNonFinite(CliCase):
+    """nan and inf parse as floats; every number the CLI takes must be
+    finite, or the command stops with a usage error before sampling."""
+
+    def run_stderr(self, *argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(list(argv), stream=io.StringIO())
+        return code, err.getvalue()
+
+    def test_generate_rejects_non_finite(self):
+        mesh = self.path("mesh.obj")
+        for extra in (["--lambda", "nan"], ["--lambda", "inf"],
+                      ["--z0", "nan"], ["--domain=-inf:1:-1:1"],
+                      ["--param", "a=nan"]):
+            code, err = self.run_stderr(
+                "generate", "--eta", "1+a*z", "--psi", "z", "--param", "a=0.1",
+                *SMALL, *extra, "--out", mesh,
+                "--report", self.path("report.json"))
+            self.assertEqual(code, 1, extra)
+            self.assertIn("finite", err, extra)
+            self.assertNotIn("Warning", err, extra)
+            self.assertFalse(os.path.exists(mesh), extra)
+
+    def test_limit_rejects_infinite_lambda(self):
+        code, err = self.run_stderr("limit", "--eta", "1", "--psi", "z",
+                                    "--lambdas", "inf,1,0.1")
+        self.assertEqual(code, 1)
+        self.assertIn("--lambdas", err)
+        self.assertNotIn("StepUnderflow", err)
+
+    def test_config_file_rejects_non_finite(self):
+        with open(self.path("run.cfg"), "w") as fh:
+            fh.write("eta = 1\npsi = z\nlambda = inf\n")
+        code, err = self.run_stderr("generate", "--config", self.path("run.cfg"),
+                                    *SMALL, "--report", self.path("report.json"))
+        self.assertEqual(code, 1)
+        self.assertIn("finite", err)
+        self.assertFalse(os.path.exists(self.path("report.json")))
+
+
 class TestGenerate(CliCase):
     def test_obj_and_report(self):
         code, text = run_cli("generate", "--eta", "1", "--psi", "z", *SMALL,

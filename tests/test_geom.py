@@ -3,14 +3,17 @@
 import cmath
 import math
 import unittest
+from unittest import mock
 
 import numpy as np
 
+import solsurf.geom
 from solsurf.expr import parse
 from solsurf.geom import (DomainError, WeierstrassData, SurfaceFields,
                           weierstrass_solution, fields_from_weierstrass,
                           wirtinger_dz, wirtinger_dzbar, mixed_dzdzbar,
-                          gmc_residual, build_UV, zero_curvature_residual)
+                          gmc_residual, build_UV, zero_curvature_residual,
+                          wirtinger_pair)
 
 DATASETS = [
     ("1", "z", 1.0),
@@ -145,6 +148,78 @@ class TestLaxPair(unittest.TestCase):
             worst = max(worst, float(np.max(np.abs(
                 zero_curvature_residual(broken, z)))))
         self.assertGreater(worst, 1e-2)
+
+
+def _old_derivative(f, z, h, k):
+    """The former per-derivative stencil, d/dz (k = 0) or d/dzbar (k = 1)
+    of f alone, Richardson-extrapolated."""
+    def once(step):
+        vals = [np.asarray(f(p), dtype=complex)
+                for p in (z + step, z - step, z + 1j * step, z - 1j * step)]
+        return wirtinger_pair(*vals, step)[k]
+
+    return (4.0 * once(0.5 * h) - once(h)) / 3.0
+
+
+def _two_function_residual(source, z, h=1e-4):
+    """zero_curvature_residual in its former form: U and V^H as two
+    functions, each with its own stencil (18 build_UV calls)."""
+    if isinstance(source, WeierstrassData):
+        fields = fields_from_weierstrass(source)
+    else:
+        fields = source
+    if fields.u_z is not None:
+        u_z = fields.u_z
+    else:
+        def u_z(w):
+            return complex(_old_derivative(fields.u, w, h, 0))
+
+    def ufun(w):
+        return build_UV(fields, u_z(w), w)[0]
+
+    def vdfun(w):
+        return build_UV(fields, u_z(w), w)[1].conj().T
+
+    z = complex(z)
+    du = _old_derivative(ufun, z, h, 1)
+    dv = _old_derivative(vdfun, z, h, 0)
+    uu = ufun(z)
+    vv = vdfun(z)
+    return du - dv + uu @ vv - vv @ uu
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+class TestOneStencil(unittest.TestCase):
+    """zero_curvature_residual differences the stack (U, V^H) once."""
+
+    POINTS = [complex(x, y) for x in (-0.3, -0.1, 0.1, 0.3)
+              for y in (-0.25, -0.05, 0.05, 0.2, 0.3)]
+
+    def sources(self):
+        data = make_data("1+0.3*z", "z^2", 0.7)
+        base = fields_from_weierstrass(make_data("exp(z/4)", "0.5*z", 1.3))
+        # without u_z, u is differenced as well
+        no_uz = SurfaceFields(u=base.u, Q=base.Q, H=base.H, lam=base.lam)
+        return (("data", data), ("fields without u_z", no_uz))
+
+    def test_bitwise_equal_to_two_function_form(self):
+        self.assertEqual(len(self.POINTS), 20)
+        for label, source in self.sources():
+            for z in self.POINTS:
+                got = zero_curvature_residual(source, z)
+                want = _two_function_residual(source, z)
+                np.testing.assert_array_equal(_bits(got), _bits(want),
+                                              "%s at %r" % (label, z))
+
+    def test_nine_build_UV_calls_per_point(self):
+        for label, source in self.sources():
+            with mock.patch.object(solsurf.geom, "build_UV",
+                                   wraps=build_UV) as counting:
+                zero_curvature_residual(source, 0.2 + 0.1j)
+            self.assertEqual(counting.call_count, 9, label)
 
 
 class TestWeierstrassData(unittest.TestCase):

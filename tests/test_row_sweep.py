@@ -479,5 +479,34 @@ class TestOnePassTables(unittest.TestCase):
             self.assertEqual(calls, [(6, 1)] * blocks, target)
 
 
+class TestImmersionPass(unittest.TestCase):
+    """The ODE sampler integrates the whole grid first and then applies the
+    immersion formula in one pass per block of _SWEEP_ROWS rows."""
+
+    def test_masked_samples_hold_plain_nan(self):
+        # the formula never runs on a masked sample, whose NaN entries it
+        # would turn into -NaN (X2 = -p_im / lambda)
+        nan_bits = _bits(np.nan)
+        data, domain = _data("pole_on_sample")
+        for target, record in (("h3", "hyperboloid"), ("e3-limit", "x0_abs")):
+            patch = sample_surface(data, domain, target)
+            masked = ~patch.valid
+            self.assertTrue(masked.any(), target)
+            for label, grid in (("points", patch.points[masked]),
+                                ("det_drift", patch.residuals["det_drift"][masked]),
+                                (record, patch.residuals[record][masked])):
+                self.assertTrue(np.all(_bits(grid) == nan_bits),
+                                "%s %s" % (target, label))
+
+    def test_one_immersion_call_per_block_of_rows(self):
+        data, domain = _data("clean")
+        self.assertEqual(domain.ny, 17)
+        with mock.patch.object(solsurf.immersion, "_lorentz4",
+                               wraps=_lorentz4) as counting:
+            patch = sample_surface(data, domain, "h3")
+        self.assertTrue(patch.valid.all())
+        self.assertEqual(counting.call_count, -(-domain.ny // _SWEEP_ROWS))
+
+
 if __name__ == "__main__":
     unittest.main()
