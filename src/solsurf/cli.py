@@ -371,30 +371,27 @@ def _sample_points(domain, per_axis):
     return [complex(x, y) for y in ys for x in xs]
 
 
-def _battery(data, patch, cfg, perturb=False):
+def _battery(patch, perturb=False):
     """The named residual checks for a sampled patch."""
-    domain = patch.domain
-    tol = float(cfg["tol"])
-    target = patch.target
+    data, domain, target = patch.data, patch.domain, patch.target
     lam = data.lam
     checks = {}
 
+    fields = fields_from_weierstrass(data)
     if perturb:
-        base = fields_from_weierstrass(data, H=lam)
-        bu, bq = base.u, base.Q
+        bq = fields.Q
         fields = SurfaceFields(
-            u=bu, Q=lambda z: bq(z) + 0.1 * z.conjugate(), H=lam, lam=lam)
-    else:
-        fields = fields_from_weierstrass(data, H=lam)
+            u=fields.u, Q=lambda z: bq(z) + 0.1 * z.conjugate(), H=lam,
+            lam=lam)
 
-    pts = _sample_points(domain, min(int(cfg["res"]), 10))
+    pts = _sample_points(domain, min(domain.nx, 10))
     gmc_vals = []
     zc_vals = []
     for z in pts:
         try:
             r1, r2 = gmc_residual(fields, z)
             gmc_vals.append(max(abs(r1), abs(r2)))
-            rz = zero_curvature_residual(fields if perturb else data, z, H=lam)
+            rz = zero_curvature_residual(fields, z)
             zc_vals.append(float(np.max(np.abs(rz))))
         except Exception:
             continue
@@ -412,7 +409,7 @@ def _battery(data, patch, cfg, perturb=False):
     for w in mids:
         try:
             r = gauge_equivalence_residual(data, PathSpec.line(data.z0, w),
-                                           tol=min(tol, 1e-10), H=lam)
+                                           tol=min(patch.tol, 1e-10))
             g_res.append(max(r["dz_residual"], r["dzbar_residual"]))
             g_uni.append(r["m_unitarity"])
             g_inv.append(r["trdet_drift"])
@@ -438,7 +435,7 @@ def _battery(data, patch, cfg, perturb=False):
         checks["hyperboloid"] = _check(np.abs(vals), 1e-6)
     if "det_drift" in patch.residuals:
         vals = patch.residuals["det_drift"][patch.valid]
-        checks["det_drift"] = _check(vals, max(1e-6, 100.0 * tol))
+        checks["det_drift"] = _check(vals, max(1e-6, 100.0 * patch.tol))
     if "x0_abs" in patch.residuals:
         vals = patch.residuals["x0_abs"][patch.valid]
         checks["x0_limit"] = _check(vals, 10.0 * abs(lam) + 1e-8)
@@ -560,7 +557,7 @@ def cmd_sample(cfg, stream, start, command):
     data = _load_data(cfg)
     domain = _domain_rect(cfg)
     patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]))
-    checks = _battery(data, patch, cfg,
+    checks = _battery(patch,
                       perturb=command == "verify" and bool(cfg.get("perturb")))
     if command == "generate" and cfg.get("out"):
         _write_mesh(patch, cfg["out"], stream)
@@ -655,9 +652,7 @@ def cmd_ode_erf(cfg, stream, start):
     patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=lam,
                                 domain=domain, tol=tol)
     data = patch.data
-    cfg2 = dict(cfg)
-    cfg2["target"] = "h3"
-    checks = _battery(data, patch, cfg2)
+    checks = _battery(patch)
 
     # the defining cancellation: lambda eta^2 psi' is the constant 2n
     eta_f, _, _, dpsi_f = data.functions()

@@ -341,12 +341,11 @@ def _sample_direct(data, zgrid, valid, tol):
     return points
 
 
-def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
-                   system=None):
+def sample_surface(data, domain, target, tol=1e-8, threads=1, system=None):
     """Sample the immersion over a rectangular grid into a SurfacePatch.
 
-    target 'h3' integrates the full system and applies the Sym-type
-    formula; 'e3-limit' integrates the reduced system and applies the
+    target 'h3' integrates the full system at H = lambda and applies the
+    Sym-type formula; 'e3-limit' integrates the reduced system and applies the
     shifted formula; 'e3-direct' accumulates the classical integral.
     Residual records: 'hyperboloid' and 'det_drift' for h3, 'x0_abs' and
     'det_drift' for the limit target.
@@ -380,14 +379,13 @@ def sample_surface(data, domain, target, tol=1e-8, H=None, threads=1,
     if target == "e3-direct":
         points, residuals = _sample_direct(data, zgrid, valid, tol), {}
     else:
-        hval = lam if H is None else float(H)
         points, residuals = _sample_ode(data, zgrid, valid, target, tol,
-                                        system, hval)
+                                        system)
     return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
                         tol=tol, points=points, valid=valid, residuals=residuals)
 
 
-def _sample_ode(data, zgrid, valid, target, tol, system, hval):
+def _sample_ode(data, zgrid, valid, target, tol, system):
     """Points and residual records of the ODE targets over the grid,
     masking valid where a hop fails.
 
@@ -413,7 +411,7 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
     hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
 
     def hop(z_from, z_to, y):
-        return propagate(data, z_from, z_to, y, tol=tol, system=system, H=hval)
+        return propagate(data, z_from, z_to, y, tol=tol, system=system)
 
     # the wavefunction's row-major entries at every valid sample
     phi = np.zeros((4, ny, nx), dtype=complex)
@@ -432,7 +430,7 @@ def _sample_ode(data, zgrid, valid, target, tol, system, hval):
     # plan: the hop into (i, j) starts at row i's previous valid column
     cols = np.where(valid, np.arange(nx), -1)
     prev = np.maximum.accumulate(cols, axis=1)[:, :-1]
-    coef = _segment_coefs_array(data, system, hval)
+    coef = _segment_coefs_array(data, system)
     with np.errstate(all="ignore"):
         for j0 in range(1, nx, _SWEEP_ROWS):
             j1 = min(j0 + _SWEEP_ROWS, nx)

@@ -67,7 +67,7 @@ class IncompatibleSystem(ValueError):
 
 
 class BranchAmbiguity(ArithmeticError):
-    """Square-root branch tracking lost continuity (eta hit a zero)."""
+    """The gauge is undefined: eta vanishes at z0 or at z."""
 
 
 @dataclass
@@ -440,7 +440,7 @@ def _full_coef_array(data, H):
     return coef
 
 
-def _segment_coefs_array(data, system, H):
+def _segment_coefs_array(data, system, H=None):
     """The array form of _segment_coefs: (a, d, t) -> the chosen system's
     coefficient entries, as a (4, n) array, at a + t d along each of the
     segments a -> a + d; a t of shape (k, 1) gives a (k, 4, n) array, the
@@ -564,20 +564,21 @@ def picard_series(data, z, order, tol=1e-10):
 # ---------------------------------------------------------------------------
 # gauge transform
 
-def _principal_half_phase(wv):
-    # the principal square root of the unit number wv/|wv| conj-reflected:
-    # returns exp(i arg(wv)/2) with arg in (-pi, pi]
-    return cmath.exp(0.5j * cmath.phase(wv))
-
-
 def gauge_matrix(data, z, branch_seed=None):
     """SU(2) gauge matrix
 
         M = (1 + psi conj(psi))^{-1/2} [[conj(s psi), s], [-conj(s), s psi]]
 
-    with s = (eta/conj(eta))^{1/2}, the square-root branch continued along
-    the straight path z0 -> z by nearest-phase tracking.  branch_seed,
-    when given, selects the root at z0 (default: principal).
+    with s a square root of eta/conj(eta).  Every continuous root is
+    s = sigma eta/|eta| for one fixed sign sigma, so M is a function of z
+    alone, with no branch to continue:
+
+        M = sigma e^{-u/4} [[conj(eta psi), eta], [-conj(eta), eta psi]],
+        e^{u/2} = |eta|^2 (1 + |psi|^2).
+
+    sigma is fixed at z0: the sign that makes s(z0) the principal root of
+    eta/conj(eta), or that makes s(z0) = branch_seed when given.
+    BranchAmbiguity where eta vanishes at z0 or at z, where no root exists.
 
     M conjugates the full system at H = lambda into the reduced holomorphic
     one: M Phi solves dG/dz = lambda eta^2 [[psi,-1],[psi^2,-psi]] G with
@@ -586,65 +587,38 @@ def gauge_matrix(data, z, branch_seed=None):
     """
     eta_f, _, psi_f, _ = data.functions()
     z = complex(z)
-    z0 = data.z0
-    try:
-        e0 = eta_f(z0)
-    except EVAL_ERRORS as exc:
-        raise DomainError("eta not evaluable at base point %r: %s" % (z0, exc)) from exc
-    if e0 == 0.0 or abs(e0) < 1e-300:
-        raise BranchAmbiguity("eta vanishes at the base point %r" % (z0,))
-    s = _principal_half_phase(e0 / e0.conjugate())
-    if branch_seed is not None:
-        seed = complex(branch_seed)
-        if seed == 0.0:
+    e0 = _eta_nonzero(eta_f, data.z0, "the base point")
+    if branch_seed is None:
+        s0 = cmath.exp(0.5j * cmath.phase(e0 / e0.conjugate()))
+    else:
+        s0 = complex(branch_seed)
+        if s0 == 0.0:
             raise ValueError("branch_seed must be a nonzero phase")
-        seed = seed / abs(seed)
-        if abs(seed * seed - e0 / e0.conjugate()) > 1e-6:
+        s0 = s0 / abs(s0)
+        if abs(s0 * s0 - e0 / e0.conjugate()) > 1e-6:
             raise ValueError("branch_seed is not a square root of eta/conj(eta) at z0")
-        s = seed
-    s = _track_branch(eta_f, z0, z, s, 64)
+    sigma = 1.0 if (s0 * e0.conjugate()).real > 0 else -1.0
+    ev = _eta_nonzero(eta_f, z, "z =")
     try:
         pv = psi_f(z)
     except EVAL_ERRORS as exc:
         raise DomainError("psi not evaluable at %r: %s" % (z, exc)) from exc
-    return _gauge_from_parts(s, pv)
+    s = sigma * ev / abs(ev)
+    sc = s.conjugate()
+    denom = math.sqrt(1.0 + (pv * pv.conjugate()).real)
+    return np.array([[sc * pv.conjugate(), s],
+                     [-sc, s * pv]], dtype=complex) / denom
 
 
-def _track_branch(eta_f, z_from, z_to, s, steps):
-    """Continue s = (eta/conj(eta))^{1/2} from z_from to z_to.
-
-    Nearest-phase selection per step; if the phase moves too fast to
-    disambiguate, the stepping is refined, and a genuine zero crossing of
-    eta raises BranchAmbiguity.
-    """
-    if z_to == z_from:
-        return s
-    while steps <= 4096:
-        cur = s
-        ok = True
-        for k in range(1, steps + 1):
-            zk = z_from + (z_to - z_from) * (k / steps)
-            try:
-                ev = eta_f(zk)
-            except EVAL_ERRORS as exc:
-                raise BranchAmbiguity("eta not evaluable at %r while tracking "
-                                      "the root branch: %s" % (zk, exc)) from exc
-            if abs(ev) < 1e-300:
-                raise BranchAmbiguity("eta vanishes near %r; square-root branch "
-                                      "undefined through a zero" % (zk,))
-            cand = _principal_half_phase(ev / ev.conjugate())
-            d_plus = abs(cand - cur)
-            d_minus = abs(cand + cur)
-            if min(d_plus, d_minus) > 1.2:
-                # phase advanced close to pi/2 in one step: undersampled
-                ok = False
-                break
-            cur = cand if d_plus <= d_minus else -cand
-        if ok:
-            return cur
-        steps *= 2
-    raise BranchAmbiguity("branch tracking failed to stabilize between %r and %r"
-                          % (z_from, z_to))
+def _eta_nonzero(eta_f, z, where):
+    try:
+        ev = eta_f(z)
+    except EVAL_ERRORS as exc:
+        raise DomainError("eta not evaluable at %s %r: %s" % (where, z, exc)) from exc
+    if abs(ev) < 1e-300:
+        raise BranchAmbiguity("eta vanishes at %s %r, where the gauge is "
+                              "undefined" % (where, z))
+    return ev
 
 
 def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
@@ -661,14 +635,9 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
     defect, and the worst tr/det drift between Phi^H Phi and G^H G.
     """
     path.validate()
-    eta_f, _, psi_f, _ = data.functions()
     z0 = path.points[0]
     hval = data.lam if H is None else float(H)
-
-    m0 = gauge_matrix(data, z0)
-    m0_inv = m0.conj().T          # unitary
-    e0 = eta_f(z0)
-    s = _principal_half_phase(e0 / e0.conjugate())
+    m0_inv = gauge_matrix(data, z0).conj().T          # unitary
 
     y = _ID4
     prev = z0
@@ -680,30 +649,26 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
             if target != prev:
                 y = propagate(data, prev, target, y, tol=tol, system="full",
                               H=hval)
-                s = _track_branch(eta_f, prev, target, s, 16)
                 prev = target
         phi_mid = _to_matrix(y)
 
-        def g_at(w, y_mid=y, s_mid=s, zc=mid):
+        def g_at(w, y_mid=y, zc=mid):
             yw = propagate(data, zc, w, y_mid, tol=tol, system="full", H=hval)
-            sw = _track_branch(eta_f, zc, w, s_mid, 4)
-            mw = _gauge_from_parts(sw, psi_f(w))
-            return (mw @ _to_matrix(yw)) @ m0_inv
+            return (gauge_matrix(data, w) @ _to_matrix(yw)) @ m0_inv
 
         ge = g_at(mid + h)
         gw = g_at(mid - h)
         gn = g_at(mid + 1j * h)
         gs = g_at(mid - 1j * h)
-        gc = g_at(mid)
+        m_mid = gauge_matrix(data, mid)
+        gc = (m_mid @ phi_mid) @ m0_inv
         gz, gzb = wirtinger_pair(ge, gw, gn, gs, h)
         gc_inv = np.linalg.inv(gc)
         a_mat = reduced_coefficient(data, mid)
-        pv = psi_f(mid)
         out["dz_residual"] = max(out["dz_residual"],
                                  float(np.max(np.abs(gz @ gc_inv - a_mat))))
         out["dzbar_residual"] = max(out["dzbar_residual"],
                                     float(np.max(np.abs(gzb @ gc_inv))))
-        m_mid = _gauge_from_parts(s, pv)
         out["m_unitarity"] = max(out["m_unitarity"],
                                  float(np.max(np.abs(m_mid.conj().T @ m_mid - np.eye(2)))))
         p_full = phi_mid.conj().T @ phi_mid
@@ -713,9 +678,3 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
                                  abs(np.linalg.det(p_full) - np.linalg.det(p_gauge)))
     return out
 
-
-def _gauge_from_parts(s, pv):
-    denom = math.sqrt(1.0 + (pv * pv.conjugate()).real)
-    sc = s.conjugate()
-    return np.array([[sc * pv.conjugate(), s],
-                     [-sc, s * pv]], dtype=complex) / denom

@@ -133,7 +133,8 @@ class TestGenerate(CliCase):
                      "gauge_equivalence", "gauge_unitarity", "gauge_invariants",
                      "conformality", "mean_curvature", "loop_period"):
             self.assertTrue(rep["checks"][name]["pass"], name)
-        lines = open(self.path("mesh.obj")).read().splitlines()
+        with open(self.path("mesh.obj")) as fh:
+            lines = fh.read().splitlines()
         nv = sum(1 for l in lines if l.startswith("v "))
         nf = sum(1 for l in lines if l.startswith("f "))
         self.assertEqual(nv, 17 * 17)
@@ -145,7 +146,8 @@ class TestGenerate(CliCase):
         code, _ = run_cli("generate", "--eta", "1", "--psi", "z", *SMALL,
                           "--out", self.path("mesh.ply"))
         self.assertEqual(code, 0)
-        head = open(self.path("mesh.ply")).read()
+        with open(self.path("mesh.ply")) as fh:
+            head = fh.read()
         self.assertTrue(head.startswith("ply\nformat ascii 1.0\n"))
         self.assertIn("element vertex %d" % (17 * 17), head)
         self.assertIn("property float x0", head)

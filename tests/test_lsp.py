@@ -144,6 +144,50 @@ class TestPicardSeries(unittest.TestCase):
         self.assertGreater(err2, err6)
 
 
+def _track_branch(eta_f, z_from, z_to, s, steps):
+    """The gauge's former root continuation: s = (eta/conj(eta))^{1/2}
+    carried from z_from to z_to by nearest-phase steps, refined while a
+    step moves the phase too far to tell the two roots apart."""
+    if z_to == z_from:
+        return s
+    while steps <= 4096:
+        cur = s
+        ok = True
+        for k in range(1, steps + 1):
+            ev = eta_f(z_from + (z_to - z_from) * (k / steps))
+            if abs(ev) < 1e-300:
+                raise BranchAmbiguity("eta vanishes on the path")
+            cand = cmath.exp(0.5j * cmath.phase(ev / ev.conjugate()))
+            d_plus = abs(cand - cur)
+            d_minus = abs(cand + cur)
+            if min(d_plus, d_minus) > 1.2:
+                ok = False
+                break
+            cur = cand if d_plus <= d_minus else -cand
+        if ok:
+            return cur
+        steps *= 2
+    raise BranchAmbiguity("branch tracking failed to stabilize")
+
+
+def _continued_gauge(data, points, branch_seed=None):
+    """The gauge matrix with its root continued from z0 through points,
+    as the former gauge_matrix did along the straight path z0 -> z."""
+    eta_f, _, psi_f, _ = data.functions()
+    e0 = eta_f(data.z0)
+    s = cmath.exp(0.5j * cmath.phase(e0 / e0.conjugate()))
+    if branch_seed is not None:
+        s = complex(branch_seed) / abs(branch_seed)
+    prev = data.z0
+    for z in points:
+        s = _track_branch(eta_f, prev, complex(z), s, 64)
+        prev = complex(z)
+    pv = psi_f(prev)
+    sc = s.conjugate()
+    return np.array([[sc * pv.conjugate(), s], [-sc, s * pv]],
+                    dtype=complex) / math.sqrt(1.0 + abs(pv) ** 2)
+
+
 class TestGaugeTransform(unittest.TestCase):
     DATA = make_data("1+0.2*z", "z^2", 0.7)
 
@@ -170,10 +214,35 @@ class TestGaugeTransform(unittest.TestCase):
         s = m[0, 1] * math.sqrt(1.0 + abs(z) ** 2)
         self.assertLess(abs(s + 1.0), 1e-6)
 
-    def test_zero_crossing_refused(self):
+    def test_closed_form_matches_continued_root(self):
+        # straight paths, detours above and below the zero of z-1 to z = 2
+        # (the straight path crosses it), a loop around both zeros of
+        # z^2-0.25 and a path part way around one, the winding root of
+        # exp(2iz), and a seeded sign: every continuation lands on the
+        # closed form
+        cases = [("1+0.2*z", (0.5 + 0.4j,), None),
+                 ("1+0.2*z", (-0.3 + 0.2j,), None),
+                 ("1+0.2*z", (1.1,), -1.0),
+                 ("z-1", (1 + 1j, 2.0), None),
+                 ("z-1", (1 - 1j, 2.0), None),
+                 ("z-1", (1 + 1j, 2.0), -1.0),
+                 ("z^2-0.25", (1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j, 0.3j), None),
+                 ("z^2-0.25", (0.25j, 0.75 + 0.25j, 0.75 - 0.25j, 0.1 - 0.25j),
+                  None),
+                 ("exp(2*i*z)", (0.5 * math.pi,), None)]
+        for eta, points, seed in cases:
+            data = make_data(eta, "z", 0.7)
+            want = _continued_gauge(data, points, seed)
+            got = gauge_matrix(data, points[-1], branch_seed=seed)
+            self.assertLess(np.max(np.abs(got - want)), 1e-13, (eta, points, seed))
+
+    def test_eta_zero_refused(self):
         data = make_data("z-1", "z", 1.0)
         with self.assertRaises(BranchAmbiguity):
-            gauge_matrix(data, 2.0)
+            gauge_matrix(data, 1.0)
+        at_zero = make_data("z-1", "z", 1.0, z0=1.0)
+        with self.assertRaises(BranchAmbiguity):
+            gauge_matrix(at_zero, 0.5)
 
     def test_equivalence_residual_three_paths(self):
         end = 0.5 + 0.4j

@@ -1,9 +1,12 @@
-"""README's library quickstart, run as written."""
+"""README's library quickstart and command lines, run as written."""
 
 import contextlib
 import io
 import os
 import re
+import shlex
+
+from solsurf import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -28,3 +31,31 @@ def test_library_quickstart_runs(tmp_path, monkeypatch):
     assert h_dev < 1e-5
     with open(tmp_path / "patch.obj") as fh:
         assert sum(line.startswith("v ") for line in fh) == 41 * 41
+
+
+def command_lines():
+    """Each `solsurf ...` line of the Command line section, with its
+    backslash continuations joined."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("solsurf "):
+                lines.append(line)
+    return lines
+
+
+def test_command_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = command_lines()
+    assert len(lines) == 7
+    for line in lines:
+        # the documented exit code: 2 where the line says so, else 0
+        want = 2 if "exits 2" in line else 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(shlex.split(line, comments=True)[1:])
+        assert code == want, line
+    for name in ("patch.obj", "report.json", "erf.ply"):
+        assert (tmp_path / name).stat().st_size > 0, name

@@ -64,12 +64,11 @@ def _old_lorentz4(y, lam, shift=0.0):
             -p12.imag / lam, 0.5 * (q11 - q22) / lam)
 
 
-def per_hop_reference(data, domain, target, tol=1e-8, H=None, system=None):
+def per_hop_reference(data, domain, target, tol=1e-8, system=None):
     """The sampler's former loop for the ODE targets: one scalar propagate
     per sample along the seed column and then along each row.  Returns
     (points, valid, residuals)."""
     lam = data.lam
-    hval = lam if H is None else float(H)
     if system is None:
         system = "full" if target == "h3" else "reduced"
     zgrid = domain.grid()
@@ -84,7 +83,7 @@ def per_hop_reference(data, domain, target, tol=1e-8, H=None, system=None):
     shift = 0.0 if target == "h3" else 1.0
 
     def hop(z_from, z_to, y):
-        return propagate(data, z_from, z_to, y, tol=tol, system=system, H=hval)
+        return propagate(data, z_from, z_to, y, tol=tol, system=system)
 
     def emit(i, j, y):
         residuals["det_drift"][i, j] = abs(y[0] * y[3] - y[1] * y[2] - 1.0)
@@ -189,16 +188,6 @@ class TestAgainstPerHopLoop(unittest.TestCase):
             for target, system in TARGETS:
                 for tol in _tols(name):
                     self.compare(name, target, system, tol)
-
-    def test_non_default_curvature(self):
-        # H enters the full system's coefficient only
-        data, domain = _data("clean")
-        got = sample_surface(data, domain, "h3", H=0.3)
-        want_p, want_v, _ = per_hop_reference(data, domain, "h3", H=0.3)
-        np.testing.assert_array_equal(got.valid, want_v)
-        np.testing.assert_array_equal(_bits(got.points), _bits(want_p))
-        self.assertFalse(np.array_equal(
-            got.points, sample_surface(data, domain, "h3").points))
 
     def test_hop_after_a_failed_hop(self):
         """After a hop fails, the row's next hop starts at the last good
