@@ -734,3 +734,7 @@ def main(argv=None, stream=None):
 
 def main_entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -27,8 +27,11 @@ integrand over the array closures and one batched quadrature.
 
 Grid sampling probes the data over the grid in array passes, integrates
 one seed column and then each row from its column-0 value.  The ODE
-targets integrate first and immerse afterwards.  They hop from sample to
-sample, each hop starting from the wavefunction at the previous one:
+targets integrate first and immerse afterwards.  Both sweep the reduced
+(holomorphic) system only; h3 moves its wavefunctions by the constant
+gauge M(z0) before the Sym-type formula, which gives the full system's
+surface (lsp.gauge_matrix).  They hop from sample to sample, each hop
+starting from the wavefunction at the previous one:
 down the seed column one scalar propagate at a time, then along all rows
 at once, one column per array pass.  Each row's hop is first tried as
 the single full Dormand-Prince step the scalar integrator starts with,
@@ -56,8 +59,9 @@ from ._carith import cabs, cmul
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import (StepUnderflow, _ID4, _UNIT_NODES, _segment_coefs_array,
-                  _unit_step_array, propagate)
+from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _UNIT_NODES,
+                  _mul4_array, _reduced_coef_array, _unit_step_array,
+                  gauge_matrix, propagate)
 
 __all__ = [
     "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
@@ -269,18 +273,17 @@ def loop_period(data, path, tol=1e-10):
 # ---------------------------------------------------------------------------
 # grid sampling
 
-def _probe_validity(data, zgrid, need_deta):
-    """Samples where eta, psi, psi' (and eta' for the full system) are
-    finite and eta is nonzero, by array evaluation over blocks of rows
-    (which bounds the temporaries of series such as erf)."""
-    eta_a, deta_a, psi_a, dpsi_a = data.array_functions()
-    others = (psi_a, dpsi_a) + ((deta_a,) if need_deta else ())
+def _probe_validity(data, zgrid):
+    """Samples where eta, psi and psi' are finite and eta is nonzero, by
+    array evaluation over blocks of rows (which bounds the temporaries of
+    series such as erf)."""
+    eta_a, _, psi_a, dpsi_a = data.array_functions()
     valid = np.empty(zgrid.shape, dtype=bool)
     for r0 in range(0, zgrid.shape[0], _SWEEP_ROWS):
         z = zgrid[r0:r0 + _SWEEP_ROWS]
         ev = eta_a(z)
         ok = np.isfinite(ev) & (ev != 0.0)
-        for f in others:
+        for f in (psi_a, dpsi_a):
             ok &= np.isfinite(f(z))
         valid[r0:r0 + _SWEEP_ROWS] = ok
     return valid
@@ -344,22 +347,23 @@ def _sample_direct(data, zgrid, valid, tol):
 def sample_surface(data, domain, target, tol=1e-8, threads=1, system=None):
     """Sample the immersion over a rectangular grid into a SurfacePatch.
 
-    target 'h3' integrates the full system at H = lambda and applies the
-    Sym-type formula; 'e3-limit' integrates the reduced system and applies the
-    shifted formula; 'e3-direct' accumulates the classical integral.
-    Residual records: 'hyperboloid' and 'det_drift' for h3, 'x0_abs' and
-    'det_drift' for the limit target.
-
-    system overrides the linear system for the h3 target: 'reduced' uses
-    the holomorphic form, whose Sym-type image is the same surface moved
-    by one global isometry (the gauge between the systems is unitary).
+    target 'h3' is the Sym-type formula of the full system at H = lambda;
+    'e3-limit' is the shifted formula of the reduced system; 'e3-direct'
+    accumulates the classical integral.  Both ODE targets integrate the
+    reduced (holomorphic) system Psi.  The full system's Phi is
+    M(z)^{-1} Psi M(z0) with the gauge M unitary, so h3 is the Sym-type
+    image of Psi M(z0): the holomorphic sweep moved by the Lorentz
+    isometry rho(M(z0)) of mcore.rho_action.  Where the gauge is undefined
+    at z0, every h3 sample is masked.  system='reduced' makes h3 omit the
+    move.  Residual records: 'hyperboloid' and 'det_drift' for h3,
+    'x0_abs' and 'det_drift' for the limit target.
 
     The grid is probed first, by array evaluation of the data: points
-    where it is not finite, or eta vanishes, are masked, as are points
-    whose hop fails.  The ODE targets hop sample by sample down the seed
-    column and then along all rows at once, a column at a time, with the
-    scalar integrator only for the hops that one full step does not
-    settle, and then apply the formula (see _sample_ode); e3-direct
+    where eta, psi or psi' is not finite, or eta vanishes, are masked, as
+    are points whose hop fails.  The ODE targets hop sample by sample down
+    the seed column and then along all rows at once, a column at a time,
+    with the scalar integrator only for the hops that one full step does
+    not settle, and then apply the formula (see _sample_ode); e3-direct
     integrates the seed column and then each row as one batch of
     quadratures (see _direct_run).
 
@@ -375,7 +379,7 @@ def sample_surface(data, domain, target, tol=1e-8, threads=1, system=None):
     elif target != "h3" or system not in ("full", "reduced"):
         raise ValueError("system override applies to the h3 target only")
     zgrid = domain.grid()
-    valid = _probe_validity(data, zgrid, need_deta=(system == "full"))
+    valid = _probe_validity(data, zgrid)
     if target == "e3-direct":
         points, residuals = _sample_direct(data, zgrid, valid, tol), {}
     else:
@@ -402,16 +406,24 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     whose step _integrate_unit would not accept as it stands, or whose
     planned start failed, goes through the scalar propagate from the
     row's last valid sample, so the adaptive control stays in one place
-    and the results are those of hopping sample by sample.  Then one pass
-    over the valid samples, _SWEEP_ROWS rows at a time, applies _lorentz4
-    and fills the records; masked samples stay NaN.
+    and the results are those of hopping sample by sample.  Every hop
+    integrates the reduced system.  Then one pass over the valid samples,
+    _SWEEP_ROWS rows at a time, right-multiplies their wavefunctions by
+    M(z0) when system is 'full', applies _lorentz4 and fills the records;
+    masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
     hop_errors = (StepUnderflow, DomainError) + EVAL_ERRORS
+    m0 = None
+    if system == "full":
+        try:
+            m0 = gauge_matrix(data, data.z0).reshape(4, 1)
+        except (BranchAmbiguity, DomainError):
+            valid[:] = False
 
     def hop(z_from, z_to, y):
-        return propagate(data, z_from, z_to, y, tol=tol, system=system)
+        return propagate(data, z_from, z_to, y, tol=tol, system="reduced")
 
     # the wavefunction's row-major entries at every valid sample
     phi = np.zeros((4, ny, nx), dtype=complex)
@@ -430,7 +442,7 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     # plan: the hop into (i, j) starts at row i's previous valid column
     cols = np.where(valid, np.arange(nx), -1)
     prev = np.maximum.accumulate(cols, axis=1)[:, :-1]
-    coef = _segment_coefs_array(data, system)
+    coef = _reduced_coef_array(data)
     with np.errstate(all="ignore"):
         for j0 in range(1, nx, _SWEEP_ROWS):
             j1 = min(j0 + _SWEEP_ROWS, nx)
@@ -468,6 +480,8 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
             block = slice(r0, r0 + _SWEEP_ROWS)
             ok = valid[block]
             y = phi[:, block][:, ok]
+            if m0 is not None:
+                y = _mul4_array(y, m0)
             x = _lorentz4(y, lam, shift)
             points[block][ok] = np.stack(x, axis=1)
             drift[block][ok] = cabs(cmul(y[0], y[3]) - cmul(y[1], y[2]) - 1.0)

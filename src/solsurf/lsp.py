@@ -18,11 +18,18 @@ stage); step control is on the matrix max-norm and the determinant is
 left untouched, since raw det drift is itself a diagnostic.  propagate,
 one straight hop from a given value, is the one way into the scalar
 integrator: the path integrals and the gauge check hop segment by
-segment through it.  The grid sampler's row sweep takes the integrator's
-first step, h = 1, for many segments at once over (4, n) arrays
-(_unit_step_array, with the same stages and acceptance rule); the
+segment through it.
+
+The grid sampler sweeps the reduced system only.  The gauge of
+gauge_matrix gives Phi = M(z)^{-1} Psi M(z0) with M(z) unitary, so
+Phi^H Phi = (Psi M(z0))^H (Psi M(z0)), and the h3 surface is the reduced
+one moved by the constant M(z0); the full system stays as the
+independent check of that identity (integrate_full and
+gauge_equivalence_residual).  The sampler's row sweep takes the
+integrator's first step, h = 1, for many segments at once over (4, n)
+arrays (_unit_step_array, with the same stages and acceptance rule); the
 segments whose step is not accepted go through propagate.  The array
-coefficients take a t of any shape that broadcasts against the
+coefficient takes a t of any shape that broadcasts against the
 segments, so one call with a (6, 1) t tabulates all six stage times as
 a (6, 4, n) array, and each stage of the array step is one stacked
 product whose terms are added in the scalar term order.
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._carith import cabs, cdiv, cmul
+from ._carith import cabs, cmul
 from ._quad import QuadratureFailure, integration_matrix
 from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
                    fields_from_weierstrass, gmc_residual, wirtinger_pair)
@@ -394,7 +401,9 @@ def _segment_coefs(data, system, H):
 def _reduced_coef_array(data):
     """_reduced_coef over arrays: (a, d, t) -> the (4, n) entries at
     a + t d of the segments from a by d, NaN where the scalar closures
-    raise; products round as Python's (cmul)."""
+    raise; products round as Python's (cmul).  A t of shape (k, 1) gives
+    a (k, 4, n) array, the entries at each of the k times, in one pass
+    over the closures.  Call under np.errstate(all="ignore")."""
     eta_a, _, psi_a, _ = data.array_functions()
     lam = data.lam
 
@@ -407,48 +416,6 @@ def _reduced_coef_array(data):
         return np.stack((wp, -w, cmul(wp, pv), cmul(-w, pv)), axis=-2)
 
     return coef
-
-
-def _full_coef_array(data, H):
-    """_full_coef over arrays: (a, d, t) -> the (4, n) entries at a + t d
-    of the segments from a by d, NaN where the scalar form raises (a
-    closure, or the conformal factor check); products and quotients round
-    as Python's (cmul, cdiv)."""
-    eta_a, deta_a, psi_a, dpsi_a = data.array_functions()
-    lam = data.lam
-
-    def coef(a, d, t):
-        z = a + cmul(t, d)
-        ev = eta_a(z)
-        pv = psi_a(z)
-        dpv = dpsi_a(z)
-        pc = np.conj(pv)
-        m = cmul(ev, np.conj(ev)).real * (1.0 + cmul(pv, pc).real)
-        m = np.where((m > 0.0) & np.isfinite(m), m, np.nan)
-        uz4 = cmul(0.5, cdiv(deta_a(z), ev)
-                   + cdiv(cmul(pc, dpv), 1.0 + cmul(pv, pc)))
-        off = cdiv(cmul(-cmul(ev, ev), dpv), m)
-        # U d + V^H conj(d), two stacked products (real entries get imag
-        # +0.0, as in cmul) summed in place, so U's stack is freed early
-        entries = cmul(np.stack((uz4, -off, 0.5 * m * (lam + H), -uz4),
-                                axis=-2), d)
-        entries += cmul(np.stack((-np.conj(uz4), 0.5 * m * (lam - H),
-                                  np.conj(off), np.conj(uz4)), axis=-2),
-                        np.conj(d))
-        return entries
-
-    return coef
-
-
-def _segment_coefs_array(data, system, H=None):
-    """The array form of _segment_coefs: (a, d, t) -> the chosen system's
-    coefficient entries, as a (4, n) array, at a + t d along each of the
-    segments a -> a + d; a t of shape (k, 1) gives a (k, 4, n) array, the
-    entries at each of the k times, in one pass over the closures.  Call
-    under np.errstate(all="ignore")."""
-    if system == "reduced":
-        return _reduced_coef_array(data)
-    return _full_coef_array(data, H if H is not None else data.lam)
 
 
 def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
@@ -621,12 +588,13 @@ def _eta_nonzero(eta_f, z, where):
     return ev
 
 
-def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
+def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4):
     """Numerical check of the gauge equivalence along a path.
 
-    Propagates the full wavefunction Phi to the midpoint of every segment,
-    forms G = M Phi M(z0)^{-1}, and measures by finite differences how
-    well G solves the reduced system:
+    Propagates the full wavefunction Phi, at H = lambda (the one H the
+    gauge conjugates into the reduced system), to the midpoint of every
+    segment, forms G = M Phi M(z0)^{-1}, and measures by finite
+    differences how well G solves the reduced system:
 
         r_z    = dG/dz G^{-1} - lambda eta^2 [[psi,-1],[psi^2,-psi]]
         r_zbar = dG/dzbar G^{-1}
@@ -636,7 +604,6 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
     """
     path.validate()
     z0 = path.points[0]
-    hval = data.lam if H is None else float(H)
     m0_inv = gauge_matrix(data, z0).conj().T          # unitary
 
     y = _ID4
@@ -647,13 +614,12 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4, H=None):
         mid = 0.5 * (a + b)
         for target in (a, mid):
             if target != prev:
-                y = propagate(data, prev, target, y, tol=tol, system="full",
-                              H=hval)
+                y = propagate(data, prev, target, y, tol=tol, system="full")
                 prev = target
         phi_mid = _to_matrix(y)
 
         def g_at(w, y_mid=y, zc=mid):
-            yw = propagate(data, zc, w, y_mid, tol=tol, system="full", H=hval)
+            yw = propagate(data, zc, w, y_mid, tol=tol, system="full")
             return (gauge_matrix(data, w) @ _to_matrix(yw)) @ m0_inv
 
         ge = g_at(mid + h)

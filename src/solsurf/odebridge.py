@@ -246,10 +246,11 @@ def erf_example_surface(n, c=1.0, c1=0.0, lam=1.0, domain=None, tol=1e-8,
                         threads=1):
     """Hyperbolic surface patch of the error-function equation.
 
-    Integrates the reduced system from z0 = 1 and applies the Sym-type
-    formula; the unitarity of the gauge makes this the same surface as the
-    full-system immersion up to one global isometry.  threads is accepted
-    and ignored, as in sample_surface.
+    The h3 patch of sample_surface with system='reduced': the Sym-type
+    formula on the reduced wavefunction from z0 = 1, without the move by
+    the gauge rho(M(z0)) that the default h3 patch applies, so the
+    default patch is this surface moved by that one Lorentz isometry.
+    threads is accepted and ignored, as in sample_surface.
     """
     data = erf_example_data(n, c=c, c1=c1, lam=lam)
     if domain is None:

@@ -1,9 +1,12 @@
-"""End-to-end tests of the command line, run in process through main()."""
+"""End-to-end tests of the command line, run in process through main(),
+and through python -m in a subprocess."""
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import unittest
 
@@ -184,6 +187,28 @@ class TestVerify(CliCase):
         self.assertFalse(checks["gmc"]["pass"])
         self.assertGreater(checks["gmc"]["max"], 1e-2)
         self.assertGreater(checks["zero_curvature"]["max"], 1e-2)
+
+
+class TestModuleEntry(CliCase):
+    """python -m solsurf, and python -m solsurf.cli, run the command line
+    as the solsurf script does."""
+    SRC = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    ARGS = ["verify", "--eta", "1", "--psi", "z", "--res", "17"]
+
+    def run_module(self, module, *argv):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run([sys.executable, "-m", module, *argv],
+                              cwd=self.dir, env=env, capture_output=True,
+                              timeout=300).returncode
+
+    def test_package_runs_the_command_line(self):
+        self.assertEqual(self.run_module("solsurf", *self.ARGS), 0)
+        self.assertEqual(self.run_module("solsurf", *self.ARGS, "--perturb"), 2)
+
+    def test_cli_module_runs_the_command_line(self):
+        self.assertEqual(self.run_module("solsurf.cli", *self.ARGS,
+                                         "--perturb"), 2)
 
 
 class TestLimit(CliCase):

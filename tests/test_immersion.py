@@ -2,17 +2,20 @@
 
 import math
 import unittest
+from unittest import mock
 
 import numpy as np
 
+import solsurf.lsp
 from solsurf.expr import parse
 from solsurf.geom import WeierstrassData, weierstrass_solution
-from solsurf.lsp import PathSpec, integrate_reduced, integrate_full
+from solsurf.lsp import (PathSpec, gauge_matrix, integrate_reduced,
+                         integrate_full)
 from solsurf.immersion import (DomainRect, LambdaZero, DegenerateFrame,
                                sym_immersion, shifted_immersion,
                                enneper_weierstrass, loop_period,
                                sample_surface, frame_and_curvature)
-from solsurf.mcore import lorentz_from_hermitian
+from solsurf.mcore import lorentz_from_hermitian, rho_action
 
 ENNEPER = {"eta": parse("1"), "psi": parse("z"), "z0": 0j}
 
@@ -186,6 +189,54 @@ class TestSampleSurface(unittest.TestCase):
             sample_surface(data, dom, "e3-direct", system="full")
         with self.assertRaises(LambdaZero):
             sample_surface(enneper(0.0), dom, "h3")
+
+
+class TestH3GaugeMove(unittest.TestCase):
+    """Default h3 is the reduced system's Sym-type surface moved by the
+    constant gauge rho(M(z0)); the sampler never integrates the full
+    system."""
+
+    # (eta, psi, z0): clean data, a pole on a sample, a pole and exp
+    CASES = (("1+0.2*z", "z^2", 0j), ("1/z", "z", 0.9 + 0.9j),
+             ("exp(z)", "1/(z-0.3)", 0.1j))
+    DOM = DomainRect(-1.0, 1.0, -1.0, 1.0, 33, 33)
+
+    def data(self, eta, psi, z0):
+        return WeierstrassData(eta=parse(eta), psi=parse(psi), z0=z0, lam=0.8)
+
+    def test_h3_is_reduced_patch_moved_by_gauge_at_z0(self):
+        for eta, psi, z0 in self.CASES:
+            data = self.data(eta, psi, z0)
+            h3 = sample_surface(data, self.DOM, "h3")
+            red = sample_surface(data, self.DOM, "h3", system="reduced")
+            label = "%s %s" % (eta, psi)
+            np.testing.assert_array_equal(h3.valid, red.valid, label)
+            self.assertTrue(h3.valid.sum() > 0.9 * h3.valid.size, label)
+            m0 = gauge_matrix(data, z0)
+            for x, want in zip(h3.points[h3.valid], red.points[red.valid]):
+                moved = rho_action(m0, want)
+                self.assertLessEqual(np.max(np.abs(x - moved)),
+                                     1e-13 * np.max(np.abs(want)), label)
+
+    def test_h3_needs_no_full_system_coefficient(self):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-system coefficient built")
+
+        dom = DomainRect(-1.0, 1.0, -1.0, 1.0, 11, 11)
+        for eta, psi, z0 in self.CASES:
+            data = self.data(eta, psi, z0)
+            want = sample_surface(data, dom, "h3")
+            with mock.patch.object(solsurf.lsp, "_full_coef", refuse):
+                got = sample_surface(data, dom, "h3")
+            np.testing.assert_array_equal(got.valid, want.valid)
+            np.testing.assert_array_equal(got.points, want.points)
+
+    def test_gauge_undefined_at_z0_masks_every_sample(self):
+        data = self.data("z", "z", 0j)
+        patch = sample_surface(data, DomainRect(-0.5, 0.5, -0.5, 0.5, 9, 9),
+                               "h3")
+        self.assertFalse(bool(patch.valid.any()))
+        self.assertTrue(bool(np.isnan(patch.points).all()))
 
 
 class TestFrameAndCurvature(unittest.TestCase):

@@ -239,21 +239,29 @@ class TestDirectSampling(unittest.TestCase):
                                         ("exp(1/z)", "erf(4*z)")]
         for eta, psi in cases:
             data = self.data(eta, psi)
-            eta_f, deta_f, psi_f, dpsi_f = data.functions()
-            for need_deta in (False, True):
-                want = np.zeros(zgrid.shape, dtype=bool)
-                for (i, j), z in np.ndenumerate(zgrid):
-                    try:
-                        fs = (eta_f, psi_f, dpsi_f) + ((deta_f,) if need_deta
-                                                       else ())
-                        vals = [f(z) for f in fs]
-                    except EVAL_ERRORS:
-                        continue
-                    want[i, j] = (vals[0] != 0.0
-                                  and all(np.isfinite(v) for v in vals))
-                got = _probe_validity(data, zgrid, need_deta)
-                self.assertTrue(np.array_equal(got, want),
-                                "%s %s %s" % (eta, psi, need_deta))
+            eta_f, _, psi_f, dpsi_f = data.functions()
+            want = np.zeros(zgrid.shape, dtype=bool)
+            for (i, j), z in np.ndenumerate(zgrid):
+                try:
+                    vals = [f(z) for f in (eta_f, psi_f, dpsi_f)]
+                except EVAL_ERRORS:
+                    continue
+                want[i, j] = (vals[0] != 0.0
+                              and all(np.isfinite(v) for v in vals))
+            got = _probe_validity(data, zgrid)
+            self.assertTrue(np.array_equal(got, want), "%s %s" % (eta, psi))
+
+    def test_h3_masks_equal_e3_limit_masks(self):
+        # both sweep the reduced system, so singular data masks alike
+        cases = [(eta, psi, self.dom) for eta, psi in SINGULAR_CASES]
+        cases.append(("1", "log(z)", DomainRect(-1.0, 1.0, -1.0, 1.0, 17, 17)))
+        for eta, psi, dom in cases:
+            data = self.data(eta, psi)
+            for tol in (1e-8, 1e-2):
+                h3 = sample_surface(data, dom, "h3", tol=tol)
+                limit = sample_surface(data, dom, "e3-limit", tol=tol)
+                np.testing.assert_array_equal(h3.valid, limit.valid,
+                                              "%s %s tol %g" % (eta, psi, tol))
 
     def test_tolerance_below_rounding_floor_masks(self):
         # no hop can meet 1e-17, so every sample is masked; each failing

@@ -1,5 +1,7 @@
 """The batched row sweep of the ODE targets against the per-hop loop it
-replaced, which this file keeps as the reference implementation."""
+replaced, which this file keeps as the reference implementation.  Both
+integrate the reduced system only; default h3 moves it by the gauge at
+z0."""
 
 import sys
 import unittest
@@ -13,8 +15,8 @@ from solsurf.expr import parse
 from solsurf.geom import EVAL_ERRORS, DomainError, WeierstrassData
 from solsurf.immersion import DomainRect, _lorentz4, _probe_validity, sample_surface
 from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _integrate_unit,
-                         _segment_coefs, _segment_coefs_array,
-                         _unit_step_array, propagate)
+                         _mul4, _reduced_coef, _reduced_coef_array,
+                         _unit_step_array, gauge_matrix, propagate)
 from solsurf.immersion import _SWEEP_ROWS
 from solsurf.odebridge import erf_example_data
 
@@ -66,14 +68,16 @@ def _old_lorentz4(y, lam, shift=0.0):
 
 def per_hop_reference(data, domain, target, tol=1e-8, system=None):
     """The sampler's former loop for the ODE targets: one scalar propagate
-    per sample along the seed column and then along each row.  Returns
-    (points, valid, residuals)."""
+    of the reduced system per sample along the seed column and then along
+    each row; default h3 emits the wavefunction times the gauge at z0.
+    Returns (points, valid, residuals)."""
     lam = data.lam
-    if system is None:
-        system = "full" if target == "h3" else "reduced"
+    m0 = None
+    if target == "h3" and system != "reduced":
+        m0 = tuple(gauge_matrix(data, data.z0).ravel().tolist())
     zgrid = domain.grid()
     ny, nx = zgrid.shape
-    valid = _probe_validity(data, zgrid, need_deta=(system == "full"))
+    valid = _probe_validity(data, zgrid)
     points = np.full((ny, nx, 4), np.nan)
     residuals = {"det_drift": np.full((ny, nx), np.nan)}
     if target == "h3":
@@ -83,9 +87,11 @@ def per_hop_reference(data, domain, target, tol=1e-8, system=None):
     shift = 0.0 if target == "h3" else 1.0
 
     def hop(z_from, z_to, y):
-        return propagate(data, z_from, z_to, y, tol=tol, system=system)
+        return propagate(data, z_from, z_to, y, tol=tol, system="reduced")
 
     def emit(i, j, y):
+        if m0 is not None:
+            y = _mul4(y, m0)
         residuals["det_drift"][i, j] = abs(y[0] * y[3] - y[1] * y[2] - 1.0)
         x = _old_lorentz4(y, lam, shift)
         if target == "h3":
@@ -136,10 +142,11 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-def _one_step(data, system, a, b, y, tol):
-    """Whether _integrate_unit crosses the hop a -> b in one accepted step
-    of h = 1 (six coefficient calls), and its result (None if it raised)."""
-    cfun = _segment_coefs(data, system, data.lam)(complex(a), complex(b))
+def _one_step(data, a, b, y, tol):
+    """Whether _integrate_unit crosses the reduced system's hop a -> b in
+    one accepted step of h = 1 (six coefficient calls), and its result
+    (None if it raised)."""
+    cfun = _reduced_coef(data)(complex(a), complex(b))
     calls = [0]
 
     def counted(t):
@@ -242,10 +249,10 @@ class TestBatchedStep(unittest.TestCase):
         errstate.__enter__()
         self.addCleanup(errstate.__exit__, None, None, None)
 
-    def check(self, name, system, tol):
+    def check(self, name, tol):
         data, domain = _data(name)
         zgrid = domain.grid()
-        valid = _probe_validity(data, zgrid, system == "full")
+        valid = _probe_validity(data, zgrid)
         ii, jj = np.nonzero(valid[:, :-1] & valid[:, 1:])
         a, b = zgrid[ii, jj], zgrid[ii, jj + 1]
         # start values: any matrices serve; these have det 1
@@ -253,14 +260,14 @@ class TestBatchedStep(unittest.TestCase):
         y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
         y[3] = (1.0 + y[1] * y[2]) / y[0]
         starts = [tuple(col) for col in y.T.tolist()]
-        coef = _segment_coefs_array(data, system, data.lam)
+        coef = _reduced_coef_array(data)
         ynew, ok = _unit_step_array([coef(a, b - a, t) for t in _UNIT_NODES],
                                     y, tol)
         exact = CASES[name][-1]
         accepted = rejected = 0
         for k in range(len(a)):
-            one, want = _one_step(data, system, a[k], b[k], starts[k], tol)
-            label = "%s %s tol %g hop %r -> %r" % (name, system, tol, a[k], b[k])
+            one, want = _one_step(data, a[k], b[k], starts[k], tol)
+            label = "%s tol %g hop %r -> %r" % (name, tol, a[k], b[k])
             self.assertEqual(bool(ok[k]), one, label)
             if one:
                 accepted += 1
@@ -277,9 +284,8 @@ class TestBatchedStep(unittest.TestCase):
     def test_accepts_exactly_the_one_step_hops(self):
         counts = np.zeros(2, dtype=int)
         for name in CASES:
-            for system in ("full", "reduced"):
-                for tol in TOLS:
-                    counts += self.check(name, system, tol)
+            for tol in TOLS:
+                counts += self.check(name, tol)
         # both outcomes occur
         self.assertTrue(np.all(counts > 0), counts)
 
@@ -288,26 +294,25 @@ class TestBatchedStep(unittest.TestCase):
             data, domain = _data(name)
             zgrid = domain.grid()
             a, b = zgrid[:, :-1].ravel(), zgrid[:, 1:].ravel()
-            for system in ("full", "reduced"):
-                scalar = _segment_coefs(data, system, data.lam)
-                coef = _segment_coefs_array(data, system, data.lam)
-                for t in _UNIT_NODES:
-                    table = coef(a, b - a, t)
-                    for k in range(len(a)):
-                        try:
-                            want = scalar(complex(a[k]), complex(b[k]))(t)
-                        except _HOP_ERRORS:
-                            # NaN where the scalar form raises
-                            self.assertFalse(np.all(np.isfinite(table[:, k])))
-                            continue
-                        got = table[:, k].tolist()
-                        label = "%s %s t=%r at %r" % (name, system, t, a[k])
-                        if CASES[name][-1]:
-                            self.assertEqual(got, list(want), label)
-                        else:
-                            for g, w in zip(got, want):
-                                self.assertLessEqual(abs(g - w), 4e-15 * abs(w),
-                                                     label)
+            scalar = _reduced_coef(data)
+            coef = _reduced_coef_array(data)
+            for t in _UNIT_NODES:
+                table = coef(a, b - a, t)
+                for k in range(len(a)):
+                    try:
+                        want = scalar(complex(a[k]), complex(b[k]))(t)
+                    except _HOP_ERRORS:
+                        # NaN where the scalar form raises
+                        self.assertFalse(np.all(np.isfinite(table[:, k])))
+                        continue
+                    got = table[:, k].tolist()
+                    label = "%s t=%r at %r" % (name, t, a[k])
+                    if CASES[name][-1]:
+                        self.assertEqual(got, list(want), label)
+                    else:
+                        for g, w in zip(got, want):
+                            self.assertLessEqual(abs(g - w), 4e-15 * abs(w),
+                                                 label)
 
 
 class TestPropagateCalls(unittest.TestCase):
@@ -321,32 +326,30 @@ class TestPropagateCalls(unittest.TestCase):
         return counting.call_count
 
     def test_clean_data_hops_only_the_seed_column(self):
-        # hops short enough for one step at tol 1e-8 (on "clean"'s wider
-        # domain the full system's first steps are partly rejected)
+        # hops short enough for one step at tol 1e-8
         data, _ = _data("clean")
         domain = DomainRect(-0.3, 0.3, -0.3, 0.3, 17, 17)
         for target in ("h3", "e3-limit"):
             self.assertLessEqual(self.count(data, domain, target), domain.ny)
 
     def test_pole_data_seed_plus_fallback_hops(self):
+        # both targets sweep the reduced system, so they hop alike
         for name in ("pole_on_sample", "pole_off_sample"):
             data, domain = _data(name)
+            expected = self.expected_calls(data, domain)
             for target in ("h3", "e3-limit"):
-                system = "full" if target == "h3" else "reduced"
-                expected = self.expected_calls(data, domain, system)
                 self.assertEqual(self.count(data, domain, target), expected,
                                  "%s %s" % (name, target))
 
-    def expected_calls(self, data, domain, system):
+    def expected_calls(self, data, domain):
         """Seed hops (one per probe-valid sample of column 0) plus the row
         hops that do not start at the row's previous probe-valid sample,
         or that _integrate_unit does not cross in one step."""
         zgrid = domain.grid()
-        probe = _probe_validity(data, zgrid, system == "full")
+        probe = _probe_validity(data, zgrid)
 
         def hop(z_from, z_to, y):
-            return propagate(data, z_from, z_to, y, tol=1e-8, system=system,
-                             H=data.lam)
+            return propagate(data, z_from, z_to, y, tol=1e-8)
 
         calls = 0
         rows = {}
@@ -362,8 +365,7 @@ class TestPropagateCalls(unittest.TestCase):
         for i, y in rows.items():
             last = prev = 0
             for j in np.flatnonzero(probe[i, 1:]) + 1:
-                one, _ = _one_step(data, system, zgrid[i, last], zgrid[i, j],
-                                   y, 1e-8)
+                one, _ = _one_step(data, zgrid[i, last], zgrid[i, j], y, 1e-8)
                 calls += not (last == prev and one)
                 prev = j
                 try:
@@ -419,16 +421,13 @@ class TestOnePassTables(unittest.TestCase):
         nan_lanes = 0
         for name in ("clean", "pole_on_sample", "pole_off_sample", "erf"):
             data, a, d = self.hops(name)
-            for system in ("full", "reduced"):
-                coef = _segment_coefs_array(data, system, data.lam)
-                table = coef(a, d, nodes)
-                label = "%s %s" % (name, system)
-                self.assertEqual(table.shape, (6, 4, len(a)), label)
-                per_node = np.stack([coef(a, d, t) for t in _UNIT_NODES])
-                np.testing.assert_array_equal(_bits(table.view(float)),
-                                              _bits(per_node.view(float)),
-                                              label)
-                nan_lanes += int(np.isnan(table).any(axis=(0, 1)).sum())
+            coef = _reduced_coef_array(data)
+            table = coef(a, d, nodes)
+            self.assertEqual(table.shape, (6, 4, len(a)), name)
+            per_node = np.stack([coef(a, d, t) for t in _UNIT_NODES])
+            np.testing.assert_array_equal(_bits(table.view(float)),
+                                          _bits(per_node.view(float)), name)
+            nan_lanes += int(np.isnan(table).any(axis=(0, 1)).sum())
         # the pole and erf data put NaN lanes into the comparison
         self.assertGreater(nan_lanes, 0)
 
@@ -436,15 +435,14 @@ class TestOnePassTables(unittest.TestCase):
         data, a, d = self.hops("pole_off_sample")
         rng = np.random.default_rng(5)
         y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
-        for system in ("full", "reduced"):
-            coef = _segment_coefs_array(data, system, data.lam)
-            table = np.stack([coef(a, d, t) for t in _UNIT_NODES])
-            for tol in (1e-8, 1e-2):
-                got, got_ok = _unit_step_array(table, y, tol)
-                want, want_ok = _unit_step_array(list(table), y, tol)
-                np.testing.assert_array_equal(got_ok, want_ok)
-                np.testing.assert_array_equal(_bits(got.view(float)),
-                                              _bits(want.view(float)))
+        coef = _reduced_coef_array(data)
+        table = np.stack([coef(a, d, t) for t in _UNIT_NODES])
+        for tol in (1e-8, 1e-2):
+            got, got_ok = _unit_step_array(table, y, tol)
+            want, want_ok = _unit_step_array(list(table), y, tol)
+            np.testing.assert_array_equal(got_ok, want_ok)
+            np.testing.assert_array_equal(_bits(got.view(float)),
+                                          _bits(want.view(float)))
 
     def test_one_coefficient_call_per_block(self):
         data, domain = _data("clean")
@@ -452,7 +450,7 @@ class TestOnePassTables(unittest.TestCase):
         for target in ("h3", "e3-limit"):
             calls = []
 
-            def counting(*args, _real=_segment_coefs_array):
+            def counting(*args, _real=_reduced_coef_array):
                 coef = _real(*args)
 
                 def counted(a, d, t):
@@ -461,7 +459,7 @@ class TestOnePassTables(unittest.TestCase):
 
                 return counted
 
-            with mock.patch.object(solsurf.immersion, "_segment_coefs_array",
+            with mock.patch.object(solsurf.immersion, "_reduced_coef_array",
                                    counting):
                 sample_surface(data, domain, target)
             blocks = -(-(domain.nx - 1) // _SWEEP_ROWS)
