@@ -13,8 +13,12 @@ Commands
 Exit codes: 0 all checks pass, 2 at least one check failed, 1 usage or
 runtime error.  Reports are JSON with top-level keys command, config_echo,
 checks, wall_ms; each check is {max, mean, threshold, pass} with
-pass <=> max < threshold.  Identical configurations yield byte-identical
-reports apart from wall_ms.
+pass <=> max < threshold.  The frame checks conformality and
+mean_curvature also carry evaluated, the number of samples the frame
+sweep evaluated, and skipped, which maps each skip reason (masked,
+conformal, rank, timelike, collinear) that occurred to its sample count;
+samples outside the swept ring are not counted.  Identical configurations
+yield byte-identical reports apart from wall_ms.
 
 A configuration file (--config, plain key=value lines, '#' comments) may
 supply any long flag of its command by name, an on/off flag as true,
@@ -41,7 +45,8 @@ from .geom import (SurfaceFields, WeierstrassData, fields_from_weierstrass,
                    gmc_residual, zero_curvature_residual)
 # frame_and_curvature is not called here; it stays a module name because
 # the benchmark tracer in solbench/ wraps cli.frame_and_curvature
-from .immersion import (FRAME_OK, DomainRect, frame_and_curvature,  # noqa: F401
+from .immersion import (FRAME_OK, FRAME_REASON_NAMES, DomainRect,
+                        frame_and_curvature,  # noqa: F401
                         frame_sweep, loop_period, sample_surface,
                         enneper_weierstrass)
 from .lsp import PathSpec, propagate, gauge_equivalence_residual, _ID4
@@ -425,10 +430,17 @@ def _battery(patch, perturb=False):
     ny, nx = patch.valid.shape
     sweep = frame_sweep(patch, 2 if (ny >= 5 and nx >= 5) else 1)
     ok = sweep.reason == FRAME_OK
-    checks["conformality"] = _check(sweep.conformality[ok], 1e-5)
+    # how many samples the two checks read, and why the others were
+    # skipped (the samples outside the ring are not counted)
+    skipped = {name: np.count_nonzero(sweep.reason == code)
+               for code, name in FRAME_REASON_NAMES.items()}
+    coverage = {"evaluated": int(np.count_nonzero(ok)),
+                "skipped": {k: int(n) for k, n in skipped.items() if n}}
+    checks["conformality"] = dict(_check(sweep.conformality[ok], 1e-5),
+                                  **coverage)
     h_thresh = 5e-3 + (abs(lam) if target == "e3-limit" else 0.0)
-    checks["mean_curvature"] = _check(np.abs(sweep.H_est[ok] - expected_h),
-                                      h_thresh)
+    checks["mean_curvature"] = dict(
+        _check(np.abs(sweep.H_est[ok] - expected_h), h_thresh), **coverage)
 
     if "hyperboloid" in patch.residuals:
         vals = patch.residuals["hyperboloid"][patch.valid]

@@ -509,6 +509,15 @@ FRAME_RANK = 4
 FRAME_TIMELIKE = 5
 FRAME_COLLINEAR = 6
 
+# report names of the skip reasons
+FRAME_REASON_NAMES = {
+    FRAME_MASKED: "masked",
+    FRAME_CONFORMAL: "conformal",
+    FRAME_RANK: "rank",
+    FRAME_TIMELIKE: "timelike",
+    FRAME_COLLINEAR: "collinear",
+}
+
 _FRAME_MESSAGES = {
     FRAME_MASKED: "stencil touches a masked sample at (%d, %d)",
     FRAME_CONFORMAL: "conformal factor nonpositive at (%d, %d)",
@@ -568,12 +577,34 @@ def _window(patch, r0, r1, c0, c1):
     return p, v
 
 
-def _frame_block(p, valid, dx, dy):
+def _centre(patch):
+    """Centre of the hyperboloid a Lorentz patch lies on: the origin for
+    h3, and -e0/lambda for e3-limit, whose points (Phi^H Phi - I)/lambda
+    are the Sym-type ones shifted by -I/lambda (_lorentz4)."""
+    centre = np.zeros(4)
+    if patch.target == "e3-limit":
+        centre[0] = -1.0 / patch.lam
+    return centre
+
+
+def _frame_block(p, valid, dx, dy, centre):
     """Frame and curvature at every inner sample of a window from _window.
 
     Returns (reason, vals): reason is the FRAME_* code of each inner
     sample, and vals maps F, fx, fy, N, u, H, Q and conf to arrays over
     the samples with code FRAME_OK, in row-major order.
+
+    The Lorentz normal is the closed-form 4-D cross product
+    N_i = G_ii eps_ijkl Y^j F_x^k F_y^l with Y = F - centre (see _centre),
+    the one direction Lorentz-orthogonal to Y, F_x and F_y, scaled to
+    Euclidean length 1 before the spacelike test and then to (N|N) = 1.
+    The rows (Y, F_x, F_y) count as rank-deficient unless
+    |N|^2 > 1e-16 e1 e2, with e1 = |Y|^2 + |F_x|^2 + |F_y|^2 and e2 the
+    sum of |a|^2 |b|^2 - (a.b)^2 over the three row pairs.  Since |N|^2 is
+    sv0^2 sv1^2 sv2^2 for the rows' singular values sv0 >= sv1 >= sv2,
+    the test bounds sv2 / sv0: it flags every sample with
+    sv2 <= 1e-8 sv0, and none with sv2 > 3e-8 sv0.  The Euclidean target
+    ignores centre.
     """
     lorentz = p.shape[-1] == 4
     ny, nx = valid.shape[0] - 4, valid.shape[1] - 4
@@ -635,12 +666,28 @@ def _frame_block(p, valid, dx, dy):
     zz_re = 0.25 * (fxx - fyy)
     zz_im = -(0.5 * fxy)
     if lorentz:
-        rows = np.stack([f, fx, fy], axis=1)
-        _, sv, vt = np.linalg.svd(rows @ _G_LORENTZ)
-        # rank < 3 means the nullspace is not one-dimensional and the
-        # normal direction is ambiguous
-        bad = (sv[:, 0] == 0.0) | (sv[:, 2] <= 1e-8 * sv[:, 0])
-        n_vec = vt[:, -1]
+        # N_i = G_ii eps_ijkl Y^j F_x^k F_y^l, from the six 2x2 minors
+        # m_kl of (F_x, F_y) and the position Y relative to the centre
+        y = f - centre
+        m01, m02, m03, m12, m13, m23 = (
+            fx[:, k] * fy[:, l] - fx[:, l] * fy[:, k]
+            for k, l in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+        y0, y1, y2, y3 = y.T
+        n_vec = np.stack([y1 * m23 - y2 * m13 + y3 * m12,
+                          y0 * m23 - y2 * m03 + y3 * m02,
+                          y1 * m03 - y0 * m13 - y3 * m01,
+                          y0 * m12 - y1 * m02 + y2 * m01], axis=1)
+        # the rank rule of the docstring: |N|^2, e1 and e2 are the
+        # elementary symmetric functions of the rows' squared singular
+        # values
+        n2 = np.einsum("ki,ki->k", n_vec, n_vec)
+        yy, xx, ww = (np.einsum("ki,ki->k", r, r) for r in (y, fx, fy))
+        yx, yw, xw = (np.einsum("ki,ki->k", r, s)
+                      for r, s in ((y, fx), (y, fy), (fx, fy)))
+        e1 = yy + xx + ww
+        e2 = (yy * xx - yx * yx) + (yy * ww - yw * yw) + (xx * ww - xw * xw)
+        bad = ~(n2 > 1e-16 * e1 * e2)
+        n_vec = n_vec / np.sqrt(np.where(bad, 1.0, n2))[:, None]
         nn = _rowdot(n_vec @ _G_LORENTZ, n_vec)
         timelike = ~bad & (nn <= 1e-12)
         codes = np.where(bad, FRAME_RANK, FRAME_TIMELIKE)
@@ -685,8 +732,14 @@ def frame_sweep(patch, ring=1):
     skipped, with the FRAME_* code of the reason, when its stencil touches
     a masked sample, e^u is not positive and finite, the Lorentz frame
     rows are rank-deficient or the Lorentz normal is not spacelike, or the
-    Euclidean tangents are collinear.  The grid is processed in blocks of
-    output rows, which bounds the temporaries.
+    Euclidean tangents are collinear.  The Lorentz frame rows are
+    (F - centre, F_x, F_y), with the centre of the target's hyperboloid:
+    the origin for h3 and -e0/lambda for e3-limit.  They are
+    rank-deficient unless |N|^2 > 1e-16 e1 e2, where N is the unnormalized
+    cross product and e1, e2 are the first two elementary symmetric
+    functions of the rows' squared singular values (see _frame_block).
+    The grid is processed in blocks of output rows, which bounds the
+    temporaries.
     """
     ring = int(ring)
     if ring < 1:
@@ -697,12 +750,14 @@ def frame_sweep(patch, ring=1):
     h_est = np.full((ny, nx), np.nan)
     q_est = np.full((ny, nx), complex(np.nan, np.nan))
     conf = np.full((ny, nx), np.nan)
+    centre = _centre(patch)
     c0, c1 = ring, nx - ring
     if c1 > c0:
         for r0 in range(ring, ny - ring, _SWEEP_ROWS):
             r1 = min(r0 + _SWEEP_ROWS, ny - ring)
             p, v = _window(patch, r0, r1, c0, c1)
-            code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy)
+            code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy,
+                                      centre)
             reason[r0:r1, c0:c1] = code
             ok = code == FRAME_OK
             u[r0:r1, c0:c1][ok] = vals["u"]
@@ -716,12 +771,14 @@ def frame_sweep(patch, ring=1):
 def frame_and_curvature(patch, index):
     """Reconstruct the frame at an interior grid point by differencing.
 
-    F_z, F_zbar are Wirtinger central differences of the stored points;
-    the normal N solves (F|N) = (F_z|N) = (F_zbar|N) = 0 with (N|N) = 1
-    for Lorentz targets (sign such that (F_zzbar|N) >= 0, the choice that
-    is continuous across the grid for patches with H > 0), and is the
-    normalized cross product of the tangents for Euclidean targets.  The
-    estimates follow the defining relations
+    F_z, F_zbar are Wirtinger central differences of the stored points.
+    For Lorentz targets the normal N solves (F - C|N) = (F_z|N) =
+    (F_zbar|N) = 0 with (N|N) = 1, C the centre of the target's
+    hyperboloid (the origin for h3, -e0/lambda for e3-limit); it is the
+    4-D cross product of F - C, F_x and F_y, with the sign such that
+    (F_zzbar|N) >= 0, the choice that is continuous across the grid for
+    patches with H > 0.  For Euclidean targets N is the normalized cross
+    product of the tangents.  The estimates follow the defining relations
 
         e^u = 2 (F_z|F_zbar),  H = 2 e^{-u} (F_zzbar|N),  Q = (F_zz|N).
 
@@ -733,7 +790,8 @@ def frame_and_curvature(patch, index):
     if not (1 <= i <= ny - 2 and 1 <= j <= nx - 2):
         raise ValueError("interior grid point required, got (%d, %d)" % (i, j))
     p, v = _window(patch, i, i + 1, j, j + 1)
-    code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy)
+    code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy,
+                              _centre(patch))
     if code[0, 0] != FRAME_OK:
         raise DegenerateFrame(_FRAME_MESSAGES[int(code[0, 0])] % (i, j))
     fx = vals["fx"][0]

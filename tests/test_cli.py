@@ -136,6 +136,10 @@ class TestGenerate(CliCase):
                      "gauge_equivalence", "gauge_unitarity", "gauge_invariants",
                      "conformality", "mean_curvature", "loop_period"):
             self.assertTrue(rep["checks"][name]["pass"], name)
+        # the frame checks read every sample two rings in
+        for name in ("conformality", "mean_curvature"):
+            self.assertEqual(rep["checks"][name]["evaluated"], 13 * 13)
+            self.assertEqual(rep["checks"][name]["skipped"], {})
         with open(self.path("mesh.obj")) as fh:
             lines = fh.read().splitlines()
         nv = sum(1 for l in lines if l.startswith("v "))
@@ -187,6 +191,23 @@ class TestVerify(CliCase):
         self.assertFalse(checks["gmc"]["pass"])
         self.assertGreater(checks["gmc"]["max"], 1e-2)
         self.assertGreater(checks["zero_curvature"]["max"], 1e-2)
+
+
+    def test_frame_check_coverage(self):
+        # a pole on the centre sample is masked, and the frames whose
+        # stencils touch a masked sample are skipped and counted
+        code, _ = run_cli("verify", "--eta", "1/z", "--psi", "z",
+                          "--z0", "0.9+0.9i", "--domain", "-1:1:-1:1",
+                          "--res", "17", "--report", self.path("report.json"))
+        self.assertEqual(code, 2)
+        checks = self.report()["checks"]
+        for name in ("conformality", "mean_curvature"):
+            c = checks[name]
+            self.assertGreater(c["skipped"]["masked"], 0)
+            self.assertEqual(c["evaluated"] + sum(c["skipped"].values()),
+                             13 * 13)
+        self.assertEqual(checks["conformality"]["evaluated"],
+                         checks["mean_curvature"]["evaluated"])
 
 
 class TestModuleEntry(CliCase):
