@@ -13,12 +13,13 @@ Commands
 Exit codes: 0 all checks pass, 2 at least one check failed, 1 usage or
 runtime error.  Reports are JSON with top-level keys command, config_echo,
 checks, wall_ms; each check is {max, mean, threshold, pass} with
-pass <=> max < threshold.  The frame checks conformality and
-mean_curvature also carry evaluated, the number of samples the frame
-sweep evaluated, and skipped, which maps each skip reason (masked,
-conformal, rank, timelike, collinear) that occurred to its sample count;
-samples outside the swept ring are not counted.  Identical configurations
-yield byte-identical reports apart from wall_ms.
+pass <=> all values finite and max < threshold.  The frame checks, gmc,
+zero_curvature and the gauge checks also carry evaluated, the number of
+samples (points, paths) they evaluated, and skipped, which maps each
+skip reason that occurred to its count: for the frame checks masked,
+conformal, rank, timelike or collinear (samples outside the swept ring
+are not counted), for the others the class name of the error raised.
+Identical configurations yield byte-identical reports apart from wall_ms.
 
 A configuration file (--config, plain key=value lines, '#' comments) may
 supply any long flag of its command by name, an on/off flag as true,
@@ -41,7 +42,8 @@ from functools import partial
 import numpy as np
 
 from .expr import parse
-from .geom import (SurfaceFields, WeierstrassData, fields_from_weierstrass,
+from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
+                   SurfaceFields, WeierstrassData, fields_from_weierstrass,
                    gmc_residual, zero_curvature_residual)
 # frame_and_curvature is not called here; it stays a module name because
 # the benchmark tracer in solbench/ wraps cli.frame_and_curvature
@@ -49,7 +51,8 @@ from .immersion import (FRAME_OK, FRAME_REASON_NAMES, DomainRect,
                         frame_and_curvature,  # noqa: F401
                         frame_sweep, loop_period, sample_surface,
                         enneper_weierstrass)
-from .lsp import PathSpec, propagate, gauge_equivalence_residual, _ID4
+from .lsp import (BranchAmbiguity, PathSpec, StepUnderflow, _ID4,
+                  gauge_equivalence_residual, propagate)
 # the tuple form of the shifted immersion: shifted_immersion's 1e-6
 # determinant check would reject runs at a legal --tol up to 1e-2
 from .immersion import _lorentz4
@@ -313,14 +316,29 @@ def _validate_run(cfg):
 # report assembly
 
 def _check(values, threshold):
+    """{max, mean, threshold, pass}: pass when there is a value, every
+    value is finite and the max lies below the threshold."""
     arr = np.ravel(np.asarray(values, dtype=float))
-    arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         return {"max": float("nan"), "mean": float("nan"),
                 "threshold": float(threshold), "pass": False}
     mx = float(np.max(arr))
     return {"max": mx, "mean": float(np.mean(arr)),
-            "threshold": float(threshold), "pass": bool(mx < threshold)}
+            "threshold": float(threshold),
+            "pass": bool(np.isfinite(arr).all() and mx < threshold)}
+
+
+def _evaluate(fn, args, errors):
+    """[fn(a) for a in args] without the calls that raise one of errors,
+    and {evaluated, skipped}, skipped counting them by class name."""
+    values, skipped = [], {}
+    for a in args:
+        try:
+            values.append(fn(a))
+        except errors as exc:
+            name = type(exc).__name__
+            skipped[name] = skipped.get(name, 0) + 1
+    return values, {"evaluated": len(values), "skipped": skipped}
 
 
 def _echo_value(v):
@@ -390,18 +408,14 @@ def _battery(patch, perturb=False):
             lam=lam)
 
     pts = _sample_points(domain, min(domain.nx, 10))
-    gmc_vals = []
-    zc_vals = []
-    for z in pts:
-        try:
-            r1, r2 = gmc_residual(fields, z)
-            gmc_vals.append(max(abs(r1), abs(r2)))
-            rz = zero_curvature_residual(fields, z)
-            zc_vals.append(float(np.max(np.abs(rz))))
-        except Exception:
-            continue
-    checks["gmc"] = _check(gmc_vals, 1e-4)
-    checks["zero_curvature"] = _check(zc_vals, 1e-4)
+    field_errors = (StencilOutOfDomain, DomainError) + EVAL_ERRORS
+    gmc_vals, coverage = _evaluate(
+        lambda z: max(map(abs, gmc_residual(fields, z))), pts, field_errors)
+    checks["gmc"] = dict(_check(gmc_vals, 1e-4), **coverage)
+    zc_vals, coverage = _evaluate(
+        lambda z: float(np.max(np.abs(zero_curvature_residual(fields, z)))),
+        pts, field_errors)
+    checks["zero_curvature"] = dict(_check(zc_vals, 1e-4), **coverage)
 
     # gauge equivalence along three fixed paths into the domain
     mids = [complex(domain.re_min + 0.75 * (domain.re_max - domain.re_min),
@@ -410,19 +424,18 @@ def _battery(patch, perturb=False):
                     domain.im_min + 0.75 * (domain.im_max - domain.im_min)),
             complex(domain.re_min + 0.3 * (domain.re_max - domain.re_min),
                     domain.im_min + 0.3 * (domain.im_max - domain.im_min))]
-    g_res, g_uni, g_inv = [], [], []
-    for w in mids:
-        try:
-            r = gauge_equivalence_residual(data, PathSpec.line(data.z0, w),
-                                           tol=min(patch.tol, 1e-10))
-            g_res.append(max(r["dz_residual"], r["dzbar_residual"]))
-            g_uni.append(r["m_unitarity"])
-            g_inv.append(r["trdet_drift"])
-        except Exception:
-            continue
-    checks["gauge_equivalence"] = _check(g_res, 1e-4)
-    checks["gauge_unitarity"] = _check(g_uni, 1e-12)
-    checks["gauge_invariants"] = _check(g_inv, 1e-8)
+    gauge, coverage = _evaluate(
+        lambda w: gauge_equivalence_residual(data, PathSpec.line(data.z0, w),
+                                             tol=min(patch.tol, 1e-10)),
+        mids, (BranchAmbiguity, StepUnderflow, DomainError,
+               np.linalg.LinAlgError) + EVAL_ERRORS)
+    checks["gauge_equivalence"] = dict(_check(
+        [max(r["dz_residual"], r["dzbar_residual"]) for r in gauge], 1e-4),
+        **coverage)
+    checks["gauge_unitarity"] = dict(
+        _check([r["m_unitarity"] for r in gauge], 1e-12), **coverage)
+    checks["gauge_invariants"] = dict(
+        _check([r["trdet_drift"] for r in gauge], 1e-8), **coverage)
 
     # frame sweep: conformality and mean curvature at interior samples,
     # two rings in when the grid affords the wide fourth-order stencils

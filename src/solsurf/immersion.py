@@ -25,25 +25,21 @@ sampler and the public sym_immersion / shifted_immersion share it.  The
 classical integral, the loop period and the e3-direct sampler share one
 integrand over the array closures and one batched quadrature.
 
-Grid sampling probes the data over the grid in array passes, integrates
-one seed column and then each row from its column-0 value.  The ODE
-targets integrate first and immerse afterwards.  Both sweep the reduced
-(holomorphic) system only; h3 moves its wavefunctions by the constant
-gauge M(z0) before the Sym-type formula, which gives the full system's
-surface (lsp.gauge_matrix).  They hop from sample to sample, each hop
-starting from the wavefunction at the previous one:
-down the seed column one scalar propagate at a time, then along all rows
-at once, one column per array pass.  Each row's hop is first tried as
-the single full Dormand-Prince step the scalar integrator starts with,
-over a coefficient table of the array closures that one pass per block
-of columns fills at all six stage times, and with one stacked product
-per stage; the hops that step does not settle go through the scalar
-propagate, so the results are those of hopping sample by sample.  A pass
-over the valid samples then applies the Sym-type formula.  The classical
-integral carries no state from hop to hop, so e3-direct integrates all
-hops of the seed column, and then of each row, as one batch of
-quadratures (adaptive_gl_batch over the array closures) and accumulates
-them with a cumsum.  Everything runs on the calling thread.
+Grid sampling probes the data over the grid in array passes, then takes
+one sweep for all three targets (_sweep_lines): the seed column from z0
+is one line of hops, each row from its column-0 sample another.  A hop's
+value does not depend on the value at its start, so the planned hops are
+computed in batches, then accumulated along the lines; a failed hop
+masks its end sample, and the hop after it is taken again from the
+line's last good sample.  The targets differ in the hop value and how
+values combine.  The ODE targets multiply transfer matrices from the
+identity, Psi(z_j) = T Psi(z_{j-1}), of the reduced (holomorphic) system;
+h3 then moves its wavefunctions by the constant gauge M(z0), which gives
+the full system's surface (lsp.gauge_matrix), and a pass over the valid
+samples applies the formula.  e3-direct adds integrals of the
+Weierstrass integrand, the additive case T = I + lambda int B +
+O(lambda^2) that the paper recovers as lambda -> 0.  Everything runs on
+the calling thread.
 
 frame_sweep reconstructs the frame and curvature estimates over the whole
 grid with array stencils; frame_and_curvature is the same computation at
@@ -72,11 +68,13 @@ __all__ = [
 
 TARGETS = ("h3", "e3-limit", "e3-direct")
 
-# grid rows (or columns) per block of the array passes over the grid (the
-# probe, the coefficient tables of the ODE row sweep, the immersion pass
-# after it, and the output rows of frame_sweep, which also read a two-row
-# halo), so their temporaries stay a few grid rows deep instead of
-# grid-sized
+# grid rows per block of the array passes over the grid (the probe, the
+# hops of the ODE sweep, the immersion pass after it, and the output rows
+# of frame_sweep, which also read a two-row halo), so their temporaries
+# stay a few grid rows deep instead of grid-sized.  For the ODE hops the
+# blocks must not shrink much: at one row per block the per-call overhead
+# of the coefficient table and the step made a 128^2 erf patch and its
+# PLY write take 0.49 s instead of 0.30 s (2 CPUs, no clock pinning)
 _SWEEP_ROWS = 8
 
 # the Dormand-Prince nodes of one full step as a column, so that one call
@@ -289,62 +287,63 @@ def _probe_validity(data, zgrid):
     return valid
 
 
-def _direct_run(fvals, z_start, acc, zs, tol):
-    """Classical integral at the points zs, accumulated hop by hop from
-    z_start, where it is acc.
+def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch):
+    """Accumulate hop values along lines of samples, in place.
 
-    Every hop between consecutive points is integrated in one batch and
-    the running sums are a cumsum seeded by acc.  A hop that fails masks
-    its end point; the hop after it is re-planned from the last good
-    point in a further batch.  Returns (values, ok), ok False at the
-    masked points.
+    Line l visits the points zs[l, j] with ok[l, j] in column order;
+    column 0 is its start, where vals[:, l, 0] holds its value.  The hop
+    into each ok sample is planned from the line's previous ok sample.
+    hop(za, zb) returns the values of the hops za[k] -> zb[k] as an
+    (e, K) array and whether each was computed; a hop's value does not
+    depend on the value at its start, so every planned hop is computed
+    up front, the hops of lines_per_batch lines per call.  Then the lines
+    advance together, one column at a time: a sample's value is
+    combine(hop value, value at the hop's start).  A hop that failed
+    masks its end sample in ok, and the hop after it is taken again, from
+    the line's last good sample, in one further call per column.
     """
-    m = len(zs)
-    vals = np.full((m, 3), complex(np.nan, np.nan))
-    ok = np.zeros(m, dtype=bool)
-    if m == 0:
-        return vals, ok
-    starts = np.concatenate([[z_start], zs[:-1]])
-    hops, failed = adaptive_gl_batch(fvals, starts, zs, tol=tol)
-    k = 0
-    while k < m:
-        bad = np.flatnonzero(failed[k:])
-        stop = k + bad[0] if bad.size else m
-        if stop > k:
-            vals[k:stop] = np.cumsum(np.vstack([acc, hops[k:stop]]),
-                                     axis=0)[1:]
-            ok[k:stop] = True
-            acc = vals[stop - 1]
-            z_start = zs[stop - 1]
-        k = stop + 1
-        if k < m:
-            hops[k:k + 1], failed[k:k + 1] = adaptive_gl_batch(
-                fvals, [z_start], zs[k:k + 1], tol=tol)
-    return vals, ok
+    n_lines, m = ok.shape
+    prev = np.maximum.accumulate(np.where(ok, np.arange(m), -1), axis=1)
+    hop_ok = np.zeros(ok.shape, dtype=bool)
+    for l0 in range(0, n_lines, lines_per_batch):
+        ll, jj = np.nonzero(ok[l0:l0 + lines_per_batch, 1:])
+        if ll.size:
+            ll += l0
+            vals[:, ll, jj + 1], hop_ok[ll, jj + 1] = hop(zs[ll, prev[ll, jj]],
+                                                        zs[ll, jj + 1])
+    last = np.zeros(n_lines, dtype=int)
+    for j in range(1, m):
+        lanes = np.flatnonzero(ok[:, j])
+        redo = lanes[prev[lanes, j - 1] != last[lanes]]
+        if redo.size:
+            vals[:, redo, j], hop_ok[redo, j] = hop(zs[redo, last[redo]],
+                                                    zs[redo, j])
+        good = lanes[hop_ok[lanes, j]]
+        vals[:, good, j] = combine(vals[:, good, j], vals[:, good, last[good]])
+        ok[lanes[~hop_ok[lanes, j]], j] = False
+        last[good] = j
 
 
-def _sample_direct(data, zgrid, valid, tol):
-    """Points of the classical integral over the grid, masking valid where
-    a hop fails: the seed column from z0 as one batch, then each row as
-    one batch from its column-0 value."""
+def _sweep_grid(hop, combine, zgrid, valid, v0, z0, lines_per_batch):
+    """Values over the grid from v0 at z0, masking valid where a hop
+    fails: the seed column from z0 down column 0 as one line, then every
+    row as a line from its column-0 value (_sweep_lines).  Returns the
+    (e, ny, nx) values, meaningful where valid."""
     ny, nx = zgrid.shape
-    points = np.full((ny, nx, 3), np.nan)
-    fvals = _phi_vector_batch(data)
-    rows = np.flatnonzero(valid[:, 0])
-    col, ok = _direct_run(fvals, data.z0, np.zeros(3, dtype=complex),
-                          zgrid[rows, 0], tol)
-    valid[rows[~ok], 0] = False
+    seed = np.empty((len(v0), 1, ny + 1), dtype=complex)
+    seed[:, 0, 0] = v0
+    seed_ok = np.concatenate([[True], valid[:, 0]])[None]
+    _sweep_lines(hop, combine, np.concatenate([[z0], zgrid[:, 0]])[None],
+                 seed_ok, seed, lines_per_batch)
+    valid[:, 0] = seed_ok[0, 1:]
     valid[~valid[:, 0], 1:] = False
-    for i, acc in zip(rows[ok], col[ok]):
-        points[i, 0] = acc.real
-        cols = 1 + np.flatnonzero(valid[i, 1:])
-        vals, ok_row = _direct_run(fvals, zgrid[i, 0], acc, zgrid[i, cols], tol)
-        points[i, cols[ok_row]] = vals[ok_row].real
-        valid[i, cols[~ok_row]] = False
-    return points
+    vals = np.empty((len(v0), ny, nx), dtype=complex)
+    vals[:, :, 0] = seed[:, 0, 1:]
+    _sweep_lines(hop, combine, zgrid, valid, vals, lines_per_batch)
+    return vals
 
 
-def sample_surface(data, domain, target, tol=1e-8, threads=1, system=None):
+def sample_surface(data, domain, target, tol=1e-8, system=None):
     """Sample the immersion over a rectangular grid into a SurfacePatch.
 
     target 'h3' is the Sym-type formula of the full system at H = lambda;
@@ -360,14 +359,12 @@ def sample_surface(data, domain, target, tol=1e-8, threads=1, system=None):
 
     The grid is probed first, by array evaluation of the data: points
     where eta, psi or psi' is not finite, or eta vanishes, are masked, as
-    are points whose hop fails.  The ODE targets hop sample by sample down
-    the seed column and then along all rows at once, a column at a time,
-    with the scalar integrator only for the hops that one full step does
-    not settle, and then apply the formula (see _sample_ode); e3-direct
-    integrates the seed column and then each row as one batch of
-    quadratures (see _direct_run).
-
-    threads is accepted and ignored; rows always run on the calling thread.
+    are points whose hop fails.  Every target then takes the same hops,
+    down the seed column from z0 and along each row from its column-0
+    sample (_sweep_grid), and differs only in a hop's value and how
+    values combine: the ODE targets multiply transfer matrices of the
+    reduced system (see _sample_ode), e3-direct adds integrals of the
+    Weierstrass integrand.
     """
     if target not in TARGETS:
         raise ValueError("target must be one of %r" % (TARGETS,))
@@ -389,28 +386,46 @@ def sample_surface(data, domain, target, tol=1e-8, threads=1, system=None):
                         tol=tol, points=points, valid=valid, residuals=residuals)
 
 
+# one row of quadrature hops per adaptive_gl_batch call: the call holds the
+# values of every bisection round of its segments, and blocks of 8 rows
+# raised the peak memory of a 128^2 e3-direct generate from 40.5 to 48.2 MB
+# at no gain in time (0.28 s against 0.27 s; 2 CPUs, no clock pinning)
+_QUAD_ROWS = 1
+
+
+def _sample_direct(data, zgrid, valid, tol):
+    """Points of the classical integral over the grid, masking valid where
+    a hop fails: a hop's value is its integral (adaptive_gl_batch of the
+    integrand), and the values add up hop by hop along each line."""
+    fvals = _phi_vector_batch(data)
+
+    def hop(za, zb):
+        parts, failed = adaptive_gl_batch(fvals, za, zb, tol=tol)
+        return parts.T, ~failed
+
+    vals = _sweep_grid(hop, np.add, zgrid, valid, np.zeros(3, dtype=complex),
+                       data.z0, _QUAD_ROWS)
+    points = np.full(zgrid.shape + (3,), np.nan)
+    points[valid] = vals[:, valid].real.T
+    return points
+
+
 def _sample_ode(data, zgrid, valid, target, tol, system):
     """Points and residual records of the ODE targets over the grid,
     masking valid where a hop fails.
 
-    The sweep fills one (4, ny, nx) grid with the wavefunction's entries.
-    The seed column hops from z0 down column 0, one scalar propagate per
-    sample, since each hop starts where the last ended.  Then the rows
-    advance together, one column at a time.  The hop into each sample was
-    planned from the probe mask, starting at the row's previous valid
-    sample.  For each block of _SWEEP_ROWS columns, one call of the array
-    coefficient over the (6, 1) node axis _NODE_AXIS tabulates all
-    planned hops at the stage times of one full step, a (6, 4, m) table;
-    per column one fancy index gathers its hops' six node tables, and
-    every row's step is taken at once (lsp._unit_step_array).  A hop
-    whose step _integrate_unit would not accept as it stands, or whose
-    planned start failed, goes through the scalar propagate from the
-    row's last valid sample, so the adaptive control stays in one place
-    and the results are those of hopping sample by sample.  Every hop
-    integrates the reduced system.  Then one pass over the valid samples,
-    _SWEEP_ROWS rows at a time, right-multiplies their wavefunctions by
-    M(z0) when system is 'full', applies _lorentz4 and fills the records;
-    masked samples stay NaN.
+    A hop's value is the reduced system's transfer matrix T from the
+    identity, so the wavefunction at a sample is T Psi at the hop's start
+    (_mul4_array), and _sweep_grid fills one (4, ny, nx) grid of
+    wavefunction entries from Psi(z0) = I.  The hops of _SWEEP_ROWS lines
+    are tabulated by one call of the array coefficient over the (6, 1)
+    node axis _NODE_AXIS, a (6, 4, K) table, and tried as one full step
+    from I (lsp._unit_step_array); a hop whose step _integrate_unit would
+    not accept as it stands goes through the scalar propagate from _ID4,
+    so the adaptive control stays in one place.  Then one pass over the
+    valid samples, _SWEEP_ROWS rows at a time, right-multiplies their
+    wavefunctions by M(z0) when system is 'full', applies _lorentz4 and
+    fills the records; masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
@@ -421,55 +436,24 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
             m0 = gauge_matrix(data, data.z0).reshape(4, 1)
         except (BranchAmbiguity, DomainError):
             valid[:] = False
-
-    def hop(z_from, z_to, y):
-        return propagate(data, z_from, z_to, y, tol=tol, system="reduced")
-
-    # the wavefunction's row-major entries at every valid sample
-    phi = np.zeros((4, ny, nx), dtype=complex)
-    y = _ID4
-    cur_z = data.z0
-    for i in np.flatnonzero(valid[:, 0]):
-        try:
-            y = hop(cur_z, zgrid[i, 0], y)
-        except hop_errors:
-            valid[i, 0] = False
-            continue
-        phi[:, i, 0] = y
-        cur_z = zgrid[i, 0]
-    valid[~valid[:, 0], 1:] = False
-
-    # plan: the hop into (i, j) starts at row i's previous valid column
-    cols = np.where(valid, np.arange(nx), -1)
-    prev = np.maximum.accumulate(cols, axis=1)[:, :-1]
     coef = _reduced_coef_array(data)
+
+    def transfer(za, zb):
+        eye = np.zeros((4, za.size), dtype=complex)
+        eye[[0, 3]] = 1.0
+        t, ok = _unit_step_array(coef(za, zb - za, _NODE_AXIS), eye, tol)
+        for k in np.flatnonzero(~ok):
+            try:
+                t[:, k] = propagate(data, za[k], zb[k], _ID4, tol=tol,
+                                    system="reduced")
+                ok[k] = True
+            except hop_errors:
+                pass
+        return t, ok
+
     with np.errstate(all="ignore"):
-        for j0 in range(1, nx, _SWEEP_ROWS):
-            j1 = min(j0 + _SWEEP_ROWS, nx)
-            # planned hops of the block, column by column
-            jj, ii = np.nonzero(valid[:, j0:j1].T)
-            za = zgrid[ii, prev[ii, j0 - 1 + jj]]
-            d = zgrid[ii, j0 + jj] - za
-            table = coef(za, d, _NODE_AXIS)
-            bounds = np.searchsorted(jj, np.arange(j1 - j0 + 1))
-            for j in range(j0, j1):
-                lo, hi = bounds[j - j0], bounds[j - j0 + 1]
-                rows = ii[lo:hi]
-                start = prev[rows, j - 1]
-                k = np.flatnonzero(valid[rows, start])
-                ynew, ok = _unit_step_array(table[:, :, lo + k],
-                                            phi[:, rows[k], start[k]], tol)
-                phi[:, rows[k[ok]], j] = ynew[:, ok]
-                # the rest start at the row's last valid sample
-                failed = np.ones(rows.size, dtype=bool)
-                failed[k[ok]] = False
-                for i in rows[failed]:
-                    last = np.flatnonzero(valid[i, :j])[-1]
-                    try:
-                        phi[:, i, j] = hop(zgrid[i, last], zgrid[i, j],
-                                           tuple(phi[:, i, last].tolist()))
-                    except hop_errors:
-                        valid[i, j] = False
+        phi = _sweep_grid(transfer, _mul4_array, zgrid, valid,
+                          np.array(_ID4), data.z0, _SWEEP_ROWS)
 
         # immerse the valid samples, a block of rows at a time
         shift = 0.0 if target == "h3" else 1.0

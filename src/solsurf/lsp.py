@@ -25,14 +25,15 @@ gauge_matrix gives Phi = M(z)^{-1} Psi M(z0) with M(z) unitary, so
 Phi^H Phi = (Psi M(z0))^H (Psi M(z0)), and the h3 surface is the reduced
 one moved by the constant M(z0); the full system stays as the
 independent check of that identity (integrate_full and
-gauge_equivalence_residual).  The sampler's row sweep takes the
-integrator's first step, h = 1, for many segments at once over (4, n)
-arrays (_unit_step_array, with the same stages and acceptance rule); the
-segments whose step is not accepted go through propagate.  The array
-coefficient takes a t of any shape that broadcasts against the
-segments, so one call with a (6, 1) t tabulates all six stage times as
-a (6, 4, n) array, and each stage of the array step is one stacked
-product whose terms are added in the scalar term order.
+gauge_equivalence_residual).  The system is linear, so the sampler takes
+each hop as its transfer matrix from the identity: the integrator's
+first step, h = 1, for many segments at once over (4, n) arrays
+(_unit_step_array, same stages and acceptance rule), and propagate from
+_ID4 where that step is not accepted.  The array coefficient takes a t
+of any shape that broadcasts against the segments, so one call with a
+(6, 1) t tabulates all six stage times as a (6, 4, n) array, and each
+stage of the array step is one stacked product whose terms are added in
+the scalar term order.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -288,7 +289,7 @@ def _integrate_unit(cfun, y, tol):
     raise StepUnderflow("step budget exhausted (%d steps)" % _MAX_STEPS)
 
 
-# the stage times of a first step, t = 0 and h = 1, at which the row sweep
+# the stage times of a first step, t = 0 and h = 1, at which the grid sweep
 # tabulates the coefficient (0.0 + C2 * 1.0 is C2, and so on)
 _UNIT_NODES = (0.0, _C2, _C3, _C4, _C5, 1.0)
 
@@ -423,7 +424,7 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
 
     The one hop primitive: the path integrals go through it segment by
     segment, and so do the gauge check's finite-difference stencils and
-    the grid sampler's seed column and the row hops its batched step does
+    the grid sampler's hops, from the identity, that its batched step does
     not settle.  No pole validation or compatibility probing.  y0 and the
     result are 4-tuples (row-major 2x2 entries).
     """

@@ -250,7 +250,7 @@ def erf_example_surface(n, c=1.0, c1=0.0, lam=1.0, domain=None, tol=1e-8,
     formula on the reduced wavefunction from z0 = 1, without the move by
     the gauge rho(M(z0)) that the default h3 patch applies, so the
     default patch is this surface moved by that one Lorentz isometry.
-    threads is accepted and ignored, as in sample_surface.
+    threads is accepted and ignored: sampling runs on the calling thread.
     """
     data = erf_example_data(n, c=c, c1=c1, lam=lam)
     if domain is None:

@@ -12,7 +12,7 @@ import unittest
 
 import numpy as np
 
-from solsurf.cli import _quad_triangles, _vertex_index_map, main
+from solsurf.cli import _check, _quad_triangles, _vertex_index_map, main
 from solsurf.cli import _COMMAND_FLAGS, _build_parser, _merge_config
 
 SMALL = ["--domain", "-0.5:0.5:-0.5:0.5", "--res", "17"]
@@ -140,6 +140,13 @@ class TestGenerate(CliCase):
         for name in ("conformality", "mean_curvature"):
             self.assertEqual(rep["checks"][name]["evaluated"], 13 * 13)
             self.assertEqual(rep["checks"][name]["skipped"], {})
+        # the pointwise checks read their 10 x 10 points, the gauge checks
+        # their three paths
+        for name, count in (("gmc", 100), ("zero_curvature", 100),
+                            ("gauge_equivalence", 3), ("gauge_unitarity", 3),
+                            ("gauge_invariants", 3)):
+            self.assertEqual(rep["checks"][name]["evaluated"], count, name)
+            self.assertEqual(rep["checks"][name]["skipped"], {}, name)
         with open(self.path("mesh.obj")) as fh:
             lines = fh.read().splitlines()
         nv = sum(1 for l in lines if l.startswith("v "))
@@ -208,6 +215,40 @@ class TestVerify(CliCase):
                              13 * 13)
         self.assertEqual(checks["conformality"]["evaluated"],
                          checks["mean_curvature"]["evaluated"])
+
+    def test_pointwise_and_gauge_coverage(self):
+        # on 9 x 9 points over [-1, 1]^2 the pole at 0 is one of them; each
+        # check skips it with the error its call raised there
+        run_cli("verify", "--eta", "1/z", "--psi", "z", "--z0", "0.9+0.9i",
+                "--domain", "-1:1:-1:1", "--res", "9",
+                "--report", self.path("report.json"))
+        checks = self.report()["checks"]
+        for name, error in (("gmc", "StencilOutOfDomain"),
+                            ("zero_curvature", "DomainError")):
+            self.assertEqual(checks[name]["evaluated"], 80, name)
+            self.assertEqual(checks[name]["skipped"], {error: 1}, name)
+        # eta vanishes at z0, where the gauge is undefined: no path
+        # evaluates, and the gauge checks fail
+        code, _ = run_cli("verify", "--eta", "z", "--psi", "z", "--z0", "0",
+                          "--domain", "-0.5:0.5:-0.5:0.5", "--res", "9",
+                          "--report", self.path("report.json"))
+        self.assertEqual(code, 2)
+        checks = self.report()["checks"]
+        for name in ("gauge_equivalence", "gauge_unitarity",
+                     "gauge_invariants"):
+            self.assertEqual(checks[name]["evaluated"], 0, name)
+            self.assertEqual(checks[name]["skipped"], {"BranchAmbiguity": 3},
+                             name)
+            self.assertFalse(checks[name]["pass"], name)
+
+
+class TestCheckRule(unittest.TestCase):
+
+    def test_non_finite_value_fails(self):
+        self.assertTrue(_check([1e-9, 2e-9], 1e-4)["pass"])
+        for bad in (float("inf"), float("nan"), float("-inf")):
+            self.assertFalse(_check([1e-9, bad], 1e-4)["pass"], bad)
+        self.assertFalse(_check([], 1e-4)["pass"])
 
 
 class TestModuleEntry(CliCase):

@@ -166,12 +166,6 @@ class TestSampleSurface(unittest.TestCase):
                                "e3-limit", tol=1e-10)
         self.assertLess(float(np.nanmax(patch.residuals["x0_abs"])), 1e-2)
 
-    def test_threads_agree(self):
-        dom = DomainRect(-0.5, 0.5, -0.5, 0.5, 7, 7)
-        one = sample_surface(enneper(1.0), dom, "h3", tol=1e-10, threads=1)
-        three = sample_surface(enneper(1.0), dom, "h3", tol=1e-10, threads=3)
-        self.assertTrue(np.allclose(one.points, three.points, atol=1e-12))
-
     def test_pole_masked(self):
         data = WeierstrassData(eta=parse("1/(z-0.5)"), psi=parse("z"), z0=0j, lam=1.0)
         dom = DomainRect(0.0, 1.0, -0.5, 0.5, 3, 3)

@@ -1,9 +1,12 @@
-"""The batched row sweep of the ODE targets against the per-hop loop it
-replaced, which this file keeps as the reference implementation.  Both
-integrate the reduced system only; default h3 moves it by the gauge at
-z0."""
+"""The grid sweep against the per-sample loops it replaced, which this
+file keeps as the reference implementations: per_hop_reference for the
+ODE targets, one scalar propagate per sample, and
+per_row_quadrature_reference for e3-direct.  The ODE targets integrate
+the reduced system only; default h3 moves it by the gauge at z0.  The
+sweep multiplies each hop's transfer matrix from the identity into the
+wavefunction at the hop's start, so its ODE points are not bitwise those
+of hopping sample by sample; e3-direct's are."""
 
-import sys
 import unittest
 import warnings
 from unittest import mock
@@ -11,9 +14,11 @@ from unittest import mock
 import numpy as np
 
 import solsurf.immersion
+from solsurf._quad import adaptive_gl_batch
 from solsurf.expr import parse
 from solsurf.geom import EVAL_ERRORS, DomainError, WeierstrassData
-from solsurf.immersion import DomainRect, _lorentz4, _probe_validity, sample_surface
+from solsurf.immersion import (DomainRect, _lorentz4, _phi_vector_batch,
+                               _probe_validity, sample_surface)
 from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _integrate_unit,
                          _mul4, _reduced_coef, _reduced_coef_array,
                          _unit_step_array, gauge_matrix, propagate)
@@ -45,9 +50,31 @@ TOLS = (1e-8, 1e-2, 1e-12)
 
 def _tols(name):
     return TOLS[:2] if name.startswith("pole") else TOLS
-# each hop moves a log-data sample by a few ulps of the closures' last-bit
-# difference (<= 5.5e-16 relative), and a row adds up to ten hops
-LOG_REL = 1e-14
+
+
+# the sweep's ODE points on clean data against the per-hop loop, relative
+# to max(1, |x|): the rounding of the products T Psi, at most 2.2e-14
+# measured (tol 1e-12)
+CLEAN_REL = 1e-13
+
+# the per-hop loop's largest error at tol 1e-8 against itself at tol 1e-12,
+# relative to max(1, |x|), on the singular cases; the sweep may reach 5x
+# these.  It measures up to 1.2x on pole_on_sample, 3.1-3.9x on
+# pole_off_sample and 1.0x on the cuts
+PER_HOP_ERROR = {
+    ("pole_on_sample", "h3", None): 1.230e-08,
+    ("pole_on_sample", "e3-limit", None): 1.611e-08,
+    ("pole_on_sample", "h3", "reduced"): 1.034e-08,
+    ("pole_off_sample", "h3", None): 2.787e-08,
+    ("pole_off_sample", "e3-limit", None): 2.398e-08,
+    ("pole_off_sample", "h3", "reduced"): 1.877e-08,
+    ("sqrt_cut", "h3", None): 8.835e-07,
+    ("sqrt_cut", "e3-limit", None): 1.182e-06,
+    ("sqrt_cut", "h3", "reduced"): 8.835e-07,
+    ("log_cut", "h3", None): 1.990e-06,
+    ("log_cut", "e3-limit", None): 2.916e-06,
+    ("log_cut", "h3", "reduced"): 2.013e-06,
+}
 
 
 def _data(name):
@@ -66,11 +93,14 @@ def _old_lorentz4(y, lam, shift=0.0):
             -p12.imag / lam, 0.5 * (q11 - q22) / lam)
 
 
-def per_hop_reference(data, domain, target, tol=1e-8, system=None):
+def per_hop_reference(data, domain, target, tol=1e-8, system=None,
+                      refuse=()):
     """The sampler's former loop for the ODE targets: one scalar propagate
     of the reduced system per sample along the seed column and then along
-    each row; default h3 emits the wavefunction times the gauge at z0.
-    Returns (points, valid, residuals)."""
+    each row, each from the wavefunction at the last good sample; default
+    h3 emits the wavefunction times the gauge at z0.  The hops between the
+    (z_from, z_to) pairs in refuse fail.  Returns (points, valid,
+    residuals)."""
     lam = data.lam
     m0 = None
     if target == "h3" and system != "reduced":
@@ -87,6 +117,8 @@ def per_hop_reference(data, domain, target, tol=1e-8, system=None):
     shift = 0.0 if target == "h3" else 1.0
 
     def hop(z_from, z_to, y):
+        if (complex(z_from), complex(z_to)) in refuse:
+            raise StepUnderflow("refused")
         return propagate(data, z_from, z_to, y, tol=tol, system="reduced")
 
     def emit(i, j, y):
@@ -138,6 +170,83 @@ def per_hop_reference(data, domain, target, tol=1e-8, system=None):
     return points, valid, residuals
 
 
+def per_row_quadrature_reference(data, domain, tol=1e-8, refuse=()):
+    """e3-direct's former sampler: the seed column from z0 as one batch of
+    quadratures, then each row as one batch from its column-0 value, the
+    running sums a cumsum.  A hop that fails masks its end point, and the
+    hop after it is planned again from the last good point, in a batch of
+    its own.  The hops between the pairs in refuse fail.  Returns (points,
+    valid)."""
+    fvals = _phi_vector_batch(data)
+
+    def hops(starts, ends):
+        parts, failed = adaptive_gl_batch(fvals, starts, ends, tol=tol)
+        failed |= [(complex(a), complex(b)) in refuse
+                   for a, b in zip(starts, ends)]
+        return parts, failed
+
+    def run(z_start, acc, zs):
+        m = len(zs)
+        vals = np.full((m, 3), complex(np.nan, np.nan))
+        ok = np.zeros(m, dtype=bool)
+        if m == 0:
+            return vals, ok
+        parts, failed = hops(np.concatenate([[z_start], zs[:-1]]), zs)
+        k = 0
+        while k < m:
+            bad = np.flatnonzero(failed[k:])
+            stop = k + bad[0] if bad.size else m
+            if stop > k:
+                vals[k:stop] = np.cumsum(np.vstack([acc, parts[k:stop]]),
+                                         axis=0)[1:]
+                ok[k:stop] = True
+                acc = vals[stop - 1]
+                z_start = zs[stop - 1]
+            k = stop + 1
+            if k < m:
+                parts[k:k + 1], failed[k:k + 1] = hops([z_start], zs[k:k + 1])
+        return vals, ok
+
+    zgrid = domain.grid()
+    ny, nx = zgrid.shape
+    valid = _probe_validity(data, zgrid)
+    points = np.full((ny, nx, 3), np.nan)
+    rows = np.flatnonzero(valid[:, 0])
+    col, ok = run(data.z0, np.zeros(3, dtype=complex), zgrid[rows, 0])
+    valid[rows[~ok], 0] = False
+    valid[~valid[:, 0], 1:] = False
+    for i, acc in zip(rows[ok], col[ok]):
+        points[i, 0] = acc.real
+        cols = 1 + np.flatnonzero(valid[i, 1:])
+        vals, ok_row = run(zgrid[i, 0], acc, zgrid[i, cols])
+        points[i, cols[ok_row]] = vals[ok_row].real
+        valid[i, cols[~ok_row]] = False
+    return points, valid
+
+
+def _refusing(refuse):
+    """Patch the sweep so that the hops between the (z_from, z_to) pairs in
+    refuse fail, under every target."""
+    sweep = solsurf.immersion._sweep_grid
+
+    def refusing_sweep(hop, *args):
+        def refusing_hop(za, zb):
+            vals, ok = hop(za, zb)
+            bad = [(complex(a), complex(b)) in refuse for a, b in zip(za, zb)]
+            return vals, ok & ~np.array(bad, dtype=bool)
+
+        return sweep(refusing_hop, *args)
+
+    return mock.patch.object(solsurf.immersion, "_sweep_grid", refusing_sweep)
+
+
+def _rel_dev(got, want, valid):
+    """Largest |got - want| / max(1, |want|) over the valid samples."""
+    scale = np.maximum(1.0, np.abs(want).max(axis=-1))
+    return float(np.max(np.abs(got - want).max(axis=-1)[valid]
+                        / scale[valid], initial=0.0))
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
@@ -170,66 +279,101 @@ class TestAgainstPerHopLoop(unittest.TestCase):
         label = "%s %s %s tol %g" % (name, target, system, tol)
         np.testing.assert_array_equal(got.valid, want_v, label)
         self.assertEqual(list(got.residuals), list(want_r), label)
-        if CASES[name][-1]:
-            np.testing.assert_array_equal(_bits(got.points), _bits(want_p),
-                                          label)
-            for key, grid in want_r.items():
-                np.testing.assert_array_equal(_bits(got.residuals[key]),
-                                              _bits(grid), label + " " + key)
+        self.assertTrue(np.all(np.isnan(got.points) == np.isnan(want_p)), label)
+        if name != "clean":
             return
-        # log data: within the closures' last-bit difference, grown by the
-        # hops of a row; residuals relative to the squared point scale,
-        # which their cancellation works at
+        self.assertLessEqual(_rel_dev(got.points, want_p, want_v), CLEAN_REL,
+                             label)
+        # residuals relative to the squared point scale, which their
+        # cancellation works at
         scale = np.max(np.abs(want_p), axis=2, where=want_v[..., None],
                        initial=1.0)
-        self.assertTrue(np.all(np.isnan(got.points) == np.isnan(want_p)), label)
-        dev = np.abs(got.points - want_p)[want_v].max(axis=1)
-        self.assertLessEqual(float(np.max(dev / scale[want_v])), LOG_REL, label)
         for key, grid in want_r.items():
             dev = np.abs(got.residuals[key] - grid)[want_v]
             self.assertLessEqual(float(np.max(dev / scale[want_v] ** 2)),
-                                 LOG_REL, label + " " + key)
+                                 CLEAN_REL, label + " " + key)
 
     def test_all_cases(self):
+        """The same mask as the per-hop loop for every case, target and
+        tol, and on clean data the same points up to rounding."""
         for name in CASES:
             for target, system in TARGETS:
                 for tol in _tols(name):
                     self.compare(name, target, system, tol)
 
+    def test_error_against_a_tight_reference(self):
+        """On the singular cases at tol 1e-8, the error against the per-hop
+        loop at tol 1e-12 stays within 5x the per-hop loop's own."""
+        for (name, target, system), before in PER_HOP_ERROR.items():
+            data, domain = _data(name)
+            want_p, want_v, _ = per_hop_reference(data, domain, target,
+                                                  tol=1e-12, system=system)
+            got = sample_surface(data, domain, target, tol=1e-8,
+                                 system=system)
+            both = got.valid & want_v
+            self.assertTrue(both.any())
+            err = _rel_dev(got.points, want_p, both)
+            self.assertLessEqual(err, 5.0 * before,
+                                 "%s %s %s: %.3e" % (name, target, system, err))
+
+    def test_e3_direct_equals_the_per_row_quadrature(self):
+        for name in CASES:
+            data, domain = _data(name)
+            for tol in _tols(name):
+                want_p, want_v = per_row_quadrature_reference(data, domain,
+                                                              tol=tol)
+                got = sample_surface(data, domain, "e3-direct", tol=tol)
+                label = "%s tol %g" % (name, tol)
+                np.testing.assert_array_equal(got.valid, want_v, label)
+                np.testing.assert_array_equal(_bits(got.points),
+                                              _bits(want_p), label)
+
     def test_hop_after_a_failed_hop(self):
-        """After a hop fails, the row's next hop starts at the last good
-        sample, not where the plan put it.  A pole makes every later hop
-        of its row fail too, so the failure is forced here: the batched
-        step leaves column 8 to the scalar propagate, which refuses the
-        hop into (5, 8)."""
+        """After a hop fails, the line's next hop starts at its last good
+        sample, not where the plan put it, in a row and in the seed column
+        alike, under every target.  A pole makes every later hop of its
+        row fail too, so the failures are forced here: the hops into
+        (5, 8) and into (6, 0) are refused."""
         data, _ = _data("clean")
         domain = DomainRect(-0.3, 0.3, -0.3, 0.3, 17, 17)
         zgrid = domain.grid()
-        bad = (complex(zgrid[5, 7]), complex(zgrid[5, 8]))
+        refuse = {(complex(zgrid[5, 7]), complex(zgrid[5, 8])),
+                  (complex(zgrid[5, 0]), complex(zgrid[6, 0]))}
+        for target, system in TARGETS + (("e3-direct", None),):
+            with _refusing(refuse):
+                got = sample_surface(data, domain, target, system=system)
+            if target == "e3-direct":
+                want_p, want_v = per_row_quadrature_reference(
+                    data, domain, refuse=refuse)
+            else:
+                want_p, want_v, _ = per_hop_reference(
+                    data, domain, target, system=system, refuse=refuse)
+            self.assertFalse(want_v[5, 8] or want_v[6].any(), target)
+            self.assertTrue(want_v[5, 9:].all() and want_v[7:].all(), target)
+            np.testing.assert_array_equal(got.valid, want_v, target)
+            if target == "e3-direct":
+                np.testing.assert_array_equal(_bits(got.points),
+                                              _bits(want_p), target)
+            else:
+                self.assertLessEqual(_rel_dev(got.points, want_p, want_v),
+                                     CLEAN_REL, target)
 
-        def failing(data, z_from, z_to, *args, _real=propagate, **kwargs):
-            if (complex(z_from), complex(z_to)) == bad:
-                raise StepUnderflow("forced failure")
-            return _real(data, z_from, z_to, *args, **kwargs)
-
-        columns = []
-
-        def rejecting(coefs, y, tol):
-            # called once per column, in column order
-            columns.append(len(columns) + 1)
-            ynew, ok = _unit_step_array(coefs, y, tol)
-            return ynew, ok & (columns[-1] != 8)
-
-        with mock.patch.object(solsurf.immersion, "propagate", failing), \
-                mock.patch.object(solsurf.immersion, "_unit_step_array",
-                                  rejecting):
-            got = sample_surface(data, domain, "h3")
-        with mock.patch.object(sys.modules[__name__], "propagate", failing):
-            want_p, want_v, _ = per_hop_reference(data, domain, "h3")
-        self.assertFalse(want_v[5, 8])
-        self.assertTrue(want_v[5, 9:].all())
-        np.testing.assert_array_equal(got.valid, want_v)
-        np.testing.assert_array_equal(_bits(got.points), _bits(want_p))
+    def test_no_hop_left(self):
+        """Grids on which no row gets a hop: the gauge undefined at z0
+        masks every h3 sample, and at tol 1e-17 every quadrature hop
+        fails."""
+        data = WeierstrassData(eta=parse("z"), psi=parse("z"), z0=0j, lam=0.8)
+        domain = DomainRect(0.1, 0.6, 0.1, 0.6, 5, 5)
+        patch = sample_surface(data, domain, "h3")
+        self.assertFalse(patch.valid.any())
+        self.assertTrue(np.isnan(patch.points).all())
+        data, _ = _data("clean")
+        domain = DomainRect(-0.6, 0.6, -0.6, 0.6, 5, 5)
+        patch = sample_surface(data, domain, "e3-direct", tol=1e-17)
+        self.assertFalse(patch.valid.any())
+        np.testing.assert_array_equal(
+            patch.valid, per_row_quadrature_reference(data, domain,
+                                                      tol=1e-17)[1])
 
     def test_nan_and_overflow_do_not_warn(self):
         data, domain = _data("pole_on_sample")
@@ -316,8 +460,8 @@ class TestBatchedStep(unittest.TestCase):
 
 
 class TestPropagateCalls(unittest.TestCase):
-    """The scalar propagate runs only for the seed column and the hops the
-    batched step cannot take."""
+    """The scalar propagate runs only for the hops the batched step from
+    the identity cannot take."""
 
     def count(self, data, domain, target):
         with mock.patch.object(solsurf.immersion, "propagate",
@@ -325,54 +469,54 @@ class TestPropagateCalls(unittest.TestCase):
             sample_surface(data, domain, target)
         return counting.call_count
 
-    def test_clean_data_hops_only_the_seed_column(self):
-        # hops short enough for one step at tol 1e-8
+    def test_clean_data_hops_in_batches(self):
+        # hops short enough for one step at tol 1e-8, all but the seed
+        # column's first, from z0 to the corner
         data, _ = _data("clean")
         domain = DomainRect(-0.3, 0.3, -0.3, 0.3, 17, 17)
+        self.assertEqual(self.expected_calls(data, domain), 1)
         for target in ("h3", "e3-limit"):
-            self.assertLessEqual(self.count(data, domain, target), domain.ny)
+            self.assertEqual(self.count(data, domain, target), 1, target)
 
-    def test_pole_data_seed_plus_fallback_hops(self):
+    def test_pole_data_fallback_hops(self):
         # both targets sweep the reduced system, so they hop alike
         for name in ("pole_on_sample", "pole_off_sample"):
             data, domain = _data(name)
             expected = self.expected_calls(data, domain)
+            self.assertGreater(expected, 0, name)
             for target in ("h3", "e3-limit"):
                 self.assertEqual(self.count(data, domain, target), expected,
                                  "%s %s" % (name, target))
 
     def expected_calls(self, data, domain):
-        """Seed hops (one per probe-valid sample of column 0) plus the row
-        hops that do not start at the row's previous probe-valid sample,
-        or that _integrate_unit does not cross in one step."""
+        """One call for each hop that _integrate_unit does not cross from
+        the identity in one step: the hops planned from the probe mask,
+        down the seed column from z0 and along the rows it reaches, and
+        each hop after a failed one, taken again from the line's last good
+        sample."""
         zgrid = domain.grid()
         probe = _probe_validity(data, zgrid)
-
-        def hop(z_from, z_to, y):
-            return propagate(data, z_from, z_to, y, tol=1e-8)
-
         calls = 0
-        rows = {}
-        y, cur_z = _ID4, data.z0
-        for i in np.flatnonzero(probe[:, 0]):
-            calls += 1
-            try:
-                y = hop(cur_z, zgrid[i, 0], y)
-            except _HOP_ERRORS:
-                continue
-            rows[i] = y
-            cur_z = zgrid[i, 0]
-        for i, y in rows.items():
-            last = prev = 0
-            for j in np.flatnonzero(probe[i, 1:]) + 1:
-                one, _ = _one_step(data, zgrid[i, last], zgrid[i, j], y, 1e-8)
-                calls += not (last == prev and one)
-                prev = j
-                try:
-                    y = hop(zgrid[i, last], zgrid[i, j], y)
-                except _HOP_ERRORS:
-                    continue
-                last = j
+
+        def line(zs):
+            # which of zs[1:] the hops from zs[0] reach
+            nonlocal calls
+            reached = []
+            last = planned = zs[0]
+            for z in zs[1:]:
+                for a in {planned, last}:
+                    one, y = _one_step(data, a, z, _ID4, 1e-8)
+                    calls += not one
+                reached.append(y is not None)
+                planned = z
+                if y is not None:
+                    last = z
+            return np.array(reached, dtype=bool)
+
+        rows = np.flatnonzero(probe[:, 0])
+        rows = rows[line([data.z0] + list(zgrid[rows, 0]))]
+        for i in rows:
+            line(list(zgrid[i, probe[i]]))
         return calls
 
 
@@ -395,8 +539,8 @@ class TestLorentzForms(unittest.TestCase):
 
 class TestOnePassTables(unittest.TestCase):
     """The sampler tabulates a block's hops at all six nodes in one call of
-    the array coefficient, over a (6, 1) node axis, and steps on (6, 4, n)
-    slices of that table."""
+    the array coefficient, over a (6, 1) node axis, and steps on that
+    (6, 4, n) table."""
 
     def setUp(self):
         errstate = np.errstate(all="ignore")
@@ -445,8 +589,10 @@ class TestOnePassTables(unittest.TestCase):
                                           _bits(want.view(float)))
 
     def test_one_coefficient_call_per_block(self):
+        """One call for the seed column, and one per block of _SWEEP_ROWS
+        rows."""
         data, domain = _data("clean")
-        self.assertEqual(domain.nx, 17)
+        self.assertEqual(domain.ny, 17)
         for target in ("h3", "e3-limit"):
             calls = []
 
@@ -462,8 +608,8 @@ class TestOnePassTables(unittest.TestCase):
             with mock.patch.object(solsurf.immersion, "_reduced_coef_array",
                                    counting):
                 sample_surface(data, domain, target)
-            blocks = -(-(domain.nx - 1) // _SWEEP_ROWS)
-            self.assertEqual(calls, [(6, 1)] * blocks, target)
+            blocks = -(-domain.ny // _SWEEP_ROWS)
+            self.assertEqual(calls, [(6, 1)] * (1 + blocks), target)
 
 
 class TestImmersionPass(unittest.TestCase):
