@@ -14,8 +14,6 @@ matrix product instead of a nested quadrature.
 
 import numpy as np
 
-from ._carith import cmul
-
 __all__ = ["QuadratureFailure", "gl_nodes", "integration_matrix", "adaptive_gl",
            "adaptive_gl_batch"]
 
@@ -73,9 +71,9 @@ def _gl_rules(f, starts, ends, x, w):
     """The n-point rule on each interval starts[k] -> ends[k], with one
     call of f for all of them.
 
-    Per interval this is the arithmetic of a scalar loop over the nodes:
-    the weighted values summed in node order, then scaled by the half
-    length, so an interval's value does not depend on the batch around it.
+    Per interval, the weighted values are summed in node order and then
+    scaled by the half length, so an interval's value does not depend on
+    the batch around it.
     """
     mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
@@ -85,12 +83,7 @@ def _gl_rules(f, starts, ends, x, w):
     total = w[0] * vals[:, 0]
     for m in range(1, len(x)):
         total = total + w[m] * vals[:, m]
-    if total.ndim == 1:
-        # scaled as a loop over one interval scales: there a scalar sum is
-        # a numpy scalar, whose product rounds as Python's (cmul), while a
-        # vector sum is an array, whose product numpy may fuse
-        return cmul(half, total)
-    return half[:, None] * total
+    return (half * total.T).T
 
 
 def _per_interval(a):

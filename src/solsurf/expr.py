@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._carith import cdiv, cmul, cpowi, csqrt
 from .specfun import erf_array, erf_c
 
 _FUNCTIONS = {
@@ -64,7 +63,7 @@ def _raised_as_nan(fn):
 _ARRAY_FUNCTIONS = {name: _raised_as_nan(fn) for name, fn in {
     "exp": np.exp,
     "log": np.log,
-    "sqrt": csqrt,
+    "sqrt": np.sqrt,
     "sin": np.sin,
     "cos": np.cos,
     "sinh": np.sinh,
@@ -132,25 +131,18 @@ def _pow_value(base, expo):
     return base ** expo
 
 
-@_raised_as_nan
-def _array_power(base, expo):
-    # _pow_value over arrays: a constant integer exponent takes CPython's
-    # integer-power route, anything else numpy's complex power
-    if np.ndim(expo) == 0:
-        e = complex(expo)
-        if e.imag == 0.0 and e.real == int(e.real) and abs(e.real) <= 100:
-            return cpowi(base, int(e.real))
-    return np.power(base, expo)
+def _array_quotient(x, y):
+    # numpy's x / 0 is inf or NaN, where the scalar quotient raises
+    return np.where(y == 0, _NAN, x / y)
 
 
 # What a compiled tree bottoms out in.  Every node compiles through the
 # same _compile walk, given one of these two libraries: scalar closures
-# take builtin complex and cmath, array closures numpy arrays, ufuncs and
-# the CPython-rounded products and quotients of _carith.
+# take builtin complex and cmath, array closures numpy arrays and ufuncs.
 _Leaves = namedtuple("_Leaves", "array var functions power")
 _SCALAR = _Leaves(False, complex, _FUNCTIONS, _pow_value)
 _ARRAY = _Leaves(True, lambda z: np.asarray(z, dtype=complex),
-                 _ARRAY_FUNCTIONS, _array_power)
+                 _ARRAY_FUNCTIONS, _raised_as_nan(np.power))
 
 
 class Expr:
@@ -195,15 +187,13 @@ class Expr:
         """Bind parameters and return a closure over numpy arrays: z ->
         complex array of z's shape, one value per element.
 
-        Same tree walk as compiled, with numpy leaves.  Products, quotients
-        and integer powers up to 100 round as Python's complex type does,
-        sqrt follows cmath's algorithm and erf runs the same series, so
-        each element equals the scalar closure's value bit for bit; log
-        and other powers go through numpy's routines and may differ in the
-        last bits.  Nothing raises at run time: where the scalar closure raises (a pole, log 0, a
-        function or power that overflows), the value is NaN, and it stays
-        NaN through the rest of the tree.  numpy's floating-point warnings
-        are suppressed inside the closure.
+        Same tree walk as compiled, with numpy's operators and ufuncs as
+        leaves and erf by the same series, so each element agrees with the
+        scalar closure's value to rounding, not bit for bit.  Nothing
+        raises at run time: where the scalar closure raises (a pole, log 0,
+        a function or power that overflows), the value is NaN, and it
+        stays NaN through the rest of the tree.  numpy's floating-point
+        warnings are suppressed inside the closure.
         """
         f = self._compile(params or {}, _ARRAY)
 
@@ -344,8 +334,6 @@ class Mul(Expr):
 
     def _compile(self, params, lib):
         lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
-        if lib.array:
-            return lambda z: cmul(lf(z), rf(z))
         return lambda z: lf(z) * rf(z)
 
     def _fmt(self, ctx):
@@ -365,7 +353,7 @@ class Div(Expr):
     def _compile(self, params, lib):
         lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
         if lib.array:
-            return lambda z: cdiv(lf(z), rf(z))
+            return lambda z: _array_quotient(lf(z), rf(z))
         return lambda z: lf(z) / rf(z)
 
     def _fmt(self, ctx):
@@ -412,11 +400,11 @@ class Pow(Expr):
 
     def _compile(self, params, lib):
         bf = self.base._compile(params, lib)
-        if isinstance(self.expo, Num) and self.expo.value == int(self.expo.value) \
+        if not lib.array and isinstance(self.expo, Num) \
+                and self.expo.value == int(self.expo.value) \
                 and abs(self.expo.value) <= 1024:
             n = int(self.expo.value)
-            if not lib.array:
-                return lambda z: bf(z) ** n
+            return lambda z: bf(z) ** n
         ef = self.expo._compile(params, lib)
         power = lib.power
         return lambda z: power(bf(z), ef(z))

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._carith import cabs, cmul
 # adaptive_gl is not called here; it stays a module name because the
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
@@ -221,15 +220,15 @@ def shifted_immersion(phi, lam=None):
 def _phi_vector_batch(data):
     """The integrand (1/2 (1 - psi^2), i/2 (1 + psi^2), psi) eta^2 over an
     array of points, one row per point, from the array closures of eta
-    and psi; cmul rounds each product as Python's complex type does."""
+    and psi."""
     eta_a, _, psi_a, _ = data.array_functions()
 
     def fvals(z):
         ev, pv = eta_a(z), psi_a(z)
-        e2 = cmul(ev, ev)
-        p2 = cmul(pv, pv)
-        return np.stack((cmul(cmul(0.5, 1.0 - p2), e2),
-                         cmul(cmul(0.5j, 1.0 + p2), e2), cmul(pv, e2)), axis=1)
+        e2 = ev * ev
+        p2 = pv * pv
+        return np.stack((0.5 * (1.0 - p2) * e2, 0.5j * (1.0 + p2) * e2,
+                         pv * e2), axis=1)
 
     return fvals
 
@@ -468,7 +467,7 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
                 y = _mul4_array(y, m0)
             x = _lorentz4(y, lam, shift)
             points[block][ok] = np.stack(x, axis=1)
-            drift[block][ok] = cabs(cmul(y[0], y[3]) - cmul(y[1], y[2]) - 1.0)
+            drift[block][ok] = np.abs(y[0] * y[3] - y[1] * y[2] - 1.0)
             if target == "h3":
                 record[block][ok] = (x[1] * x[1] + x[2] * x[2] + x[3] * x[3]
                                      - x[0] * x[0] + 1.0 / (lam * lam))

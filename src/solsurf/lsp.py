@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._carith import cabs, cmul
 from ._quad import QuadratureFailure, integration_matrix
 from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
                    fields_from_weierstrass, gmc_residual, wirtinger_pair)
@@ -186,19 +185,19 @@ def _lc4(y, h, terms):
 
 
 def _mul4_array(a, b):
-    """_mul4 over (4, n) arrays, products rounded as Python's: its eight
-    products in one cmul, summed pairwise as _mul4 sums them."""
-    p = cmul(a[[0, 0, 2, 2, 1, 1, 3, 3]], b[[0, 1, 0, 1, 2, 3, 2, 3]])
+    """_mul4 over (4, n) arrays: its eight products in one product, summed
+    pairwise as _mul4 sums them."""
+    p = a[[0, 0, 2, 2, 1, 1, 3, 3]] * b[[0, 1, 0, 1, 2, 3, 2, 3]]
     return p[:4] + p[4:]
 
 
 def _lc4_array(y, h, terms):
-    """_lc4 over (4, n) arrays, products rounded as Python's: the stage's
-    products in one cmul over the stacked k, added to y one at a time in
-    term order, as _lc4 adds them (a reduction would reorder the sum)."""
+    """_lc4 over (4, n) arrays: the stage's products in one product over
+    the stacked k, added to y one at a time in term order, as _lc4 adds
+    them."""
     cs, ks = zip(*terms)
     hc = np.array([h * c for c in cs])
-    for p in cmul(hc[:, None, None], np.stack(ks)):
+    for p in hc[:, None, None] * np.stack(ks):
         y = y + p
     return y
 
@@ -300,19 +299,19 @@ def _unit_step_array(coefs, y, tol):
 
     coefs holds the coefficient at the six _UNIT_NODES, a (6, 4, n) array
     or six (4, n) arrays, y the (4, n) start values.  Returns (ynew,
-    accepted): where accepted, _integrate_unit takes exactly this step
-    and returns ynew, since the step ends the segment; elsewhere it would
-    reject or shrink the step.  Each stage is one stacked product
-    (_mul4_array, _lc4_array), and the magnitudes of errv, y and ynew are
-    one cabs, which rounds as Python's abs, so that an ulp cannot flip
-    the test; call under np.errstate(all="ignore").
+    accepted): where accepted, _integrate_unit takes this step and
+    returns ynew, to rounding, since the step ends the segment; elsewhere
+    it would reject or shrink the step.  numpy rounds apart from Python's
+    complex type, so only an error estimate within rounding of the
+    tolerance could be judged apart.  Each stage is one stacked product
+    (_mul4_array, _lc4_array); call under np.errstate(all="ignore").
     """
     c0, c2, c3, c4, c5, c6 = coefs
     ynew, k7, errv = _dp_step(y, 1.0, _mul4_array(c0, y), c2, c3, c4, c5, c6,
                               _ARRAY_OPS)
-    err, ymax, ynewmax = cabs(np.stack((errv, y, ynew))).max(axis=1)
+    err, ymax, ynewmax = np.abs(np.stack((errv, y, ynew))).max(axis=1)
     scale = tol * np.maximum(np.maximum(1.0, ymax), ynewmax)
-    # a non-finite scale is an |y| that Python's abs refuses (OverflowError)
+    # a non-finite scale is an |y| that overflows (OverflowError in Python)
     accepted = (np.isfinite(ynew).all(axis=0) & np.isfinite(k7).all(axis=0)
                 & np.isfinite(scale) & (err <= scale))
     return ynew, accepted
@@ -402,19 +401,19 @@ def _segment_coefs(data, system, H):
 def _reduced_coef_array(data):
     """_reduced_coef over arrays: (a, d, t) -> the (4, n) entries at
     a + t d of the segments from a by d, NaN where the scalar closures
-    raise; products round as Python's (cmul).  A t of shape (k, 1) gives
-    a (k, 4, n) array, the entries at each of the k times, in one pass
-    over the closures.  Call under np.errstate(all="ignore")."""
+    raise.  A t of shape (k, 1) gives a (k, 4, n) array, the entries at
+    each of the k times, in one pass over the closures.  Call under
+    np.errstate(all="ignore")."""
     eta_a, _, psi_a, _ = data.array_functions()
     lam = data.lam
 
     def coef(a, d, t):
-        z = a + cmul(t, d)
+        z = a + t * d
         ev = eta_a(z)
         pv = psi_a(z)
-        w = cmul(cmul(cmul(lam, d), ev), ev)
-        wp = cmul(w, pv)
-        return np.stack((wp, -w, cmul(wp, pv), cmul(-w, pv)), axis=-2)
+        w = lam * d * ev * ev
+        wp = w * pv
+        return np.stack((wp, -w, wp * pv, -w * pv), axis=-2)
 
     return coef
 

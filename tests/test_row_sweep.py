@@ -27,18 +27,16 @@ from solsurf.odebridge import erf_example_data
 
 _HOP_ERRORS = (StepUnderflow, DomainError) + EVAL_ERRORS
 
-# (eta, psi, z0, lambda, domain, exact): ROADMAP item 4's cases on 11x11
-# with z0 = 0.9+0.9i (a pole on a sample, a pole between samples, a
-# branch cut), clean data, and log, whose array closure differs from the
-# scalar one in the last bits
+# (eta, psi, z0, lambda, domain): ROADMAP item 4's cases on 11x11 with
+# z0 = 0.9+0.9i (a pole on a sample, a pole between samples, two branch
+# cuts), and clean data
 CASES = {
-    "clean": ("1+0.2*z", "z^2", 0j, 0.8, (-0.6, 0.6, -0.6, 0.6, 17, 17), True),
-    "pole_on_sample": ("1/z", "z", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11),
-                       True),
+    "clean": ("1+0.2*z", "z^2", 0j, 0.8, (-0.6, 0.6, -0.6, 0.6, 17, 17)),
+    "pole_on_sample": ("1/z", "z", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
     "pole_off_sample": ("1/(z-0.05-0.05*i)", "z", 0.9 + 0.9j, 0.8,
-                        (-1, 1, -1, 1, 11, 11), True),
-    "sqrt_cut": ("1", "sqrt(z)", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11), True),
-    "log_cut": ("1", "log(z)", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11), False),
+                        (-1, 1, -1, 1, 11, 11)),
+    "sqrt_cut": ("1", "sqrt(z)", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
+    "log_cut": ("1", "log(z)", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
 }
 # (target, system) of the ODE sampler
 TARGETS = (("h3", None), ("e3-limit", None), ("h3", "reduced"))
@@ -56,6 +54,13 @@ def _tols(name):
 # to max(1, |x|): the rounding of the products T Psi, at most 2.2e-14
 # measured (tol 1e-12)
 CLEAN_REL = 1e-13
+
+# the batched first step against the scalar one, relative to the largest
+# entry, and the array coefficient tables against the scalar coefficient,
+# entrywise: numpy's products and the array closures round differently
+# from Python's, by at most 8.7e-16 and 5.5e-16 measured
+STEP_REL = 1e-14
+TABLE_REL = 4e-15
 
 # the per-hop loop's largest error at tol 1e-8 against itself at tol 1e-12,
 # relative to max(1, |x|), on the singular cases; the sweep may reach 5x
@@ -78,7 +83,7 @@ PER_HOP_ERROR = {
 
 
 def _data(name):
-    eta, psi, z0, lam, dom, _ = CASES[name]
+    eta, psi, z0, lam, dom = CASES[name]
     return (WeierstrassData(eta=parse(eta), psi=parse(psi), z0=z0, lam=lam),
             DomainRect(*dom))
 
@@ -407,7 +412,6 @@ class TestBatchedStep(unittest.TestCase):
         coef = _reduced_coef_array(data)
         ynew, ok = _unit_step_array([coef(a, b - a, t) for t in _UNIT_NODES],
                                     y, tol)
-        exact = CASES[name][-1]
         accepted = rejected = 0
         for k in range(len(a)):
             one, want = _one_step(data, a[k], b[k], starts[k], tol)
@@ -416,11 +420,8 @@ class TestBatchedStep(unittest.TestCase):
             if one:
                 accepted += 1
                 got = tuple(ynew[:, k].tolist())
-                if exact:
-                    self.assertEqual(got, want, label)
-                else:
-                    self.assertLessEqual(max(abs(g - w) for g, w in zip(got, want)),
-                                         1e-14 * max(map(abs, want)), label)
+                self.assertLessEqual(max(abs(g - w) for g, w in zip(got, want)),
+                                     STEP_REL * max(map(abs, want)), label)
             else:
                 rejected += 1
         return accepted, rejected
@@ -451,12 +452,9 @@ class TestBatchedStep(unittest.TestCase):
                         continue
                     got = table[:, k].tolist()
                     label = "%s t=%r at %r" % (name, t, a[k])
-                    if CASES[name][-1]:
-                        self.assertEqual(got, list(want), label)
-                    else:
-                        for g, w in zip(got, want):
-                            self.assertLessEqual(abs(g - w), 4e-15 * abs(w),
-                                                 label)
+                    for g, w in zip(got, want):
+                        self.assertLessEqual(abs(g - w), TABLE_REL * abs(w),
+                                             label)
 
 
 class TestPropagateCalls(unittest.TestCase):
