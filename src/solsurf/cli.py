@@ -24,6 +24,12 @@ zero_curvature need at least half of their points evaluated, the gauge
 checks 2 of their 3 paths.  Identical configurations yield
 byte-identical reports apart from wall_ms.
 
+limit samples 5 x 2 points, inset 10% from the domain edges, through the
+grid sampler: e3-direct once, mapped to (0, -2 F1, -2 F2, 2 F3), and
+e3-limit at each lambda.  Its table holds the largest entrywise deviation
+per lambda; a masked sample is a runtime error (exit 1), since the fit
+needs every point.
+
 A configuration file (--config, plain key=value lines, '#' comments) may
 supply any long flag of its command by name, an on/off flag as true,
 false, 1 or 0, a --param binding as param.NAME; a key the command has no
@@ -52,13 +58,9 @@ from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
 # the benchmark tracer in solbench/ wraps cli.frame_and_curvature
 from .immersion import (FRAME_OK, FRAME_REASON_NAMES, DomainRect,
                         frame_and_curvature,  # noqa: F401
-                        frame_sweep, loop_period, sample_surface,
-                        enneper_weierstrass)
+                        frame_sweep, loop_period, sample_surface)
 from .lsp import (BranchAmbiguity, PathSpec, QuadratureFailure,
-                  StepUnderflow, _ID4, gauge_equivalence_residual, propagate)
-# the tuple form of the shifted immersion: shifted_immersion's 1e-6
-# determinant check would reject runs at a legal --tol up to 1e-2
-from .immersion import _lorentz4
+                  StepUnderflow, gauge_equivalence_residual)
 from .odebridge import (erf_example_surface, kummer_crosscheck,
                         ode_coefficients, standard_potential,
                         weierstrass_from_ode, OdeSpec, free_params)
@@ -602,30 +604,38 @@ def cmd_sample(cfg, stream, start, command):
     return _exit_code(checks)
 
 
+def _limit_points(data, rect, target, tol, label):
+    """The points of one sampled target of the limit study; DomainError if
+    any sample is masked, so that no NaN reaches the fit."""
+    patch = sample_surface(data, rect, target, tol=tol)
+    if not patch.valid.all():
+        masked = rect.grid()[~patch.valid]
+        raise DomainError("%d of %d limit samples masked (%s) at z = %s"
+                          % (masked.size, patch.valid.size, label,
+                             ", ".join(repr(complex(z)) for z in masked)))
+    return patch.points
+
+
 def cmd_limit(cfg, stream, start):
     data0 = _load_data(dict(cfg, **{"lambda": 1.0}))
     lams = cfg["lambdas"]
     a, b, c, d = cfg["domain"]
     tol = _tol(cfg)
-    xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5)
-    ys = np.linspace(c + 0.1 * (d - c), d - 0.1 * (d - c), 2)
-    zs = [complex(x, y) for y in ys for x in xs]
-
-    targets = []
-    for z in zs:
-        f = enneper_weierstrass(data0, PathSpec.line(data0.z0, z), tol=tol)
-        targets.append(np.array([0.0, -2 * f[0], -2 * f[1], 2 * f[2]]))
+    # 5 x 2 samples, inset 10% from the domain edges
+    rect = DomainRect(a + 0.1 * (b - a), b - 0.1 * (b - a),
+                      c + 0.1 * (d - c), d - 0.1 * (d - c), 5, 2)
+    f = _limit_points(data0, rect, "e3-direct", tol, "e3-direct")
+    targets = np.stack([np.zeros(f.shape[:2]), -2.0 * f[..., 0],
+                        -2.0 * f[..., 1], 2.0 * f[..., 2]], axis=-1)
 
     table = []
     errs = []
     for lam in lams:
         data = WeierstrassData(eta=data0.eta, psi=data0.psi, z0=data0.z0,
                                lam=lam, params=data0.params)
-        worst = 0.0
-        for z, tgt in zip(zs, targets):
-            y = propagate(data, data.z0, z, _ID4, tol=tol, system="reduced")
-            x = np.array(_lorentz4(y, lam, 1.0))
-            worst = max(worst, float(np.max(np.abs(x - tgt))))
+        x = _limit_points(data, rect, "e3-limit", tol,
+                          "e3-limit, lambda %g" % lam)
+        worst = float(np.max(np.abs(x - targets)))
         table.append([lam, worst])
         errs.append(worst)
 

@@ -55,7 +55,7 @@ import numpy as np
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
 from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _UNIT_NODES,
-                  _mul4_array, _reduced_coef_array, _unit_step_array,
+                  _mul4_array, _reduced_coef, _unit_step_array,
                   gauge_matrix, propagate)
 
 __all__ = [
@@ -244,7 +244,8 @@ def _path_integral(data, path, tol):
     if failed.any():
         a, b = ends[np.flatnonzero(failed)[0]]
         raise QuadratureFailure("path segment %r -> %r: non-finite integrand, "
-                                "or error above tol %.3e" % (a, b, tol))
+                                "or error above tol %.3e"
+                                % (complex(a), complex(b), tol))
     total = np.zeros(3, dtype=complex)
     for part in parts:
         total = total + part
@@ -435,12 +436,14 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
             m0 = gauge_matrix(data, data.z0).reshape(4, 1)
         except (BranchAmbiguity, DomainError):
             valid[:] = False
-    coef = _reduced_coef_array(data)
+    eta_a, _, psi_a, _ = data.array_functions()
+    coef = _reduced_coef(lam, eta_a, psi_a)
 
     def transfer(za, zb):
         eye = np.zeros((4, za.size), dtype=complex)
         eye[[0, 3]] = 1.0
-        t, ok = _unit_step_array(coef(za, zb - za, _NODE_AXIS), eye, tol)
+        table = np.stack(coef(za, zb - za, _NODE_AXIS), axis=-2)
+        t, ok = _unit_step_array(table, eye, tol)
         for k in np.flatnonzero(~ok):
             try:
                 t[:, k] = propagate(data, za[k], zb[k], _ID4, tol=tol,

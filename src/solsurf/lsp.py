@@ -11,14 +11,18 @@ reduced system
 
     Psi_z = lambda eta^2 [[psi, -1], [psi^2, -psi]] Psi,   Psi_zbar = 0
 
-is holomorphic, so only gamma' enters.  Both are integrated by a
-hand-rolled adaptive Dormand-Prince 5(4) pair over plain 4-tuples of
-complex entries (the 2x2 hot path does not justify numpy dispatch per
-stage); step control is on the matrix max-norm and the determinant is
-left untouched, since raw det drift is itself a diagnostic.  propagate,
-one straight hop from a given value, is the one way into the scalar
-integrator: the path integrals and the gauge check hop segment by
-segment through it.
+is holomorphic, so only gamma' enters.  Each system has one coefficient
+factory, (a, d, t) -> the four entries at a + t d on the segment from a
+by d: the full one applies geom.build_UV's Lax pair, the reduced one
+takes the closures of eta and psi, scalar or array, so the scalar hop,
+the sweep's table and reduced_coefficient share its entries.  Both
+systems are integrated by a hand-rolled adaptive Dormand-Prince 5(4)
+pair over plain 4-tuples of complex entries (the 2x2 hot path does not
+justify numpy dispatch per stage); step control is on the matrix
+max-norm and the determinant is left untouched, since raw det drift is
+itself a diagnostic.  propagate, one straight hop from a given value,
+is the one way into the scalar integrator: the path integrals and the
+gauge check hop segment by segment through it.
 
 The grid sampler sweeps the reduced system only.  The gauge of
 gauge_matrix gives Phi = M(z)^{-1} Psi M(z0) with M(z) unitary, so
@@ -29,11 +33,11 @@ gauge_equivalence_residual).  The system is linear, so the sampler takes
 each hop as its transfer matrix from the identity: the integrator's
 first step, h = 1, for many segments at once over (4, n) arrays
 (_unit_step_array, same stages and acceptance rule), and propagate from
-_ID4 where that step is not accepted.  The array coefficient takes a t
-of any shape that broadcasts against the segments, so one call with a
-(6, 1) t tabulates all six stage times as a (6, 4, n) array, and each
-stage of the array step is one stacked product whose terms are added in
-the scalar term order.
+_ID4 where that step is not accepted.  Over the array closures the
+reduced coefficient takes a t of any shape that broadcasts against the
+segments, so one call with a (6, 1) t tabulates all six stage times as a
+(6, 4, n) array, and each stage of the array step is one stacked product
+whose terms are added in the scalar term order.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -46,11 +50,12 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._quad import QuadratureFailure, integration_matrix
-from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
+from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain, build_UV,
                    fields_from_weierstrass, gmc_residual, wirtinger_pair)
 
 __all__ = [
@@ -318,104 +323,58 @@ def _unit_step_array(coefs, y, tol):
 
 
 # ---------------------------------------------------------------------------
-# coefficient factories
+# coefficient factories: (a, d, t) -> the system's coefficient along the
+# segment from a by d at a + t d, as its four row-major entries
+
+def _reduced_coef(lam, eta_f, psi_f):
+    """The reduced system's coefficient lambda eta^2 [[psi, -1], [psi^2,
+    -psi]] d, from the scalar closures of eta and psi or from their array
+    closures (then np.stack(..., axis=-2) makes the table; a t of shape
+    (k, 1) tabulates k times at once, NaN marks the points where the
+    scalar closures raise, and the call belongs under
+    np.errstate(all="ignore")).  Traceless and of rank <= 1 by
+    construction."""
+    def coef(a, d, t):
+        z = a + t * d
+        ev = eta_f(z)
+        pv = psi_f(z)
+        w = lam * d * ev * ev
+        wp = w * pv
+        return wp, -w, wp * pv, -w * pv
+
+    return coef
+
+
+def _full_coef(data, H):
+    """The full system's coefficient U d + V^H conj(d), with (U, V) the Lax
+    pair of geom.build_UV over the Weierstrass fields at H (None for
+    lambda); DomainError where the fields degenerate."""
+    fields = fields_from_weierstrass(data, H)
+
+    def coef(a, d, t):
+        z = a + t * d
+        U, V = build_UV(fields, fields.u_z(z), z)
+        return tuple((U * d + V.conj().T * d.conjugate()).ravel().tolist())
+
+    return coef
+
 
 def reduced_coefficient(data, z):
     """Coefficient matrix lambda eta^2 [[psi, -1], [psi^2, -psi]] at z.
 
     Traceless and of rank <= 1 (determinant 0) by construction.
+    DomainError where eta or psi is not evaluable or an entry is not
+    finite.
     """
     eta_f, _, psi_f, _ = data.functions()
     z = complex(z)
     try:
-        ev = eta_f(z)
-        pv = psi_f(z)
+        entries = _reduced_coef(data.lam, eta_f, psi_f)(z, 1.0, 0.0)
     except EVAL_ERRORS as exc:
         raise DomainError("coefficient not evaluable at %r: %s" % (z, exc)) from exc
-    w = data.lam * ev * ev
-    return np.array([[w * pv, -w], [w * pv * pv, -w * pv]], dtype=complex)
-
-
-def _reduced_coef(data):
-    """(a, b) -> the reduced system's coefficient along the segment a -> b,
-    as a function of t in [0, 1] returning its 4-tuple of entries."""
-    eta_f, _, psi_f, _ = data.functions()
-    lam = data.lam
-
-    def segment(a, b):
-        d = b - a
-
-        def cfun(t):
-            z = a + t * d
-            ev = eta_f(z)
-            pv = psi_f(z)
-            w = lam * d * ev * ev
-            return (w * pv, -w, w * pv * pv, -w * pv)
-
-        return cfun
-
-    return segment
-
-
-def _full_coef(data, H):
-    """(a, b) -> the full system's coefficient U d + V^H conj(d) along the
-    segment a -> b, d = b - a, as a function of t in [0, 1] returning its
-    4-tuple of entries.  U and V are the Lax pair of geom.build_UV over
-    the Weierstrass fields, written out with the analytic u_z; DomainError
-    where the conformal factor degenerates."""
-    eta_f, deta_f, psi_f, dpsi_f = data.functions()
-    lam = data.lam
-
-    def segment(a, b):
-        d = b - a
-        dc = d.conjugate()
-
-        def cfun(t):
-            z = a + t * d
-            ev = eta_f(z)
-            pv = psi_f(z)
-            pc = pv.conjugate()
-            m = (ev * ev.conjugate()).real * (1.0 + (pv * pc).real)   # e^{u/2}
-            if not (m > 0.0 and math.isfinite(m)):
-                raise DomainError("conformal factor degenerates at %r" % (z,))
-            dpv = dpsi_f(z)
-            uz4 = 0.5 * (deta_f(z) / ev + pc * dpv / (1.0 + pv * pc))   # u_z/4
-            off = -(ev * ev) * dpv / m                                  # Q e^{-u/2}
-            return (uz4 * d + (-uz4.conjugate()) * dc,
-                    -off * d + 0.5 * m * (lam - H) * dc,
-                    0.5 * m * (lam + H) * d + off.conjugate() * dc,
-                    -uz4 * d + uz4.conjugate() * dc)
-
-        return cfun
-
-    return segment
-
-
-def _segment_coefs(data, system, H):
-    """(a, b) -> the chosen system's coefficient along the segment a -> b."""
-    if system == "reduced":
-        return _reduced_coef(data)
-    return _full_coef(data, H if H is not None else data.lam)
-
-
-def _reduced_coef_array(data):
-    """_reduced_coef over arrays: (a, d, t) -> the (4, n) entries at
-    a + t d of the segments from a by d, NaN where the scalar closures
-    raise.  A t of shape (k, 1) gives a (k, 4, n) array, the entries at
-    each of the k times, in one pass over the closures.  Call under
-    np.errstate(all="ignore")."""
-    eta_a, _, psi_a, _ = data.array_functions()
-    lam = data.lam
-
-    def coef(a, d, t):
-        z = a + t * d
-        ev = eta_a(z)
-        pv = psi_a(z)
-        w = lam * d * ev * ev
-        wp = w * pv
-        return np.stack((wp, -w, wp * pv, -w * pv), axis=-2)
-
-    return coef
+    if not all(map(cmath.isfinite, entries)):
+        raise DomainError("coefficient not finite at %r" % (z,))
+    return _to_matrix(entries)
 
 
 def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
@@ -429,8 +388,13 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
     """
     if z_from == z_to:
         return y0
-    cfun = _segment_coefs(data, system, H)(complex(z_from), complex(z_to))
-    return _integrate_unit(cfun, tuple(y0), tol)
+    if system == "reduced":
+        eta_f, _, psi_f, _ = data.functions()
+        coef = _reduced_coef(data.lam, eta_f, psi_f)
+    else:
+        coef = _full_coef(data, H)
+    a = complex(z_from)
+    return _integrate_unit(partial(coef, a, complex(z_to) - a), tuple(y0), tol)
 
 
 def integrate_reduced(data, path, tol=1e-10):

@@ -57,18 +57,26 @@ def erf_series(z, tol=1e-12):
 
     Near the diagonals Re(z^2) ~ 0 with |z| large both series cancel: their
     terms grow far beyond the sum.  The rounding scale of the summed series,
-    eps |prefactor| sum_k |term_k|, is compared with tol max(1, |value|),
-    and OutOfRange is raised where it is larger; below it, the truncation
-    estimate refers to the exact tail.
+    eps |prefactor| sum_k |term_k|, is compared with tol max(1, |value|);
+    where it is larger the other series is summed instead, and OutOfRange
+    is raised where both refuse.  Below it, the truncation estimate refers
+    to the exact tail.
     """
     z = complex(z)
     if abs(z) > ERF_RADIUS:
         raise OutOfRange("erf series trusted only for |z| <= %g, got |z| = %g"
                          % (ERF_RADIUS, abs(z)))
     z2 = z * z
-    if z2.real >= 0.0:
-        return _erf_scaled(z, z2, tol)
-    return _erf_maclaurin(z, z2, tol)
+    first, other = _erf_scaled, _erf_maclaurin
+    if z2.real < 0.0:
+        first, other = other, first
+    try:
+        return first(z, z2, tol)
+    except (OutOfRange, NoConvergence) as exc:
+        try:
+            return other(z, z2, tol)
+        except (OutOfRange, NoConvergence):
+            raise exc from None
 
 
 def _erf_scaled(z, z2, tol):
@@ -133,12 +141,13 @@ def erf_c(z, tol=1e-12):
 def erf_array(z, tol=1e-12):
     """erf_c over an array, element by element; NaN where erf_c raises.
 
-    The same two series, term recurrences, stopping rules and rounding
-    check as erf_series, with numpy's complex arithmetic, so each element
-    agrees with erf_c at that point to rounding.  Each element's value is
-    taken in the term where its own series stops.  NaN marks |z| > 8, a
-    non-finite argument, a sum that cancels beyond tol, or no convergence
-    within the term budget.
+    The same two series, term recurrences, stopping rules, rounding check
+    and fallback to the other series as erf_series, with numpy's complex
+    arithmetic, so each element agrees with erf_c at that point to
+    rounding.  Each element's value is taken in the term where its own
+    series stops.  NaN marks |z| > 8, a non-finite argument, a sum that
+    both series cancel beyond tol, or no convergence within the term
+    budget.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
@@ -147,11 +156,13 @@ def erf_array(z, tol=1e-12):
         z2 = flat * flat
         ok = np.isfinite(flat) & (np.abs(flat) <= ERF_RADIUS)
         scaled = z2.real >= 0.0
-        for sel, series in ((ok & scaled, _erf_scaled_array),
-                            (ok & ~scaled, _erf_maclaurin_array)):
-            idx = np.flatnonzero(sel)
-            if idx.size:
-                out[idx] = series(flat[idx], z2[idx], tol)
+        # each element's first series, then the other one where that left NaN
+        for first in (True, False):
+            for sel, series in ((scaled == first, _erf_scaled_array),
+                                (scaled != first, _erf_maclaurin_array)):
+                idx = np.flatnonzero(ok & sel & np.isnan(out))
+                if idx.size:
+                    out[idx] = series(flat[idx], z2[idx], tol)
     return out.reshape(z.shape)
 
 

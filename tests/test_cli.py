@@ -310,6 +310,20 @@ class TestLimit(CliCase):
         self.assertTrue(rep["checks"]["limit_abs_error"]["pass"])
         self.assertTrue(rep["checks"]["limit_order_shortfall"]["pass"])
 
+    def test_masked_sample_is_an_error(self):
+        # the pole sits on the sample 0.4+0.8i of the 5 x 2 set; the hop
+        # from 0.8i to 0.8+0.8i crosses it, so that sample is masked too
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["limit", "--eta", "1/(z-0.4-0.8*i)", "--psi", "z",
+                         "--report", self.path("report.json")],
+                        stream=io.StringIO())
+        self.assertEqual(code, 1)
+        text = err.getvalue()
+        self.assertIn("2 of 10 limit samples masked", text)
+        self.assertIn("(0.40000000000000013+0.8j), (0.8+0.8j)", text)
+        self.assertFalse(os.path.exists(self.path("report.json")))
+
 
 class TestOdeBridgeCommands(CliCase):
     def test_to_ode(self):

@@ -9,8 +9,8 @@ import numpy as np
 import solsurf.lsp
 from solsurf.expr import parse
 from solsurf.geom import WeierstrassData, weierstrass_solution
-from solsurf.lsp import (PathSpec, gauge_matrix, integrate_reduced,
-                         integrate_full)
+from solsurf.lsp import (PathSpec, QuadratureFailure, gauge_matrix,
+                         integrate_reduced, integrate_full)
 from solsurf.immersion import (DomainRect, LambdaZero, DegenerateFrame,
                                sym_immersion, shifted_immersion,
                                enneper_weierstrass, loop_period,
@@ -118,6 +118,14 @@ class TestEnneperIntegral(unittest.TestCase):
         with self.assertRaises(ValueError):
             loop_period(enneper(1.0), PathSpec(points=(0.0, 1.0, 1j)))
 
+    def test_failure_names_the_segment_as_complex_numbers(self):
+        data = WeierstrassData(eta=parse("1/z"), psi=parse("z"), z0=-1 + 0j,
+                               lam=1.0)
+        with self.assertRaises(QuadratureFailure) as ctx:
+            enneper_weierstrass(data, PathSpec(points=(-1.0, 1.0, 1 + 1j)))
+        self.assertIn("path segment (-1+0j) -> (1+0j):", str(ctx.exception))
+        self.assertNotIn("np.", str(ctx.exception))
+
 
 class TestSampleSurface(unittest.TestCase):
     def test_h3_patch_residuals(self):
@@ -213,14 +221,15 @@ class TestH3GaugeMove(unittest.TestCase):
                                      1e-13 * np.max(np.abs(want)), label)
 
     def test_h3_needs_no_full_system_coefficient(self):
+        # every full-system coefficient goes through geom's Lax pair
         def refuse(*args, **kwargs):
-            raise AssertionError("full-system coefficient built")
+            raise AssertionError("full-system Lax pair built")
 
         dom = DomainRect(-1.0, 1.0, -1.0, 1.0, 11, 11)
         for eta, psi, z0 in self.CASES:
             data = self.data(eta, psi, z0)
             want = sample_surface(data, dom, "h3")
-            with mock.patch.object(solsurf.lsp, "_full_coef", refuse):
+            with mock.patch.object(solsurf.lsp, "build_UV", refuse):
                 got = sample_surface(data, dom, "h3")
             np.testing.assert_array_equal(got.valid, want.valid)
             np.testing.assert_array_equal(got.points, want.points)

@@ -3,16 +3,19 @@
 import cmath
 import math
 import unittest
+from unittest import mock
 
 import numpy as np
 
+import solsurf.lsp
 from solsurf.expr import parse
-from solsurf.geom import WeierstrassData, build_UV, fields_from_weierstrass
+from solsurf.geom import (DomainError, WeierstrassData, build_UV,
+                          fields_from_weierstrass)
 from solsurf.lsp import (PathSpec, PoleClearanceViolated, BranchAmbiguity,
                          IncompatibleSystem, Wavefunction, propagate,
                          integrate_reduced, integrate_full, picard_series,
                          gauge_matrix, gauge_equivalence_residual,
-                         _segment_coefs)
+                         reduced_coefficient, _full_coef)
 
 
 def make_data(eta, psi, lam, z0=0j):
@@ -72,6 +75,26 @@ class TestReducedIntegration(unittest.TestCase):
             self.assertLess(abs(got - want), 1e-9)
 
 
+class TestReducedCoefficient(unittest.TestCase):
+    def test_entries(self):
+        data = make_data("1+0.3*z", "z^2", 0.8)
+        z = 0.4 - 0.3j
+        eta, psi = 1 + 0.3 * z, z * z
+        w = 0.8 * eta * eta
+        want = np.array([[w * psi, -w], [w * psi * psi, -w * psi]])
+        got = reduced_coefficient(data, z)
+        self.assertLess(np.max(np.abs(got - want)), 1e-15 * np.max(np.abs(want)))
+        self.assertLess(abs(np.trace(got)), 1e-15)
+
+    def test_pole_and_overflow_raise_domain_error(self):
+        # a pole, and exp(400), which is finite while its square is not
+        for eta, z in (("1/z", 0.0), ("exp(z)", 400.0)):
+            with self.assertRaises(DomainError, msg=eta):
+                reduced_coefficient(make_data(eta, "z", 0.5), z)
+        data = make_data("exp(z)", "z", 0.5)
+        self.assertTrue(np.isfinite(reduced_coefficient(data, 40.0)).all())
+
+
 class TestFullIntegration(unittest.TestCase):
     DATA = make_data("1", "z", 1.0)
 
@@ -97,16 +120,26 @@ class TestFullIntegration(unittest.TestCase):
         rng = np.random.default_rng(5)
         for H in (data.lam, 0.3):
             fields = fields_from_weierstrass(data, H)
-            segment = _segment_coefs(data, "full", H)
+            coef = _full_coef(data, H)
             for _ in range(20):
                 a, b = rng.uniform(-0.6, 0.6, 2) + 1j * rng.uniform(-0.6, 0.6, 2)
                 t = rng.uniform()
                 z = a + t * (b - a)
                 U, V = build_UV(fields, fields.u_z(z), z)
                 want = U * (b - a) + V.conj().T * np.conj(b - a)
-                got = np.array(segment(a, b)(t)).reshape(2, 2)
+                got = np.array(coef(complex(a), complex(b - a), t)).reshape(2, 2)
                 self.assertLess(np.max(np.abs(got - want)),
                                 1e-13 * np.max(np.abs(want)))
+
+    def test_full_hop_uses_the_geom_lax_pair(self):
+        with mock.patch.object(solsurf.lsp, "build_UV",
+                               wraps=build_UV) as lax_pair:
+            y = propagate(self.DATA, 0.0, 0.3 + 0.2j, (1, 0, 0, 1),
+                          system="full")
+        self.assertGreater(lax_pair.call_count, 0)
+        want = integrate_full(self.DATA, PathSpec.line(0.0, 0.3 + 0.2j))
+        self.assertLess(np.max(np.abs(np.array(y).reshape(2, 2)
+                                      - want.value)), 1e-12)
 
     def test_round_trip(self):
         y = propagate(self.DATA, 0.0, 0.5 + 0.3j, (1, 0, 0, 1), system="full")

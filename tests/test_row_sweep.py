@@ -20,8 +20,8 @@ from solsurf.geom import EVAL_ERRORS, DomainError, WeierstrassData
 from solsurf.immersion import (DomainRect, _lorentz4, _phi_vector_batch,
                                _probe_validity, sample_surface)
 from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _integrate_unit,
-                         _mul4, _reduced_coef, _reduced_coef_array,
-                         _unit_step_array, gauge_matrix, propagate)
+                         _mul4, _reduced_coef, _unit_step_array,
+                         gauge_matrix, propagate)
 from solsurf.immersion import _SWEEP_ROWS
 from solsurf.odebridge import erf_example_data
 
@@ -256,16 +256,33 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
+def _scalar_coef(data):
+    """The reduced coefficient over the scalar closures, as a scalar hop
+    takes it: (a, d, t) -> the 4-tuple of entries."""
+    eta_f, _, psi_f, _ = data.functions()
+    return _reduced_coef(data.lam, eta_f, psi_f)
+
+
+def _array_coef(data):
+    """The reduced coefficient over the array closures, as the sweep
+    tabulates it: (a, d, t) -> the entries stacked on axis -2."""
+    eta_a, _, psi_a, _ = data.array_functions()
+    coef = _reduced_coef(data.lam, eta_a, psi_a)
+    return lambda a, d, t: np.stack(coef(a, d, t), axis=-2)
+
+
 def _one_step(data, a, b, y, tol):
     """Whether _integrate_unit crosses the reduced system's hop a -> b in
     one accepted step of h = 1 (six coefficient calls), and its result
     (None if it raised)."""
-    cfun = _reduced_coef(data)(complex(a), complex(b))
+    coef = _scalar_coef(data)
+    a = complex(a)
+    d = complex(b) - a
     calls = [0]
 
     def counted(t):
         calls[0] += 1
-        return cfun(t)
+        return coef(a, d, t)
 
     try:
         y1 = _integrate_unit(counted, y, tol)
@@ -409,7 +426,7 @@ class TestBatchedStep(unittest.TestCase):
         y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
         y[3] = (1.0 + y[1] * y[2]) / y[0]
         starts = [tuple(col) for col in y.T.tolist()]
-        coef = _reduced_coef_array(data)
+        coef = _array_coef(data)
         ynew, ok = _unit_step_array([coef(a, b - a, t) for t in _UNIT_NODES],
                                     y, tol)
         accepted = rejected = 0
@@ -439,13 +456,14 @@ class TestBatchedStep(unittest.TestCase):
             data, domain = _data(name)
             zgrid = domain.grid()
             a, b = zgrid[:, :-1].ravel(), zgrid[:, 1:].ravel()
-            scalar = _reduced_coef(data)
-            coef = _reduced_coef_array(data)
+            scalar = _scalar_coef(data)
+            coef = _array_coef(data)
             for t in _UNIT_NODES:
                 table = coef(a, b - a, t)
                 for k in range(len(a)):
                     try:
-                        want = scalar(complex(a[k]), complex(b[k]))(t)
+                        want = scalar(complex(a[k]),
+                                      complex(b[k]) - complex(a[k]), t)
                     except _HOP_ERRORS:
                         # NaN where the scalar form raises
                         self.assertFalse(np.all(np.isfinite(table[:, k])))
@@ -563,7 +581,7 @@ class TestOnePassTables(unittest.TestCase):
         nan_lanes = 0
         for name in ("clean", "pole_on_sample", "pole_off_sample", "erf"):
             data, a, d = self.hops(name)
-            coef = _reduced_coef_array(data)
+            coef = _array_coef(data)
             table = coef(a, d, nodes)
             self.assertEqual(table.shape, (6, 4, len(a)), name)
             per_node = np.stack([coef(a, d, t) for t in _UNIT_NODES])
@@ -577,7 +595,7 @@ class TestOnePassTables(unittest.TestCase):
         data, a, d = self.hops("pole_off_sample")
         rng = np.random.default_rng(5)
         y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
-        coef = _reduced_coef_array(data)
+        coef = _array_coef(data)
         table = np.stack([coef(a, d, t) for t in _UNIT_NODES])
         for tol in (1e-8, 1e-2):
             got, got_ok = _unit_step_array(table, y, tol)
@@ -594,7 +612,7 @@ class TestOnePassTables(unittest.TestCase):
         for target in ("h3", "e3-limit"):
             calls = []
 
-            def counting(*args, _real=_reduced_coef_array):
+            def counting(*args, _real=_reduced_coef):
                 coef = _real(*args)
 
                 def counted(a, d, t):
@@ -603,7 +621,7 @@ class TestOnePassTables(unittest.TestCase):
 
                 return counted
 
-            with mock.patch.object(solsurf.immersion, "_reduced_coef_array",
+            with mock.patch.object(solsurf.immersion, "_reduced_coef",
                                    counting):
                 sample_surface(data, domain, target)
             blocks = -(-domain.ny // _SWEEP_ROWS)

@@ -71,6 +71,16 @@ class TestErf(unittest.TestCase):
         for x in np.linspace(-8.0, 8.0, 65):
             self.assertLess(abs(erf_c(x) - math.erf(x)), 1e-12, str(x))
 
+    def test_other_series_where_the_first_refuses(self):
+        # Re z^2 > 0 picks the scaled series, whose term mass (5.3e3) the
+        # rounding check refuses here; the Maclaurin series sums it within
+        # tol.  Reference value from mpmath at 30 digits
+        z = -2.1335 + 2.0714j
+        want = -1.14362057435290022 - 0.01881729275001036j
+        self.assertGreaterEqual((z * z).real, 0.0)
+        self.assertLess(abs(erf_c(z) - want), 1e-12)
+        self.assertLess(abs(erf_array(np.array([z]))[0] - want), 1e-12)
+
     def test_odd_function(self):
         for z in (0.5 + 0.5j, 1.5 - 0.3j, 2.0j):
             self.assertLess(abs(erf_c(z) + erf_c(-z)), 1e-12)
