@@ -31,7 +31,9 @@ is one line of hops, each row from its column-0 sample another.  A hop's
 value does not depend on the value at its start, so the planned hops are
 computed in batches, then accumulated along the lines; a failed hop
 masks its end sample, and the hop after it is taken again from the
-line's last good sample.  The targets differ in the hop value and how
+line's last good sample.  Where that fails too, a pole blocks the line,
+say, and all its remaining hops from that sample are computed in one
+more batch.  The targets differ in the hop value and how
 values combine.  The ODE targets multiply transfer matrices from the
 identity, Psi(z_j) = T Psi(z_{j-1}), of the reduced (holomorphic) system;
 h3 then moves its wavefunctions by the constant gauge M(z0), which gives
@@ -54,9 +56,8 @@ import numpy as np
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _UNIT_NODES,
-                  _mul4_array, _reduced_coef, _unit_step_array,
-                  gauge_matrix, propagate)
+from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _integrate_lanes,
+                  _mul4_array, _reduced_coef, gauge_matrix, propagate)
 
 __all__ = [
     "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
@@ -75,10 +76,6 @@ TARGETS = ("h3", "e3-limit", "e3-direct")
 # of the coefficient table and the step made a 128^2 erf patch and its
 # PLY write take 0.49 s instead of 0.30 s (2 CPUs, no clock pinning)
 _SWEEP_ROWS = 8
-
-# the Dormand-Prince nodes of one full step as a column, so that one call
-# of the array coefficient tabulates a block's hops at all six: (6, 4, m)
-_NODE_AXIS = np.array(_UNIT_NODES)[:, None]
 
 
 class LambdaZero(ValueError):
@@ -291,33 +288,49 @@ def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch):
     """Accumulate hop values along lines of samples, in place.
 
     Line l visits the points zs[l, j] with ok[l, j] in column order;
-    column 0 is its start, where vals[:, l, 0] holds its value.  The hop
-    into each ok sample is planned from the line's previous ok sample.
-    hop(za, zb) returns the values of the hops za[k] -> zb[k] as an
-    (e, K) array and whether each was computed; a hop's value does not
-    depend on the value at its start, so every planned hop is computed
-    up front, the hops of lines_per_batch lines per call.  Then the lines
-    advance together, one column at a time: a sample's value is
-    combine(hop value, value at the hop's start).  A hop that failed
-    masks its end sample in ok, and the hop after it is taken again, from
-    the line's last good sample, in one further call per column.
+    column 0 is its start, where vals[:, l, 0] holds its value.  hop(za,
+    zb) returns the values of the hops za[k] -> zb[k] as an (e, K) array
+    and whether each was computed; a hop's value does not depend on the
+    value at its start, so hops are computed ahead, in batches, and kept
+    in vals[:, l, j] with their start sample start[l, j].  First every
+    hop planned from the ok mask, from the line's previous ok sample, the
+    hops of lines_per_batch lines per call.  Then the lines advance
+    together, one column at a time: a sample's value is combine(hop value,
+    value at the hop's start).  A hop that failed masks its end sample in
+    ok, and a hop kept from another start than the line's last good sample
+    is taken again from that sample, in one further call per column.  A
+    line whose hop fails again there is blocked, by a pole say: all its
+    remaining hops are taken from its last good sample in one more call,
+    and used while that sample stays its last good one.
     """
     n_lines, m = ok.shape
-    prev = np.maximum.accumulate(np.where(ok, np.arange(m), -1), axis=1)
+    start = np.zeros(ok.shape, dtype=int)
+    start[:, 1:] = np.maximum.accumulate(np.where(ok, np.arange(m), -1),
+                                         axis=1)[:, :-1]
     hop_ok = np.zeros(ok.shape, dtype=bool)
+    last = np.zeros(n_lines, dtype=int)
+
+    def from_last(ll, jj):
+        # the hops of lines ll into columns jj from their last good samples
+        start[ll, jj] = last[ll]
+        vals[:, ll, jj], hop_ok[ll, jj] = hop(zs[ll, last[ll]], zs[ll, jj])
+
     for l0 in range(0, n_lines, lines_per_batch):
         ll, jj = np.nonzero(ok[l0:l0 + lines_per_batch, 1:])
         if ll.size:
             ll += l0
-            vals[:, ll, jj + 1], hop_ok[ll, jj + 1] = hop(zs[ll, prev[ll, jj]],
-                                                        zs[ll, jj + 1])
-    last = np.zeros(n_lines, dtype=int)
+            jj += 1
+            vals[:, ll, jj], hop_ok[ll, jj] = hop(zs[ll, start[ll, jj]],
+                                                zs[ll, jj])
     for j in range(1, m):
         lanes = np.flatnonzero(ok[:, j])
-        redo = lanes[prev[lanes, j - 1] != last[lanes]]
+        redo = lanes[start[lanes, j] != last[lanes]]
         if redo.size:
-            vals[:, redo, j], hop_ok[redo, j] = hop(zs[redo, last[redo]],
-                                                    zs[redo, j])
+            from_last(redo, j)
+            blocked = redo[~hop_ok[redo, j]]
+            ll, jj = np.nonzero(ok[blocked, j + 1:])
+            if ll.size:
+                from_last(blocked[ll], jj + j + 1)
         good = lanes[hop_ok[lanes, j]]
         vals[:, good, j] = combine(vals[:, good, j], vals[:, good, last[good]])
         ok[lanes[~hop_ok[lanes, j]], j] = False
@@ -417,15 +430,16 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     A hop's value is the reduced system's transfer matrix T from the
     identity, so the wavefunction at a sample is T Psi at the hop's start
     (_mul4_array), and _sweep_grid fills one (4, ny, nx) grid of
-    wavefunction entries from Psi(z0) = I.  The hops of _SWEEP_ROWS lines
-    are tabulated by one call of the array coefficient over the (6, 1)
-    node axis _NODE_AXIS, a (6, 4, K) table, and tried as one full step
-    from I (lsp._unit_step_array); a hop whose step _integrate_unit would
-    not accept as it stands goes through the scalar propagate from _ID4,
-    so the adaptive control stays in one place.  Then one pass over the
-    valid samples, _SWEEP_ROWS rows at a time, right-multiplies their
-    wavefunctions by M(z0) when system is 'full', applies _lorentz4 and
-    fills the records; masked samples stay NaN.
+    wavefunction entries from Psi(z0) = I.  Each batch of hops is
+    integrated from I in lock step (lsp._integrate_lanes), whose first
+    iteration tabulates the array coefficient over all the batch's hops
+    at the six stage times of one full step in one call; the hop it
+    leaves unsettled, the one still running when every other has ended,
+    goes through the scalar propagate from _ID4, so the adaptive control
+    stays _integrate_unit's.  Then one pass over the valid samples,
+    _SWEEP_ROWS rows at a time, right-multiplies their wavefunctions by
+    M(z0) when system is 'full', applies _lorentz4 and fills the records;
+    masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
@@ -442,9 +456,8 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     def transfer(za, zb):
         eye = np.zeros((4, za.size), dtype=complex)
         eye[[0, 3]] = 1.0
-        table = np.stack(coef(za, zb - za, _NODE_AXIS), axis=-2)
-        t, ok = _unit_step_array(table, eye, tol)
-        for k in np.flatnonzero(~ok):
+        t, ok, failed = _integrate_lanes(coef, za, zb - za, eye, tol)
+        for k in np.flatnonzero(~(ok | failed)):
             try:
                 t[:, k] = propagate(data, za[k], zb[k], _ID4, tol=tol,
                                     system="reduced")

@@ -30,14 +30,18 @@ Phi^H Phi = (Psi M(z0))^H (Psi M(z0)), and the h3 surface is the reduced
 one moved by the constant M(z0); the full system stays as the
 independent check of that identity (integrate_full and
 gauge_equivalence_residual).  The system is linear, so the sampler takes
-each hop as its transfer matrix from the identity: the integrator's
-first step, h = 1, for many segments at once over (4, n) arrays
-(_unit_step_array, same stages and acceptance rule), and propagate from
-_ID4 where that step is not accepted.  Over the array closures the
-reduced coefficient takes a t of any shape that broadcasts against the
-segments, so one call with a (6, 1) t tabulates all six stage times as a
-(6, 4, n) array, and each stage of the array step is one stacked product
-whose terms are added in the scalar term order.
+each hop as its transfer matrix from the identity, many segments at
+once: _integrate_lanes runs _integrate_unit over (4, n) arrays in lock
+step, one lane per segment with its own t and h, taking the same
+decisions, and the terms of each stage are added in the scalar term
+order.  Over the array closures the reduced coefficient takes a t of any
+shape that broadcasts against the segments, so the first iteration, the
+step h = 1 from t = 0, tabulates all six stage times of every lane in
+one call with a (6, 1) t, a (6, 4, n) array, and each later iteration
+those of every running lane in one call with a (5, n) t.  The one lane
+left running when every other has ended is handed back unsettled, and
+the sampler hops it through propagate from _ID4: a single segment steps
+faster through the scalar integrator.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -189,21 +193,24 @@ def _lc4(y, h, terms):
     return (r0, r1, r2, r3)
 
 
+# the rows of the two factors of _mul4's eight products, in its order
+_MUL_ROWS = (np.array([0, 0, 2, 2, 1, 1, 3, 3]),
+             np.array([0, 1, 0, 1, 2, 3, 2, 3]))
+
+
 def _mul4_array(a, b):
     """_mul4 over (4, n) arrays: its eight products in one product, summed
     pairwise as _mul4 sums them."""
-    p = a[[0, 0, 2, 2, 1, 1, 3, 3]] * b[[0, 1, 0, 1, 2, 3, 2, 3]]
+    p = a.take(_MUL_ROWS[0], axis=0) * b.take(_MUL_ROWS[1], axis=0)
     return p[:4] + p[4:]
 
 
 def _lc4_array(y, h, terms):
-    """_lc4 over (4, n) arrays: the stage's products in one product over
-    the stacked k, added to y one at a time in term order, as _lc4 adds
-    them."""
-    cs, ks = zip(*terms)
-    hc = np.array([h * c for c in cs])
-    for p in hc[:, None, None] * np.stack(ks):
-        y = y + p
+    """_lc4 over (4, n) arrays, h a number or one step per column: the
+    products added to y one at a time in term order, each rounded as _lc4
+    rounds it."""
+    for c, k in terms:
+        y = y + (h * c) * k
     return y
 
 
@@ -220,7 +227,7 @@ def _dp_step(y, h, k1, c2, c3, c4, c5, c6, ops):
     t + C4 h, t + C5 h and t + h.  Returns (ynew, k7, errv), k7 =
     C(t + h) ynew and errv the embedded error estimate, in one term order
     for the 4-tuples of _integrate_unit and the arrays of
-    _unit_step_array.
+    _integrate_lanes, whose h holds one step per lane.
     """
     mul4, lc4 = ops.mul4, ops.lc4
     y2 = lc4(y, h, ((_A21, k1),))
@@ -293,33 +300,87 @@ def _integrate_unit(cfun, y, tol):
     raise StepUnderflow("step budget exhausted (%d steps)" % _MAX_STEPS)
 
 
-# the stage times of a first step, t = 0 and h = 1, at which the grid sweep
-# tabulates the coefficient (0.0 + C2 * 1.0 is C2, and so on)
+# the stage times of a first step, t = 0 and h = 1 (0.0 + C2 * 1.0 is C2,
+# and so on), and as a column, over which one call of an array coefficient
+# tabulates n segments at all six as a (6, 4, n) table
 _UNIT_NODES = (0.0, _C2, _C3, _C4, _C5, 1.0)
+_NODE_AXIS = np.array(_UNIT_NODES)[:, None]
 
 
-def _unit_step_array(coefs, y, tol):
-    """The first step of _integrate_unit, h = 1 from t = 0, for n segments
-    at once.
+def _integrate_lanes(coef, a, d, y, tol):
+    """_integrate_unit for n segments in lock step, one lane per segment.
 
-    coefs holds the coefficient at the six _UNIT_NODES, a (6, 4, n) array
-    or six (4, n) arrays, y the (4, n) start values.  Returns (ynew,
-    accepted): where accepted, _integrate_unit takes this step and
-    returns ynew, to rounding, since the step ends the segment; elsewhere
-    it would reject or shrink the step.  numpy rounds apart from Python's
-    complex type, so only an error estimate within rounding of the
-    tolerance could be judged apart.  Each stage is one stacked product
-    (_mul4_array, _lc4_array); call under np.errstate(all="ignore").
+    coef is a coefficient factory over array closures (_reduced_coef), a
+    and d the (n,) segment starts and directions, y the (4, n) start
+    values.  Each lane keeps its own t, h, k1 and |y| and takes
+    _integrate_unit's decisions: the same stages with its own h (_dp_step,
+    terms added in the scalar order), the same shrink and grow rules, the
+    _T_FLOOR step floor and the step budget.  A coefficient that is not
+    evaluable at the segment start, and an error estimate or |y| that
+    overflows (OverflowError in Python's abs), fail the lane, as
+    _integrate_unit raises there.  The first iteration is the step h = 1
+    from t = 0 over one coefficient call at the six _UNIT_NODES; each
+    later one makes one call at the five new stage times of every lane
+    still running.
+
+    Returns (y, settled, failed): the values at t = 1 where settled.  A
+    lane in neither is the one left running when every other has ended;
+    it is returned unsettled, since one segment steps faster through the
+    scalar _integrate_unit.  A lane's result does not depend on the other
+    lanes.  numpy rounds apart from Python's complex type, so a lane's h
+    can differ from _integrate_unit's by rounding and only an error
+    estimate within rounding of its bound could be judged apart; toward a
+    pole, where the steps shrink to the floor, a lane can take a few more
+    or fewer steps to the same failure.  Call under
+    np.errstate(all="ignore").
     """
-    c0, c2, c3, c4, c5, c6 = coefs
-    ynew, k7, errv = _dp_step(y, 1.0, _mul4_array(c0, y), c2, c3, c4, c5, c6,
-                              _ARRAY_OPS)
-    err, ymax, ynewmax = np.abs(np.stack((errv, y, ynew))).max(axis=1)
-    scale = tol * np.maximum(np.maximum(1.0, ymax), ynewmax)
-    # a non-finite scale is an |y| that overflows (OverflowError in Python)
-    accepted = (np.isfinite(ynew).all(axis=0) & np.isfinite(k7).all(axis=0)
-                & np.isfinite(scale) & (err <= scale))
-    return ynew, accepted
+    n = a.size
+    out = np.full_like(y, np.nan)
+    settled = np.zeros(n, dtype=bool)
+    failed = np.zeros(n, dtype=bool)
+    lane = np.arange(n)
+    t = np.zeros(n)
+    h = np.ones(n)
+    ymax = np.abs(y).max(axis=0)
+    c = np.stack(coef(a, d, _NODE_AXIS), axis=-2)
+    k1 = _mul4_array(c[0], y)
+    c = c[1:]
+    stop = ~np.isfinite(k1).all(axis=0)
+    for _ in range(_MAX_STEPS - 1):
+        ynew, k7, errv = _dp_step(y, h, k1, *c, _ARRAY_OPS)
+        err, ynewmax = np.abs(np.stack((errv, ynew))).max(axis=1)
+        scale = tol * np.maximum(np.maximum(1.0, ymax), ynewmax)
+        # a step to a non-finite value is retried at h / 4; an error
+        # estimate or |y| that overflows ends the lane
+        ok = np.isfinite(np.stack((ynew, k7))).all(axis=(0, 1))
+        over = ok & ~(np.isfinite(err) & np.isfinite(scale))
+        ok &= ~over
+        accept = ok & (err <= scale)
+        # at err == 0 this is min(1, 5 h), _integrate_unit's min(5 h, 1)
+        fac = np.maximum(0.2, 0.9 * (scale / err) ** 0.2)
+        hnew = np.where(accept, np.minimum(1.0, h * np.minimum(5.0, fac)),
+                        h * np.where(ok, fac, 0.25))
+        t = np.where(accept, t + h, t)
+        y = np.where(accept, ynew, y)
+        k1 = np.where(accept, k7, k1)
+        ymax = np.where(accept, ynewmax, ymax)
+        h = hnew
+        done = accept & (t >= 1.0 - 1e-15)
+        stop |= over | (~accept & (h < _T_FLOOR))
+        run = ~(done | stop)
+        if not run.all():
+            out[:, lane[done]] = y[:, done]
+            settled[lane[done]] = True
+            failed[lane[stop]] = True
+            lane, a, d, t, h, ymax = (v[run] for v in (lane, a, d, t, h, ymax))
+            y, k1 = y[:, run], k1[:, run]
+            stop = stop[run]
+        if lane.size <= 1:
+            return out, settled, failed
+        h = np.minimum(h, 1.0 - t)
+        c = np.stack(coef(a, d, t + _NODE_AXIS[1:] * h), axis=-2)
+    failed[lane] = True
+    return out, settled, failed
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +443,9 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
 
     The one hop primitive: the path integrals go through it segment by
     segment, and so do the gauge check's finite-difference stencils and
-    the grid sampler's hops, from the identity, that its batched step does
-    not settle.  No pole validation or compatibility probing.  y0 and the
-    result are 4-tuples (row-major 2x2 entries).
+    the grid sampler's hops, from the identity, that _integrate_lanes
+    leaves unsettled.  No pole validation or compatibility probing.  y0
+    and the result are 4-tuples (row-major 2x2 entries).
     """
     if z_from == z_to:
         return y0

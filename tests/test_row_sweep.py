@@ -9,6 +9,7 @@ of hopping sample by sample; e3-direct's are."""
 
 import unittest
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from solsurf.geom import EVAL_ERRORS, DomainError, WeierstrassData
 from solsurf.immersion import (DomainRect, _lorentz4, _phi_vector_batch,
                                _probe_validity, sample_surface)
 from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _integrate_unit,
-                         _mul4, _reduced_coef, _unit_step_array,
+                         _integrate_lanes, _mul4, _reduced_coef,
                          gauge_matrix, propagate)
 from solsurf.immersion import _SWEEP_ROWS
 from solsurf.odebridge import erf_example_data
@@ -40,9 +41,9 @@ CASES = {
 }
 # (target, system) of the ODE sampler
 TARGETS = (("h3", None), ("e3-limit", None), ("h3", "reduced"))
-# tol 1e-2 and 1e-12 reject some first steps, so the fallback runs; the
-# pole data, where it runs most, skips 1e-12, whose hops toward the pole
-# take seconds to underflow
+# tol 1e-2 and 1e-12 reject some first steps, so hops take several steps;
+# against the per-hop loop the pole data skips 1e-12, where that loop's
+# hops across the pole take seconds to underflow
 TOLS = (1e-8, 1e-2, 1e-12)
 
 
@@ -55,12 +56,16 @@ def _tols(name):
 # measured (tol 1e-12)
 CLEAN_REL = 1e-13
 
-# the batched first step against the scalar one, relative to the largest
-# entry, and the array coefficient tables against the scalar coefficient,
-# entrywise: numpy's products and the array closures round differently
-# from Python's, by at most 8.7e-16 and 5.5e-16 measured
+# the lane integrator's hops against the scalar integrator's, relative to
+# the largest entry, and the array coefficient tables against the scalar
+# coefficient, entrywise: numpy's products and the array closures round
+# differently from Python's, by at most 8.7e-16 and 5.5e-16 measured
 STEP_REL = 1e-14
 TABLE_REL = 4e-15
+# a hop across the pole settles only at tol 1e-2, in steps over the pole
+# whose values reach 1.9e4, and its rounding grows with them: 2.6e-14
+# against the scalar integrator measured, relative to the largest entry
+CROSS_REL = 1e-13
 
 # the per-hop loop's largest error at tol 1e-8 against itself at tol 1e-12,
 # relative to max(1, |x|), on the singular cases; the sweep may reach 5x
@@ -229,13 +234,17 @@ def per_row_quadrature_reference(data, domain, tol=1e-8, refuse=()):
     return points, valid
 
 
-def _refusing(refuse):
+def _refusing(refuse, calls=None):
     """Patch the sweep so that the hops between the (z_from, z_to) pairs in
-    refuse fail, under every target."""
+    refuse fail, under every target.  Each hop call appends its list of
+    (z_from, z_to) pairs to calls, when given."""
     sweep = solsurf.immersion._sweep_grid
 
     def refusing_sweep(hop, *args):
         def refusing_hop(za, zb):
+            if calls is not None:
+                calls.append([(complex(a), complex(b))
+                              for a, b in zip(za, zb)])
             vals, ok = hop(za, zb)
             bad = [(complex(a), complex(b)) in refuse for a, b in zip(za, zb)]
             return vals, ok & ~np.array(bad, dtype=bool)
@@ -254,6 +263,10 @@ def _rel_dev(got, want, valid):
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _cbits(z):
+    return _bits(np.stack([z.real, z.imag]))
 
 
 def _scalar_coef(data):
@@ -289,6 +302,24 @@ def _one_step(data, a, b, y, tol):
     except _HOP_ERRORS:
         return False, None
     return calls[0] == 6, y1
+
+
+def _lane_coef(data):
+    """The reduced coefficient over the array closures, as the sweep hands
+    it to _integrate_lanes."""
+    eta_a, _, psi_a, _ = data.array_functions()
+    return _reduced_coef(data.lam, eta_a, psi_a)
+
+
+def _hop_result(data, a, b, y, tol):
+    """_integrate_unit's result for the reduced system's hop a -> b from y,
+    or None where it raises."""
+    coef = _scalar_coef(data)
+    a = complex(a)
+    try:
+        return _integrate_unit(partial(coef, a, complex(b) - a), y, tol)
+    except _HOP_ERRORS:
+        return None
 
 
 class TestAgainstPerHopLoop(unittest.TestCase):
@@ -380,6 +411,44 @@ class TestAgainstPerHopLoop(unittest.TestCase):
                 self.assertLessEqual(_rel_dev(got.points, want_p, want_v),
                                      CLEAN_REL, target)
 
+    def test_blocked_line_looks_ahead(self):
+        """A line whose hop fails again from its last good sample takes
+        all its remaining hops from that sample in one call.  Every hop
+        from (5, 7) into (5, j >= 8) is refused, as a pole between would
+        make them fail: after the planned hop into (5, 8) fails, row 5
+        makes two more hop calls, the hop into (5, 9) again from (5, 7)
+        and then the hops into (5, 10 .. 16), not one per column; masks
+        and points are the references', under every target."""
+        data, domain = _data("clean")
+        zgrid = domain.grid()
+        row = [complex(z) for z in zgrid[5]]
+        refuse = {(row[7], z) for z in row[8:]}
+        for target, system in TARGETS + (("e3-direct", None),):
+            calls = []
+            with _refusing(refuse, calls):
+                got = sample_surface(data, domain, target, system=system)
+            if target == "e3-direct":
+                want_p, want_v = per_row_quadrature_reference(
+                    data, domain, refuse=refuse)
+                np.testing.assert_array_equal(_bits(got.points),
+                                              _bits(want_p), target)
+            else:
+                want_p, want_v, _ = per_hop_reference(
+                    data, domain, target, system=system, refuse=refuse)
+                self.assertLessEqual(_rel_dev(got.points, want_p, want_v),
+                                     CLEAN_REL, target)
+            self.assertTrue(want_v[5, :8].all() and not want_v[5, 8:].any(),
+                            target)
+            np.testing.assert_array_equal(got.valid, want_v, target)
+            # the hops of row 5 in each call that has any, after the call
+            # of its planned hops
+            row_hops = [[p for p in pairs if p[1] in row[1:]]
+                        for pairs in calls]
+            row_hops = [hops for hops in row_hops if hops]
+            self.assertEqual(row_hops[1:],
+                             [[(row[7], row[9])],
+                              [(row[7], z) for z in row[10:]]], target)
+
     def test_no_hop_left(self):
         """Grids on which no row gets a hop: the gauge undefined at z0
         masks every h3 sample, and at tol 1e-17 every quadrature hop
@@ -405,9 +474,10 @@ class TestAgainstPerHopLoop(unittest.TestCase):
 
 
 class TestBatchedStep(unittest.TestCase):
-    """_unit_step_array and the coefficient tables on every hop between
-    neighbouring probe-valid samples, against the scalar integrator and
-    the scalar coefficient."""
+    """_integrate_lanes and the coefficient tables against the scalar
+    integrator and the scalar coefficient: on every hop between
+    neighbouring probe-valid samples and, where the probe masks samples of
+    a row, on every hop across them."""
 
     # as in the sampler, which steps under errstate(all="ignore")
     def setUp(self):
@@ -415,39 +485,116 @@ class TestBatchedStep(unittest.TestCase):
         errstate.__enter__()
         self.addCleanup(errstate.__exit__, None, None, None)
 
-    def check(self, name, tol):
+    def hops(self, name):
+        """(data, a, b, y, n): the n hops between horizontal probe-valid
+        neighbours, then on the pole data the hops across the pole: from
+        the last probe-valid sample before a row's first masked one to
+        each later probe-valid sample of that row, and the seed column's
+        first hop, from z0 to the corner, whose path passes the pole in
+        both pole cases; and det-1 start values (any matrices serve)."""
         data, domain = _data(name)
         zgrid = domain.grid()
         valid = _probe_validity(data, zgrid)
         ii, jj = np.nonzero(valid[:, :-1] & valid[:, 1:])
-        a, b = zgrid[ii, jj], zgrid[ii, jj + 1]
-        # start values: any matrices serve; these have det 1
+        a, b = list(zgrid[ii, jj]), list(zgrid[ii, jj + 1])
+        if name.startswith("pole"):
+            for i in np.flatnonzero(~valid.all(axis=1)):
+                j = np.flatnonzero(~valid[i])[0]
+                if j > 0 and valid[i, j - 1]:
+                    later = j + np.flatnonzero(valid[i, j:])
+                    a += [zgrid[i, j - 1]] * len(later)
+                    b += list(zgrid[i, later])
+            a.append(data.z0)
+            b.append(zgrid[0, 0])
+        a, b = np.array(a), np.array(b)
         rng = np.random.default_rng(3)
         y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
         y[3] = (1.0 + y[1] * y[2]) / y[0]
-        starts = [tuple(col) for col in y.T.tolist()]
-        coef = _array_coef(data)
-        ynew, ok = _unit_step_array([coef(a, b - a, t) for t in _UNIT_NODES],
-                                    y, tol)
-        accepted = rejected = 0
-        for k in range(len(a)):
-            one, want = _one_step(data, a[k], b[k], starts[k], tol)
-            label = "%s tol %g hop %r -> %r" % (name, tol, a[k], b[k])
-            self.assertEqual(bool(ok[k]), one, label)
-            if one:
-                accepted += 1
-                got = tuple(ynew[:, k].tolist())
-                self.assertLessEqual(max(abs(g - w) for g, w in zip(got, want)),
-                                     STEP_REL * max(map(abs, want)), label)
-            else:
-                rejected += 1
-        return accepted, rejected
+        return data, a, b, y, len(ii)
 
-    def test_accepts_exactly_the_one_step_hops(self):
+    def alone(self, data, a, d, y, tol):
+        """One hop through _integrate_lanes as a batch of two copies of
+        itself, so that it is never the last lane left: (y, settled)."""
+        got, settled, _ = _integrate_lanes(_lane_coef(data), np.array([a, a]),
+                                           np.array([d, d]),
+                                           np.stack([y, y], axis=1), tol)
+        return got[:, 0], bool(settled[0])
+
+    def check(self, name, tol):
+        data, a, b, y, n = self.hops(name)
+        d = b - a
+        got, settled, failed = _integrate_lanes(_lane_coef(data), a, d, y,
+                                                tol)
+        # at most one lane is handed back, to the scalar integrator
+        self.assertLessEqual(int(np.sum(~(settled | failed))), 1, name)
+        counts = np.zeros(2, dtype=int)
+        for k in np.flatnonzero(settled | failed):
+            label = "%s tol %g hop %r -> %r" % (name, tol, a[k], b[k])
+            want = _hop_result(data, a[k], b[k], tuple(y[:, k].tolist()), tol)
+            self.assertEqual(bool(settled[k]), want is not None, label)
+            counts[int(failed[k])] += 1
+            if failed[k]:
+                continue
+            rel = STEP_REL if k < n else CROSS_REL
+            self.assertLessEqual(
+                max(abs(g - w) for g, w in zip(got[:, k].tolist(), want)),
+                rel * max(map(abs, want)), label)
+            one, one_ok = self.alone(data, a[k], d[k], y[:, k], tol)
+            self.assertTrue(one_ok, label)
+            np.testing.assert_array_equal(_cbits(one), _cbits(got[:, k]),
+                                          label)
+        return counts
+
+    def test_whole_hops_as_the_scalar_integrator(self):
+        """Settled and failed lanes exactly where _integrate_unit returns
+        and raises, settled values within STEP_REL of its result, and the
+        same bits as the hop alone."""
         counts = np.zeros(2, dtype=int)
         for name in CASES:
             for tol in TOLS:
                 counts += self.check(name, tol)
+        # both outcomes occur
+        self.assertTrue(np.all(counts > 0), counts)
+
+    def test_accepts_exactly_the_one_step_hops(self):
+        """The first iteration ends the call, after its one coefficient
+        call, exactly where _integrate_unit crosses the hop in one step."""
+
+        class SecondCall(Exception):
+            pass
+
+        counts = np.zeros(2, dtype=int)
+        for name in CASES:
+            data, domain = _data(name)
+            zgrid = domain.grid()
+            valid = _probe_validity(data, zgrid)
+            ii, jj = np.nonzero(valid[:, :-1] & valid[:, 1:])
+            a, b = zgrid[ii, jj], zgrid[ii, jj + 1]
+            eye = np.zeros((4, 2), dtype=complex)
+            eye[[0, 3]] = 1.0
+            coef = _lane_coef(data)
+            for tol in TOLS:
+                for k in range(len(a)):
+                    calls = []
+
+                    def first_only(*args):
+                        if calls:
+                            raise SecondCall
+                        calls.append(args)
+                        return coef(*args)
+
+                    # two copies of the hop, so that it is not the last
+                    # lane left after the first iteration
+                    try:
+                        _integrate_lanes(first_only, a[[k, k]],
+                                         (b - a)[[k, k]], eye, tol)
+                        ended = True
+                    except SecondCall:
+                        ended = False
+                    one, _ = _one_step(data, a[k], b[k], _ID4, tol)
+                    self.assertEqual(ended, one, "%s tol %g hop %r -> %r"
+                                     % (name, tol, a[k], b[k]))
+                    counts[int(one)] += 1
         # both outcomes occur
         self.assertTrue(np.all(counts > 0), counts)
 
@@ -476,63 +623,75 @@ class TestBatchedStep(unittest.TestCase):
 
 
 class TestPropagateCalls(unittest.TestCase):
-    """The scalar propagate runs only for the hops the batched step from
-    the identity cannot take."""
+    """The scalar propagate runs only for a hop left alone in its batch:
+    the one that _integrate_lanes hands back because it is still running
+    when every other hop of the batch has ended."""
 
-    def count(self, data, domain, target):
+    def setUp(self):
+        self.iterations = {}
+
+    def sample(self, data, domain, target):
+        """Sample the grid; returns the number of propagate calls and the
+        (a, d) of every _integrate_lanes call."""
+        batches = []
+
+        def recording(coef, a, d, y, tol):
+            batches.append((a.copy(), d.copy()))
+            return _integrate_lanes(coef, a, d, y, tol)
+
         with mock.patch.object(solsurf.immersion, "propagate",
-                               wraps=propagate) as counting:
+                               wraps=propagate) as counting, \
+                mock.patch.object(solsurf.immersion, "_integrate_lanes",
+                                  recording):
             sample_surface(data, domain, target)
-        return counting.call_count
+        return counting.call_count, batches
 
     def test_clean_data_hops_in_batches(self):
         # hops short enough for one step at tol 1e-8, all but the seed
         # column's first, from z0 to the corner
         data, _ = _data("clean")
         domain = DomainRect(-0.3, 0.3, -0.3, 0.3, 17, 17)
-        self.assertEqual(self.expected_calls(data, domain), 1)
         for target in ("h3", "e3-limit"):
-            self.assertEqual(self.count(data, domain, target), 1, target)
+            calls, batches = self.sample(data, domain, target)
+            self.assertEqual(self.expected_calls(data, batches), 1, target)
+            self.assertEqual(calls, 1, target)
 
     def test_pole_data_fallback_hops(self):
         # both targets sweep the reduced system, so they hop alike
         for name in ("pole_on_sample", "pole_off_sample"):
             data, domain = _data(name)
-            expected = self.expected_calls(data, domain)
-            self.assertGreater(expected, 0, name)
             for target in ("h3", "e3-limit"):
-                self.assertEqual(self.count(data, domain, target), expected,
-                                 "%s %s" % (name, target))
+                calls, batches = self.sample(data, domain, target)
+                expected = self.expected_calls(data, batches)
+                self.assertGreater(expected, 0, name)
+                self.assertEqual(calls, expected, "%s %s" % (name, target))
 
-    def expected_calls(self, data, domain):
-        """One call for each hop that _integrate_unit does not cross from
-        the identity in one step: the hops planned from the probe mask,
-        down the seed column from z0 and along the rows it reaches, and
-        each hop after a failed one, taken again from the line's last good
-        sample."""
-        zgrid = domain.grid()
-        probe = _probe_validity(data, zgrid)
+    def expected_calls(self, data, batches, tol=1e-8):
+        """One call for each batch in which one hop runs more iterations
+        than every other hop of the batch, and more than the first: the
+        integrator hands that hop back.  A hop's iterations do not depend
+        on its batch; each is counted on a batch of two copies of the
+        hop, which end together."""
+        coef = _lane_coef(data)
+        eye = np.zeros((4, 2), dtype=complex)
+        eye[[0, 3]] = 1.0
         calls = 0
+        for a, d in batches:
+            counts = []
+            for hop in zip(a.tolist(), d.tolist()):
+                if hop not in self.iterations:
+                    n = []
 
-        def line(zs):
-            # which of zs[1:] the hops from zs[0] reach
-            nonlocal calls
-            reached = []
-            last = planned = zs[0]
-            for z in zs[1:]:
-                for a in {planned, last}:
-                    one, y = _one_step(data, a, z, _ID4, 1e-8)
-                    calls += not one
-                reached.append(y is not None)
-                planned = z
-                if y is not None:
-                    last = z
-            return np.array(reached, dtype=bool)
+                    def counted(*args):
+                        n.append(1)
+                        return coef(*args)
 
-        rows = np.flatnonzero(probe[:, 0])
-        rows = rows[line([data.z0] + list(zgrid[rows, 0]))]
-        for i in rows:
-            line(list(zgrid[i, probe[i]]))
+                    _integrate_lanes(counted, np.array(hop[:1] * 2),
+                                     np.array(hop[1:] * 2), eye, tol)
+                    self.iterations[hop] = len(n)
+                counts.append(self.iterations[hop])
+            counts.sort()
+            calls += counts[-1] > max([1] + counts[-2:-1])
         return calls
 
 
@@ -554,9 +713,9 @@ class TestLorentzForms(unittest.TestCase):
 
 
 class TestOnePassTables(unittest.TestCase):
-    """The sampler tabulates a block's hops at all six nodes in one call of
-    the array coefficient, over a (6, 1) node axis, and steps on that
-    (6, 4, n) table."""
+    """The sampler tabulates a block's hops at all six nodes of their first
+    step in one call of the array coefficient, over a (6, 1) node axis,
+    and steps on that (6, 4, n) table."""
 
     def setUp(self):
         errstate = np.errstate(all="ignore")
@@ -590,19 +749,6 @@ class TestOnePassTables(unittest.TestCase):
             nan_lanes += int(np.isnan(table).any(axis=(0, 1)).sum())
         # the pole and erf data put NaN lanes into the comparison
         self.assertGreater(nan_lanes, 0)
-
-    def test_step_takes_a_list_or_a_stacked_table(self):
-        data, a, d = self.hops("pole_off_sample")
-        rng = np.random.default_rng(5)
-        y = rng.normal(size=(4, len(a))) + 1j * rng.normal(size=(4, len(a)))
-        coef = _array_coef(data)
-        table = np.stack([coef(a, d, t) for t in _UNIT_NODES])
-        for tol in (1e-8, 1e-2):
-            got, got_ok = _unit_step_array(table, y, tol)
-            want, want_ok = _unit_step_array(list(table), y, tol)
-            np.testing.assert_array_equal(got_ok, want_ok)
-            np.testing.assert_array_equal(_bits(got.view(float)),
-                                          _bits(want.view(float)))
 
     def test_one_coefficient_call_per_block(self):
         """One call for the seed column, and one per block of _SWEEP_ROWS
