@@ -93,16 +93,18 @@ def _per_interval(a):
 
 # Open intervals a segment advances per round, its leftmost ones.  A
 # segment that cannot meet its tolerance (below the rounding floor, say)
-# then fails within about max_depth rounds of at most this many intervals,
+# then fails within about _MAX_DEPTH rounds of at most this many intervals,
 # as a depth-first recursion fails down its leftmost path, instead of
-# splitting all 2**max_depth intervals of its last level first.
+# splitting all 2**_MAX_DEPTH intervals of its last level first.
 _OPEN_PER_SEGMENT = 16
 
-# Gauss-Legendre nodes of the rule on each interval
+# Gauss-Legendre nodes of the rule on each interval, and the bisections
+# a segment may take
 _NODES = 15
+_MAX_DEPTH = 24
 
 
-def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24):
+def adaptive_gl_batch(f, a, b, tol=1e-10):
     """Integrals of f along the K straight segments a[k] -> b[k].
 
     f maps a 1-D complex array of points to their values, one row per
@@ -136,7 +138,7 @@ def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24):
     seg = np.arange(k)
     node = np.arange(k)
     share = np.full(k, float(tol))
-    depth = np.full(k, max_depth)
+    depth = np.full(k, _MAX_DEPTH)
     whole = None
     n_nodes = k
     rounds = []             # per round: (nodes, summed rules, split, halves)
@@ -191,7 +193,7 @@ def adaptive_gl_batch(f, a, b, tol=1e-10, max_depth=24):
     return totals, failed
 
 
-def adaptive_gl(f, a, b, tol=1e-10, max_depth=24):
+def adaptive_gl(f, a, b, tol=1e-10):
     """Integral of f along the straight segment a -> b, adaptively bisected.
 
     f may return a complex scalar or an ndarray; exceptions it raises pass
@@ -206,10 +208,9 @@ def adaptive_gl(f, a, b, tol=1e-10, max_depth=24):
     def values(points):
         return np.array([f(z) for z in points.tolist()], dtype=complex)
 
-    total, failed = adaptive_gl_batch(values, [complex(a)], [complex(b)],
-                                      tol=tol, max_depth=max_depth)
+    total, failed = adaptive_gl_batch(values, [complex(a)], [complex(b)], tol=tol)
     if failed[0]:
         raise QuadratureFailure("segment %r -> %r: non-finite integrand, or "
                                 "error above tol %.3e after %d bisections"
-                                % (a, b, tol, max_depth))
+                                % (a, b, tol, _MAX_DEPTH))
     return total[0]

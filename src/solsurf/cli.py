@@ -316,8 +316,12 @@ def _validate_run(cfg):
     target = cfg.get("target", "h3")
     if target not in ("h3", "e3-limit", "e3-direct"):
         raise UsageError("--target must be h3, e3-limit or e3-direct")
-    if target in ("h3", "e3-limit") and float(cfg.get("lambda", 1.0)) == 0.0:
+    lam = float(cfg.get("lambda", 1.0))
+    if target in ("h3", "e3-limit") and lam == 0.0:
         raise UsageError("--lambda must be nonzero for target %s" % target)
+    if target == "h3" and lam * lam == 0.0:
+        raise UsageError("--lambda %r underflows when squared, which target "
+                         "h3 divides by" % lam)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +418,7 @@ def _battery(patch, perturb=False):
         bq = fields.Q
         fields = SurfaceFields(
             u=fields.u, Q=lambda z: bq(z) + 0.1 * z.conjugate(), H=lam,
-            lam=lam)
+            lam=lam, u_z=fields.u_z)
 
     # gmc and zero_curvature need half of their points, the gauge checks
     # 2 of their 3 paths

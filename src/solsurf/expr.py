@@ -73,8 +73,6 @@ _ARRAY_FUNCTIONS = {name: _raised_as_nan(fn) for name, fn in {
 
 _CONSTANTS = {"i": 1j, "pi": complex(math.pi), "e": complex(math.e)}
 
-DEFAULT_BLOWUP = 1e12
-
 # printer precedence levels
 _P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = 1, 2, 3, 4, 6
 
@@ -109,14 +107,14 @@ class UnboundParameter(ValueError):
 
 class PoleOrOverflow(ArithmeticError):
     """An expression evaluated to a non-finite value or beyond the blowup
-    bound, or hit a pole (division by zero, log of zero) on the way."""
+    bound 1e12, or hit a pole (division by zero, log of zero) on the way."""
 
 
-def _checked(v, blowup):
+def _checked(v):
     if not (math.isfinite(v.real) and math.isfinite(v.imag)):
         raise PoleOrOverflow("non-finite value %r" % (v,))
-    if abs(v.real) > blowup or abs(v.imag) > blowup:
-        raise PoleOrOverflow("magnitude exceeds blowup bound %g" % blowup)
+    if abs(v.real) > 1e12 or abs(v.imag) > 1e12:
+        raise PoleOrOverflow("magnitude exceeds blowup bound 1e+12")
     return v
 
 
@@ -150,18 +148,17 @@ class Expr:
 
     __slots__ = ()
 
-    def eval(self, z, params=None, blowup=DEFAULT_BLOWUP):
+    def eval(self, z, params=None):
         """Evaluate at the complex point z.
 
         params maps parameter names to values.  The tree is compiled and
-        the value checked to be finite and below blowup in magnitude; a
+        the value checked to be finite and below 1e12 in magnitude; a
         violation, or a division by zero or log of zero on the way, raises
         PoleOrOverflow.  Intermediate values are not checked: a large
         factor that cancels, as in exp(z)*exp(-z), evaluates normally.
         """
         try:
-            return _checked(self._compile(params or {}, _SCALAR)(complex(z)),
-                            blowup)
+            return _checked(self._compile(params or {}, _SCALAR)(complex(z)))
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             if isinstance(exc, (UnboundParameter, UnknownIdentifier)):
                 raise
@@ -677,9 +674,9 @@ def parse(text, params=None):
     return _Parser(text, None if params is None else frozenset(params)).parse()
 
 
-def evaluate(e, z, params=None, blowup=DEFAULT_BLOWUP):
+def evaluate(e, z, params=None):
     """Functional form of Expr.eval."""
-    return e.eval(z, params=params, blowup=blowup)
+    return e.eval(z, params=params)
 
 
 def derivative(e):

@@ -31,10 +31,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._quad import QuadratureFailure
 from .expr import Expr, PoleOrOverflow
 
-# exceptions a compiled closure can raise at a bad point
-EVAL_ERRORS = (PoleOrOverflow, ZeroDivisionError, OverflowError, ValueError)
+# exceptions a compiled closure can raise at a bad point; a numeric
+# antiderivative's scalar closure raises QuadratureFailure there
+EVAL_ERRORS = (PoleOrOverflow, ZeroDivisionError, OverflowError, ValueError,
+               QuadratureFailure)
 
 
 class DomainError(ValueError):
@@ -202,7 +205,7 @@ def mixed_dzdzbar(f, z, h=1e-4):
 # ---------------------------------------------------------------------------
 # residuals
 
-def gmc_residual(fields, z, h=1e-3):
+def gmc_residual(fields, z):
     """Residuals (r1, r2) of the Gauss and Codazzi equations at z.
 
     r1 = u_{z zbar} + (1/2)(H^2 - lambda^2) e^u - 2 |Q|^2 e^{-u}
@@ -214,7 +217,7 @@ def gmc_residual(fields, z, h=1e-3):
     amplifies by 1/h^2.
     """
     z = complex(z)
-    uzz = mixed_dzdzbar(fields.u, z, h=h)
+    uzz = mixed_dzdzbar(fields.u, z, h=1e-3)
     try:
         uv = float(fields.u(z))
         qv = complex(fields.Q(z))
@@ -223,7 +226,7 @@ def gmc_residual(fields, z, h=1e-3):
     eu = math.exp(uv)
     r1 = complex(uzz) + 0.5 * (fields.H ** 2 - fields.lam ** 2) * eu \
         - 2.0 * (qv.real ** 2 + qv.imag ** 2) / eu
-    r2 = complex(wirtinger_dzbar(fields.Q, z, h=h))
+    r2 = complex(wirtinger_dzbar(fields.Q, z, h=1e-3))
     return r1, r2
 
 
@@ -246,22 +249,22 @@ def build_UV(fields, u_z, z):
     return U, V
 
 
-def zero_curvature_residual(source, z, h=1e-4, H=None):
+def zero_curvature_residual(source, z):
     """Compatibility residual dzbar U - dz V^H + [U, V^H] as a 2x2 matrix.
 
-    source is WeierstrassData or SurfaceFields.  Entries of U and V come
-    from the analytic u_z when the fields carry one, otherwise u is
-    differenced (one extra level of finite differences).
+    source is SurfaceFields, or WeierstrassData at H = lambda.  Entries of
+    U and V come from the analytic u_z when the fields carry one,
+    otherwise u is differenced (one extra level of finite differences).
     """
     if isinstance(source, WeierstrassData):
-        fields = fields_from_weierstrass(source, H=H)
+        fields = fields_from_weierstrass(source)
     else:
         fields = source
     if fields.u_z is not None:
         u_z = fields.u_z
     else:
         def u_z(w):
-            return complex(wirtinger_dz(fields.u, w, h=h))
+            return complex(wirtinger_dz(fields.u, w))
 
     def uvdag(w):
         U, V = build_UV(fields, u_z(w), w)
@@ -269,6 +272,6 @@ def zero_curvature_residual(source, z, h=1e-4, H=None):
 
     z = complex(z)
     # d/dz and d/dzbar of the stack (U, V^H), from one stencil
-    dz, dzbar = _richardson(_wirtinger_once, uvdag, z, h)
+    dz, dzbar = _richardson(_wirtinger_once, uvdag, z, 1e-4)
     uu, vv = uvdag(z)
     return dzbar[0] - dz[1] + uu @ vv - vv @ uu

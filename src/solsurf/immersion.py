@@ -384,6 +384,8 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
     lam = data.lam
     if target in ("h3", "e3-limit") and lam == 0.0:
         raise LambdaZero("target %r needs lambda != 0" % (target,))
+    if target == "h3" and lam * lam == 0.0:
+        raise LambdaZero("target 'h3' needs lambda^2 != 0, got %r" % (lam,))
     if system is None:
         system = "full" if target == "h3" else "reduced"
     elif target != "h3" or system not in ("full", "reduced"):

@@ -467,7 +467,7 @@ def integrate_reduced(data, path, tol=1e-10):
     return Wavefunction(_to_matrix(y), at=path.points[-1], lam=data.lam, which="reduced")
 
 
-def integrate_full(data, path, tol=1e-10, H=None, check_compatibility=True):
+def integrate_full(data, path, tol=1e-10, H=None):
     """Solve the full system along the path, Phi(start) = I.
 
     The data is probed at segment endpoints and midpoints first: if the
@@ -475,20 +475,19 @@ def integrate_full(data, path, tol=1e-10, H=None, check_compatibility=True):
     integral is path-dependent, so IncompatibleSystem is raised.
     """
     path.validate()
-    if check_compatibility:
-        fields = fields_from_weierstrass(data, H=H)
-        probes = []
-        for a, b in path.segments():
-            probes.extend((a, 0.5 * (a + b), b))
-        for p in probes:
-            try:
-                r1, r2 = gmc_residual(fields, p)
-            except (StencilOutOfDomain, DomainError) + EVAL_ERRORS as exc:
-                raise IncompatibleSystem("fields not evaluable near path at %r: %s"
-                                         % (p, exc)) from exc
-            if max(abs(r1), abs(r2)) > 1e-4:
-                raise IncompatibleSystem("GMC residual %.3e at %r exceeds 1e-4"
-                                         % (max(abs(r1), abs(r2)), p))
+    fields = fields_from_weierstrass(data, H=H)
+    probes = []
+    for a, b in path.segments():
+        probes.extend((a, 0.5 * (a + b), b))
+    for p in probes:
+        try:
+            r1, r2 = gmc_residual(fields, p)
+        except (StencilOutOfDomain, DomainError) + EVAL_ERRORS as exc:
+            raise IncompatibleSystem("fields not evaluable near path at %r: %s"
+                                     % (p, exc)) from exc
+        if max(abs(r1), abs(r2)) > 1e-4:
+            raise IncompatibleSystem("GMC residual %.3e at %r exceeds 1e-4"
+                                     % (max(abs(r1), abs(r2)), p))
     y = _ID4
     for a, b in path.segments():
         y = propagate(data, a, b, y, tol=tol, system="full", H=H)
@@ -501,14 +500,14 @@ def integrate_full(data, path, tol=1e-10, H=None, check_compatibility=True):
 _PICARD_NODE_LADDER = (32, 48, 64, 96)
 
 
-def picard_series(data, z, order, tol=1e-10):
+def picard_series(data, z, order):
     """I + sum_{j<=order} lambda^j I_j along the straight path z0 -> z.
 
     I_j are the iterated integrals of the lambda-stripped coefficient
     eta^2 [[psi, -1], [psi^2, -psi]].  Each refinement level evaluates the
     coefficient at Gauss-Legendre nodes and applies the spectral
     antiderivative matrix once per order; the node count is raised until
-    two levels agree within tol.
+    two levels agree within 1e-10.
     """
     if not (0 <= order <= 8):
         raise ValueError("order must be between 0 and 8, got %r" % (order,))
@@ -547,7 +546,7 @@ def picard_series(data, z, order, tol=1e-10):
             total = total + lam_pow * end_value
         if prev is not None:
             drift = float(np.max(np.abs(total - prev)))
-            if drift <= max(tol, 1e-14 * float(np.max(np.abs(total)))):
+            if drift <= max(1e-10, 1e-14 * float(np.max(np.abs(total)))):
                 return total
         prev = total
     raise QuadratureFailure("Picard refinement did not converge within the node ladder")
@@ -556,7 +555,7 @@ def picard_series(data, z, order, tol=1e-10):
 # ---------------------------------------------------------------------------
 # gauge transform
 
-def gauge_matrix(data, z, branch_seed=None):
+def gauge_matrix(data, z):
     """SU(2) gauge matrix
 
         M = (1 + psi conj(psi))^{-1/2} [[conj(s psi), s], [-conj(s), s psi]]
@@ -569,7 +568,7 @@ def gauge_matrix(data, z, branch_seed=None):
         e^{u/2} = |eta|^2 (1 + |psi|^2).
 
     sigma is fixed at z0: the sign that makes s(z0) the principal root of
-    eta/conj(eta), or that makes s(z0) = branch_seed when given.
+    eta/conj(eta).
     BranchAmbiguity where eta vanishes at z0 or at z, where no root exists.
 
     M conjugates the full system at H = lambda into the reduced holomorphic
@@ -580,15 +579,7 @@ def gauge_matrix(data, z, branch_seed=None):
     eta_f, _, psi_f, _ = data.functions()
     z = complex(z)
     e0 = _eta_nonzero(eta_f, data.z0, "the base point")
-    if branch_seed is None:
-        s0 = cmath.exp(0.5j * cmath.phase(e0 / e0.conjugate()))
-    else:
-        s0 = complex(branch_seed)
-        if s0 == 0.0:
-            raise ValueError("branch_seed must be a nonzero phase")
-        s0 = s0 / abs(s0)
-        if abs(s0 * s0 - e0 / e0.conjugate()) > 1e-6:
-            raise ValueError("branch_seed is not a square root of eta/conj(eta) at z0")
+    s0 = cmath.exp(0.5j * cmath.phase(e0 / e0.conjugate()))
     sigma = 1.0 if (s0 * e0.conjugate()).real > 0 else -1.0
     ev = _eta_nonzero(eta_f, z, "z =")
     try:
@@ -613,13 +604,13 @@ def _eta_nonzero(eta_f, z, where):
     return ev
 
 
-def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4):
+def gauge_equivalence_residual(data, path, tol=1e-10):
     """Numerical check of the gauge equivalence along a path.
 
     Propagates the full wavefunction Phi, at H = lambda (the one H the
     gauge conjugates into the reduced system), to the midpoint of every
-    segment, forms G = M Phi M(z0)^{-1}, and measures by finite
-    differences how well G solves the reduced system:
+    segment, forms G = M Phi M(z0)^{-1}, and measures by central
+    differences at step 1e-4 how well G solves the reduced system:
 
         r_z    = dG/dz G^{-1} - lambda eta^2 [[psi,-1],[psi^2,-psi]]
         r_zbar = dG/dzbar G^{-1}
@@ -647,13 +638,10 @@ def gauge_equivalence_residual(data, path, tol=1e-10, h=1e-4):
             yw = propagate(data, zc, w, y_mid, tol=tol, system="full")
             return (gauge_matrix(data, w) @ _to_matrix(yw)) @ m0_inv
 
-        ge = g_at(mid + h)
-        gw = g_at(mid - h)
-        gn = g_at(mid + 1j * h)
-        gs = g_at(mid - 1j * h)
+        ge, gw, gn, gs = (g_at(mid + d) for d in (1e-4, -1e-4, 1e-4j, -1e-4j))
         m_mid = gauge_matrix(data, mid)
         gc = (m_mid @ phi_mid) @ m0_inv
-        gz, gzb = wirtinger_pair(ge, gw, gn, gs, h)
+        gz, gzb = wirtinger_pair(ge, gw, gn, gs, 1e-4)
         gc_inv = np.linalg.inv(gc)
         a_mat = reduced_coefficient(data, mid)
         out["dz_residual"] = max(out["dz_residual"],

@@ -104,17 +104,17 @@ def inner_from_matrices(mx, my):
     return complex(0.5 * np.trace(mx @ EPS @ my.T @ EPS))
 
 
-def rho_action(a, x, tol=1e-10):
+def rho_action(a, x):
     """Lorentz transformation of the 4-vector x by a in SL(2,C).
 
-    Computes a^H X^s a and reads the components back off.  Raises
-    NotUnimodular if |det a - 1| > tol.
+    Computes a^H X^s a and reads the components back off, allowing a skew
+    part up to 1e-8.  Raises NotUnimodular if |det a - 1| > 1e-10.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix, got shape %r" % (a.shape,))
     d = det2(a)
-    if abs(d - 1.0) > tol:
-        raise NotUnimodular("det = %r is not 1 within tol %.3e" % (d, tol))
+    if abs(d - 1.0) > 1e-10:
+        raise NotUnimodular("det = %r is not 1 within 1e-10" % (d,))
     m = dagger(a) @ hermitian_from_lorentz(x) @ a
-    return lorentz_from_hermitian(m, tol=max(tol, 1e-12) * 100.0)
+    return lorentz_from_hermitian(m, tol=1e-8)

@@ -288,7 +288,7 @@ def _erf_closed_columns(n, c, c1, lam, sigma):
     return column
 
 
-def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j, tol=1e-10):
+def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j):
     """Compare the printed closed-form wavefunction with integration.
 
     Each closed-form column is propagated from its own value at the base
@@ -323,7 +323,7 @@ def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j, tol=1e-10):
 
     # fundamental solution of the reduced system from the base point
     path = PathSpec.line(1.0 + 0j, z)
-    phi = integrate_reduced(data, path, tol=tol).value
+    phi = integrate_reduced(data, path).value
 
     deviation = [[0.0, 0.0], [0.0, 0.0]]
     for k, s in enumerate(svals):

@@ -18,6 +18,8 @@ _EPS = sys.float_info.epsilon
 
 ERF_RADIUS = 8.0
 _MAX_TERMS = 800
+# absolute truncation tolerance of the erf series
+_ERF_TOL = 1e-12
 
 
 class OutOfRange(ValueError):
@@ -45,8 +47,8 @@ class SeriesResult:
     truncation_estimate: float
 
 
-def erf_series(z, tol=1e-12):
-    """erf(z) for complex |z| <= 8, absolute truncation below tol.
+def erf_series(z):
+    """erf(z) for complex |z| <= 8, absolute truncation below 1e-12.
 
     Two complementary expansions, both odd in z by construction:
 
@@ -57,7 +59,7 @@ def erf_series(z, tol=1e-12):
 
     Near the diagonals Re(z^2) ~ 0 with |z| large both series cancel: their
     terms grow far beyond the sum.  The rounding scale of the summed series,
-    eps |prefactor| sum_k |term_k|, is compared with tol max(1, |value|);
+    eps |prefactor| sum_k |term_k|, is compared with 1e-12 max(1, |value|);
     where it is larger the other series is summed instead, and OutOfRange
     is raised where both refuse.  Below it, the truncation estimate refers
     to the exact tail.
@@ -71,15 +73,15 @@ def erf_series(z, tol=1e-12):
     if z2.real < 0.0:
         first, other = other, first
     try:
-        return first(z, z2, tol)
+        return first(z, z2)
     except (OutOfRange, NoConvergence) as exc:
         try:
-            return other(z, z2, tol)
+            return other(z, z2)
         except (OutOfRange, NoConvergence):
             raise exc from None
 
 
-def _erf_scaled(z, z2, tol):
+def _erf_scaled(z, z2):
     # sum_k (2z^2)^k / (3*5*...*(2k+1)), prefactor (2/sqrt(pi)) z e^{-z^2}
     pref = (2.0 / SQRT_PI) * z * cmath.exp(-z2)
     w = 2.0 * z2
@@ -95,13 +97,13 @@ def _erf_scaled(z, z2, tol):
         ratio = abs(w) / (2 * k + 3)
         if ratio < 1.0:
             tail = abs(term) * ratio / (1.0 - ratio)
-            if abs(pref) * tail <= 0.5 * tol:
-                return _rounded(z, pref * total, abs(pref) * mass, tol, k + 1,
+            if abs(pref) * tail <= 0.5 * _ERF_TOL:
+                return _rounded(z, pref * total, abs(pref) * mass, k + 1,
                                 abs(pref) * tail)
-    raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, tol))
+    raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, _ERF_TOL))
 
 
-def _erf_maclaurin(z, z2, tol):
+def _erf_maclaurin(z, z2):
     # sum_k (-1)^k z^{2k+1} / (k! (2k+1)), prefactor 2/sqrt(pi)
     pref = 2.0 / SQRT_PI
     term = z          # k = 0 term
@@ -117,28 +119,27 @@ def _erf_maclaurin(z, z2, tol):
         mass += abs(term)
         # alternating-type bound once the terms decay: tail <= next term
         nxt = abs(power) * abs(z2) / ((k + 1) * (2 * k + 3))
-        if nxt < abs(term) and pref * nxt <= 0.5 * tol:
-            return _rounded(z, pref * total, pref * mass, tol, k + 1,
-                            pref * nxt)
-    raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, tol))
+        if nxt < abs(term) and pref * nxt <= 0.5 * _ERF_TOL:
+            return _rounded(z, pref * total, pref * mass, k + 1, pref * nxt)
+    raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, _ERF_TOL))
 
 
-def _rounded(z, value, mass, tol, terms, tail):
+def _rounded(z, value, mass, terms, tail):
     # the series result, unless its rounding scale eps * mass (mass the
     # prefactor times the sum of the term magnitudes) exceeds the tolerance
-    if _EPS * mass > tol * max(1.0, abs(value)):
+    if _EPS * mass > _ERF_TOL * max(1.0, abs(value)):
         raise OutOfRange("erf series at z = %r cancels beyond tol %g: term "
                          "magnitudes sum to %.3g against a value of %.3g"
-                         % (z, tol, mass, abs(value)))
+                         % (z, _ERF_TOL, mass, abs(value)))
     return SeriesResult(value, terms, tail)
 
 
-def erf_c(z, tol=1e-12):
+def erf_c(z):
     """Value-only convenience wrapper around erf_series."""
-    return erf_series(z, tol=tol).value
+    return erf_series(z).value
 
 
-def erf_array(z, tol=1e-12):
+def erf_array(z):
     """erf_c over an array, element by element; NaN where erf_c raises.
 
     The same two series, term recurrences, stopping rules, rounding check
@@ -146,7 +147,7 @@ def erf_array(z, tol=1e-12):
     arithmetic, so each element agrees with erf_c at that point to
     rounding.  Each element's value is taken in the term where its own
     series stops.  NaN marks |z| > 8, a non-finite argument, a sum that
-    both series cancel beyond tol, or no convergence within the term
+    both series cancel beyond 1e-12, or no convergence within the term
     budget.
     """
     z = np.asarray(z, dtype=complex)
@@ -162,17 +163,17 @@ def erf_array(z, tol=1e-12):
                                 (scaled != first, _erf_maclaurin_array)):
                 idx = np.flatnonzero(ok & sel & np.isnan(out))
                 if idx.size:
-                    out[idx] = series(flat[idx], z2[idx], tol)
+                    out[idx] = series(flat[idx], z2[idx])
     return out.reshape(z.shape)
 
 
-def _rounded_array(value, mass, tol):
-    # _rounded over arrays: NaN where the rounding scale exceeds tol
-    lost = _EPS * mass > tol * np.maximum(1.0, np.abs(value))
+def _rounded_array(value, mass):
+    # _rounded over arrays: NaN where the rounding scale exceeds _ERF_TOL
+    lost = _EPS * mass > _ERF_TOL * np.maximum(1.0, np.abs(value))
     return np.where(lost, complex(math.nan, math.nan), value)
 
 
-def _erf_scaled_array(z, z2, tol):
+def _erf_scaled_array(z, z2):
     # _erf_scaled on each element; an element's value is taken when its
     # own stopping rule first holds
     out = np.full(z.shape, complex(math.nan, math.nan))
@@ -191,17 +192,17 @@ def _erf_scaled_array(z, z2, tol):
         mass = mass + aterm
         ratio = aw / (2 * k + 3)
         tail = aterm * ratio / (1.0 - ratio)
-        done = pending & (ratio < 1.0) & (apref * tail <= 0.5 * tol)
+        done = pending & (ratio < 1.0) & (apref * tail <= 0.5 * _ERF_TOL)
         if done.any():
             out[done] = _rounded_array(pref[done] * total[done],
-                                       apref[done] * mass[done], tol)
+                                       apref[done] * mass[done])
             pending &= ~done
             if not pending.any():
                 break
     return out
 
 
-def _erf_maclaurin_array(z, z2, tol):
+def _erf_maclaurin_array(z, z2):
     # _erf_maclaurin on each element, as _erf_scaled_array
     out = np.full(z.shape, complex(math.nan, math.nan))
     pending = np.ones(z.shape, dtype=bool)
@@ -218,10 +219,9 @@ def _erf_maclaurin_array(z, z2, tol):
         aterm = np.abs(term)
         mass = mass + aterm
         nxt = np.abs(power) * az2 / ((k + 1) * (2 * k + 3))
-        done = pending & (nxt < aterm) & (pref * nxt <= 0.5 * tol)
+        done = pending & (nxt < aterm) & (pref * nxt <= 0.5 * _ERF_TOL)
         if done.any():
-            out[done] = _rounded_array(pref * total[done], pref * mass[done],
-                                       tol)
+            out[done] = _rounded_array(pref * total[done], pref * mass[done])
             pending &= ~done
             if not pending.any():
                 break
@@ -279,7 +279,7 @@ def gamma_half(k):
     return (0.5 * k - 1.0) * gamma_half(k - 2)
 
 
-def hermite_h(nu, z, tol=1e-10):
+def hermite_h(nu, z):
     """Hermite function H_nu(z) for integer nu (negative allowed).
 
     nu >= 0 uses the three-term recurrence H_{n+1} = 2z H_n - 2n H_{n-1}.
@@ -288,7 +288,8 @@ def hermite_h(nu, z, tol=1e-10):
       H_nu(z) = 2^nu sqrt(pi) [ 1F1(-nu/2; 1/2; z^2) / Gamma((1-nu)/2)
                   - 2z 1F1((1-nu)/2; 3/2; z^2) / Gamma(-nu/2) ]
 
-    whose Gamma arguments are positive half-integers for every nu < 0.
+    whose Gamma arguments are positive half-integers for every nu < 0;
+    both 1F1 series run to tol 1e-10.
     """
     if nu != int(nu):
         raise ValueError("integer order required, got %r" % (nu,))
@@ -303,6 +304,6 @@ def hermite_h(nu, z, tol=1e-10):
             h, h_prev = 2.0 * z * h - 2.0 * n * h_prev, h
         return h
     z2 = z * z
-    t1 = kummer_c(-0.5 * nu, 0.5, z2, tol=tol) / gamma_half(1 - nu)
-    t2 = kummer_c(0.5 * (1 - nu), 1.5, z2, tol=tol) / gamma_half(-nu)
+    t1 = kummer_c(-0.5 * nu, 0.5, z2, tol=1e-10) / gamma_half(1 - nu)
+    t2 = kummer_c(0.5 * (1 - nu), 1.5, z2, tol=1e-10) / gamma_half(-nu)
     return (2.0 ** nu) * SQRT_PI * (t1 - 2.0 * z * t2)

@@ -187,7 +187,7 @@ class TestAcceptance(unittest.TestCase):
                 r1, r2 = gmc_residual(broken, z)
                 p_gmc = max(p_gmc, abs(r1), abs(r2))
                 p_zc = max(p_zc, float(np.max(np.abs(
-                    zero_curvature_residual(broken, z, H=data.lam)))))
+                    zero_curvature_residual(broken, z)))))
             worst_valid = max(worst_valid, v_gmc, v_zc)
             worst_perturbed = min(worst_perturbed, p_gmc, p_zc)
         ok = worst_valid < 1e-4 and worst_perturbed > 1e-2

@@ -9,9 +9,11 @@ import subprocess
 import sys
 import tempfile
 import unittest
+from unittest import mock
 
 import numpy as np
 
+import solsurf.geom
 from solsurf.cli import _check, _quad_triangles, _vertex_index_map, main
 from solsurf.cli import _COMMAND_FLAGS, _build_parser, _merge_config
 
@@ -108,6 +110,13 @@ class TestNonFinite(CliCase):
             self.assertNotIn("Warning", err, extra)
             self.assertFalse(os.path.exists(mesh), extra)
 
+    def test_h3_rejects_lambda_whose_square_underflows(self):
+        code, err = self.run_stderr("verify", "--eta", "1", "--psi", "z",
+                                    "--res", "9", "--lambda", "1e-300")
+        self.assertEqual(code, 1)
+        self.assertIn("--lambda", err)
+        self.assertNotIn("ZeroDivisionError", err)
+
     def test_limit_rejects_infinite_lambda(self):
         code, err = self.run_stderr("limit", "--eta", "1", "--psi", "z",
                                     "--lambdas", "inf,1,0.1")
@@ -203,6 +212,15 @@ class TestVerify(CliCase):
         self.assertGreater(checks["gmc"]["max"], 1e-2)
         self.assertGreater(checks["zero_curvature"]["max"], 1e-2)
 
+    def test_perturbed_fields_keep_the_analytic_u_z(self):
+        # the perturbation changes only Q, so zero_curvature takes u_z as
+        # on clean data and never differences u
+        with mock.patch("solsurf.geom.wirtinger_dz",
+                        wraps=solsurf.geom.wirtinger_dz) as dz:
+            code, _ = run_cli(*self.ARGS, "--perturb",
+                              "--report", self.path("report.json"))
+        self.assertEqual(code, 2)
+        self.assertEqual(dz.call_count, 0)
 
     def test_frame_check_coverage(self):
         # a pole on the centre sample is masked, and the frames whose

@@ -192,6 +192,11 @@ class TestSampleSurface(unittest.TestCase):
         with self.assertRaises(LambdaZero):
             sample_surface(enneper(0.0), dom, "h3")
 
+    def test_h3_refuses_lambda_whose_square_underflows(self):
+        # the hyperboloid record divides by lambda^2, which is 0.0 here
+        with self.assertRaises(LambdaZero):
+            sample_surface(enneper(1e-300), DomainRect(-1, 1, -1, 1, 3, 3), "h3")
+
 
 class TestH3GaugeMove(unittest.TestCase):
     """Default h3 is the reduced system's Sym-type surface moved by the

@@ -108,11 +108,6 @@ class TestFullIntegration(unittest.TestCase):
         with self.assertRaises(IncompatibleSystem):
             integrate_full(self.DATA, PathSpec.line(0.0, 0.5), H=0.3)
 
-    def test_compatibility_probe_can_be_skipped(self):
-        wf = integrate_full(self.DATA, PathSpec.line(0.0, 0.25), H=0.3,
-                            check_compatibility=False)
-        self.assertEqual(wf.at, 0.25 + 0j)
-
     def test_coefficient_is_lax_pair(self):
         # the integrator's coefficient along a -> b is U d + V^H conj(d),
         # d = b - a, with (U, V) the Lax pair geom builds from the fields
@@ -203,14 +198,12 @@ def _track_branch(eta_f, z_from, z_to, s, steps):
     raise BranchAmbiguity("branch tracking failed to stabilize")
 
 
-def _continued_gauge(data, points, branch_seed=None):
+def _continued_gauge(data, points):
     """The gauge matrix with its root continued from z0 through points,
     as the former gauge_matrix did along the straight path z0 -> z."""
     eta_f, _, psi_f, _ = data.functions()
     e0 = eta_f(data.z0)
     s = cmath.exp(0.5j * cmath.phase(e0 / e0.conjugate()))
-    if branch_seed is not None:
-        s = complex(branch_seed) / abs(branch_seed)
     prev = data.z0
     for z in points:
         s = _track_branch(eta_f, prev, complex(z), s, 64)
@@ -230,13 +223,6 @@ class TestGaugeTransform(unittest.TestCase):
             self.assertLess(np.max(np.abs(m.conj().T @ m - np.eye(2))), 1e-12)
             self.assertLess(abs(np.linalg.det(m) - 1.0), 1e-12)
 
-    def test_branch_seed_flips_sign(self):
-        m_plus = gauge_matrix(self.DATA, 0.5 + 0.4j)
-        m_minus = gauge_matrix(self.DATA, 0.5 + 0.4j, branch_seed=-1.0)
-        self.assertTrue(np.allclose(m_minus, -m_plus, atol=1e-12))
-        with self.assertRaises(ValueError):
-            gauge_matrix(self.DATA, 0.5, branch_seed=1j)
-
     def test_branch_continuation_winds(self):
         # eta = exp(2 i z) on the real axis: eta/conj(eta) = exp(4 i x),
         # whose continuously tracked square root reaches -1 at x = pi/2
@@ -250,24 +236,20 @@ class TestGaugeTransform(unittest.TestCase):
     def test_closed_form_matches_continued_root(self):
         # straight paths, detours above and below the zero of z-1 to z = 2
         # (the straight path crosses it), a loop around both zeros of
-        # z^2-0.25 and a path part way around one, the winding root of
-        # exp(2iz), and a seeded sign: every continuation lands on the
-        # closed form
-        cases = [("1+0.2*z", (0.5 + 0.4j,), None),
-                 ("1+0.2*z", (-0.3 + 0.2j,), None),
-                 ("1+0.2*z", (1.1,), -1.0),
-                 ("z-1", (1 + 1j, 2.0), None),
-                 ("z-1", (1 - 1j, 2.0), None),
-                 ("z-1", (1 + 1j, 2.0), -1.0),
-                 ("z^2-0.25", (1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j, 0.3j), None),
-                 ("z^2-0.25", (0.25j, 0.75 + 0.25j, 0.75 - 0.25j, 0.1 - 0.25j),
-                  None),
-                 ("exp(2*i*z)", (0.5 * math.pi,), None)]
-        for eta, points, seed in cases:
+        # z^2-0.25 and a path part way around one, and the winding root
+        # of exp(2iz): every continuation lands on the closed form
+        cases = [("1+0.2*z", (0.5 + 0.4j,)),
+                 ("1+0.2*z", (-0.3 + 0.2j,)),
+                 ("z-1", (1 + 1j, 2.0)),
+                 ("z-1", (1 - 1j, 2.0)),
+                 ("z^2-0.25", (1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j, 0.3j)),
+                 ("z^2-0.25", (0.25j, 0.75 + 0.25j, 0.75 - 0.25j, 0.1 - 0.25j)),
+                 ("exp(2*i*z)", (0.5 * math.pi,))]
+        for eta, points in cases:
             data = make_data(eta, "z", 0.7)
-            want = _continued_gauge(data, points, seed)
-            got = gauge_matrix(data, points[-1], branch_seed=seed)
-            self.assertLess(np.max(np.abs(got - want)), 1e-13, (eta, points, seed))
+            want = _continued_gauge(data, points)
+            got = gauge_matrix(data, points[-1])
+            self.assertLess(np.max(np.abs(got - want)), 1e-13, (eta, points))
 
     def test_eta_zero_refused(self):
         data = make_data("z-1", "z", 1.0)

@@ -5,7 +5,7 @@ import unittest
 import numpy as np
 
 from solsurf.expr import Param, parse
-from solsurf.geom import WeierstrassData
+from solsurf.geom import EVAL_ERRORS, WeierstrassData
 from solsurf.immersion import DomainRect
 from solsurf.odebridge import (AntiderivativeNode, NonIntegrableForm, OdeSpec,
                                erf_example_data, erf_example_surface,
@@ -86,6 +86,18 @@ class TestWeierstrassFromOde(unittest.TestCase):
         for z in (0.3, 0.4 + 0.2j):
             self.assertLess(abs(back.p.eval(z) - 3 * z * z), 1e-9)
             self.assertLess(abs(back.q.eval(z) - (1 + z)), 1e-9)
+
+    def test_failed_antiderivative_is_an_evaluation_error(self):
+        # eta = exp(-1/2 int 1/z) from z0 = 0.5+0.5i has no value at the
+        # pole z = 0: the scalar closure raises an EVAL_ERRORS member, as
+        # every closure does at a bad point, and the array closure gives NaN
+        spec = OdeSpec(p=parse("1/z"), q=parse("1"), lam=1.0)
+        data = weierstrass_from_ode(spec, z0=0.5 + 0.5j)
+        eta_f = data.functions()[0]
+        eta_a = data.array_functions()[0]
+        with self.assertRaises(EVAL_ERRORS):
+            eta_f(0j)
+        self.assertTrue(bool(np.isnan(eta_a(np.array([0j]))[0])))
 
     def test_rejects_degenerate_input(self):
         with self.assertRaises(ValueError):

@@ -54,7 +54,7 @@ class TestAdaptiveGl(unittest.TestCase):
             return 1.0 + 0j if z.real < 0.1234 else 0j
 
         with self.assertRaises(QuadratureFailure):
-            adaptive_gl(step, 0.0, 1.0, tol=1e-12, max_depth=5)
+            adaptive_gl(step, 0.0, 1.0, tol=1e-12)
 
     def test_integrand_errors_pass_through(self):
         with self.assertRaises(ZeroDivisionError):
@@ -194,7 +194,7 @@ class TestBatch(unittest.TestCase):
         self.assertEqual(failed.shape, (0,))
 
 
-# ROADMAP item 4 cases: an 11 x 11 grid on [-1, 1]^2 based at 0.9+0.9i
+# ROADMAP item 5 cases: an 11 x 11 grid on [-1, 1]^2 based at 0.9+0.9i
 SINGULAR_CASES = {
     # (eta, psi): (valid count under e3-direct, under h3)
     ("1/z", "z"): (104, 104),

@@ -28,7 +28,7 @@ from solsurf.odebridge import erf_example_data
 
 _HOP_ERRORS = (StepUnderflow, DomainError) + EVAL_ERRORS
 
-# (eta, psi, z0, lambda, domain): ROADMAP item 4's cases on 11x11 with
+# (eta, psi, z0, lambda, domain): ROADMAP item 5's cases on 11x11 with
 # z0 = 0.9+0.9i (a pole on a sample, a pole between samples, two branch
 # cuts), and clean data
 CASES = {
