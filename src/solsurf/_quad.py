@@ -119,8 +119,8 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     per round: every segment's leftmost _OPEN_PER_SEGMENT open intervals,
     the others waiting their turn.  A half's value is reused as its own
     whole-interval rule.  A segment visits the intervals a depth-first
-    recursion visits, and its accepted values are summed back up the
-    bisection tree, left half plus right half, as that recursion sums them.
+    recursion visits, and each accepted interval's summed rule is added to
+    its segment's total in the round that accepts it.
 
     Returns (totals, failed): totals has one row per segment, NaN where
     failed is True.
@@ -133,15 +133,12 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     if k == 0:
         return np.zeros(0, dtype=complex), failed
     # the open intervals, segment by segment and left to right within one:
-    # segment, bisection-tree node, tolerance share, depth left, and the
-    # whole-interval rule (computed with the halves in the first round)
+    # segment, tolerance share, depth left, and the whole-interval rule
+    # (computed with the halves in the first round)
     seg = np.arange(k)
-    node = np.arange(k)
     share = np.full(k, float(tol))
     depth = np.full(k, _MAX_DEPTH)
-    whole = None
-    n_nodes = k
-    rounds = []             # per round: (nodes, summed rules, split, halves)
+    whole = totals = None
     with np.errstate(all="ignore"):
         while seg.size:
             rank = np.arange(seg.size) - np.searchsorted(seg, seg)
@@ -153,6 +150,7 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
                 rules = _gl_rules(f, np.concatenate([lo_a, lo_a, mid]),
                                   np.concatenate([hi_a, mid, hi_a]), x, w)
                 whole, rules = rules[:k], rules[k:]
+                totals = np.zeros(whole.shape, dtype=complex)
             else:
                 rules = _gl_rules(f, np.concatenate([lo_a, mid]),
                                   np.concatenate([mid, hi_a]), x, w)
@@ -163,9 +161,8 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
             accept = finite & (err <= share[act])
             bad = ~finite | (~accept & (depth[act] <= 0))
             failed[seg[act[bad]]] = True
+            np.add.at(totals, seg[act[accept]], fine[accept])
             split = ~accept & ~failed[seg[act]]
-            halves = n_nodes + 2 * np.arange(np.count_nonzero(split))
-            rounds.append((node[act], fine, split, halves))
             # next pool: accepted intervals and failed segments leave, and
             # a split interval gives way, in place, to its two halves
             count = np.where(failed[seg], 0, 1)
@@ -176,19 +173,12 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
             pos = np.flatnonzero(is_half[src])
             first, second = pos[0::2], pos[1::2]
             seg, lo, hi = seg[src], lo[src], hi[src]
-            share, depth, node = share[src], depth[src], node[src]
+            share, depth = share[src], depth[src]
             whole = whole[src]
             hi[first] = lo[second] = mid[split]
             whole[first], whole[second] = left[split], right[split]
             share[pos] *= 0.5
             depth[pos] -= 1
-            node[first], node[second] = halves, halves + 1
-            n_nodes += pos.size
-        values = np.full((n_nodes,) + fine.shape[1:], complex(np.nan, np.nan))
-        for ids, fine, split, halves in reversed(rounds):
-            values[ids] = fine
-            values[ids[split]] = values[halves] + values[halves + 1]
-    totals = values[:failed.size]
     totals[failed] = np.nan
     return totals, failed
 

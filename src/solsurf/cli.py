@@ -24,6 +24,11 @@ zero_curvature need at least half of their points evaluated, the gauge
 checks 2 of their 3 paths.  Identical configurations yield
 byte-identical reports apart from wall_ms.
 
+A lambda that the chosen construction cannot use (LambdaZero) is an
+error (exit 1) that names --lambda: zero, or for h3 a square that
+underflows, or for ode from-ode and ode erf-example a reciprocal that
+overflows.
+
 limit samples 5 x 2 points, inset 10% from the domain edges, through the
 grid sampler: e3-direct once, mapped to (0, -2 F1, -2 F2, 2 F3), and
 e3-limit at each lambda.  Its table holds the largest entrywise deviation
@@ -56,8 +61,8 @@ from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
                    gmc_residual, zero_curvature_residual)
 # frame_and_curvature is not called here; it stays a module name because
 # the benchmark tracer in solbench/ wraps cli.frame_and_curvature
-from .immersion import (FRAME_OK, FRAME_REASON_NAMES, DomainRect,
-                        frame_and_curvature,  # noqa: F401
+from .immersion import (FRAME_OK, FRAME_REASON_NAMES, TARGETS, DomainRect,
+                        LambdaZero, frame_and_curvature,  # noqa: F401
                         frame_sweep, loop_period, sample_surface)
 from .lsp import (BranchAmbiguity, PathSpec, QuadratureFailure,
                   StepUnderflow, gauge_equivalence_residual)
@@ -132,6 +137,23 @@ def _parse_int(text):
         raise UsageError("not an integer: %r" % (text,))
 
 
+def _parse_tol(text):
+    # below machine epsilon no integrator can meet the tolerance, and the
+    # targets disagree on which samples to mask
+    tol = _parse_float(text)
+    if not (sys.float_info.epsilon <= tol <= 1e-2):
+        raise UsageError("--tol must lie in [%.3g, 1e-2]"
+                         % sys.float_info.epsilon)
+    return tol
+
+
+def _parse_target(text):
+    if text not in TARGETS:
+        raise UsageError("--target must be %s or %s"
+                         % (", ".join(TARGETS[:-1]), TARGETS[-1]))
+    return text
+
+
 def _parse_switch(text):
     # a config file's value of an on/off flag such as --perturb
     if text in ("true", "1"):
@@ -144,12 +166,12 @@ def _parse_switch(text):
 # converters for every value-taking flag, shared by CLI and config files
 _CONVERTERS = {
     "eta": str, "psi": str, "p": str, "q": str,
-    "lambda": _parse_float, "tol": _parse_float,
+    "lambda": _parse_float, "tol": _parse_tol,
     "c": _parse_complex, "c1": _parse_complex, "z0": _parse_complex,
     "z": _parse_complex,
     "n": _parse_int, "res": _parse_int, "threads": _parse_int,
     "domain": _parse_domain, "lambdas": _parse_lambdas,
-    "target": str, "out": str, "report": str, "config": str,
+    "target": _parse_target, "out": str, "report": str, "config": str,
 }
 
 _FLAG_NAMES = sorted("--" + k for k in _CONVERTERS)
@@ -288,9 +310,8 @@ def _load_data(cfg):
     if unbound:
         raise UsageError("unbound parameter %r; bind it with --param name=value"
                          % sorted(unbound)[0])
-    lam = float(cfg.get("lambda", 1.0))
     return WeierstrassData(eta=eta, psi=psi, z0=complex(cfg["z0"]),
-                           lam=lam, params=dict(cfg["params"]))
+                           lam=cfg["lambda"], params=dict(cfg["params"]))
 
 
 def _domain_rect(cfg):
@@ -299,29 +320,6 @@ def _domain_rect(cfg):
     if res < 2:
         raise UsageError("--res must be at least 2")
     return DomainRect(a, b, c, d, res, res)
-
-
-def _tol(cfg):
-    # below machine epsilon no integrator can meet the tolerance, and the
-    # targets disagree on which samples to mask
-    tol = float(cfg["tol"])
-    if not (sys.float_info.epsilon <= tol <= 1e-2):
-        raise UsageError("--tol must lie in [%.3g, 1e-2]"
-                         % sys.float_info.epsilon)
-    return tol
-
-
-def _validate_run(cfg):
-    _tol(cfg)
-    target = cfg.get("target", "h3")
-    if target not in ("h3", "e3-limit", "e3-direct"):
-        raise UsageError("--target must be h3, e3-limit or e3-direct")
-    lam = float(cfg.get("lambda", 1.0))
-    if target in ("h3", "e3-limit") and lam == 0.0:
-        raise UsageError("--lambda must be nonzero for target %s" % target)
-    if target == "h3" and lam * lam == 0.0:
-        raise UsageError("--lambda %r underflows when squared, which target "
-                         "h3 divides by" % lam)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +592,9 @@ def _write_mesh(patch, path, stream):
 def cmd_sample(cfg, stream, start, command):
     """generate and verify: sample the patch, run the battery, report.
     Only generate writes the mesh, only verify injects the perturbation."""
-    _validate_run(cfg)
     data = _load_data(cfg)
     domain = _domain_rect(cfg)
-    patch = sample_surface(data, domain, cfg["target"], tol=float(cfg["tol"]))
+    patch = sample_surface(data, domain, cfg["target"], tol=cfg["tol"])
     checks = _battery(patch,
                       perturb=command == "verify" and bool(cfg.get("perturb")))
     if command == "generate" and cfg.get("out"):
@@ -624,7 +621,7 @@ def cmd_limit(cfg, stream, start):
     data0 = _load_data(dict(cfg, **{"lambda": 1.0}))
     lams = cfg["lambdas"]
     a, b, c, d = cfg["domain"]
-    tol = _tol(cfg)
+    tol = cfg["tol"]
     # 5 x 2 samples, inset 10% from the domain edges
     rect = DomainRect(a + 0.1 * (b - a), b - 0.1 * (b - a),
                       c + 0.1 * (d - c), d - 0.1 * (d - c), 5, 2)
@@ -674,10 +671,7 @@ def cmd_ode_to(cfg, stream, start):
 
 def cmd_ode_from(cfg, stream, start):
     _require(cfg, "p", "q")
-    lam = float(cfg.get("lambda", 1.0))
-    if lam == 0.0:
-        raise UsageError("--lambda must be nonzero")
-    spec = OdeSpec(p=parse(cfg["p"]), q=parse(cfg["q"]), lam=lam)
+    spec = OdeSpec(p=parse(cfg["p"]), q=parse(cfg["q"]), lam=cfg["lambda"])
     data = weierstrass_from_ode(spec, c=cfg["c"], c1=cfg["c1"], z0=cfg["z0"])
     print("eta = %s" % data.eta, file=stream)
     print("psi = %s" % data.psi, file=stream)
@@ -692,14 +686,11 @@ def cmd_ode_from(cfg, stream, start):
 
 def cmd_ode_erf(cfg, stream, start):
     _require(cfg, "n")
-    lam = float(cfg["lambda"])
-    if lam == 0.0:
-        raise UsageError("--lambda must be nonzero")
-    tol = _tol(cfg)
+    lam = cfg["lambda"]
     n = int(cfg["n"])
     domain = _domain_rect(cfg)
     patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=lam,
-                                domain=domain, tol=tol)
+                                domain=domain, tol=cfg["tol"])
     data = patch.data
     checks = _battery(patch)
 
@@ -775,6 +766,9 @@ def main(argv=None, stream=None):
         return handler(cfg, stream, start)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except LambdaZero as exc:
+        print("error: --lambda: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -32,7 +32,7 @@ from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    mul, neg, num_signed, pow_, simplify, sub, subst_params,
                    _factor_product, _poly_coeffs, _subtrees)
 from .geom import WeierstrassData
-from .immersion import DomainRect, sample_surface
+from .immersion import DomainRect, LambdaZero, sample_surface
 from .lsp import PathSpec, integrate_reduced, reduced_coefficient
 from .specfun import SQRT_PI, erf_c, hermite_h, kummer_c
 
@@ -202,11 +202,13 @@ def weierstrass_from_ode(spec, c=1.0, c1=0.0, z0=0j):
     """Weierstrass data whose scalar reduction is the given equation.
 
     Round-trips through ode_coefficients to the same (p, q); c scales eta
-    and c1 shifts psi, neither changes the equation.
+    and c1 shifts psi, neither changes the equation.  psi = -(1/lambda)
+    int q/eta^2 - c1, so LambdaZero is raised when 1/lambda is not finite.
     """
     lam = spec.lam
-    if lam == 0:
-        raise ValueError("lambda = 0 admits no reduced system")
+    if lam == 0 or math.isinf(1.0 / lam):
+        raise LambdaZero("psi needs a finite 1/lambda, got lambda = %r"
+                         % (lam,))
     z0 = complex(z0)
     gp = _antiderivative(spec.p, z0)
     eta = simplify(mul(const_expr(c), Call("exp", mul(num_signed(-0.5), gp))))
@@ -225,15 +227,19 @@ def erf_example_data(n, c=1.0, c1=0.0, lam=1.0):
     eta = c e^{z^2/2}, psi = (n sqrt(pi)/(lambda c^2)) erf(z) - c1, based
     at z0 = 1 (the base point the closed-form normalization references).
     n may be a number or an Expr (e.g. an unbound parameter), in which case
-    the returned psi carries it symbolically.
+    the returned psi carries it symbolically.  LambdaZero is raised when
+    the coefficient n/(lambda c^2) is not finite, an Expr n counting as 1.
     """
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
     c = complex(c)
+    lc2 = lam * c * c
+    unit = 1.0 if isinstance(n, Expr) else n
+    if lc2 == 0 or not cmath.isfinite(unit / lc2):
+        raise LambdaZero("psi needs a finite n/(lambda c^2), got lambda = %r, "
+                         "c = %r" % (lam, c))
     if isinstance(n, Expr):
-        coef = simplify(div(n, const_expr(lam * c * c)))
+        coef = simplify(div(n, const_expr(lc2)))
     else:
-        coef = const_expr(n / (lam * c * c))
+        coef = const_expr(n / lc2)
     eta = mul(const_expr(c),
               Call("exp", div(pow_(Var(), Num(2.0)), Num(2.0))))
     psi = sub(mul(coef,

@@ -12,6 +12,7 @@ import unittest
 from unittest import mock
 
 import numpy as np
+import pytest
 
 import solsurf.geom
 from solsurf.cli import _check, _quad_triangles, _vertex_index_map, main
@@ -132,6 +133,31 @@ class TestNonFinite(CliCase):
         self.assertEqual(code, 1)
         self.assertIn("finite", err)
         self.assertFalse(os.path.exists(self.path("report.json")))
+
+
+# one lambda each construction cannot use: zero, a square that underflows
+# (h3, and the h3 patch of erf-example) or a reciprocal that overflows
+# (the ODE bridge)
+REFUSED_LAMBDAS = [
+    ["generate", "--eta", "1", "--psi", "z", "--res", "9",
+     "--target", "e3-limit", "--lambda", "0"],
+    ["verify", "--eta", "1", "--psi", "z", "--res", "9", "--lambda", "1e-300"],
+    ["ode", "erf-example", "--n", "2", "--res", "9", "--lambda", "1e-300"],
+    ["ode", "from-ode", "--p", "0", "--q", "1", "--lambda", "0"],
+    ["ode", "from-ode", "--p", "0", "--q", "1", "--lambda", "1e-320"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_LAMBDAS,
+                         ids=[" ".join(a) for a in REFUSED_LAMBDAS])
+def test_refused_lambda_names_the_flag(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, stream=io.StringIO())
+    assert code == 1
+    assert err.getvalue().startswith("error: --lambda: ")
+    assert "OverflowError" not in err.getvalue()
+    assert "LambdaZero:" not in err.getvalue()
 
 
 class TestGenerate(CliCase):

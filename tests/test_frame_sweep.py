@@ -4,6 +4,7 @@ replaced, which this file keeps as the reference implementation."""
 import io
 import math
 import unittest
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -256,6 +257,20 @@ class TestLorentzNormal(unittest.TestCase):
                                               == FRAME_OK)), 3721)
         self.assertLess(float(np.max(np.abs(sweep.H_est[inner] - 0.01))),
                         1e-6)
+
+    def test_e3_limit_frames_at_tiny_lambda(self):
+        # the frames of the flat surface at lambda 1e-12 are all evaluated,
+        # and at 1e-100 the sweep overflows nowhere
+        flat = DomainRect(-0.5, 0.5, -0.5, 0.5, 9, 9)
+        patch = sample_surface(enneper(1e-12), flat, "e3-limit")
+        reason = frame_sweep(patch, 2).reason
+        self.assertEqual(int(np.count_nonzero(reason == FRAME_RANK)), 0)
+        self.assertEqual(int(np.count_nonzero(reason == FRAME_OK)), 25)
+        patch = sample_surface(enneper(1e-100), flat, "e3-limit")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            frame_sweep(patch, 2)
+        self.assertEqual([str(w.message) for w in caught], [])
 
     def test_normal_identities(self):
         for target, lam in (("h3", 0.8), ("e3-limit", 0.01)):

@@ -6,7 +6,7 @@ import numpy as np
 
 from solsurf.expr import Param, parse
 from solsurf.geom import EVAL_ERRORS, WeierstrassData
-from solsurf.immersion import DomainRect
+from solsurf.immersion import DomainRect, LambdaZero
 from solsurf.odebridge import (AntiderivativeNode, NonIntegrableForm, OdeSpec,
                                erf_example_data, erf_example_surface,
                                free_params, kummer_crosscheck,
@@ -105,6 +105,12 @@ class TestWeierstrassFromOde(unittest.TestCase):
         with self.assertRaises(NonIntegrableForm):
             weierstrass_from_ode(OdeSpec(p=parse("a*z"), q=parse("1"), lam=1.0))
 
+    def test_rejects_lambda_whose_reciprocal_overflows(self):
+        # psi = -(1/lambda) int q/eta^2 - c1, and 1/1e-320 is inf
+        with self.assertRaises(LambdaZero):
+            weierstrass_from_ode(OdeSpec(p=parse("0"), q=parse("1"),
+                                         lam=1e-320))
+
 
 def _walk(e):
     yield e
@@ -134,6 +140,11 @@ class TestErfExampleData(unittest.TestCase):
     def test_rejects_zero_lambda(self):
         with self.assertRaises(ValueError):
             erf_example_data(1, lam=0.0)
+
+    def test_rejects_lambda_whose_coefficient_overflows(self):
+        # psi's coefficient n/(lambda c^2) would be inf
+        with self.assertRaises(LambdaZero):
+            erf_example_data(2, lam=1e-320)
 
     def test_surface_patch(self):
         patch = erf_example_surface(1, domain=DomainRect(0.8, 1.2, -0.2, 0.2, 9, 9))
