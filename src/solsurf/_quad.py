@@ -191,10 +191,6 @@ def adaptive_gl(f, a, b, tol=1e-10):
     per node; QuadratureFailure reports a non-finite integrand or an
     exhausted depth.
     """
-    if a == b:
-        probe = np.asarray(f(a), dtype=complex)
-        return probe * 0.0
-
     def values(points):
         return np.array([f(z) for z in points.tolist()], dtype=complex)
 

@@ -21,8 +21,10 @@ the frame checks masked, conformal, rank, timelike or collinear (samples
 outside the swept ring are not counted), for the others the class name
 of the error raised.  Too low a coverage fails a check: gmc and
 zero_curvature need at least half of their points evaluated, the gauge
-checks 2 of their 3 paths.  Identical configurations yield
-byte-identical reports apart from wall_ms.
+checks 2 of their 3 paths.  mean_curvature expects |lambda| on h3 and
+e3-limit and 0 on e3-direct, within 5e-3.  Identical configurations
+yield byte-identical reports apart from wall_ms.  An --out suffix other
+than .obj or .ply is a usage error before any work.
 
 A lambda that the chosen construction cannot use (LambdaZero) is an
 error (exit 1) that names --lambda: zero, or for h3 a square that
@@ -51,6 +53,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -154,8 +157,14 @@ def _parse_target(text):
     return text
 
 
+def _parse_out(text):
+    if text and not text.endswith((".obj", ".ply")):
+        raise UsageError("--out must end in .obj or .ply")
+    return text
+
+
 def _parse_switch(text):
-    # a config file's value of an on/off flag such as --perturb
+    # an on/off flag's value: "true" from the flag, any of these from a file
     if text in ("true", "1"):
         return True
     if text in ("false", "0"):
@@ -163,7 +172,7 @@ def _parse_switch(text):
     raise UsageError("not true, false, 1 or 0: %r" % (text,))
 
 
-# converters for every value-taking flag, shared by CLI and config files
+# converters for the value of every flag, shared by CLI and config files
 _CONVERTERS = {
     "eta": str, "psi": str, "p": str, "q": str,
     "lambda": _parse_float, "tol": _parse_tol,
@@ -171,10 +180,12 @@ _CONVERTERS = {
     "z": _parse_complex,
     "n": _parse_int, "res": _parse_int, "threads": _parse_int,
     "domain": _parse_domain, "lambdas": _parse_lambdas,
-    "target": _parse_target, "out": str, "report": str, "config": str,
+    "target": _parse_target, "out": _parse_out, "report": str, "config": str,
+    "perturb": _parse_switch,
 }
 
-_FLAG_NAMES = sorted("--" + k for k in _CONVERTERS)
+# the flags that take a value on the command line
+_FLAG_NAMES = sorted("--" + k for k in _CONVERTERS if k != "perturb")
 
 
 # the flags of each command, for its parser and for the keys its config
@@ -200,7 +211,8 @@ def _add_flags(p, command):
     for name in _COMMAND_FLAGS[command]:
         kwargs = {"default": argparse.SUPPRESS}
         if name == "perturb":
-            p.add_argument("--perturb", action="store_true", **kwargs)
+            p.add_argument("--perturb", action="store_const", const="true",
+                           **kwargs)
         elif name == "param":
             p.add_argument("--param", action="append", **kwargs)
         else:
@@ -276,9 +288,6 @@ def _merge_config(command, ns):
             if key not in flags or key == "param":
                 raise UsageError("unknown config key %r for %s"
                                  % (key, command))
-            if key == "perturb":
-                cfg[key] = _parse_switch(value)
-                continue
             cfg[key] = _CONVERTERS[key](value)
     for key, value in given.items():
         if key == "param":
@@ -287,9 +296,6 @@ def _merge_config(command, ns):
                     raise UsageError("--param needs name=value, got %r" % (item,))
                 name, val = item.split("=", 1)
                 params[name.strip()] = _parse_complex(val)
-            continue
-        if key == "perturb":
-            cfg["perturb"] = bool(value)
             continue
         cfg[key] = _CONVERTERS[key](value)
     cfg["params"] = params
@@ -325,18 +331,19 @@ def _domain_rect(cfg):
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _check(values, threshold, need=1):
-    """{max, mean, threshold, pass}: pass when there are at least need
-    values, every value is finite and the max lies below the threshold."""
+def _check(values, threshold, need=1, **coverage):
+    """{max, mean, threshold, pass} and the coverage fields given (evaluated,
+    skipped): pass when there are at least need values, every value is
+    finite and the max lies below the threshold."""
     arr = np.ravel(np.asarray(values, dtype=float))
     if arr.size == 0:
         return {"max": float("nan"), "mean": float("nan"),
-                "threshold": float(threshold), "pass": False}
+                "threshold": float(threshold), "pass": False, **coverage}
     mx = float(np.max(arr))
     return {"max": mx, "mean": float(np.mean(arr)),
             "threshold": float(threshold),
             "pass": bool(arr.size >= need and np.isfinite(arr).all()
-                         and mx < threshold)}
+                         and mx < threshold), **coverage}
 
 
 def _evaluate(fn, args, errors):
@@ -396,13 +403,20 @@ def _exit_code(checks):
     return 0 if all(c["pass"] for c in checks.values()) else 2
 
 
+def _report_checks(cfg, command, start, checks, stream, extra=None):
+    """Print the checks, write the report; returns the exit code."""
+    report = _finish_report({}, cfg, command, start, checks, extra)
+    _print_checks(checks, stream)
+    _write_report(report, cfg, stream)
+    return _exit_code(checks)
+
+
 # ---------------------------------------------------------------------------
 # residual battery
 
 def _sample_points(domain, per_axis):
-    xs = np.linspace(domain.re_min, domain.re_max, per_axis)
-    ys = np.linspace(domain.im_min, domain.im_max, per_axis)
-    return [complex(x, y) for y in ys for x in xs]
+    """The points of a per_axis x per_axis grid over the domain, row-major."""
+    return replace(domain, nx=per_axis, ny=per_axis).grid().ravel().tolist()
 
 
 def _battery(patch, perturb=False):
@@ -425,11 +439,11 @@ def _battery(patch, perturb=False):
     field_errors = (StencilOutOfDomain, DomainError) + EVAL_ERRORS
     gmc_vals, coverage = _evaluate(
         lambda z: max(map(abs, gmc_residual(fields, z))), pts, field_errors)
-    checks["gmc"] = dict(_check(gmc_vals, 1e-4, half), **coverage)
+    checks["gmc"] = _check(gmc_vals, 1e-4, half, **coverage)
     zc_vals, coverage = _evaluate(
         lambda z: float(np.max(np.abs(zero_curvature_residual(fields, z)))),
         pts, field_errors)
-    checks["zero_curvature"] = dict(_check(zc_vals, 1e-4, half), **coverage)
+    checks["zero_curvature"] = _check(zc_vals, 1e-4, half, **coverage)
 
     # gauge equivalence along three fixed paths into the domain
     mids = [complex(domain.re_min + 0.75 * (domain.re_max - domain.re_min),
@@ -443,31 +457,30 @@ def _battery(patch, perturb=False):
                                              tol=min(patch.tol, 1e-10)),
         mids, (BranchAmbiguity, StepUnderflow, DomainError,
                np.linalg.LinAlgError) + EVAL_ERRORS)
-    checks["gauge_equivalence"] = dict(_check(
-        [max(r["dz_residual"], r["dzbar_residual"]) for r in gauge], 1e-4, 2),
+    checks["gauge_equivalence"] = _check(
+        [max(r["dz_residual"], r["dzbar_residual"]) for r in gauge], 1e-4, 2,
         **coverage)
-    checks["gauge_unitarity"] = dict(
-        _check([r["m_unitarity"] for r in gauge], 1e-12, 2), **coverage)
-    checks["gauge_invariants"] = dict(
-        _check([r["trdet_drift"] for r in gauge], 1e-8, 2), **coverage)
+    checks["gauge_unitarity"] = _check([r["m_unitarity"] for r in gauge],
+                                       1e-12, 2, **coverage)
+    checks["gauge_invariants"] = _check([r["trdet_drift"] for r in gauge],
+                                        1e-8, 2, **coverage)
 
     # frame sweep: conformality and mean curvature at interior samples,
-    # two rings in when the grid affords the wide fourth-order stencils
-    expected_h = lam if target == "h3" else 0.0
+    # two rings in when the grid affords the wide fourth-order stencils;
+    # the frame's N makes H_est >= 0, so H = |lambda| off e3-direct
+    expected_h = 0.0 if target == "e3-direct" else abs(lam)
     ny, nx = patch.valid.shape
     sweep = frame_sweep(patch, 2 if (ny >= 5 and nx >= 5) else 1)
     ok = sweep.reason == FRAME_OK
     # how many samples the two checks read, and why the others were
     # skipped (the samples outside the ring are not counted)
     skipped = {name: np.count_nonzero(sweep.reason == code)
-               for code, name in FRAME_REASON_NAMES.items()}
+               for code, (name, _) in FRAME_REASON_NAMES.items()}
     coverage = {"evaluated": int(np.count_nonzero(ok)),
                 "skipped": {k: int(n) for k, n in skipped.items() if n}}
-    checks["conformality"] = dict(_check(sweep.conformality[ok], 1e-5),
-                                  **coverage)
-    h_thresh = 5e-3 + (abs(lam) if target == "e3-limit" else 0.0)
-    checks["mean_curvature"] = dict(
-        _check(np.abs(sweep.H_est[ok] - expected_h), h_thresh), **coverage)
+    checks["conformality"] = _check(sweep.conformality[ok], 1e-5, **coverage)
+    checks["mean_curvature"] = _check(np.abs(sweep.H_est[ok] - expected_h),
+                                      5e-3, **coverage)
 
     if "hyperboloid" in patch.residuals:
         vals = patch.residuals["hyperboloid"][patch.valid]
@@ -488,7 +501,7 @@ def _battery(patch, perturb=False):
         lambda path: float(np.max(np.abs(loop_period(data, path,
                                                      tol=1e-10).real))),
         [PathSpec(corners + corners[:1])], (QuadratureFailure,))
-    checks["loop_period"] = dict(_check(per, 1e-6), **coverage)
+    checks["loop_period"] = _check(per, 1e-6, **coverage)
     return checks
 
 
@@ -576,12 +589,8 @@ def write_ply(patch, path):
 
 
 def _write_mesh(patch, path, stream):
-    if path.endswith(".ply"):
-        nv, nf = write_ply(patch, path)
-    elif path.endswith(".obj"):
-        nv, nf = write_obj(patch, path)
-    else:
-        raise UsageError("--out must end in .obj or .ply")
+    # _parse_out admits only the two suffixes
+    nv, nf = (write_ply if path.endswith(".ply") else write_obj)(patch, path)
     print("mesh written to %s (%d vertices, %d faces)" % (path, nv, nf),
           file=stream)
 
@@ -599,10 +608,7 @@ def cmd_sample(cfg, stream, start, command):
                       perturb=command == "verify" and bool(cfg.get("perturb")))
     if command == "generate" and cfg.get("out"):
         _write_mesh(patch, cfg["out"], stream)
-    report = _finish_report({}, cfg, command, start, checks)
-    _print_checks(checks, stream)
-    _write_report(report, cfg, stream)
-    return _exit_code(checks)
+    return _report_checks(cfg, command, start, checks, stream)
 
 
 def _limit_points(data, rect, target, tol, label):
@@ -645,13 +651,10 @@ def cmd_limit(cfg, stream, start):
         "limit_order_shortfall": _check([0.9 - order], 0.0),
         "limit_abs_error": _check([errs[-1]], 1e-2),
     }
-    extra = {"limit_table": table, "fitted_order": order}
-    report = _finish_report({}, cfg, "limit", start, checks, extra)
     print("fitted order %.3f over %d lambda values" % (order, len(lams)),
           file=stream)
-    _print_checks(checks, stream)
-    _write_report(report, cfg, stream)
-    return _exit_code(checks)
+    return _report_checks(cfg, "limit", start, checks, stream,
+                          {"limit_table": table, "fitted_order": order})
 
 
 def cmd_ode_to(cfg, stream, start):

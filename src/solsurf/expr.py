@@ -826,15 +826,9 @@ def simplify(e):
     if coeff == 0:
         return Num(0.0)
     if exp_args:
-        polys = [_poly_coeffs(arg) for arg, _ in exp_args]
-        if all(p is not None for p in polys):
-            n = max(len(p) for p in polys)
-            total = [0j] * n
-            for (arg, m), p in zip(exp_args, polys):
-                for k, c in enumerate(p):
-                    total[k] += m * c
-            if all(c == 0 for c in total):
-                exp_args = []
+        total = _exp_exponent(exp_args)
+        if total is not None and all(c == 0 for c in total):
+            exp_args = []
     for arg, m in exp_args:
         factors.append([Call("exp", arg), m])
     return _rebuild_product(coeff, factors)
@@ -891,6 +885,20 @@ def _factor_product(e):
     factors = [f for f in factors if f[1] != 0]
     exp_args = [f for f in exp_args if f[1] != 0]
     return state["coeff"], factors, exp_args
+
+
+def _exp_exponent(exp_args):
+    """Polynomial coefficients of the sum of m * arg over the exp
+    arguments [arg, m] of _factor_product, lowest degree first; None
+    unless every argument is a polynomial."""
+    polys = [_poly_coeffs(arg) for arg, _ in exp_args]
+    if any(p is None for p in polys):
+        return None
+    total = [0j] * max(len(p) for p in polys)
+    for (_, m), p in zip(exp_args, polys):
+        for k, c in enumerate(p):
+            total[k] += m * c
+    return total
 
 
 def _rebuild_product(coeff, factors):

@@ -160,17 +160,6 @@ class SurfacePatch:
 # ---------------------------------------------------------------------------
 # pointwise immersion formulas
 
-def _check_wavefunction(phi):
-    v = np.asarray(phi.value, dtype=complex)
-    if v.shape != (2, 2):
-        raise ValueError("wavefunction value must be 2x2")
-    d = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if abs(d - 1.0) > 1e-6:
-        raise ValueError("wavefunction determinant drifted to %r; "
-                         "re-integrate with a tighter tolerance" % (d,))
-    return v
-
-
 def _lorentz4(y, lam, shift=0.0):
     """Lorentz 4-vector of (Phi^H Phi - shift I)/lambda, Phi given by its
     row-major entries y: a 4-tuple of complex numbers, or of arrays (one
@@ -194,13 +183,27 @@ def _lorentz4(y, lam, shift=0.0):
             -p_im / lam, 0.5 * (q11 - q22) / lam)
 
 
-def sym_immersion(phi, lam=None):
-    """Hyperboloid point (1/lambda) Phi^H Phi as a Lorentz 4-vector."""
+def _immersion(phi, lam, shift, refusal):
+    """(Phi^H Phi - shift I)/lambda as a 4-vector, lambda defaulting to
+    phi's; LambdaZero with the message refusal when lambda is 0, and
+    ValueError unless Phi is 2x2 with determinant within 1e-6 of 1."""
     lam = phi.lam if lam is None else float(lam)
     if lam == 0.0:
-        raise LambdaZero("lambda = 0 has no hyperboloid; use the shifted limit")
-    v = _check_wavefunction(phi)
-    return np.array(_lorentz4(v.ravel(), lam))
+        raise LambdaZero(refusal)
+    v = np.asarray(phi.value, dtype=complex)
+    if v.shape != (2, 2):
+        raise ValueError("wavefunction value must be 2x2")
+    d = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    if abs(d - 1.0) > 1e-6:
+        raise ValueError("wavefunction determinant drifted to %r; "
+                         "re-integrate with a tighter tolerance" % (d,))
+    return np.array(_lorentz4(v.ravel(), lam, shift))
+
+
+def sym_immersion(phi, lam=None):
+    """Hyperboloid point (1/lambda) Phi^H Phi as a Lorentz 4-vector."""
+    return _immersion(phi, lam, 0.0, "lambda = 0 has no hyperboloid; use "
+                      "the shifted limit")
 
 
 def shifted_immersion(phi, lam=None):
@@ -209,11 +212,7 @@ def shifted_immersion(phi, lam=None):
     With the reduced wavefunction this converges, entrywise at rate
     O(lambda), to the flat-limit surface; X0 -> 0 in the limit.
     """
-    lam = phi.lam if lam is None else float(lam)
-    if lam == 0.0:
-        raise LambdaZero("the shift is evaluated at finite lambda")
-    v = _check_wavefunction(phi)
-    return np.array(_lorentz4(v.ravel(), lam, 1.0))
+    return _immersion(phi, lam, 1.0, "the shift is evaluated at finite lambda")
 
 
 def _phi_vector_batch(data):
@@ -513,23 +512,14 @@ FRAME_RANK = 4
 FRAME_TIMELIKE = 5
 FRAME_COLLINEAR = 6
 
-# report names of the skip reasons
+# report name and DegenerateFrame message of each skip reason
 FRAME_REASON_NAMES = {
-    FRAME_MASKED: "masked",
-    FRAME_CONFORMAL: "conformal",
-    FRAME_RANK: "rank",
-    FRAME_TIMELIKE: "timelike",
-    FRAME_COLLINEAR: "collinear",
+    FRAME_MASKED: ("masked", "stencil touches a masked sample at (%d, %d)"),
+    FRAME_CONFORMAL: ("conformal", "conformal factor nonpositive at (%d, %d)"),
+    FRAME_RANK: ("rank", "frame rows rank-deficient at (%d, %d)"),
+    FRAME_TIMELIKE: ("timelike", "normal direction not spacelike at (%d, %d)"),
+    FRAME_COLLINEAR: ("collinear", "tangents collinear at (%d, %d)"),
 }
-
-_FRAME_MESSAGES = {
-    FRAME_MASKED: "stencil touches a masked sample at (%d, %d)",
-    FRAME_CONFORMAL: "conformal factor nonpositive at (%d, %d)",
-    FRAME_RANK: "frame rows rank-deficient at (%d, %d)",
-    FRAME_TIMELIKE: "normal direction not spacelike at (%d, %d)",
-    FRAME_COLLINEAR: "tangents collinear at (%d, %d)",
-}
-
 
 
 @dataclass
@@ -566,18 +556,15 @@ def _rowdot(x, y):
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _window(patch, r0, r1, c0, c1):
-    """Points and mask over rows r0-2 .. r1+1 and columns c0-2 .. c1+1,
-    the samples [r0:r1, c0:c1] with a two-sample halo; halo cells that
-    fall outside the grid are masked."""
+def _padded(patch):
+    """Points and mask of the grid with a two-sample halo on every side,
+    NaN points and masked; the window of samples [r0:r1, c0:c1] with their
+    halo is then the slice [r0:r1 + 4, c0:c1 + 4]."""
     ny, nx, dim = patch.points.shape
-    p = np.full((r1 - r0 + 4, c1 - c0 + 4, dim), np.nan)
+    p = np.full((ny + 4, nx + 4, dim), np.nan)
     v = np.zeros(p.shape[:2], dtype=bool)
-    i0, i1 = max(r0 - 2, 0), min(r1 + 2, ny)
-    j0, j1 = max(c0 - 2, 0), min(c1 + 2, nx)
-    dst = (slice(i0 - r0 + 2, i1 - r0 + 2), slice(j0 - c0 + 2, j1 - c0 + 2))
-    p[dst] = patch.points[i0:i1, j0:j1]
-    v[dst] = patch.valid[i0:i1, j0:j1]
+    p[2:-2, 2:-2] = patch.points
+    v[2:-2, 2:-2] = patch.valid
     return p, v
 
 
@@ -589,8 +576,9 @@ def _position_scale(patch):
     return patch.lam if patch.target == "e3-limit" else None
 
 
+@np.errstate(all="ignore")
 def _frame_block(p, valid, dx, dy, scale):
-    """Frame and curvature at every inner sample of a window from _window.
+    """Frame and curvature at every inner sample of a window of _padded.
 
     Returns (reason, vals): reason is the FRAME_* code of each inner
     sample, and vals maps F, fx, fy, N, u, H, Q and conf to arrays over
@@ -756,11 +744,12 @@ def frame_sweep(patch, ring=1):
     scale = _position_scale(patch)
     c0, c1 = ring, nx - ring
     if c1 > c0:
+        p, v = _padded(patch)
         for r0 in range(ring, ny - ring, _SWEEP_ROWS):
             r1 = min(r0 + _SWEEP_ROWS, ny - ring)
-            p, v = _window(patch, r0, r1, c0, c1)
-            code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy,
-                                      scale)
+            code, vals = _frame_block(p[r0:r1 + 4, c0:c1 + 4],
+                                      v[r0:r1 + 4, c0:c1 + 4],
+                                      patch.domain.dx, patch.domain.dy, scale)
             reason[r0:r1, c0:c1] = code
             ok = code == FRAME_OK
             u[r0:r1, c0:c1][ok] = vals["u"]
@@ -793,11 +782,12 @@ def frame_and_curvature(patch, index):
     ny, nx, _ = patch.points.shape
     if not (1 <= i <= ny - 2 and 1 <= j <= nx - 2):
         raise ValueError("interior grid point required, got (%d, %d)" % (i, j))
-    p, v = _window(patch, i, i + 1, j, j + 1)
-    code, vals = _frame_block(p, v, patch.domain.dx, patch.domain.dy,
+    p, v = _padded(patch)
+    code, vals = _frame_block(p[i:i + 5, j:j + 5], v[i:i + 5, j:j + 5],
+                              patch.domain.dx, patch.domain.dy,
                               _position_scale(patch))
     if code[0, 0] != FRAME_OK:
-        raise DegenerateFrame(_FRAME_MESSAGES[int(code[0, 0])] % (i, j))
+        raise DegenerateFrame(FRAME_REASON_NAMES[int(code[0, 0])][1] % (i, j))
     fx = vals["fx"][0]
     fy = vals["fy"][0]
     return FrameSample(F=vals["F"][0], F_z=0.5 * (fx - 1j * fy),

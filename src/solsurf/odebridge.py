@@ -30,7 +30,7 @@ import numpy as np
 from ._quad import adaptive_gl, adaptive_gl_batch
 from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    mul, neg, num_signed, pow_, simplify, sub, subst_params,
-                   _factor_product, _poly_coeffs, _subtrees)
+                   _exp_exponent, _factor_product, _poly_coeffs, _subtrees)
 from .geom import WeierstrassData
 from .immersion import DomainRect, LambdaZero, sample_surface
 from .lsp import PathSpec, integrate_reduced, reduced_coefficient
@@ -155,14 +155,10 @@ def _gaussian_antiderivative(e):
     coeff, factors, exp_args = _factor_product(e)
     if factors or not exp_args:
         return None
-    total = [0j, 0j, 0j]
-    for arg, m in exp_args:
-        pc = _poly_coeffs(arg)
-        if pc is None or len(pc) > 3:
-            return None
-        for k, ck in enumerate(pc):
-            total[k] += m * ck
-    d0, b, a = total
+    total = _exp_exponent(exp_args)
+    if total is None or len(total) > 3:
+        return None
+    d0, b, a = total + [0j] * (3 - len(total))
     if a == 0:
         return None
     s = cmath.sqrt(-a)

@@ -70,9 +70,20 @@ class TestUsage(CliCase):
         self.assertEqual(code, 1)
 
     def test_bad_mesh_extension(self):
-        code, _ = run_cli("generate", "--eta", "1", "--psi", "z",
-                          "--out", self.path("mesh.stl"), *SMALL)
-        self.assertEqual(code, 1)
+        # refused from the flag and from a config file before any sampling
+        cfg = self.path("run.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("out = %s\n" % self.path("mesh.stl"))
+        for argv in (["--out", self.path("mesh.stl")], ["--config", cfg]):
+            err = io.StringIO()
+            with mock.patch("solsurf.cli.sample_surface") as sample, \
+                    contextlib.redirect_stderr(err):
+                code = main(["generate", "--eta", "1", "--psi", "z", *SMALL,
+                             *argv], stream=io.StringIO())
+            self.assertEqual(code, 1, argv)
+            self.assertEqual(err.getvalue(),
+                             "error: --out must end in .obj or .ply\n")
+            sample.assert_not_called()
 
     def test_unbound_parameter(self):
         code, _ = run_cli("generate", "--eta", "1+a*z", "--psi", "z", *SMALL)
@@ -247,6 +258,21 @@ class TestVerify(CliCase):
                               "--report", self.path("report.json"))
         self.assertEqual(code, 2)
         self.assertEqual(dz.call_count, 0)
+
+    def test_mean_curvature_expects_abs_lambda(self):
+        # H_est >= 0 by the frame's orientation, and the Lorentz targets
+        # have H = |lambda| for either sign of lambda
+        code, _ = run_cli(*self.ARGS, "--lambda", "-1")
+        self.assertEqual(code, 0)
+        # at 33^2 the stencils' truncation is 1.3e-7
+        code, _ = run_cli("verify", "--eta", "1", "--psi", "z", "--res", "33",
+                          "--domain", "-0.32:0.32:-0.32:0.32",
+                          "--target", "e3-limit", "--lambda", "0.8",
+                          "--report", self.path("report.json"))
+        self.assertEqual(code, 0)
+        check = self.report()["checks"]["mean_curvature"]
+        self.assertEqual(check["threshold"], 5e-3)
+        self.assertLess(check["max"], 1e-6)
 
     def test_frame_check_coverage(self):
         # a pole on the centre sample is masked, and the frames whose

@@ -19,11 +19,11 @@ class TestDemos(unittest.TestCase):
             with self.subTest(demo=name), \
                     tempfile.TemporaryDirectory() as cwd:
                 # run from a scratch directory: demos write their meshes
-                # into the working directory
+                # into the working directory; a numpy warning is an error
                 proc = subprocess.run(
-                    [sys.executable, os.path.join(DEMOS, name)], cwd=cwd,
-                    env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                    text=True, timeout=300)
+                    [sys.executable, "-W", "error", os.path.join(DEMOS, name)],
+                    cwd=cwd, env=env, stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, text=True, timeout=300)
                 self.assertEqual(proc.returncode, 0, proc.stderr[-2000:])
 
 

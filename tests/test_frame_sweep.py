@@ -237,6 +237,17 @@ class TestFrameSweep(SweepCase):
         self.assertTrue(bool(np.all(frame_sweep(patch, 3).reason
                                     == FRAME_EDGE)))
 
+    def test_underflowing_steps_raise_no_warning(self):
+        # on a 1e-300 square dx * dx underflows to 0, and the stencils
+        # divide by it; the sweep computes under errstate and warns nothing
+        patch = sample_surface(enneper(1.0),
+                               DomainRect(0.0, 1e-300, 0.0, 1e-300, 9, 9),
+                               "h3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = frame_sweep(patch, 2)
+        self.assertEqual(sweep.reason.shape, (9, 9))
+
 
 def readme_data(lam):
     return WeierstrassData(eta=parse("1+0.2*z"), psi=parse("z^2"), z0=0j,

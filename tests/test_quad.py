@@ -48,6 +48,9 @@ class TestAdaptiveGl(unittest.TestCase):
 
         with self.assertRaises(QuadratureFailure):
             adaptive_gl(f, 0.0, 1.0)
+        # a zero-length segment too
+        with self.assertRaises(QuadratureFailure):
+            adaptive_gl(lambda z: complex(math.inf, 0.0), 0.5, 0.5)
 
     def test_exhausted_depth_fails(self):
         def step(z):
