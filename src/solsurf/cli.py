@@ -189,21 +189,33 @@ _FLAG_NAMES = sorted("--" + k for k in _CONVERTERS if k != "perturb")
 
 
 # the flags of each command, for its parser and for the keys its config
-# file may set; "param" is the repeatable --param name=value, which a
-# config file writes as param.NAME = value
+# file may set, each mapped to its default: _REQUIRED marks a flag the
+# command cannot run without, None one with no default, which stays out
+# of the merged configuration until given.  "param" is the repeatable
+# --param name=value, which a config file writes as param.NAME = value
+_REQUIRED = object()
 _COMMAND_FLAGS = {
-    "generate": ("eta", "psi", "lambda", "z0", "target", "domain", "res",
-                 "tol", "out", "report", "threads", "config", "param"),
-    "verify": ("eta", "psi", "lambda", "z0", "target", "domain", "res",
-               "tol", "report", "threads", "config", "perturb", "param"),
-    "limit": ("eta", "psi", "z0", "lambdas", "domain", "tol", "report",
-              "config", "param"),
-    "ode to-ode": ("eta", "psi", "lambda", "z0", "report", "config",
-                   "param"),
-    "ode from-ode": ("p", "q", "lambda", "c", "c1", "z0", "report",
-                     "config"),
-    "ode erf-example": ("n", "c", "c1", "lambda", "domain", "res", "tol",
-                        "out", "report", "threads", "config", "z"),
+    "generate": {"eta": _REQUIRED, "psi": _REQUIRED, "lambda": 1.0, "z0": 0j,
+                 "target": "h3", "domain": (-1.0, 1.0, -1.0, 1.0),
+                 "res": 33, "tol": 1e-8, "out": None, "report": None,
+                 "threads": 1, "config": None, "param": None},
+    "verify": {"eta": _REQUIRED, "psi": _REQUIRED, "lambda": 1.0, "z0": 0j,
+               "target": "h3", "domain": (-0.32, 0.32, -0.32, 0.32),
+               "res": 65, "tol": 1e-8, "report": None, "threads": 1,
+               "config": None, "perturb": False, "param": None},
+    "limit": {"eta": _REQUIRED, "psi": _REQUIRED, "z0": 0j,
+              "lambdas": [1e-1, 1e-2, 1e-3],
+              "domain": (-1.0, 1.0, -1.0, 1.0), "tol": 1e-10,
+              "report": None, "config": None, "param": None},
+    "ode to-ode": {"eta": _REQUIRED, "psi": _REQUIRED, "lambda": 1.0,
+                   "z0": 0j, "report": None, "config": None, "param": None},
+    "ode from-ode": {"p": _REQUIRED, "q": _REQUIRED, "lambda": 1.0,
+                     "c": 1 + 0j, "c1": 0j, "z0": 0j, "report": None,
+                     "config": None},
+    "ode erf-example": {"n": _REQUIRED, "c": 1 + 0j, "c1": 0j, "lambda": 1.0,
+                        "domain": (0.68, 1.32, -0.32, 0.32), "res": 65,
+                        "tol": 1e-8, "out": None, "report": None,
+                        "threads": 1, "config": None, "z": 1.5 + 0j},
 }
 
 
@@ -236,22 +248,6 @@ def _build_parser():
     return top
 
 
-_DEFAULTS = {
-    "generate": {"lambda": 1.0, "z0": 0j, "target": "h3", "res": 33,
-                 "tol": 1e-8, "domain": (-1.0, 1.0, -1.0, 1.0), "threads": 1},
-    "verify": {"lambda": 1.0, "z0": 0j, "target": "h3", "res": 65,
-               "tol": 1e-8, "domain": (-0.32, 0.32, -0.32, 0.32),
-               "threads": 1, "perturb": False},
-    "limit": {"z0": 0j, "tol": 1e-10, "domain": (-1.0, 1.0, -1.0, 1.0),
-              "lambdas": [1e-1, 1e-2, 1e-3]},
-    "ode to-ode": {"lambda": 1.0, "z0": 0j},
-    "ode from-ode": {"lambda": 1.0, "c": 1 + 0j, "c1": 0j, "z0": 0j},
-    "ode erf-example": {"c": 1 + 0j, "c1": 0j, "lambda": 1.0, "res": 65,
-                        "tol": 1e-8, "domain": (0.68, 1.32, -0.32, 0.32),
-                        "threads": 1, "z": 1.5 + 0j},
-}
-
-
 def _read_config_file(path):
     pairs = {}
     try:
@@ -272,9 +268,10 @@ def _read_config_file(path):
 def _merge_config(command, ns):
     """defaults < config file < explicit flags; returns a plain dict.
 
-    A config file may set only the command's own flags (_COMMAND_FLAGS)."""
+    A config file may set only the command's own flags (_COMMAND_FLAGS);
+    a missing required flag is refused once every value is converted."""
     flags = _COMMAND_FLAGS[command]
-    cfg = dict(_DEFAULTS[command])
+    cfg = {k: v for k, v in flags.items() if v not in (_REQUIRED, None)}
     given = dict(vars(ns))
     given.pop("command", None)
     given.pop("subcommand", None)
@@ -299,17 +296,13 @@ def _merge_config(command, ns):
             continue
         cfg[key] = _CONVERTERS[key](value)
     cfg["params"] = params
+    for name, default in flags.items():
+        if default is _REQUIRED and name not in cfg:
+            raise UsageError("missing required flag --%s" % name)
     return cfg
 
 
-def _require(cfg, *names):
-    for name in names:
-        if name not in cfg or cfg[name] is None:
-            raise UsageError("missing required flag --%s" % name)
-
-
 def _load_data(cfg):
-    _require(cfg, "eta", "psi")
     eta = parse(cfg["eta"])
     psi = parse(cfg["psi"])
     unbound = (free_params(eta) | free_params(psi)) - set(cfg["params"])
@@ -673,7 +666,6 @@ def cmd_ode_to(cfg, stream, start):
 
 
 def cmd_ode_from(cfg, stream, start):
-    _require(cfg, "p", "q")
     spec = OdeSpec(p=parse(cfg["p"]), q=parse(cfg["q"]), lam=cfg["lambda"])
     data = weierstrass_from_ode(spec, c=cfg["c"], c1=cfg["c1"], z0=cfg["z0"])
     print("eta = %s" % data.eta, file=stream)
@@ -688,7 +680,6 @@ def cmd_ode_from(cfg, stream, start):
 
 
 def cmd_ode_erf(cfg, stream, start):
-    _require(cfg, "n")
     lam = cfg["lambda"]
     n = int(cfg["n"])
     domain = _domain_rect(cfg)

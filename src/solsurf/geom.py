@@ -117,15 +117,14 @@ def weierstrass_solution(data, z):
     return 2.0 * math.log(m), -(ev * ev) * dpv
 
 
-def fields_from_weierstrass(data, H=None):
-    """SurfaceFields induced by the data; H defaults to lambda.
+def fields_from_weierstrass(data):
+    """SurfaceFields induced by the data, at mean curvature H = lambda.
 
     The analytic derivative  u_z = 2 (eta'/eta + conj(psi) psi'/(1+|psi|^2))
     is attached, so downstream Lax matrices avoid differencing u.
     """
     eta_f, deta_f, psi_f, dpsi_f = data.functions()
     lam = data.lam
-    hval = lam if H is None else float(H)
 
     def u(z):
         return weierstrass_solution(data, z)[0]
@@ -146,7 +145,7 @@ def fields_from_weierstrass(data, H=None):
             raise DomainError("u_z not evaluable at %r: %s" % (z, exc)) from exc
         return 2.0 * num
 
-    return SurfaceFields(u=u, Q=q, H=hval, lam=lam, u_z=u_z)
+    return SurfaceFields(u=u, Q=q, H=lam, lam=lam, u_z=u_z)
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,11 @@ def _lorentz4(y, lam, shift=0.0):
             -p_im / lam, 0.5 * (q11 - q22) / lam)
 
 
-def _immersion(phi, lam, shift, refusal):
-    """(Phi^H Phi - shift I)/lambda as a 4-vector, lambda defaulting to
-    phi's; LambdaZero with the message refusal when lambda is 0, and
-    ValueError unless Phi is 2x2 with determinant within 1e-6 of 1."""
-    lam = phi.lam if lam is None else float(lam)
+def _immersion(phi, shift, refusal):
+    """(Phi^H Phi - shift I)/lambda as a 4-vector, lambda being phi's;
+    LambdaZero with the message refusal when lambda is 0, and ValueError
+    unless Phi is 2x2 with determinant within 1e-6 of 1."""
+    lam = phi.lam
     if lam == 0.0:
         raise LambdaZero(refusal)
     v = np.asarray(phi.value, dtype=complex)
@@ -200,19 +200,19 @@ def _immersion(phi, lam, shift, refusal):
     return np.array(_lorentz4(v.ravel(), lam, shift))
 
 
-def sym_immersion(phi, lam=None):
+def sym_immersion(phi):
     """Hyperboloid point (1/lambda) Phi^H Phi as a Lorentz 4-vector."""
-    return _immersion(phi, lam, 0.0, "lambda = 0 has no hyperboloid; use "
+    return _immersion(phi, 0.0, "lambda = 0 has no hyperboloid; use "
                       "the shifted limit")
 
 
-def shifted_immersion(phi, lam=None):
+def shifted_immersion(phi):
     """Origin-shifted immersion (Phi^H Phi - I)/lambda as a 4-vector.
 
     With the reduced wavefunction this converges, entrywise at rate
     O(lambda), to the flat-limit surface; X0 -> 0 in the limit.
     """
-    return _immersion(phi, lam, 1.0, "the shift is evaluated at finite lambda")
+    return _immersion(phi, 1.0, "the shift is evaluated at finite lambda")
 
 
 def _phi_vector_batch(data):

@@ -406,11 +406,11 @@ def _reduced_coef(lam, eta_f, psi_f):
     return coef
 
 
-def _full_coef(data, H):
+def _full_coef(data):
     """The full system's coefficient U d + V^H conj(d), with (U, V) the Lax
-    pair of geom.build_UV over the Weierstrass fields at H (None for
-    lambda); DomainError where the fields degenerate."""
-    fields = fields_from_weierstrass(data, H)
+    pair of geom.build_UV over the Weierstrass fields, at H = lambda;
+    DomainError where the fields degenerate."""
+    fields = fields_from_weierstrass(data)
 
     def coef(a, d, t):
         z = a + t * d
@@ -445,15 +445,19 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
     segment, and so do the gauge check's finite-difference stencils and
     the grid sampler's hops, from the identity, that _integrate_lanes
     leaves unsettled.  No pole validation or compatibility probing.  y0
-    and the result are 4-tuples (row-major 2x2 entries).
+    and the result are 4-tuples (row-major 2x2 entries).  The full system
+    is integrated at H = lambda: H, which solbench/unitcost.py passes, may
+    only be None or lambda.
     """
+    if H not in (None, data.lam):
+        raise ValueError("H must be lambda = %r, got %r" % (data.lam, H))
     if z_from == z_to:
         return y0
     if system == "reduced":
         eta_f, _, psi_f, _ = data.functions()
         coef = _reduced_coef(data.lam, eta_f, psi_f)
     else:
-        coef = _full_coef(data, H)
+        coef = _full_coef(data)
     a = complex(z_from)
     return _integrate_unit(partial(coef, a, complex(z_to) - a), tuple(y0), tol)
 
@@ -467,15 +471,16 @@ def integrate_reduced(data, path, tol=1e-10):
     return Wavefunction(_to_matrix(y), at=path.points[-1], lam=data.lam, which="reduced")
 
 
-def integrate_full(data, path, tol=1e-10, H=None):
-    """Solve the full system along the path, Phi(start) = I.
+def integrate_full(data, path, tol=1e-10):
+    """Solve the full system along the path, at H = lambda, Phi(start) = I.
 
-    The data is probed at segment endpoints and midpoints first: if the
-    GMC residuals exceed 1e-4 there, the Lax pair is not flat and the
-    integral is path-dependent, so IncompatibleSystem is raised.
+    The data is probed at segment endpoints and midpoints first: where
+    the fields cannot be evaluated near the path, or their GMC stencil
+    residual exceeds 1e-4, the Lax pair is not known to be flat and the
+    integral may be path-dependent, so IncompatibleSystem is raised.
     """
     path.validate()
-    fields = fields_from_weierstrass(data, H=H)
+    fields = fields_from_weierstrass(data)
     probes = []
     for a, b in path.segments():
         probes.extend((a, 0.5 * (a + b), b))
@@ -490,7 +495,7 @@ def integrate_full(data, path, tol=1e-10, H=None):
                                      % (max(abs(r1), abs(r2)), p))
     y = _ID4
     for a, b in path.segments():
-        y = propagate(data, a, b, y, tol=tol, system="full", H=H)
+        y = propagate(data, a, b, y, tol=tol, system="full")
     return Wavefunction(_to_matrix(y), at=path.points[-1], lam=data.lam, which="full")
 
 

@@ -172,7 +172,7 @@ class TestAcceptance(unittest.TestCase):
         worst_perturbed = float("inf")
         for _ in range(5):
             data = random_polynomial_data(rng)
-            fields = fields_from_weierstrass(data, H=data.lam)
+            fields = fields_from_weierstrass(data)
             bq = fields.Q
             broken = SurfaceFields(
                 u=fields.u, Q=lambda z, bq=bq: bq(z) + 0.1 * z.conjugate(),

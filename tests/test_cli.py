@@ -171,6 +171,27 @@ def test_refused_lambda_names_the_flag(argv):
     assert "LambdaZero:" not in err.getvalue()
 
 
+# each command run without one of its required flags, and the flag named
+MISSING_REQUIRED = [
+    (["generate", "--psi", "z"], "eta"),
+    (["verify", "--eta", "1"], "psi"),
+    (["limit", "--psi", "z"], "eta"),
+    (["ode", "to-ode", "--eta", "1"], "psi"),
+    (["ode", "from-ode", "--q", "1"], "p"),
+    (["ode", "erf-example"], "n"),
+]
+
+
+@pytest.mark.parametrize("argv,name", MISSING_REQUIRED,
+                         ids=[" ".join(a) for a, _ in MISSING_REQUIRED])
+def test_missing_required_flag(argv, name):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, stream=io.StringIO())
+    assert code == 1
+    assert err.getvalue() == "error: missing required flag --%s\n" % name
+
+
 class TestGenerate(CliCase):
     def test_obj_and_report(self):
         code, text = run_cli("generate", "--eta", "1", "--psi", "z", *SMALL,

@@ -125,7 +125,7 @@ class TestLaxPair(unittest.TestCase):
         # at lambda = H = 0 the pair satisfies V = -U, the condition that
         # keeps the wavefunction unitary
         data = make_data("1+0.3*z", "z^2", 0.0)
-        fields = fields_from_weierstrass(data, H=0.0)
+        fields = fields_from_weierstrass(data)
         z = 0.4 - 0.1j
         U, V = build_UV(fields, fields.u_z(z), z)
         self.assertTrue(np.allclose(V, -U, atol=1e-13))

@@ -1,5 +1,6 @@
 """Tests for immersion formulas, grid sampling, and frame reconstruction."""
 
+import dataclasses
 import math
 import unittest
 from unittest import mock
@@ -56,9 +57,9 @@ class TestPointImmersion(unittest.TestCase):
         data = enneper(1.0)
         wf = integrate_full(data, PathSpec.line(0j, 0.5), tol=1e-12)
         with self.assertRaises(LambdaZero):
-            sym_immersion(wf, lam=0.0)
+            sym_immersion(dataclasses.replace(wf, lam=0.0))
         with self.assertRaises(LambdaZero):
-            shifted_immersion(wf, lam=0.0)
+            shifted_immersion(dataclasses.replace(wf, lam=0.0))
 
     def test_shifted_limit_hits_flat_surface(self):
         # the shifted image converges, at rate O(lambda), to the classical
@@ -94,7 +95,8 @@ class TestImmersionOracle(unittest.TestCase):
             full = integrate_full(data, path, tol=1e-12)
             reduced = integrate_reduced(data, path, tol=1e-12)
             self.check(sym_immersion(full), full, 0.8, 0.0)
-            self.check(sym_immersion(reduced, lam=0.3), reduced, 0.3, 0.0)
+            self.check(sym_immersion(dataclasses.replace(reduced, lam=0.3)),
+                       reduced, 0.3, 0.0)
             self.check(shifted_immersion(reduced), reduced, 0.8, 1.0)
 
 

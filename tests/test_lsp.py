@@ -103,28 +103,31 @@ class TestFullIntegration(unittest.TestCase):
         self.assertEqual(wf.which, "full")
         self.assertLess(abs(np.linalg.det(wf.value) - 1.0), 1e-10)
 
-    def test_incompatible_mean_curvature(self):
-        # H != lambda makes the pair non-flat, so integration must refuse
-        with self.assertRaises(IncompatibleSystem):
-            integrate_full(self.DATA, PathSpec.line(0.0, 0.5), H=0.3)
+    def test_incompatible_fields_near_path(self):
+        # the probe at the midpoint of the path sits on the pole of
+        # eta = 1/z, where the fields cannot be evaluated, so integration
+        # must refuse
+        data = make_data("1/z", "z", 1.0)
+        with self.assertRaisesRegex(IncompatibleSystem,
+                                    "not evaluable near path at 0j"):
+            integrate_full(data, PathSpec.line(-0.5, 0.5))
 
     def test_coefficient_is_lax_pair(self):
         # the integrator's coefficient along a -> b is U d + V^H conj(d),
         # d = b - a, with (U, V) the Lax pair geom builds from the fields
         data = make_data("1+0.3*z-0.2*z^2", "z^2+0.5*z", 0.8)
         rng = np.random.default_rng(5)
-        for H in (data.lam, 0.3):
-            fields = fields_from_weierstrass(data, H)
-            coef = _full_coef(data, H)
-            for _ in range(20):
-                a, b = rng.uniform(-0.6, 0.6, 2) + 1j * rng.uniform(-0.6, 0.6, 2)
-                t = rng.uniform()
-                z = a + t * (b - a)
-                U, V = build_UV(fields, fields.u_z(z), z)
-                want = U * (b - a) + V.conj().T * np.conj(b - a)
-                got = np.array(coef(complex(a), complex(b - a), t)).reshape(2, 2)
-                self.assertLess(np.max(np.abs(got - want)),
-                                1e-13 * np.max(np.abs(want)))
+        fields = fields_from_weierstrass(data)
+        coef = _full_coef(data)
+        for _ in range(20):
+            a, b = rng.uniform(-0.6, 0.6, 2) + 1j * rng.uniform(-0.6, 0.6, 2)
+            t = rng.uniform()
+            z = a + t * (b - a)
+            U, V = build_UV(fields, fields.u_z(z), z)
+            want = U * (b - a) + V.conj().T * np.conj(b - a)
+            got = np.array(coef(complex(a), complex(b - a), t)).reshape(2, 2)
+            self.assertLess(np.max(np.abs(got - want)),
+                            1e-13 * np.max(np.abs(want)))
 
     def test_full_hop_uses_the_geom_lax_pair(self):
         with mock.patch.object(solsurf.lsp, "build_UV",
@@ -135,6 +138,18 @@ class TestFullIntegration(unittest.TestCase):
         want = integrate_full(self.DATA, PathSpec.line(0.0, 0.3 + 0.2j))
         self.assertLess(np.max(np.abs(np.array(y).reshape(2, 2)
                                       - want.value)), 1e-12)
+
+    def test_propagate_takes_h_only_as_lambda(self):
+        # the benchmark's hop loop passes H = lambda (or None); the full
+        # system is integrated at H = lambda only
+        want = propagate(self.DATA, 0.0, 0.3 + 0.2j, (1, 0, 0, 1),
+                         system="full")
+        got = propagate(self.DATA, 0.0, 0.3 + 0.2j, (1, 0, 0, 1),
+                        system="full", H=self.DATA.lam)
+        self.assertEqual(got, want)
+        with self.assertRaises(ValueError):
+            propagate(self.DATA, 0.0, 0.3 + 0.2j, (1, 0, 0, 1),
+                      system="full", H=0.3)
 
     def test_round_trip(self):
         y = propagate(self.DATA, 0.0, 0.5 + 0.3j, (1, 0, 0, 1), system="full")
