@@ -21,7 +21,15 @@ the frame checks masked, conformal, rank, timelike or collinear (samples
 outside the swept ring are not counted), for the others the class name
 of the error raised.  Too low a coverage fails a check: gmc and
 zero_curvature need at least half of their points evaluated, the gauge
-checks 2 of their 3 paths.  mean_curvature expects |lambda| on h3 and
+checks 2 of their 3 paths.  gmc and zero_curvature are evaluated at the
+min(res, 10)^2 points of a grid over the domain, in one array pass each;
+at a point the pass cannot evaluate, the scalar call names the error.
+The checks computed per point or per sample (gmc, zero_curvature, the
+frame checks, hyperboloid, det_drift, x0_limit) also carry worst,
+{index: [i, j], z: [re, im]}, where their max sits (i the row, along the
+imaginary axis), in the battery's point grid for gmc and zero_curvature
+and in the sample grid for the others; null when no value was
+evaluated.  mean_curvature expects |lambda| on h3 and
 e3-limit and 0 on e3-direct, within 5e-3.  Identical configurations
 yield byte-identical reports apart from wall_ms.  An --out suffix other
 than .obj or .ply is a usage error before any work.
@@ -339,6 +347,19 @@ def _check(values, threshold, need=1, **coverage):
                          and mx < threshold), **coverage}
 
 
+def _grid_check(values, mask, z, threshold, need=1, **coverage):
+    """_check of a grid's values at the samples of mask, with worst: the
+    grid index [i, j] and z [re, im] of the max (None without values)."""
+    check = _check(values[mask], threshold, need, **coverage)
+    at = np.argwhere(mask)
+    check["worst"] = None
+    if len(at):
+        i, j = at[np.argmax(values[mask])]
+        check["worst"] = {"index": [int(i), int(j)],
+                          "z": [float(z[i, j].real), float(z[i, j].imag)]}
+    return check
+
+
 def _evaluate(fn, args, errors):
     """[fn(a) for a in args] without the calls that raise one of errors,
     and {evaluated, skipped}, skipped counting them by class name."""
@@ -407,9 +428,9 @@ def _report_checks(cfg, command, start, checks, stream, extra=None):
 # ---------------------------------------------------------------------------
 # residual battery
 
-def _sample_points(domain, per_axis):
-    """The points of a per_axis x per_axis grid over the domain, row-major."""
-    return replace(domain, nx=per_axis, ny=per_axis).grid().ravel().tolist()
+def _point_grid(domain, per_axis):
+    """The per_axis x per_axis grid of points over the domain."""
+    return replace(domain, nx=per_axis, ny=per_axis).grid()
 
 
 def _battery(patch, perturb=False):
@@ -425,18 +446,36 @@ def _battery(patch, perturb=False):
             u=fields.u, Q=lambda z: bq(z) + 0.1 * z.conjugate(), H=lam,
             lam=lam, u_z=fields.u_z)
 
-    # gmc and zero_curvature need half of their points, the gauge checks
-    # 2 of their 3 paths
-    pts = _sample_points(domain, min(domain.nx, 10))
-    half = (len(pts) + 1) // 2
+    # gmc and zero_curvature over a grid of up to 10 x 10 points, in one
+    # array call each.  Where the array pass reads NaN, the scalar call at
+    # that point gives its value, or the error it is skipped under.  Both
+    # need half of their points, the gauge checks 2 of their 3 paths
+    grid = _point_grid(domain, min(domain.nx, 10))
+    half = (grid.size + 1) // 2
     field_errors = (StencilOutOfDomain, DomainError) + EVAL_ERRORS
-    gmc_vals, coverage = _evaluate(
-        lambda z: max(map(abs, gmc_residual(fields, z))), pts, field_errors)
-    checks["gmc"] = _check(gmc_vals, 1e-4, half, **coverage)
-    zc_vals, coverage = _evaluate(
-        lambda z: float(np.max(np.abs(zero_curvature_residual(fields, z)))),
-        pts, field_errors)
-    checks["zero_curvature"] = _check(zc_vals, 1e-4, half, **coverage)
+
+    def pointwise(values, at_point):
+        values, skipped = values.reshape(grid.shape), {}
+        ok = ~np.isnan(values)
+        for i, j in np.argwhere(~ok):
+            try:
+                values[i, j] = at_point(complex(grid[i, j]))
+                ok[i, j] = True
+            except field_errors as exc:
+                name = type(exc).__name__
+                skipped[name] = skipped.get(name, 0) + 1
+        return _grid_check(values, ok, grid, 1e-4, half,
+                           evaluated=int(np.count_nonzero(ok)),
+                           skipped=skipped)
+
+    r1, r2 = gmc_residual(fields, grid.ravel())
+    checks["gmc"] = pointwise(
+        np.maximum(np.abs(r1), np.abs(r2)),
+        lambda z: max(map(abs, gmc_residual(fields, z))))
+    checks["zero_curvature"] = pointwise(
+        np.max(np.abs(zero_curvature_residual(fields, grid.ravel())),
+               axis=(1, 2)),
+        lambda z: float(np.max(np.abs(zero_curvature_residual(fields, z)))))
 
     # gauge equivalence along three fixed paths into the domain
     mids = [complex(domain.re_min + 0.75 * (domain.re_max - domain.re_min),
@@ -471,19 +510,22 @@ def _battery(patch, perturb=False):
                for code, (name, _) in FRAME_REASON_NAMES.items()}
     coverage = {"evaluated": int(np.count_nonzero(ok)),
                 "skipped": {k: int(n) for k, n in skipped.items() if n}}
-    checks["conformality"] = _check(sweep.conformality[ok], 1e-5, **coverage)
-    checks["mean_curvature"] = _check(np.abs(sweep.H_est[ok] - expected_h),
-                                      5e-3, **coverage)
+    z = domain.grid()
+    checks["conformality"] = _grid_check(sweep.conformality, ok, z, 1e-5,
+                                         **coverage)
+    checks["mean_curvature"] = _grid_check(np.abs(sweep.H_est - expected_h),
+                                           ok, z, 5e-3, **coverage)
 
-    if "hyperboloid" in patch.residuals:
-        vals = patch.residuals["hyperboloid"][patch.valid]
-        checks["hyperboloid"] = _check(np.abs(vals), 1e-6)
-    if "det_drift" in patch.residuals:
-        vals = patch.residuals["det_drift"][patch.valid]
-        checks["det_drift"] = _check(vals, max(1e-6, 100.0 * patch.tol))
-    if "x0_abs" in patch.residuals:
-        vals = patch.residuals["x0_abs"][patch.valid]
-        checks["x0_limit"] = _check(vals, 10.0 * abs(lam) + 1e-8)
+    res, valid = patch.residuals, patch.valid
+    if "hyperboloid" in res:
+        checks["hyperboloid"] = _grid_check(np.abs(res["hyperboloid"]), valid,
+                                            z, 1e-6)
+    if "det_drift" in res:
+        checks["det_drift"] = _grid_check(res["det_drift"], valid, z,
+                                          max(1e-6, 100.0 * patch.tol))
+    if "x0_abs" in res:
+        checks["x0_limit"] = _grid_check(res["x0_abs"], valid, z,
+                                         10.0 * abs(lam) + 1e-8)
 
     # loop period around the domain boundary (single-valuedness)
     corners = [complex(domain.re_min, domain.im_min),
@@ -691,7 +733,7 @@ def cmd_ode_erf(cfg, stream, start):
     # the defining cancellation: lambda eta^2 psi' is the constant 2n
     eta_f, _, _, dpsi_f = data.functions()
     dev = []
-    for z in _sample_points(domain, min(int(cfg["res"]), 12)):
+    for z in _point_grid(domain, min(int(cfg["res"]), 12)).ravel().tolist():
         dev.append(abs(lam * eta_f(z) ** 2 * dpsi_f(z) - 2.0 * n))
     checks["ode_constancy"] = _check(dev, 1e-10)
 

@@ -23,6 +23,12 @@ plus the zero-curvature residual of the associated Lax pair
 
 Derivatives of sampled quantities are central finite differences in the
 Wirtinger sense with one level of Richardson extrapolation.
+
+Every function here takes one complex z.  gmc_residual,
+zero_curvature_residual, build_UV, the finite differences and the u, Q
+and u_z of fields_from_weierstrass also take a numpy array of points:
+they evaluate it in one pass over WeierstrassData.array_functions(), and
+give NaN where the call at one of its points would raise.
 """
 
 import math
@@ -91,7 +97,9 @@ class SurfaceFields:
 
     u and Q are callables of the complex coordinate.  u_z, when present,
     is the analytic Wirtinger derivative of u; residual routines fall
-    back to finite differences without it.
+    back to finite differences without it.  The residuals take an array
+    of points only when these callables do (as fields_from_weierstrass's
+    do, NaN marking a failed point); hand-built ones may take one complex.
     """
     u: Callable[[complex], float]
     Q: Callable[[complex], complex]
@@ -121,15 +129,31 @@ def fields_from_weierstrass(data):
     """SurfaceFields induced by the data, at mean curvature H = lambda.
 
     The analytic derivative  u_z = 2 (eta'/eta + conj(psi) psi'/(1+|psi|^2))
-    is attached, so downstream Lax matrices avoid differencing u.
+    is attached, so downstream Lax matrices avoid differencing u.  u, Q
+    and u_z take one complex, or a numpy array of points evaluated by
+    data.array_functions(), NaN where the call at one point raises
+    DomainError.
     """
     eta_f, deta_f, psi_f, dpsi_f = data.functions()
     lam = data.lam
 
     def u(z):
+        if isinstance(z, np.ndarray):
+            eta_a, _, psi_a, dpsi_a = data.array_functions()
+            ev, pv = eta_a(z), psi_a(z)
+            with np.errstate(all="ignore"):
+                m = (ev.real * ev.real + ev.imag * ev.imag) * (1.0 + pv.real * pv.real + pv.imag * pv.imag)
+                # NaN where weierstrass_solution raises
+                ok = (m > 0.0) & np.isfinite(m) & ~np.isnan(dpsi_a(z))
+                return np.where(ok, 2.0 * np.log(m), np.nan)
         return weierstrass_solution(data, z)[0]
 
     def q(z):
+        if isinstance(z, np.ndarray):
+            eta_a, _, _, dpsi_a = data.array_functions()
+            ev = eta_a(z)
+            with np.errstate(all="ignore"):
+                return -(ev * ev) * dpsi_a(z)
         try:
             ev = eta_f(z)
             return -(ev * ev) * dpsi_f(z)
@@ -137,6 +161,13 @@ def fields_from_weierstrass(data):
             raise DomainError("Q not evaluable at %r: %s" % (z, exc)) from exc
 
     def u_z(z):
+        if isinstance(z, np.ndarray):
+            eta_a, deta_a, psi_a, dpsi_a = data.array_functions()
+            ev, pv = eta_a(z), psi_a(z)
+            with np.errstate(all="ignore"):
+                num = deta_a(z) / ev + pv.conjugate() * dpsi_a(z) / (1.0 + pv * pv.conjugate())
+                # the scalar quotient raises where eta vanishes
+                return np.where(ev == 0.0, np.nan, 2.0 * num)
         try:
             ev = eta_f(z)
             pv = psi_f(z)
@@ -149,9 +180,27 @@ def fields_from_weierstrass(data):
 
 
 # ---------------------------------------------------------------------------
-# Wirtinger finite differences.  f may return a scalar or an ndarray.
+# Wirtinger finite differences.  f may return a scalar or an ndarray.  At
+# one point f is called once per stencil point, and a failed call raises
+# StencilOutOfDomain; at an array of points f is called once, on the
+# stencils of all of them stacked on a new first axis.
 
-def _eval_stencil(f, pts):
+def _points(z):
+    """One complex, or a complex ndarray of points; the array forms below
+    test for an ndarray, a cheaper test than np.ndim on the scalar path."""
+    return np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+
+
+def _stencil_values(f, z, h, centre=False):
+    """f at z + h, z - h, z + ih, z - ih, then at the same four points for
+    the step h/2, then at z when centre is set."""
+    pts = []
+    for step in (h, 0.5 * h):
+        pts += [z + step, z - step, z + 1j * step, z - 1j * step]
+    if centre:
+        pts.append(z)
+    if isinstance(z, np.ndarray):
+        return f(np.stack(pts))
     try:
         return [np.asarray(f(p), dtype=complex) for p in pts]
     except EVAL_ERRORS + (DomainError,) as exc:
@@ -166,46 +215,50 @@ def wirtinger_pair(fe, fw, fn, fs, h):
     return 0.5 * (dx - idy) / (2.0 * h), 0.5 * (dx + idy) / (2.0 * h)
 
 
-def _wirtinger_once(f, z, h):
-    fe, fw, fn, fs = _eval_stencil(f, (z + h, z - h, z + 1j * h, z - 1j * h))
-    return np.stack(wirtinger_pair(fe, fw, fn, fs, h))
-
-
-def _lap4_once(f, z, h):
-    fe, fw, fn, fs, fc = _eval_stencil(f, (z + h, z - h, z + 1j * h, z - 1j * h, z))
-    return 0.25 * (fe + fw + fn + fs - 4.0 * fc) / (h * h)
-
-
-def _richardson(once, f, z, h):
-    z = complex(z)
-    coarse = once(f, z, h)
-    fine = once(f, z, 0.5 * h)
+def _richardson(coarse, fine):
+    """One Richardson step from the values at steps h and h/2."""
     return (4.0 * fine - coarse) / 3.0
+
+
+def _wirtinger(v, h):
+    """(d/dz, d/dzbar), stacked, from the values of _stencil_values."""
+    return _richardson(np.stack(wirtinger_pair(*v[:4], h)),
+                       np.stack(wirtinger_pair(*v[4:8], 0.5 * h)))
+
+
+def _laplacian(v, h):
+    """d^2/dz dzbar = (1/4) Laplacian, from the 5-point stencils of the
+    values of _stencil_values with centre set."""
+    def lap4(fe, fw, fn, fs, step):
+        return 0.25 * (fe + fw + fn + fs - 4.0 * v[8]) / (step * step)
+
+    return _richardson(lap4(*v[:4], h), lap4(*v[4:8], 0.5 * h))
 
 
 def wirtinger_dz(f, z, h=1e-4):
     """d/dz = (1/2)(d/dx - i d/dy) by central differences at steps h and
     h/2, Richardson-extrapolated."""
-    return _richardson(_wirtinger_once, f, z, h)[0]
+    return _wirtinger(_stencil_values(f, _points(z), h), h)[0]
 
 
 def wirtinger_dzbar(f, z, h=1e-4):
     """d/dzbar = (1/2)(d/dx + i d/dy) by central differences at steps h
     and h/2, Richardson-extrapolated."""
-    return _richardson(_wirtinger_once, f, z, h)[1]
+    return _wirtinger(_stencil_values(f, _points(z), h), h)[1]
 
 
 def mixed_dzdzbar(f, z, h=1e-4):
     """d^2/dz dzbar = (1/4) Laplacian, from the 5-point stencil at steps h
     and h/2, Richardson-extrapolated."""
-    return _richardson(_lap4_once, f, z, h)
+    return _laplacian(_stencil_values(f, _points(z), h, centre=True), h)
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# residuals, at one complex z or at a 1-D array of points
 
 def gmc_residual(fields, z):
-    """Residuals (r1, r2) of the Gauss and Codazzi equations at z.
+    """Residuals (r1, r2) of the Gauss and Codazzi equations at z, one
+    complex or a 1-D numpy array of points (then r1 and r2 are arrays).
 
     r1 = u_{z zbar} + (1/2)(H^2 - lambda^2) e^u - 2 |Q|^2 e^{-u}
     r2 = Q_zbar  (the (1/2) H_z e^u term vanishes for constant H)
@@ -213,28 +266,39 @@ def gmc_residual(fields, z):
     Both vanish for fields induced by holomorphic Weierstrass data.  The
     step h = 1e-3 balances stencil truncation against the ~1e-12 noise
     floor of special-function evaluations, which the second difference
-    amplifies by 1/h^2.
+    amplifies by 1/h^2.  At one point a failed evaluation raises
+    StencilOutOfDomain; at an array of points r1 or r2 is NaN there.
     """
-    z = complex(z)
-    uzz = mixed_dzdzbar(fields.u, z, h=1e-3)
-    try:
-        uv = float(fields.u(z))
-        qv = complex(fields.Q(z))
-    except EVAL_ERRORS + (DomainError,) as exc:
-        raise StencilOutOfDomain("fields not evaluable at %r: %s" % (z, exc)) from exc
-    eu = math.exp(uv)
-    r1 = complex(uzz) + 0.5 * (fields.H ** 2 - fields.lam ** 2) * eu \
-        - 2.0 * (qv.real ** 2 + qv.imag ** 2) / eu
-    r2 = complex(wirtinger_dzbar(fields.Q, z, h=1e-3))
-    return r1, r2
+    z = _points(z)
+    array = isinstance(z, np.ndarray)
+    u = _stencil_values(fields.u, z, 1e-3, centre=True)
+    q = _stencil_values(fields.Q, z, 1e-3, centre=True)
+    with np.errstate(all="ignore"):
+        uv, qv = u[8].real, q[8]
+        # math.exp raises OverflowError where numpy returns inf
+        eu = np.exp(uv) if array else math.exp(uv)
+        uzz = _laplacian(u, 1e-3)
+        r1 = uzz + 0.5 * (fields.H ** 2 - fields.lam ** 2) * eu \
+            - 2.0 * (qv.real ** 2 + qv.imag ** 2) / eu
+        r2 = _wirtinger(q, 1e-3)[1]
+    return (r1, r2) if array else (complex(r1), complex(r2))
 
 
 def build_UV(fields, u_z, z):
     """Lax pair (U, V) at z, given the Wirtinger derivative u_z there.
 
     The system is Phi_z = U Phi, Phi_zbar = V^H Phi; at lambda = H = 0
-    V = -U, so Phi stays unitary.
+    V = -U, so Phi stays unitary.  z may be a numpy array of points, with
+    u_z of its shape: U and V are then arrays of shape z.shape + (2, 2).
     """
+    if isinstance(z, np.ndarray):
+        uv, qv = fields.u(z), fields.Q(z)
+        with np.errstate(all="ignore"):
+            eu_half = np.exp(0.5 * uv)
+            a = 0.25 * u_z
+            off = qv / eu_half
+        return (_matrices(a, -off, 0.5 * eu_half * (fields.lam + fields.H), -a),
+                _matrices(-a, off, 0.5 * eu_half * (fields.lam - fields.H), a))
     z = complex(z)
     uv = float(fields.u(z))
     qv = complex(fields.Q(z))
@@ -248,12 +312,23 @@ def build_UV(fields, u_z, z):
     return U, V
 
 
+def _matrices(a, b, c, d):
+    """The 2x2 matrices [[a, b], [c, d]] of same-shaped arrays."""
+    m = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
 def zero_curvature_residual(source, z):
-    """Compatibility residual dzbar U - dz V^H + [U, V^H] as a 2x2 matrix.
+    """Compatibility residual dzbar U - dz V^H + [U, V^H] as a 2x2 matrix
+    at one complex z, or as an (n, 2, 2) array at a 1-D numpy array of n
+    points, NaN where the call at one of them raises.
 
     source is SurfaceFields, or WeierstrassData at H = lambda.  Entries of
     U and V come from the analytic u_z when the fields carry one,
     otherwise u is differenced (one extra level of finite differences).
+    At one point a failed stencil evaluation raises StencilOutOfDomain,
+    and failed fields at z itself DomainError.
     """
     if isinstance(source, WeierstrassData):
         fields = fields_from_weierstrass(source)
@@ -263,14 +338,16 @@ def zero_curvature_residual(source, z):
         u_z = fields.u_z
     else:
         def u_z(w):
-            return complex(wirtinger_dz(fields.u, w))
+            return wirtinger_dz(fields.u, w)
 
     def uvdag(w):
         U, V = build_UV(fields, u_z(w), w)
-        return np.stack((U, V.conj().T))
+        return np.stack((U, np.swapaxes(V, -1, -2).conj()), axis=-3)
 
-    z = complex(z)
-    # d/dz and d/dzbar of the stack (U, V^H), from one stencil
-    dz, dzbar = _richardson(_wirtinger_once, uvdag, z, 1e-4)
-    uu, vv = uvdag(z)
-    return dzbar[0] - dz[1] + uu @ vv - vv @ uu
+    z = _points(z)
+    with np.errstate(all="ignore"):
+        # d/dz and d/dzbar of the stack (U, V^H), from one stencil
+        dz, dzbar = _wirtinger(_stencil_values(uvdag, z, 1e-4), 1e-4)
+        centre = uvdag(z)
+        uu, vv = centre[..., 0, :, :], centre[..., 1, :, :]
+        return dzbar[..., 0, :, :] - dz[..., 1, :, :] + uu @ vv - vv @ uu

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import solsurf.geom
-from solsurf.cli import _check, _quad_triangles, _vertex_index_map, main
+from solsurf.cli import (_check, _grid_check, _quad_triangles,
+                         _vertex_index_map, main)
 from solsurf.cli import _COMMAND_FLAGS, _build_parser, _merge_config
 
 SMALL = ["--domain", "-0.5:0.5:-0.5:0.5", "--res", "17"]
@@ -250,7 +251,7 @@ class TestGenerate(CliCase):
                           "--target", "e3-limit", "--lambda", "0.001", *SMALL,
                           "--report", self.path("report.json"))
         self.assertEqual(code, 0)
-        self.assertIn("x0_limit", self.report()["checks"])
+        self.assertIn("worst", self.report()["checks"]["x0_limit"])
 
 
 class TestVerify(CliCase):
@@ -336,6 +337,46 @@ class TestVerify(CliCase):
                              name)
             self.assertFalse(checks[name]["pass"], name)
 
+    def test_pole_on_a_stencil_point_only(self):
+        # the pole at 0.251 lies 1e-3 from the point 0.25 (index [4, 5]):
+        # on gmc's stencil (step 1e-3), which skips the point, and beside
+        # zero_curvature's (step 1e-4), whose residual there is huge but
+        # finite, a value and not a skip
+        code, _ = run_cli("verify", "--eta", "1/(z-0.251)", "--psi", "z",
+                          "--z0", "0.9+0.9i", "--domain", "-1:1:-1:1",
+                          "--res", "9", "--report", self.path("report.json"))
+        self.assertEqual(code, 2)
+        checks = self.report()["checks"]
+        gmc, zc = checks["gmc"], checks["zero_curvature"]
+        self.assertEqual(gmc["evaluated"], 80)
+        self.assertEqual(gmc["skipped"], {"StencilOutOfDomain": 1})
+        self.assertTrue(gmc["pass"])
+        self.assertEqual(zc["evaluated"], 81)
+        self.assertEqual(zc["skipped"], {})
+        self.assertFalse(zc["pass"])
+        self.assertGreater(zc["max"], 1e4)
+        self.assertEqual(zc["worst"], {"index": [4, 5], "z": [0.25, 0.0]})
+        # worst locates the checks computed per point or per sample; the
+        # gauge checks and loop_period run on paths
+        per_point = {"gmc", "zero_curvature", "conformality",
+                     "mean_curvature", "hyperboloid", "det_drift"}
+        self.assertEqual({k for k, c in checks.items() if "worst" in c},
+                         per_point)
+
+    def test_one_array_call_per_pointwise_check(self):
+        # the 10 x 10 points of gmc and zero_curvature go in one call each
+        with mock.patch("solsurf.cli.gmc_residual",
+                        wraps=solsurf.geom.gmc_residual) as gmc, \
+                mock.patch("solsurf.cli.zero_curvature_residual",
+                           wraps=solsurf.geom.zero_curvature_residual) as zc:
+            code, _ = run_cli(*TestVerify.ARGS,
+                              "--report", self.path("report.json"))
+        self.assertEqual(code, 0)
+        self.assertEqual(gmc.call_count, 1)
+        self.assertEqual(zc.call_count, 1)
+        for name in ("gmc", "zero_curvature"):
+            self.assertEqual(self.report()["checks"][name]["evaluated"], 100)
+
     def test_low_coverage_fails(self):
         # eta vanishes at the midpoints of two of the three gauge paths,
         # which the gauge check visits: one path evaluates, and its small
@@ -365,6 +406,23 @@ class TestCheckRule(unittest.TestCase):
     def test_fewer_values_than_needed_fail(self):
         self.assertTrue(_check([1e-9] * 50, 1e-4, 50)["pass"])
         self.assertFalse(_check([1e-9] * 49, 1e-4, 50)["pass"])
+
+
+    def test_worst_locates_the_max(self):
+        z = np.arange(12.0).reshape(3, 4) * (1 + 0.5j)
+        values = np.array([[1.0, 9.0, 2.0, 3.0],
+                           [4.0, 5.0, 8.0, 6.0],
+                           [7.0, 0.0, 1.0, np.nan]])
+        mask = np.isfinite(values) & (values != 9.0)
+        check = _grid_check(values, mask, z, 10.0, evaluated=10, skipped={})
+        self.assertEqual(check["max"], 8.0)
+        self.assertEqual(check["worst"], {"index": [1, 2], "z": [6.0, 3.0]})
+        self.assertIsNone(_grid_check(values, np.zeros_like(mask), z,
+                                      10.0)["worst"])
+        # a non-finite max sits where the first one does
+        mask[2, 3] = True
+        self.assertEqual(_grid_check(values, mask, z, 10.0)["worst"]["index"],
+                         [2, 3])
 
 
 class TestModuleEntry(CliCase):

@@ -9,7 +9,8 @@ import numpy as np
 
 import solsurf.geom
 from solsurf.expr import parse
-from solsurf.geom import (DomainError, WeierstrassData, SurfaceFields,
+from solsurf.geom import (DomainError, StencilOutOfDomain,
+                          WeierstrassData, SurfaceFields,
                           weierstrass_solution, fields_from_weierstrass,
                           wirtinger_dz, wirtinger_dzbar, mixed_dzdzbar,
                           gmc_residual, build_UV, zero_curvature_residual,
@@ -220,6 +221,75 @@ class TestOneStencil(unittest.TestCase):
                                    wraps=build_UV) as counting:
                 zero_curvature_residual(source, 0.2 + 0.1j)
             self.assertEqual(counting.call_count, 9, label)
+
+
+class TestArrayForm(unittest.TestCase):
+    """gmc_residual and zero_curvature_residual at an array of points
+    equal the scalar calls point by point, to the stencils' rounding."""
+
+    # the battery's 10 x 10 points over [-0.5, 0.5]^2
+    XS = np.linspace(-0.5, 0.5, 10)
+    POINTS = (XS[None, :] + 1j * XS[:, None]).ravel()
+
+    # Measured largest deviations over DATASETS and their perturbed fields,
+    # with numpy's SIMD dispatch on and off: r1 2.2e-9, r2 2.9e-13, the
+    # zero-curvature entries 4.5e-12.  r1 differences u at step 1e-3,
+    # which weights its values by up to 1.1e7 in sum, so an ulp-level
+    # difference in u (log and the array closures) reaches 1e-8
+    R1_BOUND = 2e-8
+    BOUND = 1e-10
+
+    def fields(self):
+        for eta, psi, lam in DATASETS:
+            fields = fields_from_weierstrass(make_data(eta, psi, lam))
+            bq = fields.Q
+            # the perturbation --perturb injects
+            perturbed = SurfaceFields(
+                u=fields.u, Q=lambda z, bq=bq: bq(z) + 0.1 * z.conjugate(),
+                H=lam, lam=lam, u_z=fields.u_z)
+            yield "%s %s" % (eta, psi), fields
+            yield "%s %s perturbed" % (eta, psi), perturbed
+
+    def test_equals_scalar_calls(self):
+        for label, fields in self.fields():
+            r1, r2 = gmc_residual(fields, self.POINTS)
+            zc = zero_curvature_residual(fields, self.POINTS)
+            self.assertEqual(zc.shape, (100, 2, 2))
+            for k, z in enumerate(self.POINTS):
+                s1, s2 = gmc_residual(fields, z)
+                self.assertLess(abs(r1[k] - s1), self.R1_BOUND, label)
+                self.assertLess(abs(r2[k] - s2), self.BOUND, label)
+                self.assertLess(float(np.max(np.abs(
+                    zc[k] - zero_curvature_residual(fields, z)))),
+                    self.BOUND, label)
+
+    def test_nan_where_the_scalar_call_raises(self):
+        # the pole at 0.251 is on gmc's stencil around 0.25 (step 1e-3)
+        # and at the point 0.251 itself
+        fields = fields_from_weierstrass(make_data("1/(z-0.251)", "z", 1.0))
+        pts = np.array([0.25, 0.251, 0.1 + 0.1j])
+        r1, r2 = gmc_residual(fields, pts)
+        zc = zero_curvature_residual(fields, pts)
+        self.assertTrue(np.isnan(np.maximum(np.abs(r1), np.abs(r2)))[:2].all())
+        for z in pts[:2]:
+            with self.assertRaises(StencilOutOfDomain):
+                gmc_residual(fields, z)
+        with self.assertRaises(DomainError):
+            zero_curvature_residual(fields, pts[1])
+        self.assertTrue(np.isnan(zc[1]).all())
+        # off the stencil, a huge residual stays a value
+        self.assertTrue(np.isfinite(zc[0]).all())
+        self.assertGreater(float(np.max(np.abs(zc[0]))), 1e4)
+        self.assertTrue(np.isfinite([r1[2], r2[2]]).all())
+
+    def test_build_UV_over_arrays(self):
+        fields = fields_from_weierstrass(make_data("1+0.3*z", "z^2", 0.7))
+        U, V = build_UV(fields, fields.u_z(self.POINTS), self.POINTS)
+        self.assertEqual(U.shape, (100, 2, 2))
+        for k, z in enumerate(self.POINTS):
+            u1, v1 = build_UV(fields, fields.u_z(z), z)
+            np.testing.assert_allclose(U[k], u1, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(V[k], v1, rtol=1e-14, atol=1e-15)
 
 
 class TestWeierstrassData(unittest.TestCase):
