@@ -35,6 +35,7 @@ from .odebridge import (OdeSpec, NonIntegrableForm, AntiderivativeNode,
                         ode_coefficients, standard_potential,
                         weierstrass_from_ode, erf_example_data,
                         erf_example_surface, kummer_crosscheck)
+from .checks import battery
 from .cli import main, write_obj, write_ply
 
 __version__ = "0.1.0"

@@ -12,27 +12,10 @@ Commands
 
 Exit codes: 0 all checks pass, 2 at least one check failed, 1 usage or
 runtime error.  Reports are JSON with top-level keys command, config_echo,
-checks, wall_ms; each check is {max, mean, threshold, pass} with
-pass <=> at least one value, all values finite and max < threshold.  The
-frame checks, gmc, zero_curvature, the gauge checks and loop_period also
-carry evaluated, the number of samples (points, paths) they evaluated,
-and skipped, which maps each skip reason that occurred to its count: for
-the frame checks masked, conformal, rank, timelike or collinear (samples
-outside the swept ring are not counted), for the others the class name
-of the error raised.  Too low a coverage fails a check: gmc and
-zero_curvature need at least half of their points evaluated, the gauge
-checks 2 of their 3 paths.  gmc and zero_curvature are evaluated at the
-min(res, 10)^2 points of a grid over the domain, in one array pass each;
-at a point the pass cannot evaluate, the scalar call names the error.
-The checks computed per point or per sample (gmc, zero_curvature, the
-frame checks, hyperboloid, det_drift, x0_limit) also carry worst,
-{index: [i, j], z: [re, im]}, where their max sits (i the row, along the
-imaginary axis), in the battery's point grid for gmc and zero_curvature
-and in the sample grid for the others; null when no value was
-evaluated.  mean_curvature expects |lambda| on h3 and
-e3-limit and 0 on e3-direct, within 5e-3.  Identical configurations
-yield byte-identical reports apart from wall_ms.  An --out suffix other
-than .obj or .ply is a usage error before any work.
+checks, wall_ms; checks holds the checks of solsurf.checks, whose table
+CHECKS gives each check's threshold and coverage need.  Identical
+configurations yield byte-identical reports apart from wall_ms.  An --out
+suffix other than .obj or .ply is a usage error before any work.
 
 A lambda that the chosen construction cannot use (LambdaZero) is an
 error (exit 1) that names --lambda: zero, or for h3 a square that
@@ -61,25 +44,22 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
+from .checks import battery, limit_checks, ode_constancy
 from .expr import parse
-from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
-                   SurfaceFields, WeierstrassData, fields_from_weierstrass,
-                   gmc_residual, zero_curvature_residual)
-# frame_and_curvature is not called here; it stays a module name because
-# the benchmark tracer in solbench/ wraps cli.frame_and_curvature
-from .immersion import (FRAME_OK, FRAME_REASON_NAMES, TARGETS, DomainRect,
-                        LambdaZero, frame_and_curvature,  # noqa: F401
-                        frame_sweep, loop_period, sample_surface)
-from .lsp import (BranchAmbiguity, PathSpec, QuadratureFailure,
-                  StepUnderflow, gauge_equivalence_residual)
+from .geom import DomainError, WeierstrassData
+from .immersion import TARGETS, DomainRect, LambdaZero, sample_surface
 from .odebridge import (erf_example_surface, kummer_crosscheck,
                         ode_coefficients, standard_potential,
                         weierstrass_from_ode, OdeSpec, free_params)
+# nothing here calls these: the benchmark tracer in solbench/ wraps them
+# by their names in this module, and its install fails on a missing name
+from .geom import gmc_residual, zero_curvature_residual  # noqa: F401
+from .immersion import frame_and_curvature, loop_period  # noqa: F401
+from .lsp import gauge_equivalence_residual  # noqa: F401
 
 __all__ = ["main", "main_entry"]
 
@@ -332,47 +312,6 @@ def _domain_rect(cfg):
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _check(values, threshold, need=1, **coverage):
-    """{max, mean, threshold, pass} and the coverage fields given (evaluated,
-    skipped): pass when there are at least need values, every value is
-    finite and the max lies below the threshold."""
-    arr = np.ravel(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        return {"max": float("nan"), "mean": float("nan"),
-                "threshold": float(threshold), "pass": False, **coverage}
-    mx = float(np.max(arr))
-    return {"max": mx, "mean": float(np.mean(arr)),
-            "threshold": float(threshold),
-            "pass": bool(arr.size >= need and np.isfinite(arr).all()
-                         and mx < threshold), **coverage}
-
-
-def _grid_check(values, mask, z, threshold, need=1, **coverage):
-    """_check of a grid's values at the samples of mask, with worst: the
-    grid index [i, j] and z [re, im] of the max (None without values)."""
-    check = _check(values[mask], threshold, need, **coverage)
-    at = np.argwhere(mask)
-    check["worst"] = None
-    if len(at):
-        i, j = at[np.argmax(values[mask])]
-        check["worst"] = {"index": [int(i), int(j)],
-                          "z": [float(z[i, j].real), float(z[i, j].imag)]}
-    return check
-
-
-def _evaluate(fn, args, errors):
-    """[fn(a) for a in args] without the calls that raise one of errors,
-    and {evaluated, skipped}, skipped counting them by class name."""
-    values, skipped = [], {}
-    for a in args:
-        try:
-            values.append(fn(a))
-        except errors as exc:
-            name = type(exc).__name__
-            skipped[name] = skipped.get(name, 0) + 1
-    return values, {"evaluated": len(values), "skipped": skipped}
-
-
 def _echo_value(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
@@ -405,139 +344,16 @@ def _write_report(report, cfg, stream):
         print(text, file=stream)
 
 
-def _print_checks(checks, stream):
+def _report_checks(cfg, command, start, checks, stream, extra=None):
+    """Print the checks, write the report; returns the exit code."""
+    report = _finish_report({}, cfg, command, start, checks, extra)
     for name in sorted(checks):
         c = checks[name]
         print("%-20s %s  (max %.3e, threshold %.1e)"
               % (name, "PASS" if c["pass"] else "FAIL", c["max"],
                  c["threshold"]), file=stream)
-
-
-def _exit_code(checks):
-    return 0 if all(c["pass"] for c in checks.values()) else 2
-
-
-def _report_checks(cfg, command, start, checks, stream, extra=None):
-    """Print the checks, write the report; returns the exit code."""
-    report = _finish_report({}, cfg, command, start, checks, extra)
-    _print_checks(checks, stream)
     _write_report(report, cfg, stream)
-    return _exit_code(checks)
-
-
-# ---------------------------------------------------------------------------
-# residual battery
-
-def _point_grid(domain, per_axis):
-    """The per_axis x per_axis grid of points over the domain."""
-    return replace(domain, nx=per_axis, ny=per_axis).grid()
-
-
-def _battery(patch, perturb=False):
-    """The named residual checks for a sampled patch."""
-    data, domain, target = patch.data, patch.domain, patch.target
-    lam = data.lam
-    checks = {}
-
-    fields = fields_from_weierstrass(data)
-    if perturb:
-        bq = fields.Q
-        fields = SurfaceFields(
-            u=fields.u, Q=lambda z: bq(z) + 0.1 * z.conjugate(), H=lam,
-            lam=lam, u_z=fields.u_z)
-
-    # gmc and zero_curvature over a grid of up to 10 x 10 points, in one
-    # array call each.  Where the array pass reads NaN, the scalar call at
-    # that point gives its value, or the error it is skipped under.  Both
-    # need half of their points, the gauge checks 2 of their 3 paths
-    grid = _point_grid(domain, min(domain.nx, 10))
-    half = (grid.size + 1) // 2
-    field_errors = (StencilOutOfDomain, DomainError) + EVAL_ERRORS
-
-    def pointwise(values, at_point):
-        values, skipped = values.reshape(grid.shape), {}
-        ok = ~np.isnan(values)
-        for i, j in np.argwhere(~ok):
-            try:
-                values[i, j] = at_point(complex(grid[i, j]))
-                ok[i, j] = True
-            except field_errors as exc:
-                name = type(exc).__name__
-                skipped[name] = skipped.get(name, 0) + 1
-        return _grid_check(values, ok, grid, 1e-4, half,
-                           evaluated=int(np.count_nonzero(ok)),
-                           skipped=skipped)
-
-    r1, r2 = gmc_residual(fields, grid.ravel())
-    checks["gmc"] = pointwise(
-        np.maximum(np.abs(r1), np.abs(r2)),
-        lambda z: max(map(abs, gmc_residual(fields, z))))
-    checks["zero_curvature"] = pointwise(
-        np.max(np.abs(zero_curvature_residual(fields, grid.ravel())),
-               axis=(1, 2)),
-        lambda z: float(np.max(np.abs(zero_curvature_residual(fields, z)))))
-
-    # gauge equivalence along three fixed paths into the domain
-    mids = [complex(domain.re_min + 0.75 * (domain.re_max - domain.re_min),
-                    domain.im_min + 0.5 * (domain.im_max - domain.im_min)),
-            complex(domain.re_min + 0.5 * (domain.re_max - domain.re_min),
-                    domain.im_min + 0.75 * (domain.im_max - domain.im_min)),
-            complex(domain.re_min + 0.3 * (domain.re_max - domain.re_min),
-                    domain.im_min + 0.3 * (domain.im_max - domain.im_min))]
-    gauge, coverage = _evaluate(
-        lambda w: gauge_equivalence_residual(data, PathSpec.line(data.z0, w),
-                                             tol=min(patch.tol, 1e-10)),
-        mids, (BranchAmbiguity, StepUnderflow, DomainError,
-               np.linalg.LinAlgError) + EVAL_ERRORS)
-    checks["gauge_equivalence"] = _check(
-        [max(r["dz_residual"], r["dzbar_residual"]) for r in gauge], 1e-4, 2,
-        **coverage)
-    checks["gauge_unitarity"] = _check([r["m_unitarity"] for r in gauge],
-                                       1e-12, 2, **coverage)
-    checks["gauge_invariants"] = _check([r["trdet_drift"] for r in gauge],
-                                        1e-8, 2, **coverage)
-
-    # frame sweep: conformality and mean curvature at interior samples,
-    # two rings in when the grid affords the wide fourth-order stencils;
-    # the frame's N makes H_est >= 0, so H = |lambda| off e3-direct
-    expected_h = 0.0 if target == "e3-direct" else abs(lam)
-    ny, nx = patch.valid.shape
-    sweep = frame_sweep(patch, 2 if (ny >= 5 and nx >= 5) else 1)
-    ok = sweep.reason == FRAME_OK
-    # how many samples the two checks read, and why the others were
-    # skipped (the samples outside the ring are not counted)
-    skipped = {name: np.count_nonzero(sweep.reason == code)
-               for code, (name, _) in FRAME_REASON_NAMES.items()}
-    coverage = {"evaluated": int(np.count_nonzero(ok)),
-                "skipped": {k: int(n) for k, n in skipped.items() if n}}
-    z = domain.grid()
-    checks["conformality"] = _grid_check(sweep.conformality, ok, z, 1e-5,
-                                         **coverage)
-    checks["mean_curvature"] = _grid_check(np.abs(sweep.H_est - expected_h),
-                                           ok, z, 5e-3, **coverage)
-
-    res, valid = patch.residuals, patch.valid
-    if "hyperboloid" in res:
-        checks["hyperboloid"] = _grid_check(np.abs(res["hyperboloid"]), valid,
-                                            z, 1e-6)
-    if "det_drift" in res:
-        checks["det_drift"] = _grid_check(res["det_drift"], valid, z,
-                                          max(1e-6, 100.0 * patch.tol))
-    if "x0_abs" in res:
-        checks["x0_limit"] = _grid_check(res["x0_abs"], valid, z,
-                                         10.0 * abs(lam) + 1e-8)
-
-    # loop period around the domain boundary (single-valuedness)
-    corners = [complex(domain.re_min, domain.im_min),
-               complex(domain.re_max, domain.im_min),
-               complex(domain.re_max, domain.im_max),
-               complex(domain.re_min, domain.im_max)]
-    per, coverage = _evaluate(
-        lambda path: float(np.max(np.abs(loop_period(data, path,
-                                                     tol=1e-10).real))),
-        [PathSpec(corners + corners[:1])], (QuadratureFailure,))
-    checks["loop_period"] = _check(per, 1e-6, **coverage)
-    return checks
+    return 0 if all(c["pass"] for c in checks.values()) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +455,8 @@ def cmd_sample(cfg, stream, start, command):
     data = _load_data(cfg)
     domain = _domain_rect(cfg)
     patch = sample_surface(data, domain, cfg["target"], tol=cfg["tol"])
-    checks = _battery(patch,
-                      perturb=command == "verify" and bool(cfg.get("perturb")))
+    checks = battery(patch,
+                     perturb=command == "verify" and bool(cfg.get("perturb")))
     if command == "generate" and cfg.get("out"):
         _write_mesh(patch, cfg["out"], stream)
     return _report_checks(cfg, command, start, checks, stream)
@@ -682,14 +498,11 @@ def cmd_limit(cfg, stream, start):
         errs.append(worst)
 
     order = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
-    checks = {
-        "limit_order_shortfall": _check([0.9 - order], 0.0),
-        "limit_abs_error": _check([errs[-1]], 1e-2),
-    }
     print("fitted order %.3f over %d lambda values" % (order, len(lams)),
           file=stream)
-    return _report_checks(cfg, "limit", start, checks, stream,
-                          {"limit_table": table, "fitted_order": order})
+    return _report_checks(cfg, "limit", start, limit_checks(order, errs[-1]),
+                          stream, {"limit_table": table,
+                                   "fitted_order": order})
 
 
 def cmd_ode_to(cfg, stream, start):
@@ -722,34 +535,21 @@ def cmd_ode_from(cfg, stream, start):
 
 
 def cmd_ode_erf(cfg, stream, start):
-    lam = cfg["lambda"]
     n = int(cfg["n"])
-    domain = _domain_rect(cfg)
-    patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=lam,
-                                domain=domain, tol=cfg["tol"])
-    data = patch.data
-    checks = _battery(patch)
-
-    # the defining cancellation: lambda eta^2 psi' is the constant 2n
-    eta_f, _, _, dpsi_f = data.functions()
-    dev = []
-    for z in _point_grid(domain, min(int(cfg["res"]), 12)).ravel().tolist():
-        dev.append(abs(lam * eta_f(z) ** 2 * dpsi_f(z) - 2.0 * n))
-    checks["ode_constancy"] = _check(dev, 1e-10)
+    patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=cfg["lambda"],
+                                domain=_domain_rect(cfg), tol=cfg["tol"])
+    checks = dict(battery(patch), ode_constancy=ode_constancy(patch, n))
 
     # advisory: closed-form comparison, excluded from the exit code
-    kc = kummer_crosscheck(n, c=cfg["c"], c1=cfg["c1"], lam=lam, z=cfg["z"])
-
-    if cfg.get("out"):
-        _write_mesh(patch, cfg["out"], stream)
-    report = _finish_report({}, cfg, "ode erf-example", start, checks,
-                            {"kummer_crosscheck": kc})
-    _print_checks(checks, stream)
+    kc = kummer_crosscheck(n, c=cfg["c"], c1=cfg["c1"], lam=cfg["lambda"],
+                           z=cfg["z"])
     print("kummer crosscheck: %s (max deviation %.3e, advisory)"
           % ("PASS" if kc["pass"] else "FAIL", kc["max_deviation"]),
           file=stream)
-    _write_report(report, cfg, stream)
-    return _exit_code(checks)
+    if cfg.get("out"):
+        _write_mesh(patch, cfg["out"], stream)
+    return _report_checks(cfg, "ode erf-example", start, checks, stream,
+                          {"kummer_crosscheck": kc})
 
 
 # ---------------------------------------------------------------------------

@@ -823,7 +823,8 @@ def simplify(e):
         return pow_(simplify(e.base), simplify(e.expo))
     # Mul / Div / Neg / integer Pow: flatten
     coeff, factors, exp_args = _factor_product(e)
-    if coeff == 0:
+    # 0, unless an explicit zero denominator (the one Num factor) is left
+    if coeff == 0 and not any(isinstance(f, Num) for f, _ in factors):
         return Num(0.0)
     if exp_args:
         total = _exp_exponent(exp_args)

@@ -2,6 +2,7 @@
 and through python -m in a subprocess."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -14,9 +15,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import solsurf
 import solsurf.geom
-from solsurf.cli import (_check, _grid_check, _quad_triangles,
-                         _vertex_index_map, main)
+from solsurf.checks import _check, _grid_check
+from solsurf.cli import _quad_triangles, _vertex_index_map, main
 from solsurf.cli import _COMMAND_FLAGS, _build_parser, _merge_config
 
 SMALL = ["--domain", "-0.5:0.5:-0.5:0.5", "--res", "17"]
@@ -365,9 +367,9 @@ class TestVerify(CliCase):
 
     def test_one_array_call_per_pointwise_check(self):
         # the 10 x 10 points of gmc and zero_curvature go in one call each
-        with mock.patch("solsurf.cli.gmc_residual",
+        with mock.patch("solsurf.checks.gmc_residual",
                         wraps=solsurf.geom.gmc_residual) as gmc, \
-                mock.patch("solsurf.cli.zero_curvature_residual",
+                mock.patch("solsurf.checks.zero_curvature_residual",
                            wraps=solsurf.geom.zero_curvature_residual) as zc:
             code, _ = run_cli(*TestVerify.ARGS,
                               "--report", self.path("report.json"))
@@ -503,6 +505,19 @@ class TestOdeBridgeCommands(CliCase):
         # advisory comparison may fail without affecting the exit code
         self.assertIsInstance(kc["pass"], bool)
 
+    def test_erf_example_where_eta_squared_overflows(self):
+        # at |z| ~ 40, e^{z^2} overflows: every sample is masked, and
+        # ode_constancy skips each of its points under the error's name
+        code, _ = run_cli("ode", "erf-example", "--n", "2",
+                          "--domain", "40:41:-0.5:0.5", "--res", "5",
+                          "--report", self.path("report.json"))
+        self.assertEqual(code, 2)
+        check = self.report()["checks"]["ode_constancy"]
+        self.assertEqual(check["evaluated"], 0)
+        self.assertEqual(check["skipped"], {"OverflowError": 25})
+        self.assertIsNone(check["worst"])
+        self.assertFalse(check["pass"])
+
 
 class TestConfigFile(CliCase):
     def write_config(self, text, name="run.cfg"):
@@ -632,6 +647,19 @@ class TestDeterminism(CliCase):
         # the echo reflects the request, not the environment cap, so the
         # report stays byte-stable across differently capped machines
         self.assertEqual(self.report()["config_echo"]["threads"], 8)
+
+
+def test_benchmark_wrap_points_resolve():
+    # the benchmark tracer rebinds these module names for one operation;
+    # a name missing from its module makes every traced run fail
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "solbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("solbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAP_POINTS
+    for module, attr, _ in tracer.WRAP_POINTS:
+        assert callable(getattr(getattr(solsurf, module), attr)), (module, attr)
 
 
 class TestMeshIndex(unittest.TestCase):

@@ -298,6 +298,18 @@ class TestSimplify(unittest.TestCase):
         e = parse("exp(z^2-z^2)")
         self.assertEqual(str(simplify(e)), "1")
 
+    def test_explicit_zero_denominator_is_kept(self):
+        # a zero coefficient does not fold away a division by zero: the
+        # simplified tree raises wherever the input does
+        for text in ("0/0", "0*(1/0)", "z*0/0"):
+            e = parse(text)
+            s = simplify(e)
+            for z in [0j, 0.7 + 0.2j, -0.4 + 1.1j]:
+                with self.assertRaises(PoleOrOverflow, msg=text):
+                    evaluate(e, z)
+                with self.assertRaises(PoleOrOverflow, msg=text):
+                    evaluate(s, z)
+
     def test_leaves_are_untouched(self):
         self.assertIsInstance(simplify(Num(3.0)), Num)
         self.assertIsInstance(simplify(Param("n")), Param)
