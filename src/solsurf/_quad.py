@@ -73,7 +73,8 @@ def _gl_rules(f, starts, ends, x, w):
 
     Per interval, the weighted values are summed in node order and then
     scaled by the half length, so an interval's value does not depend on
-    the batch around it.
+    the batch around it.  The sum runs in place, through one array for
+    the weighted term, so a call allocates no array per node.
     """
     mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
@@ -81,8 +82,10 @@ def _gl_rules(f, starts, ends, x, w):
     vals = np.asarray(f(nodes.ravel()), dtype=complex)
     vals = vals.reshape(nodes.shape + vals.shape[1:])
     total = w[0] * vals[:, 0]
+    term = np.empty_like(total)
     for m in range(1, len(x)):
-        total = total + w[m] * vals[:, m]
+        np.multiply(w[m], vals[:, m], out=term)
+        np.add(total, term, out=total)
     return (half * total.T).T
 
 
@@ -108,7 +111,9 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     """Integrals of f along the K straight segments a[k] -> b[k].
 
     f maps a 1-D complex array of points to their values, one row per
-    point (shape (m,) or (m, d)).  Each segment follows one rule: the
+    point (shape (m,) or (m, d)).  Its result is read before its next
+    call and never written, so it may be a view into a buffer that f
+    reuses from call to call.  Each segment follows one rule: the
     15-point rule on an interval is compared with the summed rule on its
     halves; the interval is accepted when the largest difference is at
     most its tolerance share, and otherwise split, each half taking half

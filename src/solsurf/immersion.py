@@ -218,15 +218,42 @@ def shifted_immersion(phi):
 def _phi_vector_batch(data):
     """The integrand (1/2 (1 - psi^2), i/2 (1 + psi^2), psi) eta^2 over an
     array of points, one row per point, from the array closures of eta
-    and psi."""
+    and psi.
+
+    The closure owns its work arrays, allocated on the first call and
+    again only when more points arrive, and returns a view of them: a
+    result holds until the next call.  Every operation keeps the operand
+    order and contiguous operands of the expressions above, so the values
+    are those of fresh arrays bit for bit.  What eta and psi return is
+    only read; it may be z itself or a read-only view.
+    """
     eta_a, _, psi_a, _ = data.array_functions()
+    scratch = np.empty((3, 0), dtype=complex)
+    vals = np.empty((0, 3), dtype=complex)
 
     def fvals(z):
+        nonlocal scratch, vals
+        n = len(z)
+        if len(vals) < n:
+            # eta^2, psi^2 and one term, each row contiguous; the values
+            scratch = np.empty((3, n), dtype=complex)
+            vals = np.empty((n, 3), dtype=complex)
+        e2, p2, t = scratch[:, :n]
+        out = vals[:n]
         ev, pv = eta_a(z), psi_a(z)
-        e2 = ev * ev
-        p2 = pv * pv
-        return np.stack((0.5 * (1.0 - p2) * e2, 0.5j * (1.0 + p2) * e2,
-                         pv * e2), axis=1)
+        np.multiply(ev, ev, out=e2)
+        np.multiply(pv, pv, out=p2)
+        np.subtract(1.0, p2, out=t)
+        np.multiply(0.5, t, out=t)
+        np.multiply(t, e2, out=t)
+        out[:, 0] = t
+        np.add(1.0, p2, out=t)
+        np.multiply(0.5j, t, out=t)
+        np.multiply(t, e2, out=t)
+        out[:, 1] = t
+        np.multiply(pv, e2, out=t)
+        out[:, 2] = t
+        return out
 
     return fvals
 
@@ -405,8 +432,9 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
 # one row of quadrature hops per adaptive_gl_batch call: a bisection round
 # evaluates the integrand at the 15 nodes of both halves of every open
 # interval, and with blocks of 8 rows those node values raised the peak
-# memory of a 128^2 e3-direct generate from 39.6 to 45.0 MB at no gain in
-# time (0.19 s against 0.19 s, best of 3; 2 CPUs, no clock pinning)
+# memory of a 128^2 e3-direct generate from 39.5 to 44.1 MB and its time
+# from 0.109 to 0.120 s (medians of 7 fresh processes each, with the
+# integrand's reused work arrays; 2 CPUs, no clock pinning)
 _QUAD_ROWS = 1
 
 

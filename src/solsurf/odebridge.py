@@ -103,15 +103,27 @@ def free_params(e):
     return set().union(*(free_params(v) for v in _subtrees(e).values()))
 
 
+def _substituted(data):
+    """eta and psi with the data's bound parameters substituted.  An eta
+    that simplifies to the zero polynomial is refused (ValueError): it is
+    not Weierstrass data, and the bridge divides by it."""
+    eta = subst_params(data.eta, data.params)
+    coeffs = _poly_coeffs(simplify(eta))
+    if coeffs is not None and not any(coeffs):
+        raise ValueError("eta = %s is identically zero; the ODE bridge "
+                         "divides by eta" % (data.eta,))
+    return eta, subst_params(data.psi, data.params)
+
+
 def ode_coefficients(data):
     """Coefficients (p, q) of the scalar reduction of the reduced system.
 
     Bound parameters of the data are substituted; unbound ones stay
     symbolic.  The results are simplified, so exactly cancelling factors
-    (eta against 1/eta, Gaussians against anti-Gaussians) disappear.
+    (eta against 1/eta, Gaussians against anti-Gaussians) disappear.  An
+    identically zero eta raises ValueError.
     """
-    eta = subst_params(data.eta, data.params)
-    psi = subst_params(data.psi, data.params)
+    eta, psi = _substituted(data)
     p = simplify(neg(mul(Num(2.0), div(eta.derivative(), eta))))
     q = simplify(neg(mul(const_expr(data.lam),
                          mul(mul(eta, eta), psi.derivative()))))
@@ -124,8 +136,7 @@ def standard_potential(data):
     Q = d^2(ln eta) - (d ln eta)^2 - lambda eta^2 psi', reached from the
     scalar reduction by the substitution y = eta0 alpha / eta.
     """
-    eta = subst_params(data.eta, data.params)
-    psi = subst_params(data.psi, data.params)
+    eta, psi = _substituted(data)
     logd = div(eta.derivative(), eta)
     qq = sub(sub(logd.derivative(), mul(logd, logd)),
              mul(const_expr(data.lam), mul(mul(eta, eta), psi.derivative())))

@@ -484,6 +484,20 @@ class TestOdeBridgeCommands(CliCase):
         self.assertIn("p = -2*z", text)
         self.assertIn("q = -2", text)
 
+    def test_to_ode_refuses_zero_eta(self):
+        # -2 eta'/eta has no value when eta vanishes identically
+        for eta in ("0", "0*z"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["ode", "to-ode", "--eta", eta, "--psi", "z"],
+                            stream=io.StringIO())
+            self.assertEqual(code, 1, eta)
+            self.assertIn("eta = %s is identically zero" % eta,
+                          err.getvalue())
+        code, text = run_cli("ode", "to-ode", "--eta", "z", "--psi", "z")
+        self.assertEqual(code, 0)
+        self.assertEqual(text, "p = -2/z\nq = -z^2\nQ = -(1/z^2)-1/z^2-z^2\n")
+
     def test_from_ode_negative_values(self):
         # flag values starting with '-' must survive argv preprocessing
         code, text = run_cli("ode", "from-ode", "--p", "-2*z", "--q", "-2")

@@ -13,7 +13,7 @@ from solsurf.geom import WeierstrassData, weierstrass_solution
 from solsurf.lsp import (PathSpec, QuadratureFailure, gauge_matrix,
                          integrate_reduced, integrate_full)
 from solsurf.immersion import (DomainRect, LambdaZero, DegenerateFrame,
-                               sym_immersion, shifted_immersion,
+                               _phi_vector_batch, sym_immersion, shifted_immersion,
                                enneper_weierstrass, loop_period,
                                sample_surface, frame_and_curvature)
 from solsurf.mcore import lorentz_from_hermitian, rho_action
@@ -127,6 +127,47 @@ class TestEnneperIntegral(unittest.TestCase):
             enneper_weierstrass(data, PathSpec(points=(-1.0, 1.0, 1 + 1j)))
         self.assertIn("path segment (-1+0j) -> (1+0j):", str(ctx.exception))
         self.assertNotIn("np.", str(ctx.exception))
+
+
+def stacked_phi_vector(data, z):
+    """The integrand as fresh arrays, the formula _phi_vector_batch keeps."""
+    eta_a, _, psi_a, _ = data.array_functions()
+    ev, pv = eta_a(z), psi_a(z)
+    e2 = ev * ev
+    p2 = pv * pv
+    return np.stack((0.5 * (1.0 - p2) * e2, 0.5j * (1.0 + p2) * e2,
+                     pv * e2), axis=1)
+
+
+class TestPhiVectorBatch(unittest.TestCase):
+    # the first bisection round of a 128^2 e3-direct row: 127 hops, three
+    # 15-node rules each
+    def points(self, n):
+        rng = np.random.default_rng(n)
+        return rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+
+    def test_bit_equal_to_fresh_arrays(self):
+        # with psi = z the psi closure returns z itself, and with eta = psi
+        # = z both do: the work arrays must never be what the closures gave
+        for eta, psi in (("z", "z"), ("1", "z"), ("1+0.2*z", "z^2")):
+            data = WeierstrassData(eta=parse(eta), psi=parse(psi), z0=0j,
+                                   lam=0.8)
+            fvals = _phi_vector_batch(data)
+            for n in (5715, 100, 5715):
+                z = self.points(n)
+                z.setflags(write=False)
+                before = z.copy()
+                got = fvals(z)
+                self.assertEqual(got.shape, (n, 3))
+                self.assertTrue(np.array_equal(got, stacked_phi_vector(data, z)),
+                                "%s %s n=%d" % (eta, psi, n))
+                self.assertTrue(np.array_equal(z, before))
+
+    def test_calls_of_one_size_share_a_buffer(self):
+        fvals = _phi_vector_batch(enneper(1.0))
+        first = fvals(self.points(5715))
+        second = fvals(self.points(5715))
+        self.assertTrue(np.shares_memory(first, second))
 
 
 class TestSampleSurface(unittest.TestCase):
