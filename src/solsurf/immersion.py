@@ -312,7 +312,7 @@ def _probe_validity(data, zgrid):
     return valid
 
 
-def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch):
+def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch, straight):
     """Accumulate hop values along lines of samples, in place.
 
     Line l visits the points zs[l, j] with ok[l, j] in column order;
@@ -325,9 +325,17 @@ def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch):
     hops of lines_per_batch lines per call.  Then the lines advance
     together, one column at a time: a sample's value is combine(hop value,
     value at the hop's start).  A hop that failed masks its end sample in
-    ok, and a hop kept from another start than the line's last good sample
-    is taken again from that sample, in one further call per column.  A
-    line whose hop fails again there is blocked, by a pole say: all its
+    ok.
+
+    Every line runs straight on from its column straight.  A hop that
+    fails from a last good sample in column straight or later masks the
+    rest of its line: each later hop from that sample contains the failed
+    segment and passes the same singular point, so a sample beyond it
+    could only be reached by stepping over a point where the integrator
+    gave up, and would not be reliable.  Before column straight a line may
+    bend, and a hop kept from another start than the line's last good
+    sample is taken again from that sample, in one further call per
+    column.  A line whose hop fails again there is blocked: all its
     remaining hops are taken from its last good sample in one more call,
     and used while that sample stays its last good one.
     """
@@ -361,26 +369,33 @@ def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch):
                 from_last(blocked[ll], jj + j + 1)
         good = lanes[hop_ok[lanes, j]]
         vals[:, good, j] = combine(vals[:, good, j], vals[:, good, last[good]])
-        ok[lanes[~hop_ok[lanes, j]], j] = False
+        bad = lanes[~hop_ok[lanes, j]]
+        ok[bad, j] = False
+        if bad.size:
+            ok[bad[last[bad] >= straight], j + 1:] = False
         last[good] = j
 
 
 def _sweep_grid(hop, combine, zgrid, valid, v0, z0, lines_per_batch):
     """Values over the grid from v0 at z0, masking valid where a hop
     fails: the seed column from z0 down column 0 as one line, then every
-    row as a line from its column-0 value (_sweep_lines).  Returns the
-    (e, ny, nx) values, meaningful where valid."""
+    row as a line from its column-0 value (_sweep_lines).  Rows run
+    straight from their start, the seed line from its first grid sample
+    on, so a failed hop there masks the rest of its line; the seed line's
+    first leg, whose hops from z0 point in different directions, takes
+    the next hop from z0 again.  Returns the (e, ny, nx) values,
+    meaningful where valid."""
     ny, nx = zgrid.shape
     seed = np.empty((len(v0), 1, ny + 1), dtype=complex)
     seed[:, 0, 0] = v0
     seed_ok = np.concatenate([[True], valid[:, 0]])[None]
     _sweep_lines(hop, combine, np.concatenate([[z0], zgrid[:, 0]])[None],
-                 seed_ok, seed, lines_per_batch)
+                 seed_ok, seed, lines_per_batch, 1)
     valid[:, 0] = seed_ok[0, 1:]
     valid[~valid[:, 0], 1:] = False
     vals = np.empty((len(v0), ny, nx), dtype=complex)
     vals[:, :, 0] = seed[:, 0, 1:]
-    _sweep_lines(hop, combine, zgrid, valid, vals, lines_per_batch)
+    _sweep_lines(hop, combine, zgrid, valid, vals, lines_per_batch, 0)
     return vals
 
 
@@ -402,10 +417,13 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
     where eta, psi or psi' is not finite, or eta vanishes, are masked, as
     are points whose hop fails.  Every target then takes the same hops,
     down the seed column from z0 and along each row from its column-0
-    sample (_sweep_grid), and differs only in a hop's value and how
-    values combine: the ODE targets multiply transfer matrices of the
-    reduced system (see _sample_ode), e3-direct adds integrals of the
-    Weierstrass integrand.
+    sample (_sweep_grid).  A hop that fails on a row, or on the seed
+    column past its first grid sample, masks the rest of that line: every
+    later hop of the line would pass the same singular point, so no
+    sample beyond it is reliable.  The targets differ only in a hop's
+    value and how values combine: the ODE targets multiply transfer
+    matrices of the reduced system (see _sample_ode), e3-direct adds
+    integrals of the Weierstrass integrand.
     """
     if target not in TARGETS:
         raise ValueError("target must be one of %r" % (TARGETS,))

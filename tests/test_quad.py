@@ -3,6 +3,9 @@ sampling built on it."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import unittest
 from unittest import mock
 
@@ -62,6 +65,37 @@ class TestAdaptiveGl(unittest.TestCase):
     def test_integrand_errors_pass_through(self):
         with self.assertRaises(ZeroDivisionError):
             adaptive_gl(lambda z: 1.0 / z, -1.0, 1.0)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+class TestFifteenPointRule(unittest.TestCase):
+    """adaptive_gl_batch's rule is written out, so that sampling costs no
+    import of numpy.polynomial."""
+
+    def test_literals_are_leggauss(self):
+        x, w = gl_nodes(15)
+        want_x, want_w = np.polynomial.legendre.leggauss(15)
+        for got, want in ((x, want_x), (w, want_w)):
+            self.assertEqual(got.shape, (15,))
+            self.assertLessEqual(float(np.max(np.abs(got - want))), 1e-15)
+
+    def test_sampling_imports_no_polynomial_module(self):
+        code = ("import sys\n"
+                "from solsurf import DomainRect, WeierstrassData, parse\n"
+                "from solsurf.immersion import sample_surface\n"
+                "data = WeierstrassData(eta=parse('1+0.2*z'), "
+                "psi=parse('z^2'), z0=0j, lam=0.8)\n"
+                "patch = sample_surface(data, DomainRect(-0.6, 0.6, -0.6, "
+                "0.6, 9, 9), 'e3-direct')\n"
+                "assert patch.valid.all()\n"
+                "sys.exit('numpy.polynomial' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=300)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
 
 
 def depth_first_gl(f, a, b, tol, depth, n=15):
