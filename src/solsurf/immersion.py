@@ -26,20 +26,18 @@ classical integral, the loop period and the e3-direct sampler share one
 integrand over the array closures and one batched quadrature.
 
 Grid sampling probes the data over the grid in array passes, then takes
-one sweep for all three targets (_sweep_lines): the seed column from z0
-is one line of hops, each row from its column-0 sample another.  A hop's
+one sweep for all three targets (_sweep_grid): from z0 into the grid
+column nearest z0, up and down that column, and along each row both ways
+from it, each half a straight line of hops (_sweep_lines).  A hop's
 value does not depend on the value at its start, so the planned hops are
 computed in batches, then accumulated along the lines; a failed hop
-masks its end sample, and the hop after it is taken again from the
-line's last good sample.  Where that fails too, a pole blocks the line,
-say, and all its remaining hops from that sample are computed in one
-more batch.  The targets differ in the hop value and how
-values combine.  The ODE targets multiply transfer matrices from the
-identity, Psi(z_j) = T Psi(z_{j-1}), of the reduced (holomorphic) system;
-h3 then moves its wavefunctions by the constant gauge M(z0), which gives
-the full system's surface (lsp.gauge_matrix), and a pass over the valid
-samples applies the formula.  e3-direct adds integrals of the
-Weierstrass integrand, the additive case T = I + lambda int B +
+masks the rest of its half line.  The targets differ in the hop value
+and how values combine.  The ODE targets multiply transfer matrices from
+the identity, Psi(z_j) = T Psi(z_{j-1}), of the reduced (holomorphic)
+system; h3 then moves its wavefunctions by the constant gauge M(z0),
+which gives the full system's surface (lsp.gauge_matrix), and a pass
+over the valid samples applies the formula.  e3-direct adds integrals of
+the Weierstrass integrand, the additive case T = I + lambda int B +
 O(lambda^2) that the paper recovers as lambda -> 0.  Everything runs on
 the calling thread.
 
@@ -312,90 +310,113 @@ def _probe_validity(data, zgrid):
     return valid
 
 
-def _sweep_lines(hop, combine, zs, ok, vals, lines_per_batch, straight):
-    """Accumulate hop values along lines of samples, in place.
+def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, lead=None):
+    """Accumulate hop values in place along the lines zs[l], each run from
+    index k both ways as two straight halves.
 
-    Line l visits the points zs[l, j] with ok[l, j] in column order;
-    column 0 is its start, where vals[:, l, 0] holds its value.  hop(za,
-    zb) returns the values of the hops za[k] -> zb[k] as an (e, K) array
-    and whether each was computed; a hop's value does not depend on the
-    value at its start, so hops are computed ahead, in batches, and kept
-    in vals[:, l, j] with their start sample start[l, j].  First every
-    hop planned from the ok mask, from the line's previous ok sample, the
-    hops of lines_per_batch lines per call.  Then the lines advance
-    together, one column at a time: a sample's value is combine(hop value,
-    value at the hop's start).  A hop that failed masks its end sample in
-    ok.
+    A line visits its points with ok in order from its start k, where
+    vals[:, l, k] holds its value.  hop(za, zb) returns the values of the
+    hops za[i] -> zb[i] as an (e, K) array and whether each was computed;
+    a hop's value does not depend on the value at its start, so the hops
+    planned from the ok mask, each from the previous ok sample of its
+    half, are computed first, those of lines_per_batch lines per call.  A
+    hop that fails masks the rest of its half in ok: every later hop of
+    the half contains the failed segment and passes the same singular
+    point, so a sample beyond it could only be reached by stepping over a
+    point where the integrator gave up.  Then the halves advance one
+    sample at a time: a value is combine(hop value, value at the hop's
+    start).
 
-    Every line runs straight on from its column straight.  A hop that
-    fails from a last good sample in column straight or later masks the
-    rest of its line: each later hop from that sample contains the failed
-    segment and passes the same singular point, so a sample beyond it
-    could only be reached by stepping over a point where the integrator
-    gave up, and would not be reliable.  Before column straight a line may
-    bend, and a hop kept from another start than the line's last good
-    sample is taken again from that sample, in one further call per
-    column.  A line whose hop fails again there is blocked: all its
-    remaining hops are taken from its last good sample in one more call,
-    and used while that sample stays its last good one.
+    lead=(z0, v0) reaches each line's start by a hop from z0 in the call
+    of the line's planned hops, its value combine(hop value, v0); a line
+    whose hop from z0 fails is masked whole.  Returns whether each line's
+    hop from z0 succeeded (None without lead).
     """
     n_lines, m = ok.shape
-    start = np.zeros(ok.shape, dtype=int)
-    start[:, 1:] = np.maximum.accumulate(np.where(ok, np.arange(m), -1),
-                                         axis=1)[:, :-1]
-    hop_ok = np.zeros(ok.shape, dtype=bool)
-    last = np.zeros(n_lines, dtype=int)
-
-    def from_last(ll, jj):
-        # the hops of lines ll into columns jj from their last good samples
-        start[ll, jj] = last[ll]
-        vals[:, ll, jj], hop_ok[ll, jj] = hop(zs[ll, last[ll]], zs[ll, jj])
-
+    # where each planned hop starts: the nearest ok sample toward k; a
+    # line's ok samples change only after its own hops
+    cols = np.arange(m)
+    start = np.empty(ok.shape, dtype=int)
+    start[:, k + 1:] = np.maximum.accumulate(
+        np.where(ok[:, k:-1], cols[k:-1], -1), axis=1)
+    start[:, :k] = np.minimum.accumulate(
+        np.where(ok[:, k:0:-1], cols[k:0:-1], m), axis=1)[:, ::-1]
+    planned = ok.copy()
+    planned[:, k] = False
+    reached = None
+    if lead is not None:
+        z0, v0 = lead
+        reached = np.zeros(n_lines, dtype=bool)
     for l0 in range(0, n_lines, lines_per_batch):
-        ll, jj = np.nonzero(ok[l0:l0 + lines_per_batch, 1:])
-        if ll.size:
-            ll += l0
-            jj += 1
-            vals[:, ll, jj], hop_ok[ll, jj] = hop(zs[ll, start[ll, jj]],
-                                                zs[ll, jj])
-    for j in range(1, m):
-        lanes = np.flatnonzero(ok[:, j])
-        redo = lanes[start[lanes, j] != last[lanes]]
-        if redo.size:
-            from_last(redo, j)
-            blocked = redo[~hop_ok[redo, j]]
-            ll, jj = np.nonzero(ok[blocked, j + 1:])
-            if ll.size:
-                from_last(blocked[ll], jj + j + 1)
-        good = lanes[hop_ok[lanes, j]]
-        vals[:, good, j] = combine(vals[:, good, j], vals[:, good, last[good]])
-        bad = lanes[~hop_ok[lanes, j]]
-        ok[bad, j] = False
-        if bad.size:
-            ok[bad[last[bad] >= straight], j + 1:] = False
-        last[good] = j
+        lines = slice(l0, l0 + lines_per_batch)
+        ll, jj = np.nonzero(planned[lines])
+        ll += l0
+        za, zb = zs[ll, start[ll, jj]], zs[ll, jj]
+        n = 0
+        if lead is not None:
+            n = len(zs[lines])
+            za = np.concatenate([np.full(n, z0, dtype=complex), za])
+            zb = np.concatenate([zs[lines, k], zb])
+        if not za.size:
+            continue
+        v, good = hop(za, zb)
+        vals[:, ll, jj] = v[:, n:]
+        if lead is not None:
+            reached[lines] = good[:n]
+            hit = np.flatnonzero(good[:n])
+            vals[:, l0 + hit, k] = combine(v[:, hit], v0[:, None])
+        if not good[n:].all():
+            bad = ~good[n:]
+            for l, j in zip(ll[bad], jj[bad]):
+                ok[l, slice(j, None) if j > k else slice(0, j + 1)] = False
+    if lead is not None:
+        ok[~reached] = False
+    for half in (range(k + 1, m), range(k - 1, -1, -1)):
+        last = np.full(n_lines, k)
+        for j in half:
+            lanes = np.flatnonzero(ok[:, j])
+            vals[:, lanes, j] = combine(vals[:, lanes, j],
+                                        vals[:, lanes, last[lanes]])
+            last[lanes] = j
+    return reached
 
 
 def _sweep_grid(hop, combine, zgrid, valid, v0, z0, lines_per_batch):
     """Values over the grid from v0 at z0, masking valid where a hop
-    fails: the seed column from z0 down column 0 as one line, then every
-    row as a line from its column-0 value (_sweep_lines).  Rows run
-    straight from their start, the seed line from its first grid sample
-    on, so a failed hop there masks the rest of its line; the seed line's
-    first leg, whose hops from z0 point in different directions, takes
-    the next hop from z0 again.  Returns the (e, ny, nx) values,
-    meaningful where valid."""
-    ny, nx = zgrid.shape
-    seed = np.empty((len(v0), 1, ny + 1), dtype=complex)
-    seed[:, 0, 0] = v0
-    seed_ok = np.concatenate([[True], valid[:, 0]])[None]
-    _sweep_lines(hop, combine, np.concatenate([[z0], zgrid[:, 0]])[None],
-                 seed_ok, seed, lines_per_batch, 1)
-    valid[:, 0] = seed_ok[0, 1:]
-    valid[~valid[:, 0], 1:] = False
-    vals = np.empty((len(v0), ny, nx), dtype=complex)
-    vals[:, :, 0] = seed[:, 0, 1:]
-    _sweep_lines(hop, combine, zgrid, valid, vals, lines_per_batch, 0)
+    fails.  The seed column, the grid column nearest z0, is reached by a
+    hop from z0 into its valid sample nearest z0, taken with the column's
+    hops from that sample; where it fails, by one into the next nearest,
+    then by the hops into all the others in one call, the nearest success
+    starting the column and the samples tried before it masked.  The
+    column runs up and down from that sample, every row left and right
+    from its seed-column sample (_sweep_lines); a row whose seed-column
+    sample is masked is masked whole.  A z0 on a sample reaches it by a
+    zero-length hop.  Returns the (e, ny, nx) values, meaningful where
+    valid."""
+    vals = np.empty((len(v0),) + zgrid.shape, dtype=complex)
+    c = int(np.argmin(np.abs(zgrid[0].real - z0.real)))
+    column = zgrid[None, :, c], valid[None, :, c], vals[:, None, :, c]
+    near = np.flatnonzero(valid[:, c])
+    near = near[np.argsort(np.abs(zgrid[near, c] - z0), kind="stable")]
+    kept = valid[:, c].copy()
+    if near.size and not _sweep_lines(hop, combine, *column, near[0], 1,
+                                      (z0, v0))[0]:
+        valid[:, c] = kept
+        valid[near[0], c] = False
+        for tried in (near[1:2], near[2:]):
+            if not tried.size:
+                break
+            v, ok = hop(np.full(tried.size, z0, dtype=complex),
+                        zgrid[tried, c])
+            if ok.any():
+                i = int(np.argmax(ok))
+                valid[tried[:i], c] = False
+                vals[:, tried[i], c] = combine(v[:, i], v0)
+                _sweep_lines(hop, combine, *column, tried[i], 1)
+                break
+            valid[tried, c] = False
+    valid[~valid[:, c]] = False
+    _sweep_lines(hop, combine, zgrid, valid, vals, c, lines_per_batch)
     return vals
 
 
@@ -415,12 +436,13 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
 
     The grid is probed first, by array evaluation of the data: points
     where eta, psi or psi' is not finite, or eta vanishes, are masked, as
-    are points whose hop fails.  Every target then takes the same hops,
-    down the seed column from z0 and along each row from its column-0
-    sample (_sweep_grid).  A hop that fails on a row, or on the seed
-    column past its first grid sample, masks the rest of that line: every
-    later hop of the line would pass the same singular point, so no
-    sample beyond it is reliable.  The targets differ only in a hop's
+    are points whose hop fails.  Every target takes the same hops
+    (_sweep_grid): from z0 into the grid column nearest z0 (a z0 on a
+    sample by a zero-length hop), up and down that column, and along each
+    row both ways from it.  A failed hop masks the rest of its half line,
+    whose later samples could only be reached past the same singular
+    point.  With a pole the surface can depend on the path, and a sample
+    takes the branch of its own.  The targets differ only in a hop's
     value and how values combine: the ODE targets multiply transfer
     matrices of the reduced system (see _sample_ode), e3-direct adds
     integrals of the Weierstrass integrand.
@@ -480,16 +502,16 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     A hop's value is the reduced system's transfer matrix T from the
     identity, so the wavefunction at a sample is T Psi at the hop's start
     (_mul4_array), and _sweep_grid fills one (4, ny, nx) grid of
-    wavefunction entries from Psi(z0) = I.  Each batch of hops is
-    integrated from I in lock step (lsp._integrate_lanes), whose first
-    iteration tabulates the array coefficient over all the batch's hops
-    at the six stage times of one full step in one call; the hop it
-    leaves unsettled, the one still running when every other has ended,
-    goes through the scalar propagate from _ID4, so the adaptive control
-    stays _integrate_unit's.  Then one pass over the valid samples,
-    _SWEEP_ROWS rows at a time, right-multiplies their wavefunctions by
-    M(z0) when system is 'full', applies _lorentz4 and fills the records;
-    masked samples stay NaN.
+    wavefunction entries from Psi(z0) = I.  Each batch of hops, both
+    halves of _SWEEP_ROWS rows, is integrated from I in lock step
+    (lsp._integrate_lanes), whose first iteration tabulates the array
+    coefficient over all the batch's hops at the six stage times of one
+    full step in one call; the hop it leaves unsettled, the one still
+    running when every other has ended, goes through the scalar
+    propagate from _ID4, so the adaptive control stays _integrate_unit's.
+    Then one pass over the valid samples, _SWEEP_ROWS rows at a time,
+    right-multiplies their wavefunctions by M(z0) when system is 'full',
+    applies _lorentz4 and fills the records; masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
