@@ -34,8 +34,10 @@ computed in batches, then accumulated along the lines; a failed hop
 masks the rest of its half line.  The targets differ in the hop value
 and how values combine.  The ODE targets multiply transfer matrices from
 the identity, Psi(z_j) = T Psi(z_{j-1}), of the reduced (holomorphic)
-system; h3 then moves its wavefunctions by the constant gauge M(z0),
-which gives the full system's surface (lsp.gauge_matrix), and a pass
+system, and take the few hops whose T is ill-conditioned, next to a
+pole, again from the wavefunction at their start; h3 then moves its
+wavefunctions by the constant gauge M(z0), which gives the full
+system's surface (lsp.gauge_matrix), and a pass
 over the valid samples applies the formula.  e3-direct adds integrals of
 the Weierstrass integrand, the additive case T = I + lambda int B +
 O(lambda^2) that the paper recovers as lambda -> 0.  Everything runs on
@@ -310,7 +312,7 @@ def _probe_validity(data, zgrid):
     return valid
 
 
-def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, lead=None):
+def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, mend=None):
     """Accumulate hop values in place along the lines zs[l], each run from
     index k both ways as two straight halves.
 
@@ -327,10 +329,11 @@ def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, lead=None):
     sample at a time: a value is combine(hop value, value at the hop's
     start).
 
-    lead=(z0, v0) reaches each line's start by a hop from z0 in the call
-    of the line's planned hops, its value combine(hop value, v0); a line
-    whose hop from z0 fails is masked whole.  Returns whether each line's
-    hop from z0 succeeded (None without lead).
+    mend = (weak, fix), when given, mends hops whose value would carry a
+    large error into the values: weak(hop values) marks them, and after
+    the halves have advanced, fix(zs, ok, vals, k, start, marked) revises
+    the values from the marked hops on, start[l, j] being the index the
+    hop into (l, j) starts at.
     """
     n_lines, m = ok.shape
     # where each planned hop starts: the nearest ok sample toward k; a
@@ -343,34 +346,18 @@ def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, lead=None):
         np.where(ok[:, k:0:-1], cols[k:0:-1], m), axis=1)[:, ::-1]
     planned = ok.copy()
     planned[:, k] = False
-    reached = None
-    if lead is not None:
-        z0, v0 = lead
-        reached = np.zeros(n_lines, dtype=bool)
+    marked = np.zeros(ok.shape, dtype=bool)
     for l0 in range(0, n_lines, lines_per_batch):
-        lines = slice(l0, l0 + lines_per_batch)
-        ll, jj = np.nonzero(planned[lines])
-        ll += l0
-        za, zb = zs[ll, start[ll, jj]], zs[ll, jj]
-        n = 0
-        if lead is not None:
-            n = len(zs[lines])
-            za = np.concatenate([np.full(n, z0, dtype=complex), za])
-            zb = np.concatenate([zs[lines, k], zb])
-        if not za.size:
+        ll, jj = np.nonzero(planned[l0:l0 + lines_per_batch])
+        if not ll.size:
             continue
-        v, good = hop(za, zb)
-        vals[:, ll, jj] = v[:, n:]
-        if lead is not None:
-            reached[lines] = good[:n]
-            hit = np.flatnonzero(good[:n])
-            vals[:, l0 + hit, k] = combine(v[:, hit], v0[:, None])
-        if not good[n:].all():
-            bad = ~good[n:]
-            for l, j in zip(ll[bad], jj[bad]):
-                ok[l, slice(j, None) if j > k else slice(0, j + 1)] = False
-    if lead is not None:
-        ok[~reached] = False
+        ll += l0
+        v, good = hop(zs[ll, start[ll, jj]], zs[ll, jj])
+        vals[:, ll, jj] = v
+        if mend is not None:
+            marked[ll, jj] = mend[0](v)
+        for l, j in zip(ll[~good], jj[~good]):
+            ok[l, slice(j, None) if j > k else slice(0, j + 1)] = False
     for half in (range(k + 1, m), range(k - 1, -1, -1)):
         last = np.full(n_lines, k)
         for j in half:
@@ -378,45 +365,41 @@ def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, lead=None):
             vals[:, lanes, j] = combine(vals[:, lanes, j],
                                         vals[:, lanes, last[lanes]])
             last[lanes] = j
-    return reached
+    marked &= ok
+    if marked.any():
+        mend[1](zs, ok, vals, k, start, marked)
 
 
-def _sweep_grid(hop, combine, zgrid, valid, v0, z0, lines_per_batch):
+def _sweep_grid(hop, combine, zgrid, valid, v0, z0, lines_per_batch,
+                mend=None):
     """Values over the grid from v0 at z0, masking valid where a hop
     fails.  The seed column, the grid column nearest z0, is reached by a
-    hop from z0 into its valid sample nearest z0, taken with the column's
-    hops from that sample; where it fails, by one into the next nearest,
-    then by the hops into all the others in one call, the nearest success
-    starting the column and the samples tried before it masked.  The
-    column runs up and down from that sample, every row left and right
-    from its seed-column sample (_sweep_lines); a row whose seed-column
-    sample is masked is masked whole.  A z0 on a sample reaches it by a
-    zero-length hop.  Returns the (e, ny, nx) values, meaningful where
-    valid."""
+    hop from z0 into its valid sample nearest z0; where it fails, by one
+    into the next nearest, then by the hops into all the others in one
+    call, the nearest success starting the column and the samples tried
+    before it masked.  The column runs up and down from that sample, every
+    row left and right from its seed-column sample (_sweep_lines); a row
+    whose seed-column sample is masked is masked whole.  A z0 on a sample
+    reaches it by a zero-length hop.  mend goes to each _sweep_lines
+    call.  Returns the (e, ny, nx) values, meaningful where valid."""
     vals = np.empty((len(v0),) + zgrid.shape, dtype=complex)
     c = int(np.argmin(np.abs(zgrid[0].real - z0.real)))
-    column = zgrid[None, :, c], valid[None, :, c], vals[:, None, :, c]
     near = np.flatnonzero(valid[:, c])
     near = near[np.argsort(np.abs(zgrid[near, c] - z0), kind="stable")]
-    kept = valid[:, c].copy()
-    if near.size and not _sweep_lines(hop, combine, *column, near[0], 1,
-                                      (z0, v0))[0]:
-        valid[:, c] = kept
-        valid[near[0], c] = False
-        for tried in (near[1:2], near[2:]):
-            if not tried.size:
-                break
-            v, ok = hop(np.full(tried.size, z0, dtype=complex),
-                        zgrid[tried, c])
-            if ok.any():
-                i = int(np.argmax(ok))
-                valid[tried[:i], c] = False
-                vals[:, tried[i], c] = combine(v[:, i], v0)
-                _sweep_lines(hop, combine, *column, tried[i], 1)
-                break
-            valid[tried, c] = False
+    for tried in (near[:1], near[1:2], near[2:]):
+        if not tried.size:
+            break
+        v, ok = hop(np.full(tried.size, z0, dtype=complex), zgrid[tried, c])
+        if ok.any():
+            i = int(np.argmax(ok))
+            valid[tried[:i], c] = False
+            vals[:, tried[i], c] = combine(v[:, i], v0)
+            _sweep_lines(hop, combine, zgrid[None, :, c], valid[None, :, c],
+                         vals[:, None, :, c], tried[i], 1, mend)
+            break
+        valid[tried, c] = False
     valid[~valid[:, c]] = False
-    _sweep_lines(hop, combine, zgrid, valid, vals, c, lines_per_batch)
+    _sweep_lines(hop, combine, zgrid, valid, vals, c, lines_per_batch, mend)
     return vals
 
 
@@ -495,6 +478,12 @@ def _sample_direct(data, zgrid, valid, tol):
     return points
 
 
+# a hop's transfer matrix T, accurate to about tol |T|, carries an error
+# of up to kappa tol into the wavefunction, kappa being T's condition
+# number; _sample_ode mends the hops whose kappa exceeds this
+_KAPPA_MEND = 4.0
+
+
 def _sample_ode(data, zgrid, valid, target, tol, system):
     """Points and residual records of the ODE targets over the grid,
     masking valid where a hop fails.
@@ -509,9 +498,16 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     full step in one call; the hop it leaves unsettled, the one still
     running when every other has ended, goes through the scalar
     propagate from _ID4, so the adaptive control stays _integrate_unit's.
-    Then one pass over the valid samples, _SWEEP_ROWS rows at a time,
-    right-multiplies their wavefunctions by M(z0) when system is 'full',
-    applies _lorentz4 and fills the records; masked samples stay NaN.
+    T is accurate to about tol |T|, so where a hop shrinks the wavefunction
+    T Psi is off by up to kappa tol relative, kappa = |T| |T^-1| being T's
+    condition number.  Near a pole kappa reaches hundreds, so after each
+    line sweep the hops with kappa above _KAPPA_MEND are integrated again
+    from the wavefunction at their start, as a single hop from that value
+    is, all in one lock-step call, and the later samples of their lines
+    take the correction.  Then one pass over the valid samples,
+    _SWEEP_ROWS rows at a time, right-multiplies their wavefunctions by
+    M(z0) when system is 'full', applies _lorentz4 and fills the records;
+    masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
@@ -525,22 +521,68 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     eta_a, _, psi_a, _ = data.array_functions()
     coef = _reduced_coef(lam, eta_a, psi_a)
 
-    def transfer(za, zb):
-        eye = np.zeros((4, za.size), dtype=complex)
-        eye[[0, 3]] = 1.0
-        t, ok, failed = _integrate_lanes(coef, za, zb - za, eye, tol)
+    def lanes(za, zb, y):
+        # the hops za -> zb from the (4, n) values y in lock step, the one
+        # left unsettled by the scalar propagate
+        t, ok, failed = _integrate_lanes(coef, za, zb - za, y, tol)
         for k in np.flatnonzero(~(ok | failed)):
             try:
-                t[:, k] = propagate(data, za[k], zb[k], _ID4, tol=tol,
+                # Python complex start values: numpy scalars step slower
+                t[:, k] = propagate(data, za[k], zb[k],
+                                    tuple(y[:, k].tolist()), tol=tol,
                                     system="reduced")
                 ok[k] = True
             except hop_errors:
                 pass
         return t, ok
 
+    def transfer(za, zb):
+        eye = np.zeros((4, za.size), dtype=complex)
+        eye[[0, 3]] = 1.0
+        return lanes(za, zb, eye)
+
+    def weak(t):
+        # T's condition number kappa = sigma_1^2 (det T = 1), from
+        # |T|^2 = sigma_1^2 + sigma_2^2, above _KAPPA_MEND
+        f = (t.real * t.real + t.imag * t.imag).sum(axis=0)
+        return f > _KAPPA_MEND + 1.0 / _KAPPA_MEND
+
+    def fix(zs, ok, vals, k, start, marked):
+        # the marked hops again from the value at their start, all in one
+        # call (a hop that fails there keeps T Psi_a).  Each result w
+        # enters its half as a right factor R of the values from Psi_b on,
+        # Psi_b R = w, the later factors on the left; R - I = adj(Psi_b)
+        # (w - Psi_b) / det(Psi_b) is formed from the small difference,
+        # so it keeps its digits where Psi is large
+        ll, jj = np.nonzero(marked)
+        aa = start[ll, jj]
+        w, good = lanes(zs[ll, aa], zs[ll, jj], vals[:, ll, aa])
+        ll, jj, w = ll[good], jj[good], w[:, good]
+        yb = vals[:, ll, jj]
+        e = _mul4_array(np.stack((yb[3], -yb[1], -yb[2], yb[0])), w - yb)
+        e /= yb[0] * yb[3] - yb[1] * yb[2]
+        for side in (1, -1):
+            half = (jj - k) * side > 0
+            if not half.any():
+                continue
+            # np.unique would import numpy.ma (1.1 MB) on the first call
+            lines = np.flatnonzero(np.bincount(ll[half], minlength=len(zs)))
+            r = np.zeros((4, len(zs)), dtype=complex)
+            near, far = (jj[half].min(), jj[half].max())[::side]
+            for j in range(near, far + side, side):
+                hit = half & (jj == j)
+                l = ll[hit]
+                r[:, l] += e[:, hit] + _mul4_array(e[:, hit], r[:, l])
+                l = lines[ok[lines, j]]
+                vals[:, l, j] += _mul4_array(vals[:, l, j], r[:, l])
+            # past the last marked hop R stays; masked samples take it too
+            rest = slice(far + 1, None) if side > 0 else slice(0, far)
+            vals[:, lines, rest] += _mul4_array(vals[:, lines, rest],
+                                                r[:, lines, None])
+
     with np.errstate(all="ignore"):
         phi = _sweep_grid(transfer, _mul4_array, zgrid, valid,
-                          np.array(_ID4), data.z0, _SWEEP_ROWS)
+                          np.array(_ID4), data.z0, _SWEEP_ROWS, (weak, fix))
 
         # immerse the valid samples, a block of rows at a time
         shift = 0.0 if target == "h3" else 1.0
