@@ -417,7 +417,9 @@ def write_obj(patch, path):
 
 
 def write_ply(patch, path):
-    """ASCII PLY mirroring the OBJ layout, with x0 as an extra property."""
+    """ASCII PLY mirroring the OBJ layout, with x0 as an extra property.
+    The vertex properties are declared double: each is written with 17
+    significant digits, which a float (32-bit) reader would round."""
     index, count = _vertex_index_map(patch.valid)
     tris = _quad_triangles(patch.valid, index)
     verts = patch.points[patch.valid]
@@ -429,9 +431,9 @@ def write_ply(patch, path):
         fh.write("ply\nformat ascii 1.0\n")
         fh.write("comment surface mesh, target %s\n" % patch.target)
         fh.write("element vertex %d\n" % count)
-        fh.write("property float x\nproperty float y\nproperty float z\n")
+        fh.write("property double x\nproperty double y\nproperty double z\n")
         if lorentz:
-            fh.write("property float x0\n")
+            fh.write("property double x0\n")
         fh.write("element face %d\n" % len(tris))
         fh.write("property list uchar int vertex_indices\nend_header\n")
         _write_rows(fh, vertex, verts)

@@ -4,6 +4,16 @@ Everything here is a plain power series with explicit term recurrences and
 a reported truncation estimate; no asymptotic machinery.  Intended range is
 desk scale (|z| of order a few), which is all the surface constructions
 need.  For the error function that range is enforced (|z| <= 8).
+
+The two erf series are summed by Horner's rule to a degree fixed per point
+before the sum starts.  The scalar and the array form read that degree
+from one table per series, keyed only by the point's own magnitudes and
+filled on demand: an entry is the first term at which the series'
+stopping rule holds with the magnitudes at the upper edge of the entry's
+bin.  The rule is monotone in them, so the truncation bound holds at
+every point of the bin, and a point's value never depends on the other
+points of an array.  An erf SeriesResult's truncation_estimate is that
+tail bound at the point itself, for the degree the table gave.
 """
 
 import cmath
@@ -20,6 +30,17 @@ ERF_RADIUS = 8.0
 _MAX_TERMS = 800
 # absolute truncation tolerance of the erf series
 _ERF_TOL = 1e-12
+
+# the degree tables' bins: |2z^2| (scaled series) and |z^2| (Maclaurin
+# series) on a grid of width pi/16, and the binary exponent of the scaled
+# series' prefactor from frexp, clamped from below.  The sum jumps by up
+# to the tolerance where a point's degree changes, and a finite difference
+# across a bin edge reads that jump: a width of pi/16 keeps the edges off
+# the round values of |z|^2 that points are usually picked at (z = 1, 0.5
+# and 0.3+0.4i lie on edges of a grid of width 1/4).  For |z| <= 8 the
+# prefactor (2/sqrt(pi)) |z| e^{-Re z^2} stays below 2^97
+_BINS_PER_UNIT = 16.0 / math.pi
+_PREF_EXP_MIN, _PREF_EXP_MAX = -100, 97
 
 
 class OutOfRange(ValueError):
@@ -57,17 +78,27 @@ def erf_series(z):
       Re(z^2) <  0:  erf(z) = (2/sqrt(pi)) sum_k (-1)^k z^{2k+1}/(k! (2k+1))
                      (the e^{-z^2} prefactor would blow up instead)
 
+    Each is summed by Horner's rule to a degree n fixed before the sum
+    from a bound: the degree table of its series, shared with erf_array,
+    gives the first n at which the tail bound (the geometric bound on the
+    scaled series, the next term on the Maclaurin series) falls to
+    0.5e-12 with |z^2| and the prefactor at the upper edges of their
+    bins.  truncation_estimate is that tail bound at z itself, and
+    terms_used is n + 1.
+
     Near the diagonals Re(z^2) ~ 0 with |z| large both series cancel: their
     terms grow far beyond the sum.  The rounding scale of the summed series,
     eps |prefactor| sum_k |term_k|, is compared with 1e-12 max(1, |value|);
     where it is larger the other series is summed instead, and OutOfRange
     is raised where both refuse.  Below it, the truncation estimate refers
-    to the exact tail.
+    to the exact tail.  A NaN argument raises NoConvergence.
     """
     z = complex(z)
     if abs(z) > ERF_RADIUS:
         raise OutOfRange("erf series trusted only for |z| <= %g, got |z| = %g"
                          % (ERF_RADIUS, abs(z)))
+    if cmath.isnan(z):
+        raise NoConvergence("erf series: no tail bound holds at z = %r" % (z,))
     z2 = z * z
     first, other = _erf_scaled, _erf_maclaurin
     if z2.real < 0.0:
@@ -81,47 +112,161 @@ def erf_series(z):
             raise exc from None
 
 
+class _DegreeTable:
+    """The summation degree of one erf series for each bin of a point's
+    magnitudes, filled on demand.
+
+    An entry is the first k >= 1 at which the series' stopping rule holds
+    with the magnitudes at the bin's upper edge, or _MAX_TERMS + 1 where
+    it does not hold within the term budget; 0 marks an entry not yet
+    computed.  The rule only gets harder to meet as the magnitudes grow,
+    so every point of the bin meets it by that k.  The first index is the
+    bin of |z^2|; the table grows to the largest one asked for.  An entry
+    depends on its key alone, so one table serves every caller.
+    """
+
+    def __init__(self, columns, rule):
+        self._rule = rule
+        self._deg = np.zeros((0,) + columns, dtype=np.int16)
+
+    def lookup(self, index):
+        """The degrees at a tuple of integer index arrays."""
+        table = self._deg
+        rows = int(index[0].max()) + 1
+        if rows > len(table):
+            table = np.concatenate([table, np.zeros(
+                (rows - len(table),) + table.shape[1:], dtype=np.int16)])
+            self._deg = table
+        deg = table[index]
+        new = deg == 0
+        if new.any():
+            mark = np.zeros(table.shape, dtype=bool)
+            mark[tuple(i[new] for i in index)] = True
+            keys = np.nonzero(mark)
+            with np.errstate(all="ignore"):
+                table[keys] = self._rule(*keys)
+            deg = table[index]
+        return deg
+
+    def degree(self, index):
+        """The degree at one tuple of integer indices."""
+        table = self._deg
+        if index[0] < len(table) and table[index]:
+            return int(table[index])
+        return int(self.lookup(tuple(np.array([i]) for i in index))[0])
+
+
+def _scaled_stop(iw, ie):
+    # the scaled series' stopping rule on bins (iw, ie): the geometric
+    # bound on the tail after term k, |pref| |w|^k/(2k+1)!! rho/(1 - rho)
+    # with rho = |w|/(2k+3) < 1, at most 0.5e-12
+    aw = iw / _BINS_PER_UNIT
+    apref = np.ldexp(1.0, ie + _PREF_EXP_MIN)
+    stop = np.full(aw.shape, _MAX_TERMS + 1)
+    term = np.ones(aw.shape)
+    for k in range(1, _MAX_TERMS + 1):
+        term = term * aw / (2 * k + 1)
+        ratio = aw / (2 * k + 3)
+        tail = term * ratio / (1.0 - ratio)
+        stop[(stop > _MAX_TERMS) & (ratio < 1.0)
+             & (apref * tail <= 0.5 * _ERF_TOL)] = k
+        if (stop <= _MAX_TERMS).all():
+            break
+    return stop
+
+
+def _maclaurin_stop(iz):
+    # the Maclaurin series' stopping rule on bins iz of |z^2|: the next
+    # term, (2/sqrt(pi)) |z|^{2k+3}/((k+1)! (2k+3)), below term k and at
+    # most 0.5e-12
+    az2 = iz / _BINS_PER_UNIT
+    stop = np.full(az2.shape, _MAX_TERMS + 1)
+    power = np.sqrt(az2)          # |z|^{2k+1} / k!
+    for k in range(1, _MAX_TERMS + 1):
+        power = power * az2 / k
+        term = power / (2 * k + 1)
+        nxt = power * az2 / ((k + 1) * (2 * k + 3))
+        stop[(stop > _MAX_TERMS) & (nxt < term)
+             & (2.0 / SQRT_PI * nxt <= 0.5 * _ERF_TOL)] = k
+        if (stop <= _MAX_TERMS).all():
+            break
+    return stop
+
+
+_SCALED = _DegreeTable((_PREF_EXP_MAX - _PREF_EXP_MIN + 1,), _scaled_stop)
+_MACLAURIN = _DegreeTable((), _maclaurin_stop)
+
+
+def _scaled_degree(aw, apref):
+    # the scaled series' degree at |w| = |2z^2| and |pref|
+    ie = max(math.frexp(apref)[1], _PREF_EXP_MIN) - _PREF_EXP_MIN
+    return _SCALED.degree((math.ceil(aw * _BINS_PER_UNIT), ie))
+
+
+def _scaled_degrees(aw, apref):
+    # _scaled_degree over arrays
+    ie = np.maximum(np.frexp(apref)[1], _PREF_EXP_MIN) - _PREF_EXP_MIN
+    return _SCALED.lookup((np.ceil(aw * _BINS_PER_UNIT).astype(np.intp), ie))
+
+
+def _maclaurin_degree(az2):
+    # the Maclaurin series' degree at |z^2|
+    return _MACLAURIN.degree((math.ceil(az2 * _BINS_PER_UNIT),))
+
+
+def _maclaurin_degrees(az2):
+    # _maclaurin_degree over arrays
+    return _MACLAURIN.lookup((np.ceil(az2 * _BINS_PER_UNIT).astype(np.intp),))
+
+
+def _no_convergence():
+    return NoConvergence("erf series: %d terms without reaching tol %g"
+                         % (_MAX_TERMS, _ERF_TOL))
+
+
 def _erf_scaled(z, z2):
     # sum_k (2z^2)^k / (3*5*...*(2k+1)), prefactor (2/sqrt(pi)) z e^{-z^2}
     pref = (2.0 / SQRT_PI) * z * cmath.exp(-z2)
     w = 2.0 * z2
-    term = 1.0 + 0.0j
-    total = term
+    aw = abs(w)
+    apref = abs(pref)
+    n = _scaled_degree(aw, apref)
+    if n > _MAX_TERMS:
+        raise _no_convergence()
+    total = 1.0 + 0.0j
     mass = 1.0        # sum of the term magnitudes
-    k = 0
-    while k < _MAX_TERMS:
-        k += 1
-        term = term * w / (2 * k + 1)
-        total += term
-        mass += abs(term)
-        ratio = abs(w) / (2 * k + 3)
-        if ratio < 1.0:
-            tail = abs(term) * ratio / (1.0 - ratio)
-            if abs(pref) * tail <= 0.5 * _ERF_TOL:
-                return _rounded(z, pref * total, abs(pref) * mass, k + 1,
-                                abs(pref) * tail)
-    raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, _ERF_TOL))
+    term = 1.0        # |w|^n / (2n+1)!!
+    for k in range(n, 0, -1):
+        f = 1.0 / (2 * k + 1)        # _scaled_factor(k)
+        total = total * w * f + 1.0
+        mass = mass * aw * f + 1.0
+        term *= aw * f
+    ratio = aw / (2 * n + 3)
+    return _rounded(z, pref * total, apref * mass, n + 1,
+                    apref * term * ratio / (1.0 - ratio))
 
 
 def _erf_maclaurin(z, z2):
     # sum_k (-1)^k z^{2k+1} / (k! (2k+1)), prefactor 2/sqrt(pi)
     pref = 2.0 / SQRT_PI
-    term = z          # k = 0 term
-    total = term
-    mass = abs(z)     # sum of the term magnitudes
-    power = z         # z^{2k+1} / k!
-    k = 0
-    while k < _MAX_TERMS:
-        k += 1
-        power = power * (-z2) / k
-        term = power / (2 * k + 1)
-        total += term
-        mass += abs(term)
-        # alternating-type bound once the terms decay: tail <= next term
-        nxt = abs(power) * abs(z2) / ((k + 1) * (2 * k + 3))
-        if nxt < abs(term) and pref * nxt <= 0.5 * _ERF_TOL:
-            return _rounded(z, pref * total, pref * mass, k + 1, pref * nxt)
-    raise NoConvergence("erf series: %d terms without reaching tol %g" % (_MAX_TERMS, _ERF_TOL))
+    v = -z2
+    az2 = abs(z2)
+    n = _maclaurin_degree(az2)
+    if n > _MAX_TERMS:
+        raise _no_convergence()
+    total = 1.0 + 0.0j
+    mass = 1.0        # sum of the term magnitudes over |z|
+    power = 1.0       # |z^2|^n / n!
+    for k in range(n, 0, -1):
+        f = (2 * k - 1) / (k * (2 * k + 1))        # _maclaurin_factor(k)
+        total = total * v * f + 1.0
+        mass = mass * az2 * f + 1.0
+        power *= az2 / k
+    az = abs(z)
+    # the next term bounds the tail once the terms decay
+    nxt = az * power * az2 / ((n + 1) * (2 * n + 3))
+    return _rounded(z, pref * (z * total), pref * (az * mass), n + 1,
+                    pref * nxt)
 
 
 def _rounded(z, value, mass, terms, tail):
@@ -142,13 +287,13 @@ def erf_c(z):
 def erf_array(z):
     """erf_c over an array, element by element; NaN where erf_c raises.
 
-    The same two series, term recurrences, stopping rules, rounding check
-    and fallback to the other series as erf_series, with numpy's complex
+    The same two series, degree tables, Horner sums, rounding check and
+    fallback to the other series as erf_series, with numpy's complex
     arithmetic, so each element agrees with erf_c at that point to
-    rounding.  Each element's value is taken in the term where its own
-    series stops.  NaN marks |z| > 8, a non-finite argument, a sum that
-    both series cancel beyond 1e-12, or no convergence within the term
-    budget.
+    rounding.  Each element is summed to its own degree, read from its
+    own magnitudes, so its value does not depend on the other elements.
+    NaN marks |z| > 8, a non-finite argument, a sum that both series
+    cancel beyond 1e-12, or no convergence within the term budget.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
@@ -167,65 +312,76 @@ def erf_array(z):
     return out.reshape(z.shape)
 
 
-def _rounded_array(value, mass):
-    # _rounded over arrays: NaN where the rounding scale exceeds _ERF_TOL
-    lost = _EPS * mass > _ERF_TOL * np.maximum(1.0, np.abs(value))
+def _rounded_array(value, bound, mass, deg):
+    # _rounded over arrays, and NaN beyond the term budget.  bound bounds
+    # the prefactor times the sum of the term magnitudes from above; that
+    # product itself, mass(idx) at elements idx, is summed only where
+    # bound comes within a factor 2 of the rounding check's limit
+    limit = _ERF_TOL * np.maximum(1.0, np.abs(value))
+    lost = deg > _MAX_TERMS
+    near = np.flatnonzero(_EPS * bound > 0.5 * limit)
+    if near.size:
+        lost[near] |= _EPS * mass(near) > limit[near]
     return np.where(lost, complex(math.nan, math.nan), value)
 
 
+def _horner_array(v, deg, factor):
+    """Per element, 1 + v f(1) (1 + v f(2) (... (1 + v f(n)))) to the
+    element's own degree n, by Horner's rule.  The elements run in order
+    of falling degree, so that each level updates a leading slice."""
+    order = np.argsort(-deg, kind="stable")
+    v = v[order]
+    # active[k]: the number of elements of degree k or more
+    active = np.cumsum(np.bincount(deg)[::-1])[::-1]
+    acc = np.ones_like(v)
+    for k in range(len(active) - 1, 0, -1):
+        a = acc[:active[k]]
+        np.multiply(a, v[:active[k]], out=a)
+        a *= factor(k)
+        a += 1.0
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _scaled_factor(k):
+    return 1.0 / (2 * k + 1)
+
+
+def _maclaurin_factor(k):
+    return (2 * k - 1) / (k * (2 * k + 1))
+
+
 def _erf_scaled_array(z, z2):
-    # _erf_scaled on each element; an element's value is taken when its
-    # own stopping rule first holds
-    out = np.full(z.shape, complex(math.nan, math.nan))
-    pending = np.ones(z.shape, dtype=bool)
+    # _erf_scaled on each element
     pref = 2.0 / SQRT_PI * z * np.exp(-z2)
     w = 2.0 * z2
-    term = np.ones(z.shape, dtype=complex)
-    total = term
-    mass = np.ones(z.shape)
-    apref = np.abs(pref)
     aw = np.abs(w)
-    for k in range(1, _MAX_TERMS + 1):
-        term = term * w / (2 * k + 1)
-        total = total + term
-        aterm = np.abs(term)
-        mass = mass + aterm
-        ratio = aw / (2 * k + 3)
-        tail = aterm * ratio / (1.0 - ratio)
-        done = pending & (ratio < 1.0) & (apref * tail <= 0.5 * _ERF_TOL)
-        if done.any():
-            out[done] = _rounded_array(pref[done] * total[done],
-                                       apref[done] * mass[done])
-            pending &= ~done
-            if not pending.any():
-                break
-    return out
+    apref = np.abs(pref)
+    deg = _scaled_degrees(aw, apref)
+    value = pref * _horner_array(w, deg, _scaled_factor)
+
+    def mass(idx):
+        return apref[idx] * _horner_array(aw[idx], deg[idx], _scaled_factor)
+
+    # over all k, |pref| sum_k |w|^k/(2k+1)!! is e^{2 (Im z)^2} erf(|z|)
+    return _rounded_array(value, np.exp(2.0 * z.imag ** 2), mass, deg)
 
 
 def _erf_maclaurin_array(z, z2):
-    # _erf_maclaurin on each element, as _erf_scaled_array
-    out = np.full(z.shape, complex(math.nan, math.nan))
-    pending = np.ones(z.shape, dtype=bool)
+    # _erf_maclaurin on each element
     pref = 2.0 / SQRT_PI
-    total = z
-    mass = np.abs(z)
-    power = z
-    mz2 = -z2
+    az = np.abs(z)
     az2 = np.abs(z2)
-    for k in range(1, _MAX_TERMS + 1):
-        power = power * mz2 / k
-        term = power / (2 * k + 1)
-        total = total + term
-        aterm = np.abs(term)
-        mass = mass + aterm
-        nxt = np.abs(power) * az2 / ((k + 1) * (2 * k + 3))
-        done = pending & (nxt < aterm) & (pref * nxt <= 0.5 * _ERF_TOL)
-        if done.any():
-            out[done] = _rounded_array(pref * total[done], pref * mass[done])
-            pending &= ~done
-            if not pending.any():
-                break
-    return out
+    deg = _maclaurin_degrees(az2)
+    value = pref * (z * _horner_array(-z2, deg, _maclaurin_factor))
+
+    def mass(idx):
+        return pref * (az[idx] * _horner_array(az2[idx], deg[idx],
+                                               _maclaurin_factor))
+
+    # over all k, pref sum_k |z|^{2k+1}/(k! (2k+1)) <= pref |z| e^{|z|^2}
+    return _rounded_array(value, pref * az * np.exp(az2), mass, deg)
 
 
 def kummer_series(a, b, z, tol=1e-12):

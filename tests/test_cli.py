@@ -238,7 +238,7 @@ class TestGenerate(CliCase):
             head = fh.read()
         self.assertTrue(head.startswith("ply\nformat ascii 1.0\n"))
         self.assertIn("element vertex %d" % (17 * 17), head)
-        self.assertIn("property float x0", head)
+        self.assertIn("property double x0", head)
 
     def test_euclidean_targets(self):
         code, _ = run_cli("generate", "--eta", "1", "--psi", "z",
@@ -254,6 +254,50 @@ class TestGenerate(CliCase):
                           "--report", self.path("report.json"))
         self.assertEqual(code, 0)
         self.assertIn("worst", self.report()["checks"]["x0_limit"])
+
+
+class TestPlyReadback(CliCase):
+    """A reader that takes each vertex property at the type its header
+    declares gets every valid sample back exactly."""
+
+    def read_vertices(self, path):
+        """The vertex properties' names and types, and the vertex rows,
+        each value parsed at its declared type."""
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        end = lines.index("end_header")
+        props, element, count = [], None, 0
+        for line in lines[:end]:
+            words = line.split()
+            if words[0] == "element":
+                element = words[1]
+                if element == "vertex":
+                    count = int(words[2])
+            elif words[0] == "property" and element == "vertex":
+                props.append((words[2], words[1]))
+        cast = {"double": np.float64, "float": np.float32}
+        rows = [[float(cast[kind](word)) for (_, kind), word
+                 in zip(props, line.split(), strict=True)]
+                for line in lines[end + 1:end + 1 + count]]
+        return props, np.array(rows)
+
+    def test_vertices_read_back_exactly(self):
+        # a pole on the centre sample masks it (and, under h3, more)
+        data = solsurf.WeierstrassData(eta=solsurf.parse("1/z"),
+                                       psi=solsurf.parse("z"),
+                                       z0=0.9 + 0.9j, lam=0.8)
+        domain = solsurf.DomainRect(-1.0, 1.0, -1.0, 1.0, 9, 9)
+        for target in ("h3", "e3-direct"):
+            patch = solsurf.sample_surface(data, domain, target)
+            self.assertFalse(patch.valid.all(), target)
+            path = self.path("%s.ply" % target)
+            solsurf.cli.write_ply(patch, path)
+            props, verts = self.read_vertices(path)
+            self.assertEqual({kind for _, kind in props}, {"double"}, target)
+            if props[-1][0] == "x0":
+                verts = verts[:, [3, 0, 1, 2]]
+            np.testing.assert_array_equal(verts, patch.points[patch.valid],
+                                          target)
 
 
 class TestVerify(CliCase):

@@ -9,6 +9,8 @@ import numpy as np
 from solsurf.specfun import (SeriesResult, OutOfRange, PoleInParameter,
                              erf_series, erf_c, erf_array, kummer_series,
                              kummer_c, gamma_half, hermite_h)
+from solsurf.specfun import (_maclaurin_degree, _maclaurin_degrees,
+                             _scaled_degree, _scaled_degrees)
 
 # reference value of erf(1), to 15 digits
 ERF_ONE = 0.842700792949715
@@ -49,11 +51,87 @@ class TestErfArray(unittest.TestCase):
                                  2e-12 * max(1.0, abs(want)), repr(w))
 
 
+def adaptive_stop_scaled(z):
+    """The first k at which the scaled series' former per-term stopping
+    rule holds at z: the geometric tail bound after term k at most
+    0.5e-12."""
+    z2 = z * z
+    pref = 2.0 / SQRT_PI * z * cmath.exp(-z2)
+    w = 2.0 * z2
+    term = 1.0 + 0.0j
+    k = 0
+    while True:
+        k += 1
+        term = term * w / (2 * k + 1)
+        ratio = abs(w) / (2 * k + 3)
+        if ratio < 1.0 and (abs(pref) * abs(term) * ratio / (1.0 - ratio)
+                            <= 0.5e-12):
+            return k
+
+
+def adaptive_stop_maclaurin(z):
+    """The same for the Maclaurin series: the next term below term k and
+    at most 0.5e-12."""
+    z2 = z * z
+    power = z
+    k = 0
+    while True:
+        k += 1
+        power = power * (-z2) / k
+        term = power / (2 * k + 1)
+        nxt = abs(power) * abs(z2) / ((k + 1) * (2 * k + 3))
+        if nxt < abs(term) and 2.0 / SQRT_PI * nxt <= 0.5e-12:
+            return k
+
+
+class TestDegreeTable(unittest.TestCase):
+    def test_value_does_not_depend_on_the_other_elements(self):
+        # the erf data's patch, summed by the scaled series, and the patch
+        # turned by i, summed by the Maclaurin series.  Next to points of
+        # low degree (|z| = 0.1) the highest degree of each series in the
+        # call is the block's own; next to |z| = 7.9 it is many times that
+        re, im = np.meshgrid(np.linspace(0.68, 1.32, 9),
+                             np.linspace(-0.32, 0.32, 9))
+        patch = (re + 1j * im).ravel()
+        block = np.concatenate([patch, 1j * patch])
+        n = block.size
+        phase = np.exp(2j * np.pi * np.arange(n) / n)
+        got = [erf_array(np.concatenate([block, radius * phase]))[:n]
+               for radius in (0.1, 7.9)]
+        self.assertFalse(np.isnan(got[0]).any())
+        np.testing.assert_array_equal(got[0].view(float), got[1].view(float))
+
+    def test_degree_never_below_the_adaptive_stop(self):
+        # both series over the disc |z| <= 8, each also where erf_series
+        # would sum the other.  On a 401^2 grid the table's degree exceeded
+        # the adaptive stop by at most 4 terms (scaled series, mean 0.42)
+        # and 5 (Maclaurin series, mean 0.29)
+        x = np.linspace(-8.0, 8.0, 61)
+        z = (x[None, :] + 1j * x[:, None]).ravel()
+        z = z[(np.abs(z) <= 8.0) & (z != 0)]
+        z2 = z * z
+        pref = 2.0 / SQRT_PI * z * np.exp(-z2)
+        aw, apref, az2 = np.abs(2.0 * z2), np.abs(pref), np.abs(z2)
+        scaled = ([_scaled_degree(a, p)
+                   for a, p in zip(aw.tolist(), apref.tolist())],
+                  _scaled_degrees(aw, apref), adaptive_stop_scaled, 4)
+        maclaurin = ([_maclaurin_degree(a) for a in az2.tolist()],
+                     _maclaurin_degrees(az2), adaptive_stop_maclaurin, 5)
+        for scalar, array, stop, bound in (scaled, maclaurin):
+            # the scalar and the array form read the same entries
+            self.assertEqual(scalar, array.tolist())
+            for w, deg in zip(z.tolist(), scalar):
+                over = deg - stop(w)
+                self.assertGreaterEqual(over, 0, repr(w))
+                self.assertLessEqual(over, bound, repr(w))
+
+
 class TestErf(unittest.TestCase):
     def test_reference_value(self):
         r = erf_series(1.0)
         self.assertIsInstance(r, SeriesResult)
         self.assertLess(abs(r.value - ERF_ONE), 1e-12)
+        self.assertLessEqual(r.truncation_estimate, 0.5e-12)
 
     def test_against_math_erf_on_reals(self):
         for x in np.linspace(-4.0, 4.0, 33):
