@@ -1,9 +1,10 @@
-"""Gauss-Legendre quadrature helpers shared by the integrators.
+"""Quadrature helpers shared by the integrators.
 
-adaptive_gl_batch is the one adaptive rule: it integrates many straight
-segments at once, with one call of the integrand per bisection round
-over the open intervals of all of them.  adaptive_gl is the same rule on
-one segment, with an integrand called one point at a time.
+adaptive_gl_batch is the one adaptive rule, on QUADPACK's Gauss-Kronrod
+(7, 15) pair: it integrates many straight segments at once, with one call
+of the integrand per round over the open intervals of all of them.
+adaptive_gl is the same rule on one segment, with an integrand called one
+point at a time.
 
 Also the spectral antiderivative matrix: given values of f at the
 n Legendre nodes on [-1, 1], S @ f approximates int_{-1}^{x_m} f for
@@ -22,19 +23,25 @@ class QuadratureFailure(ArithmeticError):
     """Adaptive quadrature exhausted its depth without meeting tolerance."""
 
 
-# leggauss(15), the rule of adaptive_gl_batch, written out so that it
-# costs no import of numpy.polynomial: its nonnegative nodes with their
-# weights, mirrored as leggauss mirrors them, equal to it bit for bit
-_GL15_HALF = np.array([(0.0, 0.2025782419255613),
-                       (0.20119409399743451, 0.1984314853271116),
-                       (0.3941513470775634, 0.1861610000155622),
-                       (0.5709721726085388, 0.16626920581699398),
-                       (0.7244177313601701, 0.13957067792615444),
-                       (0.8482065834104272, 0.10715922046717141),
-                       (0.9372733924007058, 0.0703660474881084),
-                       (0.9879925180204854, 0.030753241996117203)])
-_NODE_CACHE = {15: (np.concatenate([-_GL15_HALF[:0:-1, 0], _GL15_HALF[:, 0]]),
-                    np.concatenate([_GL15_HALF[:0:-1, 1], _GL15_HALF[:, 1]]))}
+# QUADPACK's qk15 constants (Piessens et al. 1983), written out so that
+# the rule costs no import of numpy.polynomial: the nonnegative nodes from
+# 1 down to 0, each with its K15 weight and its G7 weight (0 where G7 has
+# no node)
+_K15_HALF = np.array([
+    (0.9914553711208126, 0.022935322010529224, 0.0),
+    (0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+    (0.8648644233597691, 0.10479001032225019, 0.0),
+    (0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+    (0.5860872354676911, 0.1690047266392679, 0.0),
+    (0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+    (0.20778495500789848, 0.20443294007529889, 0.0),
+    (0.0, 0.20948214108472782, 0.4179591836734694)])
+# the 15 nodes from -1 to 1, and the weights as the rows K15, G7
+_KRONROD_X = np.concatenate([-_K15_HALF[:-1, 0], _K15_HALF[::-1, 0]])
+_KRONROD_W = np.concatenate([_K15_HALF[:-1, 1:], _K15_HALF[::-1, 1:]]).T.copy()
+# QUADPACK's rounding floor per unit of sum |f|: 50 machine epsilons
+_ROUNDING = 50.0 * np.finfo(float).eps
+_NODE_CACHE = {}
 _MATRIX_CACHE = {}
 
 
@@ -78,26 +85,28 @@ def integration_matrix(n):
     return _MATRIX_CACHE[n]
 
 
-def _gl_rules(f, starts, ends, x, w):
-    """The n-point rule on each interval starts[k] -> ends[k], with one
-    call of f for all of them.
+def _kronrod(f, starts, ends):
+    """(K15, G7, floor) on each interval starts[k] -> ends[k], from one
+    call of f at the 15 nodes of all of them.
 
-    Per interval, the weighted values are summed in node order and then
-    scaled by the half length, so an interval's value does not depend on
-    the batch around it.  The sum runs in place, through one array for
-    the weighted term, so a call allocates no array per node.
+    The nodes are laid out node-major, so the values form a (15, k * d)
+    matrix and both rules are one BLAS product with its real view.  The
+    kernel's blocking sets a sum's last bits: OpenBLAS's Nehalem to
+    SkylakeX kernels give an interval the same bits in any batch, its
+    Core2 and Prescott kernels do not.  floor is QUADPACK's rounding floor
+    50 eps |half| sum_m w_m |f_m|, per value entry.
     """
     mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
-    nodes = mid[:, None] + half[:, None] * x
+    nodes = mid + half * _KRONROD_X[:, None]
     vals = np.asarray(f(nodes.ravel()), dtype=complex)
-    vals = vals.reshape(nodes.shape + vals.shape[1:])
-    total = w[0] * vals[:, 0]
-    term = np.empty_like(total)
-    for m in range(1, len(x)):
-        np.multiply(w[m], vals[:, m], out=term)
-        np.add(total, term, out=total)
-    return (half * total.T).T
+    shape = half.shape + vals.shape[1:]
+    vals = np.ascontiguousarray(vals.reshape(len(_KRONROD_X), -1))
+    rules = (_KRONROD_W @ vals.view(float)).view(complex)
+    kron, gauss = rules.reshape(2, half.size, -1) * half[:, None]
+    floor = ((_KRONROD_W[0] @ np.abs(vals)).reshape(half.size, -1)
+             * (_ROUNDING * np.abs(half))[:, None])
+    return kron.reshape(shape), gauss.reshape(shape), floor.reshape(shape)
 
 
 def _per_interval(a):
@@ -112,10 +121,13 @@ def _per_interval(a):
 # splitting all 2**_MAX_DEPTH intervals of its last level first.
 _OPEN_PER_SEGMENT = 16
 
-# Gauss-Legendre nodes of the rule on each interval, and the bisections
-# a segment may take
-_NODES = 15
+# the bisections a segment may take
 _MAX_DEPTH = 24
+
+
+def _worst(err, floor):
+    # an interval's error estimate: its largest entry, none below the floor
+    return _per_interval(np.maximum(err, floor)).max(axis=1)
 
 
 def adaptive_gl_batch(f, a, b, tol=1e-10):
@@ -124,12 +136,16 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     f maps a 1-D complex array of points to their values, one row per
     point (shape (m,) or (m, d)).  Its result is read before its next
     call and never written, so it may be a view into a buffer that f
-    reuses from call to call.  Each segment follows one rule: the
-    15-point rule on an interval is compared with the summed rule on its
-    halves; the interval is accepted when the largest difference is at
-    most its tolerance share, and otherwise split, each half taking half
-    the tolerance and one less depth.  A segment fails when a summed rule
-    is not finite or an interval at depth 0 still misses its share.
+    reuses from call to call.  Each segment follows one rule.  The whole
+    segment is accepted at K15 when |K15 - G7| is at most tol, at 15
+    points.  Otherwise K15 is its whole-interval rule, and from there an
+    interval's K15 is compared with the summed K15 of its halves; the
+    interval is accepted when the largest difference is at most its
+    tolerance share, and otherwise split, each half taking half the
+    tolerance and one less depth.  No estimate reads below the rounding
+    floor of the rules it compares, so a tolerance under that floor is
+    never met by luck.  A segment fails when the rule it would accept is
+    not finite or an interval at depth 0 still misses its share.
 
     Open intervals advance together in bisection rounds, one call of f
     per round: every segment's leftmost _OPEN_PER_SEGMENT open intervals,
@@ -141,39 +157,36 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     Returns (totals, failed): totals has one row per segment, NaN where
     failed is True.
     """
-    x, w = gl_nodes(_NODES)
     lo = np.asarray(a, dtype=complex).ravel()
     hi = np.asarray(b, dtype=complex).ravel()
-    k = lo.size
-    failed = np.zeros(k, dtype=bool)
-    if k == 0:
-        return np.zeros(0, dtype=complex), failed
-    # the open intervals, segment by segment and left to right within one:
-    # segment, tolerance share, depth left, and the whole-interval rule
-    # (computed with the halves in the first round)
-    seg = np.arange(k)
-    share = np.full(k, float(tol))
-    depth = np.full(k, _MAX_DEPTH)
-    whole = totals = None
+    if lo.size == 0:
+        return np.zeros(0, dtype=complex), np.zeros(0, dtype=bool)
     with np.errstate(all="ignore"):
+        # the first round: every segment whole, K15 against G7
+        whole, gauss, floor = _kronrod(f, lo, hi)
+        failed = ~_per_interval(np.isfinite(whole)).all(axis=1)
+        accept = ~failed & (_worst(np.abs(whole - gauss), floor) <= tol)
+        totals = np.zeros_like(whole)
+        totals[accept] = whole[accept]
+        # the open intervals, segment by segment and left to right within
+        # one: segment, tolerance share, depth left, and the
+        # whole-interval rule
+        seg = np.flatnonzero(~accept & ~failed)
+        lo, hi, whole = lo[seg], hi[seg], whole[seg]
+        share = np.full(seg.size, float(tol))
+        depth = np.full(seg.size, _MAX_DEPTH)
         while seg.size:
             rank = np.arange(seg.size) - np.searchsorted(seg, seg)
             act = np.flatnonzero(rank < _OPEN_PER_SEGMENT)
             k = act.size
             lo_a, hi_a = lo[act], hi[act]
             mid = 0.5 * (lo_a + hi_a)
-            if whole is None:
-                rules = _gl_rules(f, np.concatenate([lo_a, lo_a, mid]),
-                                  np.concatenate([hi_a, mid, hi_a]), x, w)
-                whole, rules = rules[:k], rules[k:]
-                totals = np.zeros(whole.shape, dtype=complex)
-            else:
-                rules = _gl_rules(f, np.concatenate([lo_a, mid]),
-                                  np.concatenate([mid, hi_a]), x, w)
+            rules, _, floor = _kronrod(f, np.concatenate([lo_a, mid]),
+                                       np.concatenate([mid, hi_a]))
             left, right = rules[:k], rules[k:]
             fine = left + right
             finite = _per_interval(np.isfinite(fine)).all(axis=1)
-            err = _per_interval(np.abs(fine - whole[act])).max(axis=1)
+            err = _worst(np.abs(fine - whole[act]), floor[:k] + floor[k:])
             accept = finite & (err <= share[act])
             bad = ~finite | (~accept & (depth[act] <= 0))
             failed[seg[act[bad]]] = True

@@ -452,12 +452,11 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
                         tol=tol, points=points, valid=valid, residuals=residuals)
 
 
-# one row of quadrature hops per adaptive_gl_batch call: a bisection round
-# evaluates the integrand at the 15 nodes of both halves of every open
-# interval, and with blocks of 8 rows those node values raised the peak
-# memory of a 128^2 e3-direct generate from 39.5 to 44.1 MB and its time
-# from 0.109 to 0.120 s (medians of 7 fresh processes each, with the
-# integrand's reused work arrays; 2 CPUs, no clock pinning)
+# one row of quadrature hops per adaptive_gl_batch call: blocks of 8 rows
+# raised the peak memory of a fresh process sampling README's data at
+# 128^2 from 33.6 to 35.1 MB, while its sampling time, 0.040 against
+# 0.038 s, stayed within the spread of either (medians of 15 fresh
+# processes each; 2 CPUs, no clock pinning)
 _QUAD_ROWS = 1
 
 

@@ -15,10 +15,15 @@ from solsurf.odebridge import AntiderivativeNode
 POINTS = [0.3 + 0.4j, -1.2 + 0.1j, 2.0 - 0.5j, 0.05j, 1.0 + 0.0j]
 
 
-def fd_derivative(e, z, params=None, h=1e-6):
-    fp = evaluate(e, z + h, params=params)
-    fm = evaluate(e, z - h, params=params)
-    return (fp - fm) / (2.0 * h)
+def fd_derivative(e, z, params=None, h=1e-3):
+    """Fourth-order central difference.  A step this wide reads erf's
+    jumps of up to its 0.5e-12 tolerance, where its summed degree
+    changes, as about 1e-9, wherever the jumps lie."""
+    def f(w):
+        return evaluate(e, w, params=params)
+
+    return (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h)
+            + f(z - 2 * h)) / (12 * h)
 
 
 class TestParseEvaluate(unittest.TestCase):

@@ -1,4 +1,4 @@
-"""Tests for the adaptive Gauss-Legendre quadrature and the e3-direct
+"""Tests for the adaptive Gauss-Kronrod quadrature and the e3-direct
 sampling built on it."""
 
 import cmath
@@ -12,8 +12,8 @@ from unittest import mock
 import numpy as np
 
 import solsurf.immersion
-from solsurf._quad import (QuadratureFailure, adaptive_gl, adaptive_gl_batch,
-                           gl_nodes)
+from solsurf._quad import (QuadratureFailure, _KRONROD_W, _KRONROD_X,
+                           adaptive_gl, adaptive_gl_batch)
 from solsurf.expr import parse
 from solsurf.geom import EVAL_ERRORS, WeierstrassData
 from solsurf.immersion import (DomainRect, _probe_validity, loop_period,
@@ -72,15 +72,29 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 
 class TestFifteenPointRule(unittest.TestCase):
-    """adaptive_gl_batch's rule is written out, so that sampling costs no
-    import of numpy.polynomial."""
+    """adaptive_gl_batch's rule, QUADPACK's Gauss-Kronrod (7, 15) pair, is
+    written out, so that sampling costs no import of numpy.polynomial."""
 
-    def test_literals_are_leggauss(self):
-        x, w = gl_nodes(15)
-        want_x, want_w = np.polynomial.legendre.leggauss(15)
-        for got, want in ((x, want_x), (w, want_w)):
-            self.assertEqual(got.shape, (15,))
-            self.assertLessEqual(float(np.max(np.abs(got - want))), 1e-15)
+    def moment_errors(self, w, x):
+        # the rule's error on x^j over [-1, 1], j = 0..23
+        return [abs(float(np.sum(w * x ** j)) - (1 + (-1) ** j) / (j + 1.0))
+                for j in range(24)]
+
+    def test_literals_integrate_monomials(self):
+        x, (wk, wg) = _KRONROD_X, _KRONROD_W
+        self.assertEqual(x.shape, (15,))
+        self.assertTrue(bool(np.all(np.diff(x) > 0)))
+        # G7 lives on the odd-index nodes, and nowhere else
+        self.assertTrue(bool(np.all(wg[0::2] == 0.0)))
+        self.assertTrue(bool(np.all(wg[1::2] > 0.0)))
+        # K15 is exact through degree 23, G7 through degree 13 only
+        kron = self.moment_errors(wk, x)
+        gauss = self.moment_errors(wg[1::2], x[1::2])
+        self.assertLessEqual(max(kron), 1e-15, kron)
+        self.assertLessEqual(max(gauss[:14]), 1e-15, gauss)
+        self.assertGreater(gauss[14], 1e-5)
+        for w in (wk, wg):
+            self.assertLessEqual(abs(float(np.sum(w)) - 2.0), 1e-15)
 
     def test_sampling_imports_no_polynomial_module(self):
         code = ("import sys\n"
@@ -98,31 +112,44 @@ class TestFifteenPointRule(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
 
-def depth_first_gl(f, a, b, tol, depth, n=15):
+def depth_first_gl(f, a, b, tol, depth):
     """The adaptive rule as a depth-first recursion over a scalar f: the
     reference order of visits and of summation."""
-    x, w = gl_nodes(n)
+    eps50 = 50.0 * np.finfo(float).eps
 
     def rule(a, b):
+        # K15, G7 and the rounding floor, summed node by node
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total = None
-        for xm, wm in zip(x, w):
-            v = wm * np.asarray(f(mid + half * xm), dtype=complex)
-            total = v if total is None else total + v
-        return half * total
+        kron = gauss = mass = 0.0
+        for xm, wk, wg in zip(_KRONROD_X, *_KRONROD_W):
+            v = np.asarray(f(mid + half * xm), dtype=complex)
+            kron, gauss = kron + wk * v, gauss + wg * v
+            mass = mass + wk * np.abs(v)
+        return half * kron, half * gauss, eps50 * abs(half) * mass
 
-    def rec(a, b, tol, depth):
+    def worst(err, floor):
+        return float(np.max(np.maximum(err, floor)))
+
+    def rec(a, b, tol, depth, whole):
         m = 0.5 * (a + b)
-        whole, fine = rule(a, b), rule(a, m) + rule(m, b)
+        (left, _, f_left), (right, _, f_right) = rule(a, m), rule(m, b)
+        fine = left + right
         if not np.all(np.isfinite(fine)):
             raise QuadratureFailure("non-finite")
-        if float(np.max(np.abs(fine - whole))) <= tol:
+        if worst(np.abs(fine - whole), f_left + f_right) <= tol:
             return fine
         if depth <= 0:
             raise QuadratureFailure("depth")
-        return rec(a, m, 0.5 * tol, depth - 1) + rec(m, b, 0.5 * tol, depth - 1)
+        return (rec(a, m, 0.5 * tol, depth - 1, left)
+                + rec(m, b, 0.5 * tol, depth - 1, right))
 
-    return rec(complex(a), complex(b), tol, depth)
+    a, b = complex(a), complex(b)
+    kron, gauss, floor = rule(a, b)
+    if not np.all(np.isfinite(kron)):
+        raise QuadratureFailure("non-finite")
+    if worst(np.abs(kron - gauss), floor) <= tol:
+        return kron
+    return rec(a, b, tol, depth, kron)
 
 
 def wiggly(z):
@@ -133,10 +160,11 @@ def wiggly(z):
 
 class TestDepthFirstOrder(unittest.TestCase):
     def test_deep_trees_match_recursion(self):
+        # the last segment is accepted at K15 in the first round
         for a, b, tol in ((0.0, 1.0, 1e-9), (-1.0, 1.0, 1e-8),
-                          (0.2 + 0.001j, 0.9, 1e-9)):
-            # the same intervals and order of summation; the batch's
-            # products round as numpy's do, 1.3e-16 relative off
+                          (0.2 + 0.001j, 0.9, 1e-9), (0.5, 0.5005, 1e-9)):
+            # the same intervals; the batch sums each rule in one BLAS
+            # product, not node by node, and reads up to 3e-16 relative off
             want = depth_first_gl(wiggly, a, b, tol, 24)
             got = adaptive_gl(wiggly, a, b, tol=tol)
             self.assertLessEqual(abs(got - want), 1e-15 * abs(want),
@@ -341,6 +369,39 @@ class TestDirectSampling(unittest.TestCase):
             patch = sample_surface(data, dom, "e3-direct", tol=1e-8)
         self.assertTrue(bool(patch.valid.all()))
         self.assertEqual(calls, [])
+
+    def test_clean_hops_take_fifteen_points(self):
+        # on README's data every hop is accepted at K15 in the first round:
+        # 15 integrand points per hop, one per grid sample (z0 = 0 lies on
+        # a sample and reaches it by a zero-length hop)
+        points, hops = [0], [0]
+        phi_batch = solsurf.immersion._phi_vector_batch
+        batch = solsurf.immersion.adaptive_gl_batch
+
+        def counted_phi(data):
+            fvals = phi_batch(data)
+
+            def counted(zs):
+                points[0] += zs.size
+                return fvals(zs)
+
+            return counted
+
+        def counted_batch(f, a, b, **kwargs):
+            hops[0] += np.size(a)
+            return batch(f, a, b, **kwargs)
+
+        data = WeierstrassData(eta=parse("1+0.2*z"), psi=parse("z^2"),
+                               z0=0j, lam=0.8)
+        dom = DomainRect(-0.6, 0.6, -0.6, 0.6, 17, 17)
+        with mock.patch.object(solsurf.immersion, "_phi_vector_batch",
+                               counted_phi), \
+                mock.patch.object(solsurf.immersion, "adaptive_gl_batch",
+                                  counted_batch):
+            patch = sample_surface(data, dom, "e3-direct", tol=1e-8)
+        self.assertTrue(bool(patch.valid.all()))
+        self.assertEqual(hops[0], 17 * 17)
+        self.assertEqual(points[0], 15 * hops[0])
 
 
 if __name__ == "__main__":
