@@ -39,8 +39,9 @@ _K15_HALF = np.array([
 # the 15 nodes from -1 to 1, and the weights as the rows K15, G7
 _KRONROD_X = np.concatenate([-_K15_HALF[:-1, 0], _K15_HALF[::-1, 0]])
 _KRONROD_W = np.concatenate([_K15_HALF[:-1, 1:], _K15_HALF[::-1, 1:]]).T.copy()
-# QUADPACK's rounding floor per unit of sum |f|: 50 machine epsilons
-_ROUNDING = 50.0 * np.finfo(float).eps
+# the rounding floor per unit of sum w (|Re f| + |Im f|): one machine
+# epsilon, the rounding a sum of those terms carries
+_EPS = np.finfo(float).eps
 _NODE_CACHE = {}
 _MATRIX_CACHE = {}
 
@@ -85,28 +86,38 @@ def integration_matrix(n):
     return _MATRIX_CACHE[n]
 
 
-def _kronrod(f, starts, ends):
-    """(K15, G7, floor) on each interval starts[k] -> ends[k], from one
-    call of f at the 15 nodes of all of them.
+def _kronrod(f, starts, ends, embedded=False):
+    """(K15, floor) on each interval starts[k] -> ends[k], from one call
+    of f at the 15 nodes of all of them, and G7 as a third entry when
+    embedded is set.
 
     The nodes are laid out node-major, so the values form a (15, k * d)
-    matrix and both rules are one BLAS product with its real view.  The
-    kernel's blocking sets a sum's last bits: OpenBLAS's Nehalem to
-    SkylakeX kernels give an interval the same bits in any batch, its
-    Core2 and Prescott kernels do not.  floor is QUADPACK's rounding floor
-    50 eps |half| sum_m w_m |f_m|, per value entry.
+    matrix, seen as real and imaginary parts side by side.  Each rule is
+    an elementwise product with its weights summed down the node axis in
+    node order, so an interval's value does not depend on the batch
+    around it, nor on the SIMD or BLAS kernels at hand.  floor is the
+    rounding level eps |half| sum_m w_m (|Re f_m| + |Im f_m|), per value
+    entry.
     """
     mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
     nodes = mid + half * _KRONROD_X[:, None]
     vals = np.asarray(f(nodes.ravel()), dtype=complex)
     shape = half.shape + vals.shape[1:]
-    vals = np.ascontiguousarray(vals.reshape(len(_KRONROD_X), -1))
-    rules = (_KRONROD_W @ vals.view(float)).view(complex)
-    kron, gauss = rules.reshape(2, half.size, -1) * half[:, None]
-    floor = ((_KRONROD_W[0] @ np.abs(vals)).reshape(half.size, -1)
-             * (_ROUNDING * np.abs(half))[:, None])
-    return kron.reshape(shape), gauss.reshape(shape), floor.reshape(shape)
+    # at least two columns, so no sum below runs down a single column,
+    # which numpy would sum pairwise
+    parts = np.ascontiguousarray(vals.reshape(len(_KRONROD_X), -1)).view(float)
+    scale = half[:, None]
+    terms = _KRONROD_W[0][:, None] * parts
+    kron = np.add.reduce(terms, axis=0).view(complex).reshape(half.size, -1)
+    mass = np.add.reduce(np.abs(terms, out=terms), axis=0)
+    floor = (mass[0::2] + mass[1::2]).reshape(half.size, -1) * np.abs(scale)
+    rules = [(kron * scale).reshape(shape), (_EPS * floor).reshape(shape)]
+    if embedded:
+        gauss = np.add.reduce(_KRONROD_W[1][1::2, None] * parts[1::2], axis=0)
+        rules.append((gauss.view(complex).reshape(half.size, -1)
+                      * scale).reshape(shape))
+    return rules
 
 
 def _per_interval(a):
@@ -144,8 +155,9 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     tolerance share, and otherwise split, each half taking half the
     tolerance and one less depth.  No estimate reads below the rounding
     floor of the rules it compares, so a tolerance under that floor is
-    never met by luck.  A segment fails when the rule it would accept is
-    not finite or an interval at depth 0 still misses its share.
+    never met by luck.  A segment fails when the summed rule on an
+    interval's halves is not finite, or an interval at depth 0 still
+    misses its share.
 
     Open intervals advance together in bisection rounds, one call of f
     per round: every segment's leftmost _OPEN_PER_SEGMENT open intervals,
@@ -162,16 +174,18 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     if lo.size == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=bool)
     with np.errstate(all="ignore"):
-        # the first round: every segment whole, K15 against G7
-        whole, gauss, floor = _kronrod(f, lo, hi)
-        failed = ~_per_interval(np.isfinite(whole)).all(axis=1)
-        accept = ~failed & (_worst(np.abs(whole - gauss), floor) <= tol)
+        # the first round: every segment whole, K15 against G7.  A value
+        # that is not finite is refused here, not failed: its halves may
+        # never sample the point that made it so
+        whole, floor, gauss = _kronrod(f, lo, hi, embedded=True)
+        accept = _worst(np.abs(whole - gauss), floor) <= tol
+        failed = np.zeros(lo.size, dtype=bool)
         totals = np.zeros_like(whole)
         totals[accept] = whole[accept]
         # the open intervals, segment by segment and left to right within
         # one: segment, tolerance share, depth left, and the
         # whole-interval rule
-        seg = np.flatnonzero(~accept & ~failed)
+        seg = np.flatnonzero(~accept)
         lo, hi, whole = lo[seg], hi[seg], whole[seg]
         share = np.full(seg.size, float(tol))
         depth = np.full(seg.size, _MAX_DEPTH)
@@ -181,8 +195,8 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
             k = act.size
             lo_a, hi_a = lo[act], hi[act]
             mid = 0.5 * (lo_a + hi_a)
-            rules, _, floor = _kronrod(f, np.concatenate([lo_a, mid]),
-                                       np.concatenate([mid, hi_a]))
+            rules, floor = _kronrod(f, np.concatenate([lo_a, mid]),
+                                    np.concatenate([mid, hi_a]))
             left, right = rules[:k], rules[k:]
             fine = left + right
             finite = _per_interval(np.isfinite(fine)).all(axis=1)

@@ -655,14 +655,19 @@ def _form(w, lorentz):
 
 
 def _rowdot(x, y):
-    """x[k] @ y[k] for each row k, by a stacked matmul.
+    """x[k] @ y[k] for each row k, its products summed left to right.
 
     Near a pole the Lorentz normal is almost null and (N|N) cancels by
-    several digits, so the summation order shows in H and Q; the stacked
-    matmul rounds like the 1-D product x[k] @ y[k], which keeps the sweep
-    within 1e-9 of the per-point reference in tests/test_frame_sweep.py.
+    several digits, so the summation order shows in H and Q.  Elementwise
+    sums give a row the same bits in any batch; a BLAS product does not
+    (OpenBLAS's Prescott kernel rounds a row by its memory alignment), and
+    then frame_and_curvature would part from frame_sweep.
     """
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    terms = x * y
+    total = terms[:, 0]
+    for k in range(1, terms.shape[1]):
+        total = total + terms[:, k]
+    return total
 
 
 def _padded(patch):

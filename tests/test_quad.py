@@ -19,6 +19,7 @@ from solsurf.geom import EVAL_ERRORS, WeierstrassData
 from solsurf.immersion import (DomainRect, _probe_validity, loop_period,
                                sample_surface)
 from solsurf.lsp import PathSpec
+from solsurf.odebridge import AntiderivativeNode
 
 
 def vec3(z):
@@ -54,6 +55,17 @@ class TestAdaptiveGl(unittest.TestCase):
         # a zero-length segment too
         with self.assertRaises(QuadratureFailure):
             adaptive_gl(lambda z: complex(math.inf, 0.0), 0.5, 0.5)
+
+    def test_non_finite_whole_is_bisected(self):
+        # the middle node of [0, 1] sits on the one bad point; its halves
+        # never sample it, so the segment is integrated, not failed
+        def f(z):
+            return complex(math.inf, 0.0) if z == 0.5 else z
+
+        self.assertLessEqual(abs(adaptive_gl(f, 0.0, 1.0) - 0.5), 1e-15)
+        with np.errstate(invalid="ignore"):
+            want = depth_first_gl(f, 0.0, 1.0, 1e-10, 24)
+        self.assertLessEqual(abs(want - 0.5), 1e-15)
 
     def test_exhausted_depth_fails(self):
         def step(z):
@@ -115,17 +127,17 @@ class TestFifteenPointRule(unittest.TestCase):
 def depth_first_gl(f, a, b, tol, depth):
     """The adaptive rule as a depth-first recursion over a scalar f: the
     reference order of visits and of summation."""
-    eps50 = 50.0 * np.finfo(float).eps
+    eps = np.finfo(float).eps
 
     def rule(a, b):
         # K15, G7 and the rounding floor, summed node by node
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        kron = gauss = mass = 0.0
+        kron = gauss = re = im = 0.0
         for xm, wk, wg in zip(_KRONROD_X, *_KRONROD_W):
             v = np.asarray(f(mid + half * xm), dtype=complex)
             kron, gauss = kron + wk * v, gauss + wg * v
-            mass = mass + wk * np.abs(v)
-        return half * kron, half * gauss, eps50 * abs(half) * mass
+            re, im = re + wk * np.abs(v.real), im + wk * np.abs(v.imag)
+        return half * kron, half * gauss, eps * abs(half) * (re + im)
 
     def worst(err, floor):
         return float(np.max(np.maximum(err, floor)))
@@ -145,8 +157,7 @@ def depth_first_gl(f, a, b, tol, depth):
 
     a, b = complex(a), complex(b)
     kron, gauss, floor = rule(a, b)
-    if not np.all(np.isfinite(kron)):
-        raise QuadratureFailure("non-finite")
+    # a whole that is not finite is refused, and its halves decide
     if worst(np.abs(kron - gauss), floor) <= tol:
         return kron
     return rec(a, b, tol, depth, kron)
@@ -163,8 +174,10 @@ class TestDepthFirstOrder(unittest.TestCase):
         # the last segment is accepted at K15 in the first round
         for a, b, tol in ((0.0, 1.0, 1e-9), (-1.0, 1.0, 1e-8),
                           (0.2 + 0.001j, 0.9, 1e-9), (0.5, 0.5005, 1e-9)):
-            # the same intervals; the batch sums each rule in one BLAS
-            # product, not node by node, and reads up to 3e-16 relative off
+            # the same intervals, each rule summed in node order; the batch
+            # adds accepted intervals to its total round by round, not as
+            # the recursion's tree adds them, and reads up to 2e-16
+            # relative off
             want = depth_first_gl(wiggly, a, b, tol, 24)
             got = adaptive_gl(wiggly, a, b, tol=tol)
             self.assertLessEqual(abs(got - want), 1e-15 * abs(want),
@@ -205,6 +218,37 @@ class TestDepthFirstOrder(unittest.TestCase):
         self.assertTrue(bool(np.isnan(total).all()))
 
 
+class TestToleranceNearRounding(unittest.TestCase):
+    """The rounding floor is the rounding a rule's sum carries, about one
+    machine epsilon per unit of sum w |f|: a tolerance above it is met."""
+
+    def test_antiderivative_of_a_large_integrand(self):
+        # AntiderivativeNode integrates to an absolute 1e-12; exp(z) from 0
+        # to 8 sums about 3e3, a floor of 6.6e-13
+        node = AntiderivativeNode(parse("exp(z)"), 0j)
+        f, fa = node.compiled(), node.compiled_array()
+        zs = np.array([4.0, 4.0 + 1.0j, 6.0, 8.0])
+        want = np.exp(zs) - 1.0
+        got = fa(zs)
+        for k, z in enumerate(zs.tolist()):
+            bound = max(1e-12, 4 * sys.float_info.epsilon * abs(want[k]))
+            self.assertLessEqual(abs(got[k] - want[k]), bound, z)
+            self.assertLessEqual(abs(f(z) - want[k]), bound, z)
+
+    def test_direct_sampling_at_two_epsilons(self):
+        # README's data: a hop of the 17^2 grid sums well under 1 in
+        # w |f|, so a tolerance of two machine epsilons masks no sample
+        data = WeierstrassData(eta=parse("1+0.2*z"), psi=parse("z^2"),
+                               z0=0j, lam=0.8)
+        dom = DomainRect(-0.6, 0.6, -0.6, 0.6, 17, 17)
+        patch = sample_surface(data, dom, "e3-direct",
+                               tol=2 * sys.float_info.epsilon)
+        self.assertTrue(bool(patch.valid.all()))
+        ref = sample_surface(data, dom, "e3-direct", tol=1e-8)
+        np.testing.assert_allclose(patch.points, ref.points, rtol=0,
+                                   atol=1e-13)
+
+
 class TestBatch(unittest.TestCase):
     def segments(self):
         rng = np.random.default_rng(3)
@@ -224,6 +268,29 @@ class TestBatch(unittest.TestCase):
             want = adaptive_gl(vec3, a[k], b[k], tol=1e-11)
             self.assertLessEqual(float(np.max(np.abs(total[k] - want))),
                                  1e-15 * max(1.0, float(np.max(np.abs(want)))))
+
+    def test_values_do_not_depend_on_the_batch(self):
+        # each rule is summed in node order by elementwise operations, so
+        # a segment gets the same bits alone as among others, deep (the
+        # last two pass the pole) or not,
+        # whatever BLAS or SIMD kernels numpy runs on
+        a, b = self.segments()
+        a = np.concatenate([a, [0.0, 0.2 + 0.001j]])
+        b = np.concatenate([b, [1.0, 0.9]])
+
+        def scalar(zs):
+            return np.sin(3 * zs) + 1.0 / (zs - 0.37 - 0.0005j)
+
+        def vector(zs):
+            return np.stack([np.exp(zs), zs * zs, 1.0 / (2.0 + zs)], axis=1)
+
+        for f in (scalar, vector):
+            total, failed = adaptive_gl_batch(f, a, b, tol=1e-9)
+            self.assertFalse(bool(failed.any()))
+            for k in range(a.size):
+                alone, _ = adaptive_gl_batch(f, a[k:k + 1], b[k:k + 1],
+                                             tol=1e-9)
+                np.testing.assert_array_equal(alone[0], total[k])
 
     def test_scalar_integrand_batch(self):
         a, b = self.segments()
