@@ -39,8 +39,7 @@ _K15_HALF = np.array([
 # the 15 nodes from -1 to 1, and the weights as the rows K15, G7
 _KRONROD_X = np.concatenate([-_K15_HALF[:-1, 0], _K15_HALF[::-1, 0]])
 _KRONROD_W = np.concatenate([_K15_HALF[:-1, 1:], _K15_HALF[::-1, 1:]]).T.copy()
-# the rounding floor per unit of sum w (|Re f| + |Im f|): one machine
-# epsilon, the rounding a sum of those terms carries
+# the rounding floor per unit of sum w (|Re f| + |Im f|)
 _EPS = np.finfo(float).eps
 _NODE_CACHE = {}
 _MATRIX_CACHE = {}
@@ -86,38 +85,32 @@ def integration_matrix(n):
     return _MATRIX_CACHE[n]
 
 
-def _kronrod(f, starts, ends, embedded=False):
-    """(K15, floor) on each interval starts[k] -> ends[k], from one call
-    of f at the 15 nodes of all of them, and G7 as a third entry when
-    embedded is set.
+def _kronrod(f, starts, ends):
+    """(K15, G7, floor) on each interval starts[k] -> ends[k], from one
+    call of f at the 15 nodes of all of them.
 
-    The nodes are laid out node-major, so the values form a (15, k * d)
-    matrix, seen as real and imaginary parts side by side.  Each rule is
-    an elementwise product with its weights summed down the node axis in
-    node order, so an interval's value does not depend on the batch
-    around it, nor on the SIMD or BLAS kernels at hand.  floor is the
-    rounding level eps |half| sum_m w_m (|Re f_m| + |Im f_m|), per value
-    entry.
+    The nodes are laid out node-major, and each rule sums its weighted
+    values down the node axis in node order by elementwise operations, so
+    an interval's value does not depend on the batch around it, nor on
+    the BLAS or SIMD kernels at hand.  floor is the rounding the K15 sum
+    carries, eps |half| sum_m w_m (|Re f_m| + |Im f_m|), per value entry.
     """
-    mid = 0.5 * (starts + ends)
     half = 0.5 * (ends - starts)
-    nodes = mid + half * _KRONROD_X[:, None]
+    nodes = 0.5 * (starts + ends) + half * _KRONROD_X[:, None]
     vals = np.asarray(f(nodes.ravel()), dtype=complex)
     shape = half.shape + vals.shape[1:]
-    # at least two columns, so no sum below runs down a single column,
-    # which numpy would sum pairwise
+    # real and imaginary parts side by side: never one column, which
+    # numpy would sum pairwise
     parts = np.ascontiguousarray(vals.reshape(len(_KRONROD_X), -1)).view(float)
-    scale = half[:, None]
     terms = _KRONROD_W[0][:, None] * parts
-    kron = np.add.reduce(terms, axis=0).view(complex).reshape(half.size, -1)
+    kron = np.add.reduce(terms, axis=0)
+    gauss = np.add.reduce(_KRONROD_W[1][1::2, None] * parts[1::2], axis=0)
     mass = np.add.reduce(np.abs(terms, out=terms), axis=0)
+    scale = half[:, None]
+    kron, gauss = ((r.view(complex).reshape(half.size, -1) * scale).reshape(shape)
+                   for r in (kron, gauss))
     floor = (mass[0::2] + mass[1::2]).reshape(half.size, -1) * np.abs(scale)
-    rules = [(kron * scale).reshape(shape), (_EPS * floor).reshape(shape)]
-    if embedded:
-        gauss = np.add.reduce(_KRONROD_W[1][1::2, None] * parts[1::2], axis=0)
-        rules.append((gauss.view(complex).reshape(half.size, -1)
-                      * scale).reshape(shape))
-    return rules
+    return kron, gauss, (_EPS * floor).reshape(shape)
 
 
 def _per_interval(a):
@@ -177,7 +170,7 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
         # the first round: every segment whole, K15 against G7.  A value
         # that is not finite is refused here, not failed: its halves may
         # never sample the point that made it so
-        whole, floor, gauss = _kronrod(f, lo, hi, embedded=True)
+        whole, gauss, floor = _kronrod(f, lo, hi)
         accept = _worst(np.abs(whole - gauss), floor) <= tol
         failed = np.zeros(lo.size, dtype=bool)
         totals = np.zeros_like(whole)
@@ -195,8 +188,8 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
             k = act.size
             lo_a, hi_a = lo[act], hi[act]
             mid = 0.5 * (lo_a + hi_a)
-            rules, floor = _kronrod(f, np.concatenate([lo_a, mid]),
-                                    np.concatenate([mid, hi_a]))
+            rules, _, floor = _kronrod(f, np.concatenate([lo_a, mid]),
+                                       np.concatenate([mid, hi_a]))
             left, right = rules[:k], rules[k:]
             fine = left + right
             finite = _per_interval(np.isfinite(fine)).all(axis=1)

@@ -658,16 +658,12 @@ def _rowdot(x, y):
     """x[k] @ y[k] for each row k, its products summed left to right.
 
     Near a pole the Lorentz normal is almost null and (N|N) cancels by
-    several digits, so the summation order shows in H and Q.  Elementwise
-    sums give a row the same bits in any batch; a BLAS product does not
-    (OpenBLAS's Prescott kernel rounds a row by its memory alignment), and
-    then frame_and_curvature would part from frame_sweep.
+    several digits, so the summation order shows in H and Q.  A BLAS
+    product may round a row by its batch or its alignment (OpenBLAS's
+    Prescott kernel does); elementwise sums keep frame_sweep equal to
+    frame_and_curvature bit for bit.
     """
-    terms = x * y
-    total = terms[:, 0]
-    for k in range(1, terms.shape[1]):
-        total = total + terms[:, k]
-    return total
+    return sum((x * y).T)
 
 
 def _padded(patch):
