@@ -39,7 +39,6 @@ _K15_HALF = np.array([
 # the 15 nodes from -1 to 1, and the weights as the rows K15, G7
 _KRONROD_X = np.concatenate([-_K15_HALF[:-1, 0], _K15_HALF[::-1, 0]])
 _KRONROD_W = np.concatenate([_K15_HALF[:-1, 1:], _K15_HALF[::-1, 1:]]).T.copy()
-# the rounding floor per unit of sum w (|Re f| + |Im f|)
 _EPS = np.finfo(float).eps
 _NODE_CACHE = {}
 _MATRIX_CACHE = {}
@@ -106,11 +105,10 @@ def _kronrod(f, starts, ends):
     kron = np.add.reduce(terms, axis=0)
     gauss = np.add.reduce(_KRONROD_W[1][1::2, None] * parts[1::2], axis=0)
     mass = np.add.reduce(np.abs(terms, out=terms), axis=0)
-    scale = half[:, None]
-    kron, gauss = ((r.view(complex).reshape(half.size, -1) * scale).reshape(shape)
-                   for r in (kron, gauss))
-    floor = (mass[0::2] + mass[1::2]).reshape(half.size, -1) * np.abs(scale)
-    return kron, gauss, (_EPS * floor).reshape(shape)
+    scale = half.reshape((-1,) + (1,) * (len(shape) - 1))
+    kron, gauss = (r.view(complex).reshape(shape) * scale for r in (kron, gauss))
+    floor = (mass[0::2] + mass[1::2]).reshape(shape) * (_EPS * np.abs(scale))
+    return kron, gauss, floor
 
 
 def _per_interval(a):
