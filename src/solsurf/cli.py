@@ -42,6 +42,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 import time
 from functools import partial
@@ -382,24 +383,144 @@ def _quad_triangles(valid, index):
 
 _CHUNK_ROWS = 4096
 
+# "%04d" % i for i < 10**4, as four ASCII bytes, and its trailing zeros
+_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48
+_TRAILING = sum(np.arange(10000) % 10 ** t == 0 for t in range(1, 5))
+_GROUPS = _DIGITS4.view(np.uint32)[:, 0]
+# the same with a NUL after each digit, as one uint64
+_SPREAD = np.stack([_DIGITS4, 0 * _DIGITS4], axis=2).reshape(-1, 8) \
+    .view(np.uint64)[:, 0]
+# _SHOWN[s] keeps the last s of the 20 bytes of five groups
+_SHOWN = (np.where(np.arange(20) >= 20 - np.arange(21)[:, None], 255, 0)
+          .astype(np.uint8).view(np.uint32))
 
-def _write_rows(fh, template, arr):
-    """Write each row of a 2-D array through the %-template of one row.
 
-    Each chunk of _CHUNK_ROWS rows is formatted by one % of the template
-    repeated, so that the writers never hold every vertex or face as
-    Python objects at once.
+def _split(a):
+    # Veltkamp: a = hi + lo, each with at most 26 significant bits
+    c = a * 134217729.0
+    return c - (c - a), a - (c - (c - a))
+
+
+_POW10 = np.array([float(10 ** p) for p in range(23)])     # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _fixed_tables():
+    """Masks and constant bytes of a 40-byte '%.17g' cell in fixed form,
+    five uint64 each, by row (k + 4) 17 + last.
+
+    The cell is the sign, the "0.000" lead of an exponent k < 0, then
+    digit j at byte 6 + 2j with a slot for the point after it.  Digit j
+    shows while j <= max(k, last), last the index of the last nonzero
+    digit, and the point follows digit k >= 0 when last > k.
     """
-    for k in range(0, len(arr), _CHUNK_ROWS):
-        block = arr[k:k + _CHUNK_ROWS]
-        fh.write((template * len(block)) % tuple(block.ravel().tolist()))
+    k, last = np.ogrid[-4:16, :17]
+    k, last, b = k[..., None], last[..., None], np.arange(40)
+    j = (b - 6) // 2
+    lead = (b >= 1) & (b <= 1 - k) & (k < 0)
+    point = (b >= 7) & (b % 2 == 1) & (j == k) & (last > k) | lead & (b == 2)
+    digit = (b >= 6) & (b % 2 == 0) & (j <= np.maximum(k, last))
+    return [t.astype(np.uint8).view(np.uint64).reshape(-1, 5)
+            for t in (255 * digit, np.select([point, lead], [46, 48]))]
+
+
+_FIXED_MASK, _FIXED_CONST = _fixed_tables()
+
+
+def _digit_groups(n, count):
+    """(len(n), count): the last count four-digit groups of each v >= 0 of
+    the integer array n, most significant first."""
+    groups = np.empty((len(n), count), n.dtype)
+    for j in range(count - 1, -1, -1):
+        high = n // 10000
+        groups[:, j] = n - high * 10000
+        n = high
+    return groups
+
+
+def _float_cells(x):
+    """(len(x), 40) uint8: '%.17g' % v for each v of x, NUL-padded.
+
+    For 1e-4 <= |v| < 1e16, %g prints the integer D nearest to
+    |v| 10**(16 - k), ties to even, with 10**16 <= D < 10**17, in the
+    fixed form of _fixed_tables.  hi + lo = |v| 10**(16 - k) exactly
+    (Dekker's product); hi >= 10**16 > 2**53 is an even integer, so rint
+    rounds lo's ties to even as D must, and no double is near enough
+    below a power of ten to round up to it.  Other values go through %.
+    """
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e16)
+    a = np.where(fast, ax, 1.0)
+    ah, al = _split(a)
+    k = np.floor(np.log10(a)).astype(np.intp)
+    while True:                 # log10 may round across a power of ten
+        bh, bl = _POW10_HI[16 - k], _POW10_LO[16 - k]
+        hi = a * _POW10[16 - k]
+        lo = al * bl - (((hi - ah * bh) - al * bh) - ah * bl)
+        step = (((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.intp)
+                - ((hi < 1e16) | (hi == 1e16) & (lo < 0)))
+        if not step.any():
+            break
+        k += step
+    groups = _digit_groups(hi.astype(np.int64) + np.rint(lo).astype(np.int64),
+                           5)           # the lead digit, then 4 x 4 digits
+    last = np.full(len(x), 16)
+    tail = np.ones(len(x), bool)        # the digits after group j are 0
+    for j in range(4, 0, -1):
+        last -= tail * _TRAILING[groups[:, j]]
+        tail &= groups[:, j] == 0
+    row = (k + 4) * 17 + last
+    cells = (np.take(_SPREAD, groups) & np.take(_FIXED_MASK, row, axis=0)
+             | np.take(_FIXED_CONST, row, axis=0)).view(np.uint8)
+    cells[x < 0, 0] = 45
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [b"%.17g" % v for v in x[slow].tolist()]
+        cells[slow] = np.array(text, "S40").view(np.uint8).reshape(-1, 40)
+    return cells
+
+
+def _int_cells(n):
+    """(len(n), 4 m) uint8: '%d' % v for each v >= 0 of the integer array
+    n, NUL-padded; m groups of four digits hold max(n)."""
+    count = -(-len(str(int(n.max(initial=0)))) // 4)
+    shown = np.ones(len(n), np.intp)    # the digits of v
+    for p in range(1, 4 * count):
+        shown += n >= 10 ** p
+    return (np.take(_GROUPS, _digit_groups(n, count))
+            & np.take(_SHOWN[:, -count:], shown, axis=0)).view(np.uint8)
+
+
+def _format_rows(template, arr):
+    """Yield the bytes of template % tuple(row) for the rows of the 2-D
+    array arr, _CHUNK_ROWS rows at a time, equal to what % gives.
+
+    template holds literal text and a %.17g per column of arr, or a %d per
+    column.  A chunk is one uint8 array of the literals and each value's
+    NUL-padded cell, a row per array row, whose bytes are yielded without
+    the NULs.
+    """
+    parts = re.split(r"(%\.17g|%d)", template)
+    cells = {"%.17g": _float_cells, "%d": _int_cells}[parts[1]]
+    assert set(parts[1::2]) == {parts[1]}, template
+    literals = [np.frombuffer(p.encode(), np.uint8) for p in parts[::2]]
+    for start in range(0, len(arr), _CHUNK_ROWS):
+        block = arr[start:start + _CHUNK_ROWS]
+        values = cells(block.ravel()).reshape(block.shape + (-1,))
+        pieces = [None] * len(parts)
+        pieces[::2] = [np.broadcast_to(p, (len(block), p.size))
+                       for p in literals]
+        pieces[1::2] = values.swapaxes(0, 1)
+        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
 
 
 def write_obj(patch, path):
     """ASCII OBJ, row-major vertices, quads split into two triangles.
 
     For Lorentz targets the written coordinates are (X1, X2, X3); the X0
-    component precedes each vertex as a comment line.
+    component precedes each vertex as a comment line.  Each coordinate is
+    written as '%.17g' gives it, which holds the sampled double exactly,
+    each index as '%d'; lines end in '\\n' on every platform.
     """
     index, count = _vertex_index_map(patch.valid)
     tris = _quad_triangles(patch.valid, index + 1)      # OBJ counts from 1
@@ -408,18 +529,19 @@ def write_obj(patch, path):
     if patch.points.shape[-1] == 4:
         # Lorentz points are (X0, X1, X2, X3)
         vertex = "# x0 %.17g\n" + vertex
-    with open(path, "w") as fh:
-        fh.write("# surface mesh, target %s, %d x %d grid\n"
-                 % (patch.target, ny, nx))
-        _write_rows(fh, vertex, patch.points[patch.valid])
-        _write_rows(fh, "f %d %d %d\n", tris)
+    with open(path, "wb") as fh:
+        fh.write(b"# surface mesh, target %s, %d x %d grid\n"
+                 % (patch.target.encode(), ny, nx))
+        fh.writelines(_format_rows(vertex, patch.points[patch.valid]))
+        fh.writelines(_format_rows("f %d %d %d\n", tris))
     return count, len(tris)
 
 
 def write_ply(patch, path):
     """ASCII PLY mirroring the OBJ layout, with x0 as an extra property.
-    The vertex properties are declared double: each is written with 17
-    significant digits, which a float (32-bit) reader would round."""
+    The vertex properties are declared double: each is written as '%.17g'
+    gives it, 17 significant digits, which a float (32-bit) reader would
+    round.  Lines end in '\\n' on every platform."""
     index, count = _vertex_index_map(patch.valid)
     tris = _quad_triangles(patch.valid, index)
     verts = patch.points[patch.valid]
@@ -427,17 +549,17 @@ def write_ply(patch, path):
     if lorentz:
         verts = verts[:, [1, 2, 3, 0]]      # x y z x0
     vertex = " ".join(["%.17g"] * verts.shape[-1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("ply\nformat ascii 1.0\n")
-        fh.write("comment surface mesh, target %s\n" % patch.target)
-        fh.write("element vertex %d\n" % count)
-        fh.write("property double x\nproperty double y\nproperty double z\n")
+    with open(path, "wb") as fh:
+        fh.write(b"ply\nformat ascii 1.0\n")
+        fh.write(b"comment surface mesh, target %s\n" % patch.target.encode())
+        fh.write(b"element vertex %d\n" % count)
+        fh.write(b"property double x\nproperty double y\nproperty double z\n")
         if lorentz:
-            fh.write("property double x0\n")
-        fh.write("element face %d\n" % len(tris))
-        fh.write("property list uchar int vertex_indices\nend_header\n")
-        _write_rows(fh, vertex, verts)
-        _write_rows(fh, "3 %d %d %d\n", tris)
+            fh.write(b"property double x0\n")
+        fh.write(b"element face %d\n" % len(tris))
+        fh.write(b"property list uchar int vertex_indices\nend_header\n")
+        fh.writelines(_format_rows(vertex, verts))
+        fh.writelines(_format_rows("3 %d %d %d\n", tris))
     return count, len(tris)
 
 

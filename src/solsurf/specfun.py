@@ -300,15 +300,18 @@ def erf_array(z):
     out = np.full(flat.shape, complex(math.nan, math.nan))
     with np.errstate(all="ignore"):
         z2 = flat * flat
-        ok = np.isfinite(flat) & (np.abs(flat) <= ERF_RADIUS)
+        ok = np.abs(flat) <= ERF_RADIUS     # False at NaN and infinities
         scaled = z2.real >= 0.0
-        # each element's first series, then the other one where that left NaN
-        for first in (True, False):
-            for sel, series in ((scaled == first, _erf_scaled_array),
-                                (scaled != first, _erf_maclaurin_array)):
-                idx = np.flatnonzero(ok & sel & np.isnan(out))
-                if idx.size:
-                    out[idx] = series(flat[idx], z2[idx])
+        picks = (np.flatnonzero(ok & scaled), np.flatnonzero(ok & ~scaled))
+        series = (_erf_scaled_array, _erf_maclaurin_array)
+        for idx, first in zip(picks, series):
+            if idx.size:
+                out[idx] = first(flat[idx], z2[idx])
+        # the other series, where the first one refused
+        for idx, other in zip(picks, series[::-1]):
+            idx = idx[np.isnan(out[idx])]
+            if idx.size:
+                out[idx] = other(flat[idx], z2[idx])
     return out.reshape(z.shape)
 
 

@@ -159,6 +159,20 @@ class TestErf(unittest.TestCase):
         self.assertLess(abs(erf_c(z) - want), 1e-12)
         self.assertLess(abs(erf_array(np.array([z]))[0] - want), 1e-12)
 
+    def test_refused_point_in_a_batch(self):
+        # the point above among points that each series takes at once:
+        # it still gets the Maclaurin value, and every element equals
+        # erf_array of that element alone to rounding (numpy's SIMD loops
+        # can round an element by its place in the array)
+        z = np.array([0.3 + 0.1j, -2.1335 + 2.0714j, 0.2 + 1.5j, 2.0 - 0.5j,
+                      1.0 + 3.0j, complex(np.nan, 0.0), 9.0 + 0j])
+        got = erf_array(z)
+        self.assertLess(abs(got[1] - (-1.14362057435290022
+                                      - 0.01881729275001036j)), 1e-12)
+        alone = np.array([erf_array(z[k:k + 1])[0] for k in range(z.size)])
+        np.testing.assert_allclose(got, alone, rtol=1e-15)
+        self.assertEqual(np.isnan(got).tolist(), [False] * 5 + [True] * 2)
+
     def test_odd_function(self):
         for z in (0.5 + 0.5j, 1.5 - 0.3j, 2.0j):
             self.assertLess(abs(erf_c(z) + erf_c(-z)), 1e-12)
