@@ -45,7 +45,8 @@ import math
 import re
 import sys
 import time
-from functools import partial
+from functools import cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -385,19 +386,6 @@ def _quad_triangles(valid, index):
 # rows they raised the peak RSS of a 128^2 write by 3.8 MB
 _CHUNK_ROWS = 1024
 
-# "%04d" % i for i < 10**4, as four ASCII bytes, and its trailing zeros
-_DIGITS4 = np.indices((10,) * 4, np.uint8).reshape(4, -1).T.copy() + 48
-_TRAILING = np.zeros(10000, np.uint8)
-for _step in (10, 100, 1000, 10000):
-    _TRAILING[::_step] += 1
-_GROUPS = _DIGITS4.view(np.uint32)[:, 0]
-# the same with a NUL after each digit, as one uint64
-_SPREAD = np.stack([_DIGITS4, 0 * _DIGITS4], axis=2).reshape(-1, 8) \
-    .view(np.uint64)[:, 0]
-# _SHOWN[s] keeps the last s of the 20 bytes of five groups
-_SHOWN = (np.where(np.arange(20) >= 20 - np.arange(21)[:, None], 255, 0)
-          .astype(np.uint8).view(np.uint32))
-
 
 def _split(a):
     # Veltkamp: a = hi + lo, each with at most 26 significant bits
@@ -409,28 +397,46 @@ _POW10 = np.array([float(10 ** p) for p in range(23)])     # exact doubles
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def _fixed_tables():
-    """Masks and constant bytes of a 40-byte '%.17g' cell in fixed form,
-    five uint64 each, by row (k + 4) 17 + last.
+@cache
+def _tables():
+    """The row formatter's lookup tables, built at its first use.
 
-    The cell is the sign, the "0.000" lead of an exponent k < 0, then
-    digit j at byte 6 + 2j with a slot for the point after it.  Digit j
-    shows while j <= max(k, last), last the index of the last nonzero
-    digit, and the point follows digit k >= 0 when last > k.
+    group: "%04d" % i for i < 10**4, four ASCII bytes in a uint32;
+    spread: the same with a NUL after each digit, in a uint64;
+    trailing: the trailing zeros of "%04d" % i;
+    shown: shown[s] keeps the last s of the 20 bytes of five groups;
+    mask, const: the bytes kept and the bytes set in a 40-byte '%.17g'
+    cell in fixed form, five uint64 each, by row (k + 4) 17 + last.  The
+    cell is the sign, the "0.000" lead of an exponent k < 0, then digit j
+    at byte 6 + 2j with a slot for the point after it.  Digit j shows
+    while j <= max(k, last), last the index of the last nonzero digit,
+    and the point follows digit k >= 0 when last > k.
     """
+    byte = np.uint8
+    digits = np.empty((10,) * 4 + (4,), byte)
+    for j in range(4):
+        digits[..., j] = np.arange(48, 58, dtype=byte).reshape(
+            (10,) + (1,) * (3 - j))
+    digits = digits.reshape(10000, 4)
+    trailing = np.zeros(10000, byte)
+    for step in (10, 100, 1000, 10000):
+        trailing[::step] += 1
     k, last = np.ogrid[-4:16, :17]
     k, last, b = k[..., None], last[..., None], np.arange(40)
     j = (b - 6) // 2
     lead = (b >= 1) & (b <= 1 - k) & (k < 0)
     point = (b >= 7) & (b % 2 == 1) & (j == k) & (last > k) | lead & (b == 2)
     digit = (b >= 6) & (b % 2 == 0) & (j <= np.maximum(k, last))
-    byte = np.uint8
-    return [t.view(np.uint64).reshape(-1, 5) for t in (
+    mask, const = [t.view(np.uint64).reshape(-1, 5) for t in (
         np.where(digit, byte(255), byte(0)),
         np.where(point, byte(46), np.where(lead, byte(48), byte(0))))]
-
-
-_FIXED_MASK, _FIXED_CONST = _fixed_tables()
+    return SimpleNamespace(
+        group=digits.view(np.uint32)[:, 0], trailing=trailing,
+        spread=np.stack([digits, 0 * digits], axis=2).reshape(-1, 8)
+        .view(np.uint64)[:, 0],
+        shown=np.where(np.arange(20) >= 20 - np.arange(21)[:, None],
+                       byte(255), byte(0)).view(np.uint32),
+        mask=mask, const=const)
 
 
 def _digit_groups(n, count):
@@ -449,7 +455,7 @@ def _float_cells(x):
 
     For 1e-4 <= |v| < 1e16, %g prints the integer D nearest to
     |v| 10**(16 - k), ties to even, with 10**16 <= D < 10**17, in the
-    fixed form of _fixed_tables.  hi + lo = |v| 10**(16 - k) exactly
+    fixed form of _tables.  hi + lo = |v| 10**(16 - k) exactly
     (Dekker's product); hi >= 10**16 > 2**53 is an even integer, so rint
     rounds lo's ties to even as D must, and no double is near enough
     below a power of ten to round up to it.  Other values go through %.
@@ -470,15 +476,16 @@ def _float_cells(x):
         k += step
     groups = _digit_groups(hi.astype(np.int64) + np.rint(lo).astype(np.int64),
                            5)           # the lead digit, then 4 x 4 digits
+    tables = _tables()
     last = np.full(len(x), 16)
     tail = np.ones(len(x), bool)        # the digits after group j are 0
     for j in range(4, 0, -1):
-        last -= tail * _TRAILING[groups[:, j]]
+        last -= tail * tables.trailing[groups[:, j]]
         tail &= groups[:, j] == 0
     row = (k + 4) * 17 + last
-    words = np.take(_SPREAD, groups)
-    words &= np.take(_FIXED_MASK, row, axis=0)
-    words |= np.take(_FIXED_CONST, row, axis=0)
+    words = np.take(tables.spread, groups)
+    words &= np.take(tables.mask, row, axis=0)
+    words |= np.take(tables.const, row, axis=0)
     cells = words.view(np.uint8)
     cells[x < 0, 0] = 45
     slow = np.flatnonzero(~fast)
@@ -495,8 +502,9 @@ def _int_cells(n):
     shown = np.ones(len(n), np.intp)    # the digits of v
     for p in range(1, 4 * count):
         shown += n >= 10 ** p
-    return (np.take(_GROUPS, _digit_groups(n, count))
-            & np.take(_SHOWN[:, -count:], shown, axis=0)).view(np.uint8)
+    tables = _tables()
+    return (np.take(tables.group, _digit_groups(n, count))
+            & np.take(tables.shown[:, -count:], shown, axis=0)).view(np.uint8)
 
 
 def _format_rows(template, arr):
