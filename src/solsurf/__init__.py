@@ -8,10 +8,6 @@ invariants (conformality, curvature, compatibility residuals) and a bridge
 to scalar second-order ODEs.
 """
 
-from .mcore import (SIGMA1, SIGMA2, SIGMA3, ID2, EPS, NotHermitian,
-                    NotUnimodular, dagger, det2, hermitian_from_lorentz,
-                    lorentz_from_hermitian, lorentz_inner, lorentz_inner_c,
-                    inner_from_matrices, rho_action)
 from .specfun import (SeriesResult, PoleInParameter, erf_series, erf_c,
                       kummer_series, kummer_c, gamma_half, hermite_h)
 from .expr import (Expr, ExprSyntaxError, UnknownFunction, UnknownIdentifier,

@@ -284,6 +284,17 @@ def gmc_residual(fields, z):
     return (r1, r2) if array else (complex(r1), complex(r2))
 
 
+def _lax_entries(fields, u_z, z):
+    """The Lax pair's entries (u_z/4, Q e^{-u/2}, (1/2) e^{u/2} (lambda + H),
+    (1/2) e^{u/2} (lambda - H)) at z, given u_z there: one complex, or a
+    numpy array of points under np.errstate(all="ignore")."""
+    uv, qv = fields.u(z), fields.Q(z)
+    # math.exp raises OverflowError where numpy returns inf
+    eu_half = np.exp(0.5 * uv) if isinstance(z, np.ndarray) else math.exp(0.5 * uv)
+    return (0.25 * u_z, qv / eu_half, 0.5 * eu_half * (fields.lam + fields.H),
+            0.5 * eu_half * (fields.lam - fields.H))
+
+
 def build_UV(fields, u_z, z):
     """Lax pair (U, V) at z, given the Wirtinger derivative u_z there.
 
@@ -291,29 +302,23 @@ def build_UV(fields, u_z, z):
     V = -U, so Phi stays unitary.  z may be a numpy array of points, with
     u_z of its shape: U and V are then arrays of shape z.shape + (2, 2).
     """
-    if isinstance(z, np.ndarray):
-        uv, qv = fields.u(z), fields.Q(z)
-        with np.errstate(all="ignore"):
-            eu_half = np.exp(0.5 * uv)
-            a = 0.25 * u_z
-            off = qv / eu_half
-        return (_matrices(a, -off, 0.5 * eu_half * (fields.lam + fields.H), -a),
-                _matrices(-a, off, 0.5 * eu_half * (fields.lam - fields.H), a))
-    z = complex(z)
-    uv = float(fields.u(z))
-    qv = complex(fields.Q(z))
-    eu_half = math.exp(0.5 * uv)
-    a = 0.25 * complex(u_z)
-    off = qv / eu_half
-    U = np.array([[a, -off],
-                  [0.5 * eu_half * (fields.lam + fields.H), -a]], dtype=complex)
-    V = np.array([[-a, off],
-                  [0.5 * eu_half * (fields.lam - fields.H), a]], dtype=complex)
-    return U, V
+    with np.errstate(all="ignore"):
+        a, off, plus, minus = _lax_entries(fields, u_z, z)
+    return _matrices(a, -off, plus, -a), _matrices(-a, off, minus, a)
+
+
+def lax_coefficient(fields, u_z, z, d):
+    """The row-major entries of U d + V^H conj(d), with (U, V) the Lax
+    pair of build_UV at z: the full system's coefficient along a path
+    with tangent d, as propagate integrates it."""
+    a, off, plus, minus = _lax_entries(fields, u_z, z)
+    ad, od = a * d, off * d
+    return (ad - ad.conjugate(), (minus * d).conjugate() - od,
+            plus * d + od.conjugate(), ad.conjugate() - ad)
 
 
 def _matrices(a, b, c, d):
-    """The 2x2 matrices [[a, b], [c, d]] of same-shaped arrays."""
+    """The 2x2 matrices [[a, b], [c, d]] of same-shaped entries."""
     m = np.empty(np.shape(a) + (2, 2), dtype=complex)
     m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
     return m

@@ -166,8 +166,8 @@ def _lorentz4(y, lam, shift=0.0):
     wavefunction per element).
 
     Shift 0 is the Sym-type formula, shift 1 its origin-shifted form.  The
-    components are read off the Hermitian matrix as in mcore, whose
-    lorentz_from_hermitian the tests keep as the reference.  The entry
+    components (X0, X1, X2, X3) are those of the Hermitian matrix
+    X0 I + X1 s1 + X2 s2 + X3 s3 (s_k the Pauli matrices).  The entry
     products are written on the real parts, Re(conj(a) b) = ar br + ai bi
     and Im(conj(a) b) = ar bi - ai br, which round alike for Python floats
     and numpy arrays (and as Python's complex product does).
@@ -411,11 +411,11 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
     accumulates the classical integral.  Both ODE targets integrate the
     reduced (holomorphic) system Psi.  The full system's Phi is
     M(z)^{-1} Psi M(z0) with the gauge M unitary, so h3 is the Sym-type
-    image of Psi M(z0): the holomorphic sweep moved by the Lorentz
-    isometry rho(M(z0)) of mcore.rho_action.  Where the gauge is undefined
-    at z0, every h3 sample is masked.  system='reduced' makes h3 omit the
-    move.  Residual records: 'hyperboloid' and 'det_drift' for h3,
-    'x0_abs' and 'det_drift' for the limit target.
+    image of Psi M(z0): the holomorphic sweep moved by the isometry
+    X -> M(z0)^H X M(z0) of _lorentz4's Hermitian matrices.  Where the
+    gauge is undefined at z0, every h3 sample is masked.  system='reduced'
+    makes h3 omit the move.  Residual records: 'hyperboloid' and
+    'det_drift' for h3, 'x0_abs' and 'det_drift' for the limit target.
 
     The grid is probed first, by array evaluation of the data: points
     where eta, psi or psi' is not finite, or eta vanishes, are masked, as

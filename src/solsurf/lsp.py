@@ -5,7 +5,7 @@ Two systems share the integrator core.  The full system
 
     Phi_z = U Phi,   Phi_zbar = V^H Phi
 
-uses the Lax matrices of geom.build_UV over Lemma-2 fields; along a path
+uses the Lax pair of geom.build_UV over Lemma-2 fields; along a path
 gamma(t) it becomes dPhi/dt = (U gamma' + V^H conj(gamma')) Phi.  The
 reduced system
 
@@ -13,16 +13,18 @@ reduced system
 
 is holomorphic, so only gamma' enters.  Each system has one coefficient
 factory, (a, d, t) -> the four entries at a + t d on the segment from a
-by d: the full one applies geom.build_UV's Lax pair, the reduced one
-takes the closures of eta and psi, scalar or array, so the scalar hop,
-the sweep's table and reduced_coefficient share its entries.  Both
-systems are integrated by a hand-rolled adaptive Dormand-Prince 5(4)
-pair over plain 4-tuples of complex entries (the 2x2 hot path does not
-justify numpy dispatch per stage); step control is on the matrix
-max-norm and the determinant is left untouched, since raw det drift is
-itself a diagnostic.  propagate, one straight hop from a given value,
-is the one way into the scalar integrator: the path integrals and the
-gauge check hop segment by segment through it.
+by d: the full one takes them from geom.lax_coefficient, which assembles
+them from the same entries of the Lax pair as build_UV, with no 2x2
+array; the reduced one takes the closures of eta and psi, scalar or
+array, so the scalar hop, the sweep's table and reduced_coefficient
+share its entries.  Both systems are integrated by a hand-rolled
+adaptive Dormand-Prince 5(4) pair over plain 4-tuples of complex
+entries (the 2x2 hot path does not justify numpy dispatch per stage);
+step control is on the matrix max-norm and the determinant is left
+untouched, since raw det drift is itself a diagnostic.  propagate, one
+straight hop from a given value, is the one way into the scalar
+integrator: the path integrals and the gauge check hop segment by
+segment through it.
 
 The grid sampler sweeps the reduced system only.  The gauge of
 gauge_matrix gives Phi = M(z)^{-1} Psi M(z0) with M(z) unitary, so
@@ -59,8 +61,9 @@ from functools import partial
 import numpy as np
 
 from ._quad import QuadratureFailure, integration_matrix
-from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain, build_UV,
-                   fields_from_weierstrass, gmc_residual, wirtinger_pair)
+from .geom import (EVAL_ERRORS, DomainError, StencilOutOfDomain,
+                   fields_from_weierstrass, gmc_residual, lax_coefficient,
+                   wirtinger_pair)
 
 __all__ = [
     "PathSpec", "Wavefunction", "PoleClearanceViolated", "StepUnderflow",
@@ -407,15 +410,14 @@ def _reduced_coef(lam, eta_f, psi_f):
 
 
 def _full_coef(data):
-    """The full system's coefficient U d + V^H conj(d), with (U, V) the Lax
-    pair of geom.build_UV over the Weierstrass fields, at H = lambda;
-    DomainError where the fields degenerate."""
+    """The full system's coefficient U d + V^H conj(d), geom.lax_coefficient
+    over the Weierstrass fields, at H = lambda; DomainError where the
+    fields degenerate."""
     fields = fields_from_weierstrass(data)
 
     def coef(a, d, t):
         z = a + t * d
-        U, V = build_UV(fields, fields.u_z(z), z)
-        return tuple((U * d + V.conj().T * d.conjugate()).ravel().tolist())
+        return lax_coefficient(fields, fields.u_z(z), z, d)
 
     return coef
 
@@ -446,8 +448,9 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
     the grid sampler's hops, from the identity, that _integrate_lanes
     leaves unsettled.  No pole validation or compatibility probing.  y0
     and the result are 4-tuples (row-major 2x2 entries).  The full system
-    is integrated at H = lambda: H, which solbench/unitcost.py passes, may
-    only be None or lambda.
+    is integrated at H = lambda, over the coefficient U d + V^H conj(d)
+    of geom.lax_coefficient, four complex numbers per stage: H, which
+    solbench/unitcost.py passes, may only be None or lambda.
     """
     if H not in (None, data.lam):
         raise ValueError("H must be lambda = %r, got %r" % (data.lam, H))

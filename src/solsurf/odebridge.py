@@ -64,6 +64,12 @@ class AntiderivativeNode(Expr):
     domains; the array closure integrates all its points as one batch.
     The symbolic derivative is exact (the integrand); printing is
     informational only, this node is outside the parseable grammar.
+
+    Both closures integrate to a fixed absolute tolerance of 1e-12, so a
+    point fails once the integral's rounding passes it: NaN in the array
+    closure, QuadratureFailure in the scalar one.  For exp(z) from 0,
+    points fail here and there from z = 7.3 (|integral| about 1.5e3), and
+    all fail beyond z = 8.4 (about 4.5e3).
     """
     integrand: Expr
     base: complex

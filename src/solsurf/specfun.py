@@ -11,9 +11,10 @@ from one table per series, keyed only by the point's own magnitudes and
 filled on demand: an entry is the first term at which the series'
 stopping rule holds with the magnitudes at the upper edge of the entry's
 bin.  The rule is monotone in them, so the truncation bound holds at
-every point of the bin, and a point's value never depends on the other
-points of an array.  An erf SeriesResult's truncation_estimate is that
-tail bound at the point itself, for the degree the table gave.
+every point of the bin, and a point's series and degree never depend on
+the other points of an array (its value can, at rounding level; see
+erf_array).  An erf SeriesResult's truncation_estimate is that tail
+bound at the point itself, for the degree the table gave.
 """
 
 import cmath
@@ -290,8 +291,9 @@ def erf_array(z):
     The same two series, degree tables, Horner sums, rounding check and
     fallback to the other series as erf_series, with numpy's complex
     arithmetic, so each element agrees with erf_c at that point to
-    rounding.  Each element is summed to its own degree, read from its
-    own magnitudes, so its value does not depend on the other elements.
+    rounding.  Each element's series and degree depend on that element
+    alone; its value matches erf_array of the element alone to about
+    1e-15 relative, as numpy may round it by its place in the array.
     NaN marks |z| > 8, a non-finite argument, a sum that both series
     cancel beyond 1e-12, or no convergence within the term budget.
     """

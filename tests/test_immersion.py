@@ -16,7 +16,8 @@ from solsurf.immersion import (DomainRect, LambdaZero, DegenerateFrame,
                                _phi_vector_batch, sym_immersion, shifted_immersion,
                                enneper_weierstrass, loop_period,
                                sample_surface, frame_and_curvature)
-from solsurf.mcore import lorentz_from_hermitian, rho_action
+
+from hermitian_model import lorentz_from_hermitian, rho_action
 
 ENNEPER = {"eta": parse("1"), "psi": parse("z"), "z0": 0j}
 
@@ -78,7 +79,7 @@ class TestPointImmersion(unittest.TestCase):
 
 
 class TestImmersionOracle(unittest.TestCase):
-    """The tuple formula against the Hermitian-matrix model in mcore."""
+    """The tuple formula against the Hermitian-matrix model of the tests."""
 
     def check(self, got, phi, lam, shift):
         v = phi.value
@@ -277,7 +278,7 @@ class TestH3GaugeMove(unittest.TestCase):
         for eta, psi, z0 in self.CASES:
             data = self.data(eta, psi, z0)
             want = sample_surface(data, dom, "h3")
-            with mock.patch.object(solsurf.lsp, "build_UV", refuse):
+            with mock.patch.object(solsurf.lsp, "lax_coefficient", refuse):
                 got = sample_surface(data, dom, "h3")
             np.testing.assert_array_equal(got.valid, want.valid)
             np.testing.assert_array_equal(got.points, want.points)

@@ -10,7 +10,7 @@ import numpy as np
 import solsurf.lsp
 from solsurf.expr import parse
 from solsurf.geom import (DomainError, WeierstrassData, build_UV,
-                          fields_from_weierstrass)
+                          fields_from_weierstrass, lax_coefficient)
 from solsurf.lsp import (PathSpec, PoleClearanceViolated, BranchAmbiguity,
                          IncompatibleSystem, Wavefunction, propagate,
                          integrate_reduced, integrate_full, picard_series,
@@ -130,8 +130,8 @@ class TestFullIntegration(unittest.TestCase):
                             1e-13 * np.max(np.abs(want)))
 
     def test_full_hop_uses_the_geom_lax_pair(self):
-        with mock.patch.object(solsurf.lsp, "build_UV",
-                               wraps=build_UV) as lax_pair:
+        with mock.patch.object(solsurf.lsp, "lax_coefficient",
+                               wraps=lax_coefficient) as lax_pair:
             y = propagate(self.DATA, 0.0, 0.3 + 0.2j, (1, 0, 0, 1),
                           system="full")
         self.assertGreater(lax_pair.call_count, 0)

@@ -124,6 +124,38 @@ class TestFifteenPointRule(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
 
+class TestMendImportsNoMaskedArrays(unittest.TestCase):
+    """The kappa mend of the ODE targets' sweep finds its lines without
+    np.unique, which imports numpy.ma (1.1 MB) on its first call."""
+
+    def test_h3_mend_imports_no_masked_arrays(self):
+        # pole-verify's data at 17^2 takes the mend; the subprocess exits
+        # 2 if it does not, and 1 if numpy.ma is loaded after the run
+        code = ("import sys\n"
+                "import solsurf.immersion as im\n"
+                "from solsurf import DomainRect, WeierstrassData, parse\n"
+                "calls = []\n"
+                "sweep = im._sweep_grid\n"
+                "def counting(*args):\n"
+                "    weak, fix = args[-1]\n"
+                "    def counted(*a):\n"
+                "        calls.append(1)\n"
+                "        return fix(*a)\n"
+                "    return sweep(*args[:-1], (weak, counted))\n"
+                "im._sweep_grid = counting\n"
+                "data = WeierstrassData(eta=parse('1.011/z'), psi=parse('z'), "
+                "z0=0.9+0.9j, lam=0.8)\n"
+                "im.sample_surface(data, DomainRect(-1, 1, -1, 1, 17, 17), "
+                "'h3')\n"
+                "if not calls:\n"
+                "    sys.exit(2)\n"
+                "sys.exit('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=300)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+
+
 def depth_first_gl(f, a, b, tol, depth):
     """The adaptive rule as a depth-first recursion over a scalar f: the
     reference order of visits and of summation."""

@@ -59,3 +59,25 @@ def test_command_lines_run(tmp_path, monkeypatch):
         assert code == want, line
     for name in ("patch.obj", "report.json", "erf.ply"):
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def layout_modules():
+    """The module names that README's Layout block lists under
+    src/solsurf/, in their order."""
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("## Layout", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    assert block.startswith("src/solsurf/\n")
+    return re.findall(r"^  (\S+\.py) ", block, re.M)
+
+
+def test_layout_lists_every_module():
+    # a module enters and leaves the package with its line in the Layout
+    # block; the package's __init__.py and __main__.py are not listed
+    package = os.path.join(os.path.dirname(README), "src", "solsurf")
+    modules = sorted(name for name in os.listdir(package)
+                     if name.endswith(".py") and not name.startswith("__"))
+    listed = layout_modules()
+    assert len(listed) == len(set(listed)), listed
+    assert sorted(listed) == modules
