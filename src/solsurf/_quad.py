@@ -138,17 +138,17 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
     f maps a 1-D complex array of points to their values, one row per
     point (shape (m,) or (m, d)).  Its result is read before its next
     call and never written, so it may be a view into a buffer that f
-    reuses from call to call.  Each segment follows one rule.  The whole
-    segment is accepted at K15 when |K15 - G7| is at most tol, at 15
-    points.  Otherwise K15 is its whole-interval rule, and from there an
-    interval's K15 is compared with the summed K15 of its halves; the
-    interval is accepted when the largest difference is at most its
-    tolerance share, and otherwise split, each half taking half the
-    tolerance and one less depth.  No estimate reads below the rounding
-    floor of the rules it compares, so a tolerance under that floor is
-    never met by luck.  A segment fails when the summed rule on an
-    interval's halves is not finite, or an interval at depth 0 still
-    misses its share.
+    reuses from call to call.  tol is one number, or one per segment.
+    Each segment follows one rule.  The whole segment is accepted at K15
+    when |K15 - G7| is at most tol, at 15 points.  Otherwise K15 is its
+    whole-interval rule, and from there an interval's K15 is compared
+    with the summed K15 of its halves; the interval is accepted when the
+    largest difference is at most its tolerance share, and otherwise
+    split, each half taking half the tolerance and one less depth.  No
+    estimate reads below the rounding floor of the rules it compares, so
+    a tolerance under that floor is never met by luck.  A segment fails
+    when the summed rule on an interval's halves is not finite, or an
+    interval at depth 0 still misses its share.
 
     Open intervals advance together in bisection rounds, one call of f
     per round: every segment's leftmost _OPEN_PER_SEGMENT open intervals,
@@ -178,7 +178,8 @@ def adaptive_gl_batch(f, a, b, tol=1e-10):
         # whole-interval rule
         seg = np.flatnonzero(~accept)
         lo, hi, whole = lo[seg], hi[seg], whole[seg]
-        share = np.full(seg.size, float(tol))
+        share = np.broadcast_to(np.asarray(tol, dtype=float),
+                                failed.shape)[seg]
         depth = np.full(seg.size, _MAX_DEPTH)
         while seg.size:
             rank = np.arange(seg.size) - np.searchsorted(seg, seg)

@@ -56,8 +56,9 @@ import numpy as np
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _integrate_lanes,
-                  _mul4_array, _reduced_coef, gauge_matrix, propagate)
+from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _LaneWork,
+                  _integrate_lanes, _mul4_array, _reduced_coef, gauge_matrix,
+                  propagate)
 
 __all__ = [
     "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
@@ -492,11 +493,12 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
     (_mul4_array), and _sweep_grid fills one (4, ny, nx) grid of
     wavefunction entries from Psi(z0) = I.  Each batch of hops, both
     halves of _SWEEP_ROWS rows, is integrated from I in lock step
-    (lsp._integrate_lanes), whose first iteration tabulates the array
-    coefficient over all the batch's hops at the six stage times of one
-    full step in one call; the hop it leaves unsettled, the one still
-    running when every other has ended, goes through the scalar
-    propagate from _ID4, so the adaptive control stays _integrate_unit's.
+    (lsp._integrate_lanes, through work arrays that this sweep owns),
+    whose first iteration tabulates the array coefficient over all the
+    batch's hops at the six stage times of one full step in one call;
+    the hop it leaves unsettled, the one still running when every other
+    has ended, goes through the scalar propagate from _ID4, so the
+    adaptive control stays _integrate_unit's.
     T is accurate to about tol |T|, so where a hop shrinks the wavefunction
     T Psi is off by up to kappa tol relative, kappa = |T| |T^-1| being T's
     condition number.  Near a pole kappa reaches hundreds, so after each
@@ -519,11 +521,13 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
             valid[:] = False
     eta_a, _, psi_a, _ = data.array_functions()
     coef = _reduced_coef(lam, eta_a, psi_a)
+    # the lock-step stages' work arrays, for every batch of the sweep
+    work = _LaneWork()
 
     def lanes(za, zb, y):
         # the hops za -> zb from the (4, n) values y in lock step, the one
         # left unsettled by the scalar propagate
-        t, ok, failed = _integrate_lanes(coef, za, zb - za, y, tol)
+        t, ok, failed = _integrate_lanes(coef, za, zb - za, y, tol, work)
         for k in np.flatnonzero(~(ok | failed)):
             try:
                 # Python complex start values: numpy scalars step slower

@@ -43,7 +43,11 @@ one call with a (6, 1) t, a (6, 4, n) array, and each later iteration
 those of every running lane in one call with a (5, n) t.  The one lane
 left running when every other has ended is handed back unsettled, and
 the sampler hops it through propagate from _ID4: a single segment steps
-faster through the scalar integrator.
+faster through the scalar integrator.  The stages and the tables write
+into the work arrays of a _LaneWork, which one sweep of the sampler owns
+and drops when it returns, instead of into new arrays at every stage;
+the operations and their order are those of new arrays, so every value
+keeps its bits.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -153,7 +157,8 @@ class Wavefunction:
 _ID4 = (1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
 
-def _mul4(a, b):
+def _mul4(a, b, out=None):
+    # out: the array stages' output buffer, unused by the 4-tuples
     a11, a12, a21, a22 = a
     b11, b12, b21, b22 = b
     return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
@@ -184,8 +189,8 @@ _T_FLOOR = 1e-13
 _MAX_STEPS = 200000
 
 
-def _lc4(y, h, terms):
-    # y + h * sum(c * k) entrywise over the 4-tuples
+def _lc4(y, h, terms, out=None):
+    # y + h * sum(c * k) entrywise over the 4-tuples (out as in _mul4)
     r0, r1, r2, r3 = y
     for c, k in terms:
         ch = h * c
@@ -208,19 +213,82 @@ def _mul4_array(a, b):
     return p[:4] + p[4:]
 
 
-def _lc4_array(y, h, terms):
-    """_lc4 over (4, n) arrays, h a number or one step per column: the
-    products added to y one at a time in term order, each rounded as _lc4
-    rounds it."""
-    for c, k in terms:
-        y = y + (h * c) * k
-    return y
+# the rows of _LaneWork's buffer, each one complex per lane: the
+# coefficient table (24), the two factors of _mul4_array's products (16;
+# lc4's products use the first four rows, mul4 and lc4 never overlap),
+# errv, ynew and k7 (12), y2 .. y6 (4) and k2 .. k6 (20)
+_WORK_ROWS = 76
 
 
-# the 4-tuple arithmetic and its array form, for the stages of _dp_step
-_Ops = namedtuple("_Ops", "mul4 lc4 zero")
-_TUPLE_OPS = _Ops(_mul4, _lc4, (0.0j, 0.0j, 0.0j, 0.0j))
-_ARRAY_OPS = _Ops(_mul4_array, _lc4_array, 0.0j)
+class _LaneWork:
+    """Work arrays for the array stages of _dp_step, and the stage
+    operations over them, for the lanes of _integrate_lanes.
+
+    The sampler's sweep owns one: it passes it to each _integrate_lanes
+    call it makes and drops it when it returns.  The arrays live in one
+    flat buffer, allocated again only when more lanes arrive, which
+    stages(m) carves into contiguous arrays for m lanes; numpy can round
+    a complex product on a strided output apart from a contiguous one.
+    y2 .. y6 share one array, each read only by its own stage; errv,
+    ynew and k7 lie side by side in ek, so that one slice reads two of
+    them.  Every operation takes _lc4's and _mul4's operands in their
+    order and writes through a positional out, so the values are those
+    of fresh arrays bit for bit.  A stage's output holds until the next
+    step; what the integrator keeps of it, it copies.
+    """
+    zero = 0.0j
+
+    def __init__(self):
+        self._flat = np.empty(0, dtype=complex)
+        self._steps = np.empty(0, dtype=complex)
+        self.lanes = -1
+
+    def stages(self, m):
+        """The work arrays carved for m lanes: table, the (6, 4, m)
+        coefficient table, ek and out, _dp_step's outputs."""
+        if m != self.lanes:
+            if m * _WORK_ROWS > self._flat.size:
+                self._flat = np.empty(m * _WORK_ROWS, dtype=complex)
+                self._steps = np.zeros(m, dtype=complex)
+            w = self._flat[:m * _WORK_ROWS].reshape(_WORK_ROWS, m)
+            self.table = w[:24].reshape(6, 4, m)
+            self._ta, self._tb = w[24:32], w[32:40]
+            self._lo, self._hi = w[24:28], w[28:32]
+            self.ek = w[40:52].reshape(3, 4, m)
+            # _dp_step's outputs: the y-stages' array, ynew, errv, k2 .. k7
+            self.out = (w[52:56], self.ek[1], self.ek[0],
+                        *w[56:76].reshape(5, 4, m), self.ek[2])
+            # h c as a complex array whose imaginary parts stay 0: the
+            # product with k then casts nothing, and so needs no buffer
+            self._hc = self._steps[:m]
+            self._hc_re = self._hc.real
+            self.lanes = m
+        return self
+
+    def mul4(self, a, b, out):
+        # _mul4_array into out: its eight products in one product
+        a.take(_MUL_ROWS[0], 0, self._ta, "clip")
+        b.take(_MUL_ROWS[1], 0, self._tb, "clip")
+        np.multiply(self._ta, self._tb, self._ta)
+        return np.add(self._lo, self._hi, out)
+
+    def lc4(self, y, h, terms, out):
+        # _lc4 over the lanes into out, h one step per lane: the products
+        # added to y one at a time in term order, each rounded as _lc4
+        # rounds it
+        hc, hc_re, p = self._hc, self._hc_re, self._lo
+        for c, k in terms:
+            np.multiply(h, c, hc_re)
+            np.multiply(hc, k, p)
+            np.add(y, p, out)
+            y = out
+        return out
+
+
+# the 4-tuple arithmetic for the stages of _dp_step; _LaneWork is the
+# array form
+_Ops = namedtuple("_Ops", "mul4 lc4 zero out")
+_TUPLE_OPS = _Ops(_mul4, _lc4, (0.0j, 0.0j, 0.0j, 0.0j), (None,) * 9)
 
 
 def _dp_step(y, h, k1, c2, c3, c4, c5, c6, ops):
@@ -229,24 +297,28 @@ def _dp_step(y, h, k1, c2, c3, c4, c5, c6, ops):
     k1 = C(t) y; c2 .. c6 are the coefficient at t + C2 h, t + C3 h,
     t + C4 h, t + C5 h and t + h.  Returns (ynew, k7, errv), k7 =
     C(t + h) ynew and errv the embedded error estimate, in one term order
-    for the 4-tuples of _integrate_unit and the arrays of
-    _integrate_lanes, whose h holds one step per lane.
+    for the 4-tuples of _integrate_unit (ops _TUPLE_OPS) and the arrays
+    of _integrate_lanes (ops a _LaneWork, into whose arrays ops.out each
+    stage writes), whose h holds one step per lane.
     """
     mul4, lc4 = ops.mul4, ops.lc4
-    y2 = lc4(y, h, ((_A21, k1),))
-    k2 = mul4(c2, y2)
-    y3 = lc4(y, h, ((_A31, k1), (_A32, k2)))
-    k3 = mul4(c3, y3)
-    y4 = lc4(y, h, ((_A41, k1), (_A42, k2), (_A43, k3)))
-    k4 = mul4(c4, y4)
-    y5 = lc4(y, h, ((_A51, k1), (_A52, k2), (_A53, k3), (_A54, k4)))
-    k5 = mul4(c5, y5)
-    y6 = lc4(y, h, ((_A61, k1), (_A62, k2), (_A63, k3), (_A64, k4), (_A65, k5)))
-    k6 = mul4(c6, y6)
-    ynew = lc4(y, h, ((_B1, k1), (_B3, k3), (_B4, k4), (_B5, k5), (_B6, k6)))
-    k7 = mul4(c6, ynew)
+    ys, yn, ye, o2, o3, o4, o5, o6, o7 = ops.out
+    y2 = lc4(y, h, ((_A21, k1),), ys)
+    k2 = mul4(c2, y2, o2)
+    y3 = lc4(y, h, ((_A31, k1), (_A32, k2)), ys)
+    k3 = mul4(c3, y3, o3)
+    y4 = lc4(y, h, ((_A41, k1), (_A42, k2), (_A43, k3)), ys)
+    k4 = mul4(c4, y4, o4)
+    y5 = lc4(y, h, ((_A51, k1), (_A52, k2), (_A53, k3), (_A54, k4)), ys)
+    k5 = mul4(c5, y5, o5)
+    y6 = lc4(y, h, ((_A61, k1), (_A62, k2), (_A63, k3), (_A64, k4),
+                    (_A65, k5)), ys)
+    k6 = mul4(c6, y6, o6)
+    ynew = lc4(y, h, ((_B1, k1), (_B3, k3), (_B4, k4), (_B5, k5), (_B6, k6)),
+               yn)
+    k7 = mul4(c6, ynew, o7)
     errv = lc4(ops.zero, h, ((_E1, k1), (_E3, k3), (_E4, k4), (_E5, k5),
-                             (_E6, k6), (_E7, k7)))
+                             (_E6, k6), (_E7, k7)), ye)
     return ynew, k7, errv
 
 
@@ -310,21 +382,25 @@ _UNIT_NODES = (0.0, _C2, _C3, _C4, _C5, 1.0)
 _NODE_AXIS = np.array(_UNIT_NODES)[:, None]
 
 
-def _integrate_lanes(coef, a, d, y, tol):
+def _integrate_lanes(coef, a, d, y, tol, work=None):
     """_integrate_unit for n segments in lock step, one lane per segment.
 
     coef is a coefficient factory over array closures (_reduced_coef), a
     and d the (n,) segment starts and directions, y the (4, n) start
-    values.  Each lane keeps its own t, h, k1 and |y| and takes
-    _integrate_unit's decisions: the same stages with its own h (_dp_step,
-    terms added in the scalar order), the same shrink and grow rules, the
-    _T_FLOOR step floor and the step budget.  A coefficient that is not
-    evaluable at the segment start, and an error estimate or |y| that
-    overflows (OverflowError in Python's abs), fail the lane, as
-    _integrate_unit raises there.  The first iteration is the step h = 1
-    from t = 0 over one coefficient call at the six _UNIT_NODES; each
-    later one makes one call at the five new stage times of every lane
-    still running.
+    values.  The stages and the coefficient table write into the arrays
+    of work, a _LaneWork, which the caller owns and may pass to call
+    after call; without one, the call makes its own.  Either way the
+    results are those of fresh arrays bit for bit, and the arrays
+    returned are the call's own: none is a view of work.  Each lane
+    keeps its own t, h, k1 and |y| and takes _integrate_unit's
+    decisions: the same stages with its own h (_dp_step, terms added in
+    the scalar order), the same shrink and grow rules, the _T_FLOOR step
+    floor and the step budget.  A coefficient that is not evaluable at
+    the segment start, and an error estimate or |y| that overflows
+    (OverflowError in Python's abs), fail the lane, as _integrate_unit
+    raises there.  The first iteration is the step h = 1 from t = 0 over
+    one coefficient call at the six _UNIT_NODES; each later one makes
+    one call at the five new stage times of every lane still running.
 
     Returns (y, settled, failed): the values at t = 1 where settled.  A
     lane in neither is the one left running when every other has ended;
@@ -337,6 +413,8 @@ def _integrate_lanes(coef, a, d, y, tol):
     or fewer steps to the same failure.  Call under
     np.errstate(all="ignore").
     """
+    if work is None:
+        work = _LaneWork()
     n = a.size
     out = np.full_like(y, np.nan)
     settled = np.zeros(n, dtype=bool)
@@ -345,17 +423,19 @@ def _integrate_lanes(coef, a, d, y, tol):
     t = np.zeros(n)
     h = np.ones(n)
     ymax = np.abs(y).max(axis=0)
-    c = np.stack(coef(a, d, _NODE_AXIS), axis=-2)
+    st = work.stages(n)
+    c = np.stack(coef(a, d, _NODE_AXIS), -2, st.table)
     k1 = _mul4_array(c[0], y)
     c = c[1:]
     stop = ~np.isfinite(k1).all(axis=0)
     for _ in range(_MAX_STEPS - 1):
-        ynew, k7, errv = _dp_step(y, h, k1, *c, _ARRAY_OPS)
-        err, ynewmax = np.abs(np.stack((errv, ynew))).max(axis=1)
+        ynew, k7, _ = _dp_step(y, h, k1, *c, st)
+        # ek holds errv, ynew and k7 side by side
+        err, ynewmax = np.abs(st.ek[:2]).max(axis=1)
         scale = tol * np.maximum(np.maximum(1.0, ymax), ynewmax)
         # a step to a non-finite value is retried at h / 4; an error
         # estimate or |y| that overflows ends the lane
-        ok = np.isfinite(np.stack((ynew, k7))).all(axis=(0, 1))
+        ok = np.isfinite(st.ek[1:]).all(axis=(0, 1))
         over = ok & ~(np.isfinite(err) & np.isfinite(scale))
         ok &= ~over
         accept = ok & (err <= scale)
@@ -381,7 +461,8 @@ def _integrate_lanes(coef, a, d, y, tol):
         if lane.size <= 1:
             return out, settled, failed
         h = np.minimum(h, 1.0 - t)
-        c = np.stack(coef(a, d, t + _NODE_AXIS[1:] * h), axis=-2)
+        st = work.stages(lane.size)
+        c = np.stack(coef(a, d, t + _NODE_AXIS[1:] * h), -2, st.table[:5])
     failed[lane] = True
     return out, settled, failed
 

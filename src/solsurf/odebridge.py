@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_gl, adaptive_gl_batch
+from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch
 from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    mul, neg, num_signed, pow_, simplify, sub, subst_params,
                    _exp_exponent, _factor_product, _poly_coeffs, _subtrees)
@@ -55,6 +55,11 @@ class OdeSpec:
     lam: float
 
 
+# the numeric antiderivative's tolerance, absolute, and relative to the
+# integral's size where the absolute one is not met
+_ANTIDERIVATIVE_TOL = 1e-12
+
+
 @dataclass(frozen=True, repr=False)
 class AntiderivativeNode(Expr):
     """Numeric antiderivative of an expression, vanishing at the base point.
@@ -65,11 +70,13 @@ class AntiderivativeNode(Expr):
     The symbolic derivative is exact (the integrand); printing is
     informational only, this node is outside the parseable grammar.
 
-    Both closures integrate to a fixed absolute tolerance of 1e-12, so a
-    point fails once the integral's rounding passes it: NaN in the array
-    closure, QuadratureFailure in the scalar one.  For exp(z) from 0,
-    points fail here and there from z = 7.3 (|integral| about 1.5e3), and
-    all fail beyond z = 8.4 (about 4.5e3).
+    Both closures integrate to _ANTIDERIVATIVE_TOL, absolute, and a
+    point that fails there once more to _ANTIDERIVATIVE_TOL max(1, |I|),
+    I the segment's 15-point Kronrod value: an absolute tolerance is not
+    met once the integral's rounding passes it (for exp(z) from 0, at
+    points from z = 7.3, |integral| about 1.5e3).  A point that passes
+    the first try keeps that value.  A point that fails both gives NaN in
+    the array closure and QuadratureFailure in the scalar one.
     """
     integrand: Expr
     base: complex
@@ -81,16 +88,36 @@ class AntiderivativeNode(Expr):
         f = self.integrand._compile(params, lib)
         base = self.base
         if not lib.array:
-            return lambda z: adaptive_gl(f, base, z, tol=1e-12)
+            def integral(z):
+                try:
+                    return adaptive_gl(f, base, z, tol=_ANTIDERIVATIVE_TOL)
+                except QuadratureFailure:
+                    size = abs(adaptive_gl(f, base, z, tol=math.inf))
+                    tol = _ANTIDERIVATIVE_TOL * max(1.0, size)
+                    return adaptive_gl(f, base, z, tol=tol)
+
+            return integral
+
+        def values(w):
+            return np.broadcast_to(f(w), w.shape)
 
         def integral(z):
-            # one batch of segments from the base to every point; a failed
-            # segment gives NaN where the scalar closure raises
+            # one batch of segments from the base to every point, and one
+            # of those that fail; a failed segment gives NaN where the
+            # scalar closure raises
             z = np.asarray(z, dtype=complex)
             pts = z.ravel()
-            total, _ = adaptive_gl_batch(
-                lambda w: np.broadcast_to(f(w), w.shape),
-                np.full(pts.shape, base), pts, tol=1e-12)
+            starts = np.full(pts.shape, base)
+            total, failed = adaptive_gl_batch(values, starts, pts,
+                                              tol=_ANTIDERIVATIVE_TOL)
+            redo = np.flatnonzero(failed)
+            if redo.size:
+                # tol infinite takes each segment's first K15 as it is
+                size = np.abs(adaptive_gl_batch(values, starts[redo],
+                                                pts[redo], tol=np.inf)[0])
+                total[redo] = adaptive_gl_batch(
+                    values, starts[redo], pts[redo],
+                    tol=_ANTIDERIVATIVE_TOL * np.fmax(1.0, size))[0]
             return total.reshape(z.shape)
 
         return integral

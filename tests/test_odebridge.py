@@ -1,9 +1,11 @@
 """Tests for the scalar-equation bridge and the error-function example."""
 
+import cmath
 import unittest
 
 import numpy as np
 
+from solsurf._quad import adaptive_gl, adaptive_gl_batch
 from solsurf.expr import Param, parse
 from solsurf.geom import EVAL_ERRORS, WeierstrassData
 from solsurf.immersion import DomainRect, LambdaZero
@@ -118,6 +120,36 @@ def _walk(e):
         v = getattr(e, name)
         if hasattr(v, "__dataclass_fields__"):
             yield from _walk(v)
+
+
+class TestAntiderivativeTolerance(unittest.TestCase):
+    """The numeric antiderivative meets 1e-12 absolute where it can, and
+    1e-12 relative where the integral's rounding passes that."""
+
+    def test_large_integral_to_relative_tolerance(self):
+        # exp(z) from 0 to 9 sums about 8.1e3, whose rounding exceeds an
+        # absolute 1e-12
+        node = AntiderivativeNode(parse("exp(z)"), 0j)
+        f, fa = node.compiled(), node.compiled_array()
+        want = np.expm1([8.4, 9.0])
+        got = fa(np.array([8.4, 9.0]))
+        np.testing.assert_array_less(abs(got - want), 1e-12 * want)
+        for got in (f(9.0), node.eval(9.0)):
+            self.assertLessEqual(abs(got - want[1]), 1e-12 * want[1])
+
+    def test_points_that_meet_the_absolute_tolerance_keep_their_value(self):
+        node = AntiderivativeNode(parse("exp(z)"), 0j)
+        zs = np.array([0.5, 4.0 + 1.0j, 6.0, 8.0, 9.0])
+        got = node.compiled_array()(zs)
+        want, failed = adaptive_gl_batch(np.exp, np.zeros(zs.size), zs,
+                                         tol=1e-12)
+        # the last point is the one retried
+        np.testing.assert_array_equal(failed, [False] * 4 + [True])
+        np.testing.assert_array_equal(got[:4].view(float),
+                                      want[:4].view(float))
+        f = node.compiled()
+        for z in zs[:4].tolist():
+            self.assertEqual(f(z), adaptive_gl(cmath.exp, 0j, z, tol=1e-12))
 
 
 class TestErfExampleData(unittest.TestCase):

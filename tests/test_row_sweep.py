@@ -760,9 +760,9 @@ class TestPropagateCalls(unittest.TestCase):
         (a, d, y) of every _integrate_lanes call."""
         batches = []
 
-        def recording(coef, a, d, y, tol):
+        def recording(coef, a, d, y, tol, work):
             batches.append((a.copy(), d.copy(), y.copy()))
-            return _integrate_lanes(coef, a, d, y, tol)
+            return _integrate_lanes(coef, a, d, y, tol, work)
 
         with mock.patch.object(solsurf.immersion, "propagate",
                                wraps=propagate) as counting, \
@@ -877,11 +877,11 @@ class TestMend(unittest.TestCase):
             data, domain = _data(name)
             starts = []
 
-            def recording(coef, a, d, y, tol):
+            def recording(coef, a, d, y, tol, work):
                 eye = np.zeros_like(y)
                 eye[[0, 3]] = 1.0
                 starts.append(not np.array_equal(y, eye))
-                return _integrate_lanes(coef, a, d, y, tol)
+                return _integrate_lanes(coef, a, d, y, tol, work)
 
             with mock.patch.object(solsurf.immersion, "_integrate_lanes",
                                    recording):
