@@ -28,24 +28,27 @@ e3-limit at each lambda.  Its table holds the largest entrywise deviation
 per lambda; a masked sample is a runtime error (exit 1), since the fit
 needs every point.
 
+Flags are spelled in full.  --flag value and --flag=value are the same,
+and a value may begin with '-' unless it is one of the command's flag
+names.  -h after a command lists its flags with their defaults.
+
 A configuration file (--config, plain key=value lines, '#' comments) may
-supply any long flag of its command by name, an on/off flag as true,
-false, 1 or 0, a --param binding as param.NAME; a key the command has no
-flag for is a usage error, and explicit flags win over the file.  A
-number that is nan or infinite is a usage error too.  Domain syntax is
-re_min:re_max:im_min:im_max.  --threads and the environment
-variable SOLSURF_THREADS are accepted for compatibility and have no
-effect: sampling runs on one thread.
+supply any flag of its command by name, an on/off flag as true, false, 1
+or 0 (as --perturb=VALUE does), a --param binding as param.NAME; a key
+the command has no flag for is a usage error, and explicit flags win
+over the file.  A number that is nan or infinite is a usage error too.
+Domain syntax is re_min:re_max:im_min:im_max.  --threads and the
+environment variable SOLSURF_THREADS are accepted for compatibility and
+have no effect: sampling runs on one thread.
 """
 
-import argparse
 import cmath
 import json
 import math
 import re
 import sys
 import time
-from functools import cache, partial
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,11 +71,6 @@ __all__ = ["main", "main_entry"]
 
 class UsageError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 # the number parsers, for flags, --param and config files alike, refuse
@@ -154,7 +152,7 @@ def _parse_out(text):
 
 
 def _parse_switch(text):
-    # an on/off flag's value: "true" from the flag, any of these from a file
+    # an on/off flag's value, from a file or --perturb[=VALUE]
     if text in ("true", "1"):
         return True
     if text in ("false", "0"):
@@ -174,68 +172,75 @@ _CONVERTERS = {
     "perturb": _parse_switch,
 }
 
-# the flags that take a value on the command line
-_FLAG_NAMES = sorted("--" + k for k in _CONVERTERS if k != "perturb")
+_HELP = ("-h", "--help")
 
 
-# the flags of each command, for its parser and for the keys its config
-# file may set, each mapped to its default: _REQUIRED marks a flag the
-# command cannot run without, None one with no default, which stays out
-# of the merged configuration until given.  "param" is the repeatable
-# --param name=value, which a config file writes as param.NAME = value
-_REQUIRED = object()
-_COMMAND_FLAGS = {
-    "generate": {"eta": _REQUIRED, "psi": _REQUIRED, "lambda": 1.0, "z0": 0j,
-                 "target": "h3", "domain": (-1.0, 1.0, -1.0, 1.0),
-                 "res": 33, "tol": 1e-8, "out": None, "report": None,
-                 "threads": 1, "config": None, "param": None},
-    "verify": {"eta": _REQUIRED, "psi": _REQUIRED, "lambda": 1.0, "z0": 0j,
-               "target": "h3", "domain": (-0.32, 0.32, -0.32, 0.32),
-               "res": 65, "tol": 1e-8, "report": None, "threads": 1,
-               "config": None, "perturb": False, "param": None},
-    "limit": {"eta": _REQUIRED, "psi": _REQUIRED, "z0": 0j,
-              "lambdas": [1e-1, 1e-2, 1e-3],
-              "domain": (-1.0, 1.0, -1.0, 1.0), "tol": 1e-10,
-              "report": None, "config": None, "param": None},
-    "ode to-ode": {"eta": _REQUIRED, "psi": _REQUIRED, "lambda": 1.0,
-                   "z0": 0j, "report": None, "config": None, "param": None},
-    "ode from-ode": {"p": _REQUIRED, "q": _REQUIRED, "lambda": 1.0,
-                     "c": 1 + 0j, "c1": 0j, "z0": 0j, "report": None,
-                     "config": None},
-    "ode erf-example": {"n": _REQUIRED, "c": 1 + 0j, "c1": 0j, "lambda": 1.0,
-                        "domain": (0.68, 1.32, -0.32, 0.32), "res": 65,
-                        "tol": 1e-8, "out": None, "report": None,
-                        "threads": 1, "config": None, "z": 1.5 + 0j},
-}
+def _split_argv(argv):
+    """The command that argv names, and its flags as the (key, text) pairs
+    a config file gives: (name, value) from --name value or --name=value,
+    ("perturb", "true") from --perturb, ("param.N", "V") from --param N=V.
+    A value flag takes the next token unless that token is one of the
+    command's flag names.  pairs is None when -h or --help asks for help,
+    and command is then "" or "ode" if argv named no command."""
+    words, rest = [], list(argv)
+    while " ".join(words) not in _COMMANDS:
+        if rest and rest[0] in _HELP:
+            return " ".join(words), None
+        choices = _subcommands(words)
+        if not rest or rest[0] not in choices:
+            raise UsageError("%s needs one of the commands %s%s"
+                             % (" ".join(["solsurf"] + words),
+                                ", ".join(choices),
+                                ", not %r" % rest[0] if rest else ""))
+        words.append(rest.pop(0))
+    command = " ".join(words)
+    names = {"--" + name for name in _COMMANDS[command][1]}
+    pairs = []
+    while rest:
+        token = rest.pop(0)
+        if token in _HELP:
+            return command, None
+        name, eq, text = token.partition("=")
+        if name not in names:
+            raise UsageError("%r is not a flag of %s (-h lists them)"
+                             % (token, command))
+        if name == "--perturb" and not eq:
+            text = "true"
+        elif not eq:
+            if not rest or rest[0] in names:
+                raise UsageError("%s needs a value" % token)
+            text = rest.pop(0)
+        key = name[2:]
+        if key == "param":
+            param, eq, text = text.partition("=")
+            if not eq:
+                raise UsageError("--param needs name=value, got %r" % param)
+            key = "param." + param.strip()
+        pairs.append((key, text))
+    return command, pairs
 
 
-def _add_flags(p, command):
-    for name in _COMMAND_FLAGS[command]:
-        kwargs = {"default": argparse.SUPPRESS}
-        if name == "perturb":
-            p.add_argument("--perturb", action="store_const", const="true",
-                           **kwargs)
-        elif name == "param":
-            p.add_argument("--param", action="append", **kwargs)
-        else:
-            p.add_argument("--" + name, type=str, **kwargs)
+def _subcommands(words):
+    """The words that may follow words ([] or ["ode"]) towards a command."""
+    n = len(words)
+    return list(dict.fromkeys(c.split()[n] for c in _COMMANDS
+                              if c.split()[:n] == words))
 
 
-def _build_parser():
-    top = _Parser(prog="solsurf", add_help=True)
-    sub = top.add_subparsers(dest="command")
-    _add_flags(sub.add_parser("generate",
-                              help="sample a surface patch and export"),
-               "generate")
-    _add_flags(sub.add_parser("verify", help="run the residual battery"),
-               "verify")
-    _add_flags(sub.add_parser("limit", help="flat-limit convergence study"),
-               "limit")
-    ode = sub.add_parser("ode", help="scalar-equation bridge")
-    odesub = ode.add_subparsers(dest="subcommand")
-    for name in ("to-ode", "from-ode", "erf-example"):
-        _add_flags(odesub.add_parser(name), "ode " + name)
-    return top
+def _help_text(prefix):
+    """-h: the flags of a command with their defaults, or the commands
+    below prefix ("" or "ode")."""
+    if prefix not in _COMMANDS:
+        return "usage: %s COMMAND [--FLAG VALUE ...]\ncommands: %s" % (
+            " ".join(["solsurf", prefix]).strip(),
+            ", ".join(_subcommands(prefix.split())))
+    lines = ["usage: solsurf %s [--FLAG VALUE | --FLAG=VALUE ...]" % prefix]
+    for name, default in _COMMANDS[prefix][1].items():
+        note = ("required" if default is _REQUIRED
+                else "NAME=VALUE, repeatable" if name == "param"
+                else "default " + default if default else "")
+        lines.append(("  --%-9s %s" % (name, note)).rstrip())
+    return "\n".join(lines)
 
 
 def _read_config_file(path):
@@ -255,36 +260,29 @@ def _read_config_file(path):
     return pairs
 
 
-def _merge_config(command, ns):
+def _merge_config(command, pairs):
     """defaults < config file < explicit flags; returns a plain dict.
 
-    A config file may set only the command's own flags (_COMMAND_FLAGS);
-    a missing required flag is refused once every value is converted."""
-    flags = _COMMAND_FLAGS[command]
-    cfg = {k: v for k, v in flags.items() if v not in (_REQUIRED, None)}
-    given = dict(vars(ns))
-    given.pop("command", None)
-    given.pop("subcommand", None)
+    The table's default texts, the file's lines and the flags of
+    _split_argv are all (key, text) pairs.  The last text of each key is
+    checked against the command's row and converted; a missing required
+    flag is refused once every value is converted."""
+    flags = _COMMANDS[command][1]
+    given = dict(pairs)
+    path = given.pop("config", None)
+    texts = {k: v for k, v in flags.items() if v not in (_REQUIRED, None)}
+    if path is not None:
+        texts.update(_read_config_file(path))
+    texts.update(given)
+    cfg = {}
     params = {}
-    file_path = given.pop("config", None)
-    if file_path is not None:
-        for key, value in _read_config_file(file_path).items():
-            if key.startswith("param.") and "param" in flags:
-                params[key[6:]] = _parse_complex(value)
-                continue
-            if key not in flags or key == "param":
-                raise UsageError("unknown config key %r for %s"
-                                 % (key, command))
-            cfg[key] = _CONVERTERS[key](value)
-    for key, value in given.items():
-        if key == "param":
-            for item in value:
-                if "=" not in item:
-                    raise UsageError("--param needs name=value, got %r" % (item,))
-                name, val = item.split("=", 1)
-                params[name.strip()] = _parse_complex(val)
-            continue
-        cfg[key] = _CONVERTERS[key](value)
+    for key, text in texts.items():
+        if key.startswith("param.") and "param" in flags:
+            params[key[6:]] = _parse_complex(text)
+        elif key in flags and key != "param":
+            cfg[key] = _CONVERTERS[key](text)
+        else:
+            raise UsageError("unknown config key %r for %s" % (key, command))
     cfg["params"] = params
     for name, default in flags.items():
         if default is _REQUIRED and name not in cfg:
@@ -614,7 +612,7 @@ def _limit_points(data, rect, target, tol, label):
     return patch.points
 
 
-def cmd_limit(cfg, stream, start):
+def cmd_limit(cfg, stream, start, command):
     data0 = _load_data(dict(cfg, **{"lambda": 1.0}))
     lams = cfg["lambdas"]
     a, b, c, d = cfg["domain"]
@@ -640,12 +638,12 @@ def cmd_limit(cfg, stream, start):
     order = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
     print("fitted order %.3f over %d lambda values" % (order, len(lams)),
           file=stream)
-    return _report_checks(cfg, "limit", start, limit_checks(order, errs[-1]),
+    return _report_checks(cfg, command, start, limit_checks(order, errs[-1]),
                           stream, {"limit_table": table,
                                    "fitted_order": order})
 
 
-def cmd_ode_to(cfg, stream, start):
+def cmd_ode_to(cfg, stream, start, command):
     data = _load_data(cfg)
     spec = ode_coefficients(data)
     pot = standard_potential(data)
@@ -655,12 +653,12 @@ def cmd_ode_to(cfg, stream, start):
     if cfg.get("report"):
         report = _finish_report(
             {"p": str(spec.p), "q": str(spec.q), "potential": str(pot)},
-            cfg, "ode to-ode", start, {})
+            cfg, command, start, {})
         _write_report(report, cfg, stream)
     return 0
 
 
-def cmd_ode_from(cfg, stream, start):
+def cmd_ode_from(cfg, stream, start, command):
     spec = OdeSpec(p=parse(cfg["p"]), q=parse(cfg["q"]), lam=cfg["lambda"])
     data = weierstrass_from_ode(spec, c=cfg["c"], c1=cfg["c1"], z0=cfg["z0"])
     print("eta = %s" % data.eta, file=stream)
@@ -669,12 +667,12 @@ def cmd_ode_from(cfg, stream, start):
     if cfg.get("report"):
         report = _finish_report(
             {"eta": str(data.eta), "psi": str(data.psi)},
-            cfg, "ode from-ode", start, {})
+            cfg, command, start, {})
         _write_report(report, cfg, stream)
     return 0
 
 
-def cmd_ode_erf(cfg, stream, start):
+def cmd_ode_erf(cfg, stream, start, command):
     n = int(cfg["n"])
     patch = erf_example_surface(n, c=cfg["c"], c1=cfg["c1"], lam=cfg["lambda"],
                                 domain=_domain_rect(cfg), tol=cfg["tol"])
@@ -688,27 +686,44 @@ def cmd_ode_erf(cfg, stream, start):
           file=stream)
     if cfg.get("out"):
         _write_mesh(patch, cfg["out"], stream)
-    return _report_checks(cfg, "ode erf-example", start, checks, stream,
+    return _report_checks(cfg, command, start, checks, stream,
                           {"kummer_crosscheck": kc})
 
 
 # ---------------------------------------------------------------------------
+# the command table: each command's handler, and its flags mapped to their
+# default texts, converted as a config file's are.  _REQUIRED marks a flag
+# the command cannot run without, None one with no default, which stays
+# out of the merged configuration until given.  "param" is the repeatable
+# --param name=value, which a config file writes as param.NAME = value
 
-def _preprocess_argv(argv):
-    """Join value flags with values that begin with '-' (negative bounds)."""
-    out = []
-    k = 0
-    while k < len(argv):
-        tok = argv[k]
-        if tok in _FLAG_NAMES and k + 1 < len(argv) \
-                and argv[k + 1].startswith("-") \
-                and argv[k + 1] not in _FLAG_NAMES:
-            out.append(tok + "=" + argv[k + 1])
-            k += 2
-            continue
-        out.append(tok)
-        k += 1
-    return out
+_REQUIRED = object()
+_COMMANDS = {
+    "generate": (cmd_sample, {
+        "eta": _REQUIRED, "psi": _REQUIRED, "lambda": "1.0", "z0": "0",
+        "target": "h3", "domain": "-1:1:-1:1", "res": "33", "tol": "1e-8",
+        "out": None, "report": None, "threads": "1", "config": None,
+        "param": None}),
+    "verify": (cmd_sample, {
+        "eta": _REQUIRED, "psi": _REQUIRED, "lambda": "1.0", "z0": "0",
+        "target": "h3", "domain": "-0.32:0.32:-0.32:0.32", "res": "65",
+        "tol": "1e-8", "report": None, "threads": "1", "config": None,
+        "perturb": "false", "param": None}),
+    "limit": (cmd_limit, {
+        "eta": _REQUIRED, "psi": _REQUIRED, "z0": "0", "tol": "1e-10",
+        "lambdas": "1e-1,1e-2,1e-3", "domain": "-1:1:-1:1", "report": None,
+        "config": None, "param": None}),
+    "ode to-ode": (cmd_ode_to, {
+        "eta": _REQUIRED, "psi": _REQUIRED, "lambda": "1.0", "z0": "0",
+        "report": None, "config": None, "param": None}),
+    "ode from-ode": (cmd_ode_from, {
+        "p": _REQUIRED, "q": _REQUIRED, "lambda": "1.0", "c": "1", "c1": "0",
+        "z0": "0", "report": None, "config": None}),
+    "ode erf-example": (cmd_ode_erf, {
+        "n": _REQUIRED, "c": "1", "c1": "0", "lambda": "1.0", "z": "1.5",
+        "domain": "0.68:1.32:-0.32:0.32", "res": "65", "tol": "1e-8",
+        "out": None, "report": None, "threads": "1", "config": None}),
+}
 
 
 def main(argv=None, stream=None):
@@ -717,29 +732,13 @@ def main(argv=None, stream=None):
         argv = sys.argv[1:]
     stream = stream or sys.stdout
     start = time.perf_counter()
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(_preprocess_argv(list(argv)))
-        command = getattr(ns, "command", None)
-        if command is None:
-            raise UsageError("a command is required (generate, verify, "
-                             "limit, ode)")
-        if command == "ode":
-            subcommand = getattr(ns, "subcommand", None)
-            if subcommand is None:
-                raise UsageError("ode needs a subcommand: to-ode, from-ode "
-                                 "or erf-example")
-            command = "ode " + subcommand
-        cfg = _merge_config(command, ns)
-        handler = {
-            "generate": partial(cmd_sample, command="generate"),
-            "verify": partial(cmd_sample, command="verify"),
-            "limit": cmd_limit,
-            "ode to-ode": cmd_ode_to,
-            "ode from-ode": cmd_ode_from,
-            "ode erf-example": cmd_ode_erf,
-        }[command]
-        return handler(cfg, stream, start)
+        command, pairs = _split_argv(argv)
+        if pairs is None:
+            print(_help_text(command), file=stream)
+            return 0
+        cfg = _merge_config(command, pairs)
+        return _COMMANDS[command][0](cfg, stream, start, command)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

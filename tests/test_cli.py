@@ -19,7 +19,7 @@ import solsurf
 import solsurf.geom
 from solsurf.checks import _check, _grid_check
 from solsurf.cli import _quad_triangles, _vertex_index_map, main
-from solsurf.cli import _COMMAND_FLAGS, _build_parser, _merge_config
+from solsurf.cli import _COMMANDS, _REQUIRED, _merge_config, _split_argv
 
 SMALL = ["--domain", "-0.5:0.5:-0.5:0.5", "--res", "17"]
 # fine enough for the frame-stencil truncation of generic (non-flat) data
@@ -193,6 +193,121 @@ def test_missing_required_flag(argv, name):
         code = main(argv, stream=io.StringIO())
     assert code == 1
     assert err.getvalue() == "error: missing required flag --%s\n" % name
+
+
+class TestFlags(CliCase):
+    """argv splits by the command table: flags match by their full names,
+    and --name value is --name=value whatever the value's first
+    character."""
+    BASE = ["generate", "--eta", "1", "--psi", "z", "--res", "9"]
+    NEGATIVE = {"domain": "-0.5:-0.1:-0.4:-0.2", "z0": "-0.3-0.3i",
+                "lambda": "-0.8"}
+
+    def test_negative_values_in_both_spellings(self):
+        spaced = [t for k, v in self.NEGATIVE.items() for t in ("--" + k, v)]
+        joined = ["--%s=%s" % kv for kv in self.NEGATIVE.items()]
+        merged = [_merge_config(*_split_argv(self.BASE + argv))
+                  for argv in (spaced, joined)]
+        self.assertEqual(merged[0], merged[1])
+        self.assertEqual(merged[0]["domain"], (-0.5, -0.1, -0.4, -0.2))
+        self.assertEqual(merged[0]["z0"], -0.3 - 0.3j)
+        self.assertEqual(merged[0]["lambda"], -0.8)
+        # and through main, to the same report
+        for name, argv in (("spaced.json", spaced), ("joined.json", joined)):
+            code, _ = run_cli(*self.BASE, *argv, "--report", self.path(name))
+            self.assertNotEqual(code, 1, argv)
+        reports = [self.report(n) for n in ("spaced.json", "joined.json")]
+        for rep in reports:
+            rep.pop("wall_ms")
+            rep["config_echo"].pop("report")
+        self.assertEqual(reports[0], reports[1])
+        self.assertEqual(reports[0]["config_echo"]["domain"],
+                         [-0.5, -0.1, -0.4, -0.2])
+
+    # argv past BASE that is refused, and the token the message names
+    REFUSED = [
+        (["--lam", "0.5"], "'--lam'"),                  # abbreviated
+        (["--dom", "-0.5:0.5:-0.5:0.5"], "'--dom'"),    # abbreviated
+        (["--lambda"], "--lambda needs a value"),       # at the end
+        (["--lambda", "--tol", "1e-8"], "--lambda needs a value"),
+        (["--tol=1e-8", "--z0", "--target", "h3"], "--z0 needs a value"),
+        (["stray"], "'stray'"),                         # a positional
+        (["--param", "a"], "'a'"),
+    ]
+
+    def test_refusals_name_the_token(self):
+        for extra, named in self.REFUSED:
+            err = io.StringIO()
+            with mock.patch("solsurf.cli.sample_surface") as sample, \
+                    contextlib.redirect_stderr(err):
+                code = main(self.BASE + extra, stream=io.StringIO())
+            self.assertEqual(code, 1, extra)
+            self.assertTrue(err.getvalue().startswith("error: "), extra)
+            self.assertIn(named, err.getvalue(), extra)
+            sample.assert_not_called()
+
+    def test_perturb_takes_the_config_spellings(self):
+        argv = ["verify", "--eta", "1", "--psi", "z"]
+        for text, value in (("true", True), ("1", True), ("false", False),
+                            ("0", False)):
+            cfg = _merge_config(*_split_argv(argv + ["--perturb=" + text]))
+            self.assertIs(cfg["perturb"], value, text)
+        self.assertIs(_merge_config(*_split_argv(argv))["perturb"], False)
+
+    def test_last_of_a_repeated_flag_wins(self):
+        # as the last line of a key does in a config file; the earlier
+        # text is never converted
+        cfg = _merge_config(*_split_argv(self.BASE + ["--res", "x",
+                                                      "--res", "17"]))
+        self.assertEqual(cfg["res"], 17)
+
+
+# the words of each command, of the top level and of ode
+HELP_WORDS = [c.split() for c in _COMMANDS] + [[], ["ode"]]
+
+
+@pytest.mark.parametrize("words", HELP_WORDS,
+                         ids=[" ".join(w) or "solsurf" for w in HELP_WORDS])
+def test_help_lists_the_table(words):
+    prefix = " ".join(words)
+    for flag in ("-h", "--help"):
+        out = io.StringIO()
+        assert main(words + [flag], stream=out) == 0
+        lines = out.getvalue().splitlines()
+        if prefix in _COMMANDS:
+            flags = _COMMANDS[prefix][1]
+            listed = {}
+            for line in lines:
+                if line.startswith("  --"):
+                    listed[line.split()[0][2:].split("[")[0]] = line
+            assert sorted(listed) == sorted(flags)
+            for name, default in flags.items():
+                if default is _REQUIRED:
+                    assert listed[name].endswith(" required"), name
+                elif isinstance(default, str):
+                    assert listed[name].endswith(" default " + default), name
+        else:
+            below = [c.split()[len(words)] for c in _COMMANDS
+                     if c.split()[:len(words)] == words]
+            shown = [line for line in lines if line.startswith("commands: ")]
+            assert shown == ["commands: " + ", ".join(dict.fromkeys(below))]
+
+
+class TestImportsNoArgparse(unittest.TestCase):
+    """The command line splits argv by its own table: importing solsurf,
+    and asking a command for help, loads no argparse (nor the gettext
+    it imports)."""
+
+    def test_import_loads_no_argparse(self):
+        code = ("import io, sys\n"
+                "import solsurf\n"
+                "solsurf.cli.main(['generate', '-h'], stream=io.StringIO())\n"
+                "sys.exit('argparse' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ,
+                                       PYTHONPATH=TestModuleEntry.SRC),
+                              capture_output=True, text=True, timeout=300)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
 
 
 class TestGenerate(CliCase):
@@ -543,7 +658,7 @@ class TestOdeBridgeCommands(CliCase):
         self.assertEqual(text, "p = -2/z\nq = -z^2\nQ = -(1/z^2)-1/z^2-z^2\n")
 
     def test_from_ode_negative_values(self):
-        # flag values starting with '-' must survive argv preprocessing
+        # a value flag takes the next token though it begins with '-'
         code, text = run_cli("ode", "from-ode", "--p", "-2*z", "--q", "-2")
         self.assertEqual(code, 0)
         self.assertIn("eta = exp(0.5*z^2)", text)
@@ -628,27 +743,32 @@ class TestConfigFile(CliCase):
     }
 
     def test_every_own_key_accepted(self):
-        parser = _build_parser()
-        for command, flags in _COMMAND_FLAGS.items():
+        for command, (_, flags) in _COMMANDS.items():
             lines = ["%s = %s" % (k, self.OWN_VALUES[k]) if k != "param"
                      else "param.a = 0.2" for k in flags]
             cfg = self.write_config("\n".join(lines) + "\n")
-            ns = parser.parse_args(command.split() + ["--config", cfg])
-            merged = _merge_config(command, ns)
+            split = _split_argv(command.split() + ["--config", cfg])
+            self.assertEqual(split, (command, [("config", cfg)]))
+            merged = _merge_config(*split)
             for key in flags:
                 if key == "param":
                     self.assertEqual(merged["params"], {"a": 0.2 + 0j}, command)
                 else:
                     self.assertIn(key, merged, "%s %s" % (command, key))
-            # and each is a flag of the command's own parser
+            # and each is a flag of the command, which gives the pair of
+            # the file's line
             for key in flags:
                 argv = command.split()
                 if key == "perturb":
                     argv.append("--perturb")
+                    pair = ("perturb", "true")
+                elif key == "param":
+                    argv.append("--param=a=0.2")
+                    pair = ("param.a", "0.2")
                 else:
-                    value = "a=0.2" if key == "param" else self.OWN_VALUES[key]
-                    argv.append("--%s=%s" % (key, value))
-                parser.parse_args(argv)
+                    argv.append("--%s=%s" % (key, self.OWN_VALUES[key]))
+                    pair = (key, self.OWN_VALUES[key])
+                self.assertEqual(_split_argv(argv), (command, [pair]))
 
     def test_config_perturb_matches_flag(self):
         args = ["verify", "--eta", "1", "--psi", "z", "--res", "17",
