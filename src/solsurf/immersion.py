@@ -31,17 +31,14 @@ column nearest z0, up and down that column, and along each row both ways
 from it, each half a straight line of hops (_sweep_lines).  A hop's
 value does not depend on the value at its start, so the planned hops are
 computed in batches, then accumulated along the lines; a failed hop
-masks the rest of its half line.  The targets differ in the hop value
-and how values combine.  The ODE targets multiply transfer matrices from
-the identity, Psi(z_j) = T Psi(z_{j-1}), of the reduced (holomorphic)
-system, and take the few hops whose T is ill-conditioned, next to a
-pole, again from the wavefunction at their start; h3 then moves its
-wavefunctions by the constant gauge M(z0), which gives the full
-system's surface (lsp.gauge_matrix), and a pass
-over the valid samples applies the formula.  e3-direct adds integrals of
-the Weierstrass integrand, the additive case T = I + lambda int B +
-O(lambda^2) that the paper recovers as lambda -> 0.  Everything runs on
-the calling thread.
+masks the rest of its half line.  The ODE targets multiply transfer
+matrices of the reduced (holomorphic) system in the paper's ODE gauge
+(_sample_ode), then a pass over the valid samples forms the
+wavefunction, moves it by the constant gauge M(z0) for h3, which gives
+the full system's surface (lsp.gauge_matrix), and applies the formula.
+e3-direct adds integrals of the Weierstrass integrand, the additive case
+T = I + lambda int B + O(lambda^2) that the paper recovers as lambda ->
+0.  Everything runs on the calling thread.
 
 frame_sweep reconstructs the frame and curvature estimates over the whole
 grid with array stencils; frame_and_curvature is the same computation at
@@ -56,8 +53,8 @@ import numpy as np
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import (BranchAmbiguity, StepUnderflow, _ID4, _LaneWork,
-                  _integrate_lanes, _mul4_array, _reduced_coef, gauge_matrix,
+from .lsp import (BranchAmbiguity, StepUnderflow, _LaneWork, _UNIT_WEIGHTS,
+                  _gauged_coef, _integrate_lanes, _mul4_array, gauge_matrix,
                   propagate)
 
 __all__ = [
@@ -298,19 +295,20 @@ def loop_period(data, path, tol=1e-10):
 # grid sampling
 
 def _probe_validity(data, zgrid):
-    """Samples where eta, psi and psi' are finite and eta is nonzero, by
-    array evaluation over blocks of rows (which bounds the temporaries of
-    series such as erf)."""
+    """(valid, psi): the samples where eta, psi and psi' are finite and eta
+    is nonzero, and psi at every sample, by array evaluation over blocks
+    of rows (which bounds the temporaries of series such as erf)."""
     eta_a, _, psi_a, dpsi_a = data.array_functions()
     valid = np.empty(zgrid.shape, dtype=bool)
+    psi = np.empty(zgrid.shape, dtype=complex)
     for r0 in range(0, zgrid.shape[0], _SWEEP_ROWS):
-        z = zgrid[r0:r0 + _SWEEP_ROWS]
+        rows = slice(r0, r0 + _SWEEP_ROWS)
+        z = zgrid[rows]
         ev = eta_a(z)
-        ok = np.isfinite(ev) & (ev != 0.0)
-        for f in (psi_a, dpsi_a):
-            ok &= np.isfinite(f(z))
-        valid[r0:r0 + _SWEEP_ROWS] = ok
-    return valid
+        psi[rows] = psi_a(z)
+        valid[rows] = (np.isfinite(ev) & (ev != 0.0) & np.isfinite(psi[rows])
+                       & np.isfinite(dpsi_a(z)))
+    return valid, psi
 
 
 def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, mend=None):
@@ -410,26 +408,23 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
     target 'h3' is the Sym-type formula of the full system at H = lambda;
     'e3-limit' is the shifted formula of the reduced system; 'e3-direct'
     accumulates the classical integral.  Both ODE targets integrate the
-    reduced (holomorphic) system Psi.  The full system's Phi is
-    M(z)^{-1} Psi M(z0) with the gauge M unitary, so h3 is the Sym-type
-    image of Psi M(z0): the holomorphic sweep moved by the isometry
-    X -> M(z0)^H X M(z0) of _lorentz4's Hermitian matrices.  Where the
-    gauge is undefined at z0, every h3 sample is masked.  system='reduced'
-    makes h3 omit the move.  Residual records: 'hyperboloid' and
-    'det_drift' for h3, 'x0_abs' and 'det_drift' for the limit target.
+    reduced (holomorphic) system Psi, in the ODE gauge (_sample_ode).  The
+    full system's Phi is M(z)^{-1} Psi M(z0) with the gauge M unitary, so
+    h3 is the Sym-type image of Psi M(z0): the holomorphic sweep moved by
+    the isometry X -> M(z0)^H X M(z0) of _lorentz4's Hermitian matrices.
+    Where the gauge is undefined at z0, every h3 sample is masked.
+    system='reduced' makes h3 omit the move.  Residual records:
+    'hyperboloid' and 'det_drift' for h3, 'x0_abs' and 'det_drift' for
+    the limit target.
 
     The grid is probed first, by array evaluation of the data: points
     where eta, psi or psi' is not finite, or eta vanishes, are masked, as
     are points whose hop fails.  Every target takes the same hops
-    (_sweep_grid): from z0 into the grid column nearest z0 (a z0 on a
-    sample by a zero-length hop), up and down that column, and along each
-    row both ways from it.  A failed hop masks the rest of its half line,
-    whose later samples could only be reached past the same singular
-    point.  With a pole the surface can depend on the path, and a sample
-    takes the branch of its own.  The targets differ only in a hop's
-    value and how values combine: the ODE targets multiply transfer
-    matrices of the reduced system (see _sample_ode), e3-direct adds
-    integrals of the Weierstrass integrand.
+    (_sweep_grid), and a failed hop masks the rest of its half line, whose
+    later samples could only be reached past the same singular point.
+    With a pole the surface can depend on the path, and a sample takes
+    the branch of its own.  The targets differ only in a hop's value and
+    how values combine (_sample_ode, _sample_direct).
     """
     if target not in TARGETS:
         raise ValueError("target must be one of %r" % (TARGETS,))
@@ -443,11 +438,11 @@ def sample_surface(data, domain, target, tol=1e-8, system=None):
     elif target != "h3" or system not in ("full", "reduced"):
         raise ValueError("system override applies to the h3 target only")
     zgrid = domain.grid()
-    valid = _probe_validity(data, zgrid)
+    valid, psi = _probe_validity(data, zgrid)
     if target == "e3-direct":
         points, residuals = _sample_direct(data, zgrid, valid, tol), {}
     else:
-        points, residuals = _sample_ode(data, zgrid, valid, target, tol,
+        points, residuals = _sample_ode(data, zgrid, valid, psi, target, tol,
                                         system)
     return SurfacePatch(data=data, domain=domain, target=target, lam=lam,
                         tol=tol, points=points, valid=valid, residuals=residuals)
@@ -480,35 +475,35 @@ def _sample_direct(data, zgrid, valid, tol):
 
 # a hop's transfer matrix T, accurate to about tol |T|, carries an error
 # of up to kappa tol into the wavefunction, kappa being T's condition
-# number; _sample_ode mends the hops whose kappa exceeds this
+# number; _sample_ode mends the hops above it at tol / _KAPPA_MEND
 _KAPPA_MEND = 4.0
 
 
-def _sample_ode(data, zgrid, valid, target, tol, system):
+def _sample_ode(data, zgrid, valid, psi, target, tol, system):
     """Points and residual records of the ODE targets over the grid,
     masking valid where a hop fails.
 
-    A hop's value is the reduced system's transfer matrix T from the
-    identity, so the wavefunction at a sample is T Psi at the hop's start
-    (_mul4_array), and _sweep_grid fills one (4, ny, nx) grid of
-    wavefunction entries from Psi(z0) = I.  Each batch of hops, both
-    halves of _SWEEP_ROWS rows, is integrated from I in lock step
-    (lsp._integrate_lanes, through work arrays that this sweep owns),
-    whose first iteration tabulates the array coefficient over all the
-    batch's hops at the six stage times of one full step in one call;
-    the hop it leaves unsettled, the one still running when every other
-    has ended, goes through the scalar propagate from _ID4, so the
-    adaptive control stays _integrate_unit's.
-    T is accurate to about tol |T|, so where a hop shrinks the wavefunction
-    T Psi is off by up to kappa tol relative, kappa = |T| |T^-1| being T's
-    condition number.  Near a pole kappa reaches hundreds, so after each
-    line sweep the hops with kappa above _KAPPA_MEND are integrated again
-    from the wavefunction at their start, as a single hop from that value
-    is, all in one lock-step call, and the later samples of their lines
-    take the correction.  Then one pass over the valid samples,
-    _SWEEP_ROWS rows at a time, right-multiplies their wavefunctions by
+    The sweep integrates Phi = G^{-1} Psi, G = [[1, 0], [psi, 1]], over eta
+    and psi' (lsp._gauged_coef).  A hop's value is its transfer matrix T
+    from the identity, so the value at a sample is T Phi at the hop's
+    start (_mul4_array), from Phi(z0) = G(z0)^{-1}.  Each batch of hops,
+    both halves of _SWEEP_ROWS rows, runs in lock step (lsp._integrate_lanes,
+    through work arrays that this sweep owns), the hop left unsettled
+    through the scalar propagate.  Phi is Psi's gauge where psi is
+    continuous, so a hop on which psi(b) - psi(a) is not the integral of
+    psi' d (a cut: the first step's quadrature misses by more than tol (1
+    + |psi(a)| + |psi(b)|), and adaptive Gauss-Kronrod misses or fails
+    too, as it does on a singular psi') and a hop past a sample the probe
+    masked go through propagate of Psi from G(a) Phi_a, and G(b)^{-1}
+    takes the value back.  No hop's value depends on its batch.
+    Near a pole T's condition number kappa reaches hundreds, and T Phi is
+    off by up to kappa tol, so after each line sweep the hops with kappa
+    above _KAPPA_MEND are integrated again from the value at their start,
+    at tol / _KAPPA_MEND, and the later samples of their lines take the
+    correction.  Then one pass over the valid samples, _SWEEP_ROWS rows at
+    a time, forms Psi = G Phi from the probe's psi, right-multiplies it by
     M(z0) when system is 'full', applies _lorentz4 and fills the records;
-    masked samples stay NaN.
+    psi(z0) not finite masks every sample, and masked samples stay NaN.
     """
     lam = data.lam
     ny, nx = zgrid.shape
@@ -519,24 +514,57 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
             m0 = gauge_matrix(data, data.z0).reshape(4, 1)
         except (BranchAmbiguity, DomainError):
             valid[:] = False
-    eta_a, _, psi_a, _ = data.array_functions()
-    coef = _reduced_coef(lam, eta_a, psi_a)
-    # the lock-step stages' work arrays, for every batch of the sweep
-    work = _LaneWork()
+    eta_a, _, psi_a, dpsi_a = data.array_functions()
+    gauged = _gauged_coef(lam, eta_a, dpsi_a)
+    p0 = psi_a(np.array([data.z0]))[0]   # Phi(z0) = G(z0)^-1
+    valid &= bool(np.isfinite(p0))
+    rows, cols = zgrid[:, 0].imag, zgrid[0].real
+    # the lock-step stages' work arrays, for every batch of the sweep, and
+    # the quadrature of -psi' d over each batch's first table
+    work, quad = _LaneWork(), []
 
-    def lanes(za, zb, y):
-        # the hops za -> zb from the (4, n) values y in lock step, the one
-        # left unsettled by the scalar propagate
-        t, ok, failed = _integrate_lanes(coef, za, zb - za, y, tol, work)
-        for k in np.flatnonzero(~(ok | failed)):
+    def coef(a, d, t, out):
+        c = gauged(a, d, t, out)
+        if len(t) == 6:
+            quad.append(_UNIT_WEIGHTS @ c[:, 1])
+        return c
+
+    def lanes(za, zb, y, tol=tol):
+        # the hops za -> zb from the (4, n) values y in lock step, those
+        # on Psi (on_psi, see above) and the one left unsettled by the
+        # scalar propagate; the probe's psi is found by row and column
+        d = zb - za
+        t, ok, failed = _integrate_lanes(coef, za, d, y, tol, work)
+        pa, pb = (np.where(z == data.z0, p0, psi[
+            np.searchsorted(rows, z.imag).clip(0, ny - 1),
+            np.searchsorted(cols, z.real).clip(0, nx - 1)]) for z in (za, zb))
+        bound = tol * (1.0 + abs(pa) + abs(pb))
+        odd = ~(abs(pb - pa + quad.pop()) <= bound)
+        part, bad = adaptive_gl_batch(dpsi_a, za[odd], zb[odd],
+                                      bound[odd] / 10)
+        on_psi = ((abs(d.real) > 1.5 * (cols[1] - cols[0]))
+                  | (abs(d.imag) > 1.5 * (rows[1] - rows[0])))
+        on_psi[odd] |= bad | ~(abs(pb[odd] - pa[odd] - part) <= bound[odd])
+        for k in np.flatnonzero(~(ok | failed | on_psi)):
             try:
-                # Python complex start values: numpy scalars step slower
+                # Python complex values: numpy scalars step slower
                 t[:, k] = propagate(data, za[k], zb[k],
                                     tuple(y[:, k].tolist()), tol=tol,
-                                    system="reduced")
+                                    system="gauged")
                 ok[k] = True
             except hop_errors:
                 pass
+        for k in np.flatnonzero(on_psi):
+            y0, y1, y2, y3 = y[:, k].tolist()
+            a, b = complex(pa[k]), complex(pb[k])
+            try:
+                w0, w1, w2, w3 = propagate(
+                    data, za[k], zb[k], (y0, y1, a * y0 + y2, a * y1 + y3),
+                    tol=tol, system="reduced")
+                t[:, k] = w0, w1, w2 - b * w0, w3 - b * w1
+                ok[k] = True
+            except hop_errors:
+                ok[k] = False
         return t, ok
 
     def transfer(za, zb):
@@ -552,14 +580,15 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
 
     def fix(zs, ok, vals, k, start, marked):
         # the marked hops again from the value at their start, all in one
-        # call (a hop that fails there keeps T Psi_a).  Each result w
-        # enters its half as a right factor R of the values from Psi_b on,
-        # Psi_b R = w, the later factors on the left; R - I = adj(Psi_b)
-        # (w - Psi_b) / det(Psi_b) is formed from the small difference,
-        # so it keeps its digits where Psi is large
+        # call at tol / _KAPPA_MEND (a hop that fails there keeps T Phi_a).
+        # Each result w enters its half as a right factor R of the values
+        # from Phi_b on, Phi_b R = w, the later factors on the left; R - I
+        # = adj(Phi_b) (w - Phi_b) / det(Phi_b) is formed from the small
+        # difference, so it keeps its digits where Phi is large
         ll, jj = np.nonzero(marked)
         aa = start[ll, jj]
-        w, good = lanes(zs[ll, aa], zs[ll, jj], vals[:, ll, aa])
+        w, good = lanes(zs[ll, aa], zs[ll, jj], vals[:, ll, aa],
+                        tol / _KAPPA_MEND)
         ll, jj, w = ll[good], jj[good], w[:, good]
         yb = vals[:, ll, jj]
         e = _mul4_array(np.stack((yb[3], -yb[1], -yb[2], yb[0])), w - yb)
@@ -585,7 +614,8 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
 
     with np.errstate(all="ignore"):
         phi = _sweep_grid(transfer, _mul4_array, zgrid, valid,
-                          np.array(_ID4), data.z0, _SWEEP_ROWS, (weak, fix))
+                          np.array([1.0, 0.0, -p0, 1.0]), data.z0,
+                          _SWEEP_ROWS, (weak, fix))
 
         # immerse the valid samples, a block of rows at a time
         shift = 0.0 if target == "h3" else 1.0
@@ -596,6 +626,7 @@ def _sample_ode(data, zgrid, valid, target, tol, system):
             block = slice(r0, r0 + _SWEEP_ROWS)
             ok = valid[block]
             y = phi[:, block][:, ok]
+            y[2:] += psi[block][ok] * y[:2]   # Psi = G Phi
             if m0 is not None:
                 y = _mul4_array(y, m0)
             x = _lorentz4(y, lam, shift)

@@ -15,14 +15,13 @@ is holomorphic, so only gamma' enters.  Each system has one coefficient
 factory, (a, d, t) -> the four entries at a + t d on the segment from a
 by d: the full one takes them from geom.lax_coefficient, which assembles
 them from the same entries of the Lax pair as build_UV, with no 2x2
-array; the reduced one takes the closures of eta and psi, scalar or
-array, so the scalar hop, the sweep's table and reduced_coefficient
-share its entries.  Both systems are integrated by a hand-rolled
-adaptive Dormand-Prince 5(4) pair over plain 4-tuples of complex
-entries (the 2x2 hot path does not justify numpy dispatch per stage);
-step control is on the matrix max-norm and the determinant is left
-untouched, since raw det drift is itself a diagnostic.  propagate, one
-straight hop from a given value, is the one way into the scalar
+array; the reduced one takes the closures of eta and psi, and
+reduced_coefficient shares its entries.  Both systems are integrated by a
+hand-rolled adaptive Dormand-Prince 5(4) pair over plain 4-tuples of
+complex entries (the 2x2 hot path does not justify numpy dispatch per
+stage); step control is on the matrix max-norm and the determinant is
+left untouched, since raw det drift is itself a diagnostic.  propagate,
+one straight hop from a given value, is the one way into the scalar
 integrator: the path integrals and the gauge check hop segment by
 segment through it.
 
@@ -31,23 +30,17 @@ gauge_matrix gives Phi = M(z)^{-1} Psi M(z0) with M(z) unitary, so
 Phi^H Phi = (Psi M(z0))^H (Psi M(z0)), and the h3 surface is the reduced
 one moved by the constant M(z0); the full system stays as the
 independent check of that identity (integrate_full and
-gauge_equivalence_residual).  The system is linear, so the sampler takes
-each hop as its transfer matrix from the identity, many segments at
-once: _integrate_lanes runs _integrate_unit over (4, n) arrays in lock
-step, one lane per segment with its own t and h, taking the same
-decisions, and the terms of each stage are added in the scalar term
-order.  Over the array closures the reduced coefficient takes a t of any
-shape that broadcasts against the segments, so the first iteration, the
-step h = 1 from t = 0, tabulates all six stage times of every lane in
-one call with a (6, 1) t, a (6, 4, n) array, and each later iteration
-those of every running lane in one call with a (5, n) t.  The one lane
-left running when every other has ended is handed back unsettled, and
-the sampler hops it through propagate from _ID4: a single segment steps
-faster through the scalar integrator.  The stages and the tables write
-into the work arrays of a _LaneWork, which one sweep of the sampler owns
-and drops when it returns, instead of into new arrays at every stage;
-the operations and their order are those of new arrays, so every value
-keeps its bits.
+gauge_equivalence_residual).  It samples in the paper's ODE gauge, Psi =
+G Phi with G = [[1, 0], [psi, 1]] and Phi_z = [[0, -lambda eta^2],
+[-psi', 0]] Phi (_gauged_coef: eta and psi', scalar or array), each hop
+as its transfer matrix from the identity, many at once: _integrate_lanes
+runs _integrate_unit over (4, n) arrays in lock step, one lane per
+segment, taking the same decisions in the scalar term order, over a (6,
+2, n) table of the two entries and the work arrays of a _LaneWork, so
+every value keeps the bits of fresh arrays; on a fine grid the first
+full step settles every hop.  The one lane left running when every
+other has ended goes through propagate(system='gauged'): a single
+segment steps faster through the scalar integrator.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
 integrals of the lambda-stripped coefficient, via the Legendre spectral
@@ -213,11 +206,17 @@ def _mul4_array(a, b):
     return p[:4] + p[4:]
 
 
+def _gauged_mul(c, y, out):
+    """[[0, b], [c, 0]] y into out, (b, c) = c: four products, no sum."""
+    for i, (e, r) in enumerate(((0, 2), (0, 3), (1, 0), (1, 1))):
+        np.multiply(c[e], y[r], out[i])
+    return out
+
+
 # the rows of _LaneWork's buffer, each one complex per lane: the
-# coefficient table (24), the two factors of _mul4_array's products (16;
-# lc4's products use the first four rows, mul4 and lc4 never overlap),
-# errv, ynew and k7 (12), y2 .. y6 (4) and k2 .. k6 (20)
-_WORK_ROWS = 76
+# coefficient table (12), lc4's products (4), errv, ynew and k7 (12),
+# y2 .. y6 (4) and k2 .. k6 (20)
+_WORK_ROWS = 52
 
 
 class _LaneWork:
@@ -231,12 +230,13 @@ class _LaneWork:
     a complex product on a strided output apart from a contiguous one.
     y2 .. y6 share one array, each read only by its own stage; errv,
     ynew and k7 lie side by side in ek, so that one slice reads two of
-    them.  Every operation takes _lc4's and _mul4's operands in their
-    order and writes through a positional out, so the values are those
-    of fresh arrays bit for bit.  A stage's output holds until the next
-    step; what the integrator keeps of it, it copies.
+    them.  Every operation (mul4 is _gauged_mul) takes _lc4's operands in
+    its order and writes through a positional out, so the values are
+    those of fresh arrays bit for bit.  A stage's output holds until the
+    next step; what the integrator keeps of it, it copies.
     """
     zero = 0.0j
+    mul4 = staticmethod(_gauged_mul)
 
     def __init__(self):
         self._flat = np.empty(0, dtype=complex)
@@ -244,20 +244,19 @@ class _LaneWork:
         self.lanes = -1
 
     def stages(self, m):
-        """The work arrays carved for m lanes: table, the (6, 4, m)
+        """The work arrays carved for m lanes: table, the (6, 2, m)
         coefficient table, ek and out, _dp_step's outputs."""
         if m != self.lanes:
             if m * _WORK_ROWS > self._flat.size:
                 self._flat = np.empty(m * _WORK_ROWS, dtype=complex)
                 self._steps = np.zeros(m, dtype=complex)
             w = self._flat[:m * _WORK_ROWS].reshape(_WORK_ROWS, m)
-            self.table = w[:24].reshape(6, 4, m)
-            self._ta, self._tb = w[24:32], w[32:40]
-            self._lo, self._hi = w[24:28], w[28:32]
-            self.ek = w[40:52].reshape(3, 4, m)
+            self.table = w[:12].reshape(6, 2, m)
+            self._p = w[12:16]
+            self.ek = w[16:28].reshape(3, 4, m)
             # _dp_step's outputs: the y-stages' array, ynew, errv, k2 .. k7
-            self.out = (w[52:56], self.ek[1], self.ek[0],
-                        *w[56:76].reshape(5, 4, m), self.ek[2])
+            self.out = (w[28:32], self.ek[1], self.ek[0],
+                        *w[32:52].reshape(5, 4, m), self.ek[2])
             # h c as a complex array whose imaginary parts stay 0: the
             # product with k then casts nothing, and so needs no buffer
             self._hc = self._steps[:m]
@@ -265,18 +264,11 @@ class _LaneWork:
             self.lanes = m
         return self
 
-    def mul4(self, a, b, out):
-        # _mul4_array into out: its eight products in one product
-        a.take(_MUL_ROWS[0], 0, self._ta, "clip")
-        b.take(_MUL_ROWS[1], 0, self._tb, "clip")
-        np.multiply(self._ta, self._tb, self._ta)
-        return np.add(self._lo, self._hi, out)
-
     def lc4(self, y, h, terms, out):
         # _lc4 over the lanes into out, h one step per lane: the products
         # added to y one at a time in term order, each rounded as _lc4
         # rounds it
-        hc, hc_re, p = self._hc, self._hc_re, self._lo
+        hc, hc_re, p = self._hc, self._hc_re, self._p
         for c, k in terms:
             np.multiply(h, c, hc_re)
             np.multiply(hc, k, p)
@@ -377,15 +369,17 @@ def _integrate_unit(cfun, y, tol):
 
 # the stage times of a first step, t = 0 and h = 1 (0.0 + C2 * 1.0 is C2,
 # and so on), and as a column, over which one call of an array coefficient
-# tabulates n segments at all six as a (6, 4, n) table
+# tabulates n segments at all six as a (6, 2, n) table; the step's
+# fifth-order weights make a quadrature over them
 _UNIT_NODES = (0.0, _C2, _C3, _C4, _C5, 1.0)
 _NODE_AXIS = np.array(_UNIT_NODES)[:, None]
+_UNIT_WEIGHTS = np.array((_B1, 0.0, _B3, _B4, _B5, _B6))
 
 
 def _integrate_lanes(coef, a, d, y, tol, work=None):
     """_integrate_unit for n segments in lock step, one lane per segment.
 
-    coef is a coefficient factory over array closures (_reduced_coef), a
+    coef is a coefficient factory over array closures (_gauged_coef), a
     and d the (n,) segment starts and directions, y the (4, n) start
     values.  The stages and the coefficient table write into the arrays
     of work, a _LaneWork, which the caller owns and may pass to call
@@ -403,15 +397,13 @@ def _integrate_lanes(coef, a, d, y, tol, work=None):
     one call at the five new stage times of every lane still running.
 
     Returns (y, settled, failed): the values at t = 1 where settled.  A
-    lane in neither is the one left running when every other has ended;
-    it is returned unsettled, since one segment steps faster through the
-    scalar _integrate_unit.  A lane's result does not depend on the other
-    lanes.  numpy rounds apart from Python's complex type, so a lane's h
-    can differ from _integrate_unit's by rounding and only an error
-    estimate within rounding of its bound could be judged apart; toward a
-    pole, where the steps shrink to the floor, a lane can take a few more
-    or fewer steps to the same failure.  Call under
-    np.errstate(all="ignore").
+    lane in neither is the one left running when every other has ended,
+    returned unsettled.  A lane's result does not depend on the other
+    lanes.  numpy rounds apart from Python's complex type, so only an
+    error estimate within rounding of its bound could be judged apart
+    from _integrate_unit; toward a pole, where the steps shrink to the
+    floor, a lane can take a few more or fewer steps to the same failure.
+    Call under np.errstate(all="ignore").
     """
     if work is None:
         work = _LaneWork()
@@ -424,8 +416,8 @@ def _integrate_lanes(coef, a, d, y, tol, work=None):
     h = np.ones(n)
     ymax = np.abs(y).max(axis=0)
     st = work.stages(n)
-    c = np.stack(coef(a, d, _NODE_AXIS), -2, st.table)
-    k1 = _mul4_array(c[0], y)
+    c = coef(a, d, _NODE_AXIS, st.table)
+    k1 = _gauged_mul(c[0], y, np.empty_like(y))
     c = c[1:]
     stop = ~np.isfinite(k1).all(axis=0)
     for _ in range(_MAX_STEPS - 1):
@@ -462,23 +454,41 @@ def _integrate_lanes(coef, a, d, y, tol, work=None):
             return out, settled, failed
         h = np.minimum(h, 1.0 - t)
         st = work.stages(lane.size)
-        c = np.stack(coef(a, d, t + _NODE_AXIS[1:] * h), -2, st.table[:5])
+        c = coef(a, d, t + _NODE_AXIS[1:] * h, st.table[:5])
     failed[lane] = True
     return out, settled, failed
 
 
 # ---------------------------------------------------------------------------
 # coefficient factories: (a, d, t) -> the system's coefficient along the
-# segment from a by d at a + t d, as its four row-major entries
+# segment from a by d at a + t d, as its four row-major entries (the
+# gauged one writes its two nonzero entries into a table)
+
+def _gauged_coef(lam, eta_f, dpsi_f):
+    """[[0, -lambda eta^2], [-psi', 0]] d, the coefficient of Phi = G^{-1}
+    Psi.  From the array closures of eta and psi', coef(a, d, t, out)
+    writes its two entries into out[..., 0, :] and out[..., 1, :], a (k,
+    2, n) table for a t of shape (k, 1) or (k, n), NaN where the scalar
+    closures raise (call under np.errstate(all="ignore")); from the
+    scalar closures, coef(a, d, t) is the 4-tuple, rounded alike."""
+    def coef(a, d, t, out=None):
+        z = a + t * d
+        ev = eta_f(z)
+        if out is None:
+            return 0j, -lam * d * ev * ev, -d * dpsi_f(z), 0j
+        b = out[..., 0, :]
+        np.multiply(-lam * d, ev, b)
+        np.multiply(b, ev, b)
+        np.multiply(-d, dpsi_f(z), out[..., 1, :])
+        return out
+
+    return coef
+
 
 def _reduced_coef(lam, eta_f, psi_f):
     """The reduced system's coefficient lambda eta^2 [[psi, -1], [psi^2,
-    -psi]] d, from the scalar closures of eta and psi or from their array
-    closures (then np.stack(..., axis=-2) makes the table; a t of shape
-    (k, 1) tabulates k times at once, NaN marks the points where the
-    scalar closures raise, and the call belongs under
-    np.errstate(all="ignore")).  Traceless and of rank <= 1 by
-    construction."""
+    -psi]] d, from the scalar closures of eta and psi.  Traceless and of
+    rank <= 1 by construction."""
     def coef(a, d, t):
         z = a + t * d
         ev = eta_f(z)
@@ -526,9 +536,10 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
 
     The one hop primitive: the path integrals go through it segment by
     segment, and so do the gauge check's finite-difference stencils and
-    the grid sampler's hops, from the identity, that _integrate_lanes
-    leaves unsettled.  No pole validation or compatibility probing.  y0
-    and the result are 4-tuples (row-major 2x2 entries).  The full system
+    the grid sampler's scalar hops; system 'gauged' is the sampler's
+    system of Phi = G^{-1} Psi (_gauged_coef).  No pole validation or
+    compatibility probing.  y0 and the result are 4-tuples (row-major 2x2
+    entries).  The full system
     is integrated at H = lambda, over the coefficient U d + V^H conj(d)
     of geom.lax_coefficient, four complex numbers per stage: H, which
     solbench/unitcost.py passes, may only be None or lambda.
@@ -537,9 +548,11 @@ def propagate(data, z_from, z_to, y0, tol=1e-10, system="reduced", H=None):
         raise ValueError("H must be lambda = %r, got %r" % (data.lam, H))
     if z_from == z_to:
         return y0
+    eta_f, _, psi_f, dpsi_f = data.functions()
     if system == "reduced":
-        eta_f, _, psi_f, _ = data.functions()
         coef = _reduced_coef(data.lam, eta_f, psi_f)
+    elif system == "gauged":
+        coef = _gauged_coef(data.lam, eta_f, dpsi_f)
     else:
         coef = _full_coef(data)
     a = complex(z_from)

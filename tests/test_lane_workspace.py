@@ -9,12 +9,12 @@ import unittest
 
 import numpy as np
 
-from lanes_model import FRESH_OPS, integrate_lanes_fresh
+from lanes_model import FRESH_OPS, integrate_lanes_fresh, lane_coef
 from solsurf.expr import parse
 from solsurf.geom import WeierstrassData
 from solsurf.immersion import _SWEEP_ROWS, DomainRect
-from solsurf.lsp import (_NODE_AXIS, _LaneWork, _dp_step, _integrate_lanes,
-                         _mul4_array, _reduced_coef)
+from solsurf.lsp import (_NODE_AXIS, _LaneWork, _dp_step, _gauged_mul,
+                         _integrate_lanes)
 from solsurf.odebridge import erf_example_data
 
 
@@ -38,8 +38,7 @@ def _block(name):
     k = int(np.argmin(np.abs(z[0].real - data.z0.real)))
     za = np.concatenate([z[:, k:-1], z[:, 1:k + 1]], axis=1).ravel()
     zb = np.concatenate([z[:, k + 1:], z[:, :k]], axis=1).ravel()
-    eta_a, _, psi_a, _ = data.array_functions()
-    return _reduced_coef(data.lam, eta_a, psi_a), za, zb - za
+    return lane_coef(data), za, zb - za
 
 
 def _start(n, seed=5):
@@ -72,9 +71,9 @@ class TestAgainstFreshArrays(unittest.TestCase):
             coef, a, d = _block(name)
             seen = sizes.setdefault(name, set())
 
-            def counted(a, d, t, seen=seen, coef=coef):
+            def counted(a, d, t, out, seen=seen, coef=coef):
                 seen.add(a.size)
-                return coef(a, d, t)
+                return coef(a, d, t, out)
 
             eye = np.zeros((4, a.size), dtype=complex)
             eye[[0, 3]] = 1.0
@@ -122,8 +121,8 @@ class TestAllocationBudget(unittest.TestCase):
         y = _start(n)
         h = np.full(n, 0.5)
         with np.errstate(all="ignore"):
-            c = np.stack(coef(a, d, _NODE_AXIS), axis=-2)
-        k1 = _mul4_array(c[0], y)
+            c = coef(a, d, _NODE_AXIS, np.empty((6, 2, n), dtype=complex))
+        k1 = _gauged_mul(c[0], y, np.empty_like(y))
         if ops is None:
             ops = _LaneWork().stages(n)
         tracemalloc.start()
@@ -134,7 +133,7 @@ class TestAllocationBudget(unittest.TestCase):
             tracemalloc.stop()
 
     def test_step_allocates_far_less_than_fresh_arrays(self):
-        # a (4, 1016) stage is 65 kB; fresh arrays peak at about 1.1 MB
+        # a (4, 1016) stage is 65 kB; fresh arrays peak at about 1.0 MB
         fresh, block = self.step_peak(FRESH_OPS)
         owned, _ = self.step_peak(None)
         self.assertEqual(block, 16 * 4 * 1016)

@@ -410,7 +410,7 @@ class TestDirectSampling(unittest.TestCase):
                     continue
                 want[i, j] = (vals[0] != 0.0
                               and all(np.isfinite(v) for v in vals))
-            got = _probe_validity(data, zgrid)
+            got, _ = _probe_validity(data, zgrid)
             self.assertTrue(np.array_equal(got, want), "%s %s" % (eta, psi))
 
     def test_h3_masks_equal_e3_limit_masks(self):

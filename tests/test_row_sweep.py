@@ -1,29 +1,34 @@
 """The grid sweep against the per-sample loops it replaced, which this
 file keeps as the reference implementations: per_hop_reference for the
-ODE targets, one scalar propagate per sample, and
+ODE targets, one scalar hop per sample, and
 per_row_quadrature_reference for e3-direct.  The ODE targets integrate
-the reduced system only; default h3 moves it by the gauge at z0.  The
-sweep multiplies each hop's transfer matrix from the identity into the
-wavefunction at the hop's start, so its ODE points are not bitwise those
-of hopping sample by sample; e3-direct's are."""
+the reduced system Psi in the paper's ODE gauge, Phi = G^{-1} Psi with
+G = [[1, 0], [psi, 1]], and form Psi = G Phi at each sample; default h3
+moves Psi by the gauge at z0.  per_hop_reference takes each hop as the
+sweep does whatever its batch (sweep_hop: Phi, or Psi across a cut of
+psi and past a masked sample), and the former loop, one scalar
+propagate of Psi per sample, is its gauged=False form, the independent
+oracle.  The sweep multiplies each hop's transfer matrix from the
+identity into the wavefunction at the hop's start, so its ODE points
+are not bitwise those of hopping sample by sample; e3-direct's are."""
 
 import unittest
 import warnings
-from functools import partial
 from unittest import mock
 
 import numpy as np
 
 import solsurf.immersion
-from solsurf._quad import adaptive_gl_batch
+from solsurf._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch
 from solsurf.expr import parse
 from solsurf.geom import EVAL_ERRORS, DomainError, WeierstrassData
 from solsurf.immersion import (DomainRect, _lorentz4, _phi_vector_batch,
                                _probe_validity, sample_surface)
-from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _integrate_unit,
-                         _integrate_lanes, _mul4, _reduced_coef,
-                         gauge_matrix, propagate)
-from solsurf.immersion import _SWEEP_ROWS
+from lanes_model import gauged_hop, lane_coef, scalar_coef, table_fresh
+from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _UNIT_WEIGHTS,
+                         _gauged_coef, _integrate_unit, _integrate_lanes,
+                         _mul4, gauge_matrix, propagate)
+from solsurf.immersion import _KAPPA_MEND, _SWEEP_ROWS
 from solsurf.odebridge import erf_example_data
 
 _HOP_ERRORS = (StepUnderflow, DomainError) + EVAL_ERRORS
@@ -38,6 +43,8 @@ CASES = {
                         (-1, 1, -1, 1, 11, 11)),
     "sqrt_cut": ("1", "sqrt(z)", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
     "log_cut": ("1", "log(z)", 0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
+    "sqrt_left": ("1", "sqrt(z)", -0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
+    "log_left": ("1", "log(z)", -0.9 + 0.9j, 0.8, (-1, 1, -1, 1, 11, 11)),
 }
 # (target, system) of the ODE sampler
 TARGETS = (("h3", None), ("e3-limit", None), ("h3", "reduced"))
@@ -67,14 +74,20 @@ TABLE_REL = 4e-15
 # against the scalar integrator measured, relative to the largest entry
 CROSS_REL = 1e-13
 
-# the per-hop loop's largest error at tol 1e-8 against itself at tol 1e-12,
-# relative to max(1, |x|), on the singular cases; the sweep may reach 5x
-# these.  It measures up to 1.2x on pole_on_sample, 1.1x on
-# pole_off_sample, 0.5-0.6x on sqrt_cut and 1.0x on log_cut.  Without its
-# mend of ill-conditioned hops it read 22-23x on pole_off_sample: row 5
-# runs left from the seed column through (5, 5), 0.07 from the pole, and
-# the transfer matrix of the hop (5, 5) -> (5, 4), within 2.4e-9 of its
-# size, multiplies a wavefunction that the hop shrinks about sixfold
+# the former per-hop loop's largest error at tol 1e-8 against itself at
+# tol 1e-12, relative to max(1, |x|), on the singular cases; the sweep may
+# reach 5x these.  It measures up to 0.42x on pole_on_sample, 0.46x on
+# pole_off_sample, 1.37-1.41x on sqrt_cut, 0.25x on log_cut, 0.43x on
+# sqrt_left and 0.09x on log_left (the sweep of the reduced system read
+# 1.2x, 1.1x, 0.5-0.6x and 1.0x on the first four).  Without its mend of
+# ill-conditioned hops the reduced system's sweep read 22-23x on
+# pole_off_sample: row 5 runs left from the seed column through (5, 5),
+# 0.07 from the pole, and the transfer matrix of the hop (5, 5) -> (5, 4),
+# within 2.4e-9 of its size, multiplies a wavefunction that the hop
+# shrinks about sixfold.  The gauged sweep reads 1.35x there with the
+# mend's hops at tol.  The seed column of the _left cases crosses the
+# cut of psi, where the sweep takes its hops on Psi: taken on Phi, they
+# moved every later sample by up to 0.7 (log) and 1e-6 (sqrt)
 PER_HOP_ERROR = {
     ("pole_on_sample", "h3", None): 7.689e-09,
     ("pole_on_sample", "e3-limit", None): 1.108e-08,
@@ -88,6 +101,12 @@ PER_HOP_ERROR = {
     ("log_cut", "h3", None): 3.097e-07,
     ("log_cut", "e3-limit", None): 3.237e-07,
     ("log_cut", "h3", "reduced"): 3.097e-07,
+    ("sqrt_left", "h3", None): 1.047e-06,
+    ("sqrt_left", "e3-limit", None): 1.218e-06,
+    ("sqrt_left", "h3", "reduced"): 9.462e-07,
+    ("log_left", "h3", None): 1.129e-06,
+    ("log_left", "e3-limit", None): 1.282e-06,
+    ("log_left", "h3", "reduced"): 1.129e-06,
 }
 
 
@@ -122,10 +141,17 @@ def _halves(n, k):
 
 
 def per_hop_reference(data, domain, target, tol=1e-8, system=None,
-                      refuse=()):
-    """The sampler's former loop for the ODE targets, on the sweep's
-    paths: one scalar propagate of the reduced system per sample, each
-    from the wavefunction at the last good sample; default h3 emits the
+                      refuse=(), gauged=True):
+    """The sampler's loop for the ODE targets, hop by hop on the sweep's
+    paths: one scalar hop per sample as the sweep takes it (sweep_hop),
+    its transfer matrix from the identity times the value at the last
+    good sample, as the sweep combines them, from Phi(z0) = G(z0)^{-1},
+    and Psi = G Phi at every sample.  (An adaptive hop from that value
+    instead takes its own steps: on the clean case at tol 1e-8 it reads
+    3.9e-10 from the sweep, where Psi's pointwise nilpotent coefficient
+    crossed each hop in one step.)  gauged=False makes it the former
+    loop, one scalar propagate of Psi per sample from that value, from
+    Psi(z0) = I, the independent oracle.  Default h3 emits the
     wavefunction times the gauge at z0.  The first hop goes from z0 into
     the seed column's probe-valid samples, nearest first, until one
     succeeds; the samples tried before it are masked.  From that sample
@@ -140,7 +166,9 @@ def per_hop_reference(data, domain, target, tol=1e-8, system=None,
         m0 = tuple(gauge_matrix(data, data.z0).ravel().tolist())
     zgrid = domain.grid()
     ny, nx = zgrid.shape
-    valid = _probe_validity(data, zgrid)
+    valid, _ = _probe_validity(data, zgrid)
+    psi_f = data.functions()[2]
+    reach = _reach(domain)
     points = np.full((ny, nx, 4), np.nan)
     residuals = {"det_drift": np.full((ny, nx), np.nan)}
     if target == "h3":
@@ -152,9 +180,15 @@ def per_hop_reference(data, domain, target, tol=1e-8, system=None,
     def hop(z_from, z_to, y):
         if (complex(z_from), complex(z_to)) in refuse:
             raise StepUnderflow("refused")
-        return propagate(data, z_from, z_to, y, tol=tol, system="reduced")
+        if not gauged:
+            return propagate(data, z_from, z_to, y, tol=tol,
+                             system="reduced")
+        return _mul4(sweep_hop(data, z_from, z_to, _ID4, tol, reach), y)
 
     def emit(i, j, y):
+        if gauged:
+            p = psi_f(complex(zgrid[i, j]))
+            y = (y[0], y[1], p * y[0] + y[2], p * y[1] + y[3])
         if m0 is not None:
             y = _mul4(y, m0)
         residuals["det_drift"][i, j] = abs(y[0] * y[3] - y[1] * y[2] - 1.0)
@@ -185,12 +219,13 @@ def per_hop_reference(data, domain, target, tol=1e-8, system=None,
             vals[ij] = y
             cur_z = zgrid[ij]
 
+    start = (1.0, 0.0, -psi_f(data.z0), 1.0) if gauged else _ID4
     c, near = _seed_column(zgrid, data.z0)
     for i in near:
         if not valid[i, c]:
             continue
         try:
-            vals[i, c] = hop(data.z0, zgrid[i, c], _ID4)
+            vals[i, c] = hop(data.z0, zgrid[i, c], start)
         except _HOP_ERRORS:
             valid[i, c] = False
             continue
@@ -227,7 +262,7 @@ def per_row_quadrature_reference(data, domain, tol=1e-8, refuse=()):
 
     zgrid = domain.grid()
     ny, nx = zgrid.shape
-    valid = _probe_validity(data, zgrid)
+    valid, _ = _probe_validity(data, zgrid)
     sums = {}
 
     def run(cells):
@@ -269,6 +304,64 @@ def per_row_quadrature_reference(data, domain, tol=1e-8, refuse=()):
     return points, valid
 
 
+def _psi_hop(data, a, b, y, tol):
+    """The gauged hop a -> b from y through propagate of Psi: from G(a) y,
+    then G(b)^{-1}."""
+    psi_f = data.functions()[2]
+    pa, pb = psi_f(complex(a)), psi_f(complex(b))
+    w = propagate(data, a, b, (y[0], y[1], pa * y[0] + y[2],
+                               pa * y[1] + y[3]), tol=tol, system="reduced")
+    return w[0], w[1], w[2] - pb * w[0], w[3] - pb * w[1]
+
+
+def _reach(domain):
+    """The longest hops along each axis that pass no sample: 1.5 times the
+    grid spacing."""
+    return 1.5 * domain.dx, 1.5 * domain.dy
+
+
+def psi_cut(data, a, b, tol):
+    """Whether psi jumps on the hop a -> b (across a branch cut), judged
+    over the scalar closures as the sweep judges it: the quadrature of
+    psi' d by a first step's weights at _UNIT_NODES misses psi(b) -
+    psi(a) by more than tol (1 + |psi(a)| + |psi(b)|), and adaptive
+    Gauss-Kronrod at a tenth of that misses it too or fails."""
+    _, _, psi_f, dpsi_f = data.functions()
+    a, b = complex(a), complex(b)
+    pa, pb = psi_f(a), psi_f(b)
+    bound = tol * (1.0 + abs(pa) + abs(pb))
+    try:
+        q = sum(w * dpsi_f(a + t * (b - a))
+                for w, t in zip(_UNIT_WEIGHTS.tolist(), _UNIT_NODES))
+    except _HOP_ERRORS:
+        q = complex("nan")
+    if abs(pb - pa - q * (b - a)) <= bound:
+        return False
+    try:
+        return not abs(pb - pa - adaptive_gl(dpsi_f, a, b,
+                                             bound / 10)) <= bound
+    except (QuadratureFailure,) + _HOP_ERRORS:
+        return True
+
+
+def psi_routed(data, a, b, tol, reach):
+    """Whether the sweep takes the hop a -> b through propagate of Psi:
+    where it is longer than reach along an axis (it passes a masked
+    sample) or psi jumps on it."""
+    d = complex(b) - complex(a)
+    return (psi_cut(data, a, b, tol) or abs(d.real) > reach[0]
+            or abs(d.imag) > reach[1])
+
+
+def sweep_hop(data, a, b, y, tol, reach):
+    """The hop a -> b from y as the sweep takes it, its batch aside: the
+    gauged system through _integrate_unit (gauged_hop), or propagate of
+    Psi (_psi_hop) where psi_routed says so."""
+    if psi_routed(data, a, b, tol, reach):
+        return _psi_hop(data, a, b, y, tol)
+    return gauged_hop(data, a, b, y, tol)
+
+
 def _refusing(refuse, calls=None):
     """Patch the sweep so that the hops between the (z_from, z_to) pairs in
     refuse fail, under every target.  Each hop call appends the list of
@@ -304,26 +397,18 @@ def _cbits(z):
     return _bits(np.stack([z.real, z.imag]))
 
 
-def _scalar_coef(data):
-    """The reduced coefficient over the scalar closures, as a scalar hop
-    takes it: (a, d, t) -> the 4-tuple of entries."""
-    eta_f, _, psi_f, _ = data.functions()
-    return _reduced_coef(data.lam, eta_f, psi_f)
-
-
 def _array_coef(data):
-    """The reduced coefficient over the array closures, as the sweep
-    tabulates it: (a, d, t) -> the entries stacked on axis -2."""
-    eta_a, _, psi_a, _ = data.array_functions()
-    coef = _reduced_coef(data.lam, eta_a, psi_a)
-    return lambda a, d, t: np.stack(coef(a, d, t), axis=-2)
+    """The gauged coefficient over the array closures, as the sweep
+    tabulates it: (a, d, t) -> the (k, 2, n) table of its two entries."""
+    coef = lane_coef(data)
+    return lambda a, d, t: table_fresh(coef, a, d, t)
 
 
 def _one_step(data, a, b, y, tol):
-    """Whether _integrate_unit crosses the reduced system's hop a -> b in
+    """Whether _integrate_unit crosses the gauged system's hop a -> b in
     one accepted step of h = 1 (six coefficient calls), and its result
     (None if it raised)."""
-    coef = _scalar_coef(data)
+    coef = scalar_coef(data)
     a = complex(a)
     d = complex(b) - a
     calls = [0]
@@ -339,20 +424,11 @@ def _one_step(data, a, b, y, tol):
     return calls[0] == 6, y1
 
 
-def _lane_coef(data):
-    """The reduced coefficient over the array closures, as the sweep hands
-    it to _integrate_lanes."""
-    eta_a, _, psi_a, _ = data.array_functions()
-    return _reduced_coef(data.lam, eta_a, psi_a)
-
-
 def _hop_result(data, a, b, y, tol):
-    """_integrate_unit's result for the reduced system's hop a -> b from y,
+    """_integrate_unit's result for the gauged system's hop a -> b from y,
     or None where it raises."""
-    coef = _scalar_coef(data)
-    a = complex(a)
     try:
-        return _integrate_unit(partial(coef, a, complex(b) - a), y, tol)
+        return gauged_hop(data, a, b, y, tol)
     except _HOP_ERRORS:
         return None
 
@@ -361,9 +437,9 @@ class TestAgainstPerHopLoop(unittest.TestCase):
 
     def compare(self, name, target, system, tol):
         data, domain = _data(name)
-        want_p, want_v, want_r = per_hop_reference(data, domain, target,
-                                                   tol=tol, system=system)
         got = sample_surface(data, domain, target, tol=tol, system=system)
+        want_p, want_v, want_r = per_hop_reference(
+            data, domain, target, tol=tol, system=system)
         label = "%s %s %s tol %g" % (name, target, system, tol)
         np.testing.assert_array_equal(got.valid, want_v, label)
         self.assertEqual(list(got.residuals), list(want_r), label)
@@ -390,12 +466,14 @@ class TestAgainstPerHopLoop(unittest.TestCase):
                     self.compare(name, target, system, tol)
 
     def test_error_against_a_tight_reference(self):
-        """On the singular cases at tol 1e-8, the error against the per-hop
-        loop at tol 1e-12 stays within 5 times the per-hop loop's own."""
+        """On the singular cases at tol 1e-8, the error against the former
+        per-hop loop of Psi at tol 1e-12 stays within 5 times that loop's
+        own."""
         for (name, target, system), before in PER_HOP_ERROR.items():
             data, domain = _data(name)
             want_p, want_v, _ = per_hop_reference(data, domain, target,
-                                                  tol=1e-12, system=system)
+                                                  tol=1e-12, system=system,
+                                                  gauged=False)
             got = sample_surface(data, domain, target, tol=1e-8,
                                  system=system)
             both = got.valid & want_v
@@ -524,6 +602,39 @@ class TestAgainstPerHopLoop(unittest.TestCase):
             patch.valid, per_row_quadrature_reference(data, domain,
                                                       tol=1e-17)[1])
 
+    def test_batches_do_not_change_the_surface(self):
+        """A hop's value and whether it fails do not depend on its batch:
+        with one, three or eight rows per batch the masks are equal, and
+        the points within CROSS_REL of rounding.  On sqrt_cut the hop
+        (5, 6) -> (5, 4) passes z = 0, where psi' and so the gauged
+        system are singular and Psi's coefficient is not; on sqrt(z -
+        0.1) the hop (5, 5) -> (5, 6) passes the branch point between two
+        samples.  Every mask is the former per-hop loop's, which keeps
+        row 5 past those points."""
+        cases = [_data(name) for name in ("sqrt_cut", "sqrt_left",
+                                          "log_left", "pole_on_sample")]
+        cases.append((WeierstrassData(eta=parse("1"), psi=parse("sqrt(z-0.1)"),
+                                      z0=0.9 + 0.9j, lam=0.8),
+                      DomainRect(-1, 1, -1, 1, 11, 11)))
+        for data, domain in cases:
+            for target in ("h3", "e3-limit"):
+                want = per_hop_reference(data, domain, target,
+                                         gauged=False)[1]
+                runs = []
+                for rows in (1, 3, 8):
+                    with mock.patch.object(solsurf.immersion, "_SWEEP_ROWS",
+                                           rows):
+                        runs.append(sample_surface(data, domain, target))
+                label = "%s %s" % (data.psi, target)
+                np.testing.assert_array_equal(runs[0].valid, want, label)
+                for run in runs[1:]:
+                    np.testing.assert_array_equal(run.valid, runs[0].valid,
+                                                  label)
+                    self.assertLessEqual(_rel_dev(run.points,
+                                                  runs[0].points,
+                                                  run.valid),
+                                         CROSS_REL, label)
+
     def test_nan_and_overflow_do_not_warn(self):
         data, domain = _data("pole_on_sample")
         with warnings.catch_warnings():
@@ -619,7 +730,7 @@ class TestBatchedStep(unittest.TestCase):
         det-1 start values (any matrices serve)."""
         data, domain = _data(name)
         zgrid = domain.grid()
-        valid = _probe_validity(data, zgrid)
+        valid, _ = _probe_validity(data, zgrid)
         ii, jj = np.nonzero(valid[:, :-1] & valid[:, 1:])
         a, b = list(zgrid[ii, jj]), list(zgrid[ii, jj + 1])
         if name.startswith("pole"):
@@ -640,7 +751,7 @@ class TestBatchedStep(unittest.TestCase):
     def alone(self, data, a, d, y, tol):
         """One hop through _integrate_lanes as a batch of two copies of
         itself, so that it is never the last lane left: (y, settled)."""
-        got, settled, _ = _integrate_lanes(_lane_coef(data), np.array([a, a]),
+        got, settled, _ = _integrate_lanes(lane_coef(data), np.array([a, a]),
                                            np.array([d, d]),
                                            np.stack([y, y], axis=1), tol)
         return got[:, 0], bool(settled[0])
@@ -648,7 +759,7 @@ class TestBatchedStep(unittest.TestCase):
     def check(self, name, tol):
         data, a, b, y, n = self.hops(name)
         d = b - a
-        got, settled, failed = _integrate_lanes(_lane_coef(data), a, d, y,
+        got, settled, failed = _integrate_lanes(lane_coef(data), a, d, y,
                                                 tol)
         # at most one lane is handed back, to the scalar integrator
         self.assertLessEqual(int(np.sum(~(settled | failed))), 1, name)
@@ -692,12 +803,12 @@ class TestBatchedStep(unittest.TestCase):
         for name in CASES:
             data, domain = _data(name)
             zgrid = domain.grid()
-            valid = _probe_validity(data, zgrid)
+            valid, _ = _probe_validity(data, zgrid)
             ii, jj = np.nonzero(valid[:, :-1] & valid[:, 1:])
             a, b = zgrid[ii, jj], zgrid[ii, jj + 1]
             eye = np.zeros((4, 2), dtype=complex)
             eye[[0, 3]] = 1.0
-            coef = _lane_coef(data)
+            coef = lane_coef(data)
             for tol in TOLS:
                 for k in range(len(a)):
                     calls = []
@@ -728,7 +839,7 @@ class TestBatchedStep(unittest.TestCase):
             data, domain = _data(name)
             zgrid = domain.grid()
             a, b = zgrid[:, :-1].ravel(), zgrid[:, 1:].ravel()
-            scalar = _scalar_coef(data)
+            scalar = scalar_coef(data)
             coef = _array_coef(data)
             for t in _UNIT_NODES:
                 table = coef(a, b - a, t)
@@ -742,26 +853,25 @@ class TestBatchedStep(unittest.TestCase):
                         continue
                     got = table[:, k].tolist()
                     label = "%s t=%r at %r" % (name, t, a[k])
-                    for g, w in zip(got, want):
+                    self.assertEqual(want[::3], (0j, 0j), label)
+                    for g, w in zip(got, want[1:3]):
                         self.assertLessEqual(abs(g - w), TABLE_REL * abs(w),
                                              label)
 
 
 class TestPropagateCalls(unittest.TestCase):
-    """The scalar propagate runs only for a hop left alone in its batch:
-    the one that _integrate_lanes hands back because it is still running
-    when every other hop of the batch has ended."""
-
-    def setUp(self):
-        self.iterations = {}
+    """The scalar propagate runs for a hop left alone in its batch, the one
+    that _integrate_lanes hands back because it is still running when
+    every other hop of the batch has ended, on the gauged system; and for
+    the hops that the sweep takes on Psi (psi_routed)."""
 
     def sample(self, data, domain, target):
-        """Sample the grid; returns the number of propagate calls and the
-        (a, d, y) of every _integrate_lanes call."""
+        """Sample the grid; returns the system of every propagate call and
+        the (a, d, y, tol) of every _integrate_lanes call."""
         batches = []
 
         def recording(coef, a, d, y, tol, work):
-            batches.append((a.copy(), d.copy(), y.copy()))
+            batches.append((a.copy(), d.copy(), y.copy(), tol))
             return _integrate_lanes(coef, a, d, y, tol, work)
 
         with mock.patch.object(solsurf.immersion, "propagate",
@@ -769,7 +879,7 @@ class TestPropagateCalls(unittest.TestCase):
                 mock.patch.object(solsurf.immersion, "_integrate_lanes",
                                   recording):
             sample_surface(data, domain, target)
-        return counting.call_count, batches
+        return [c.kwargs["system"] for c in counting.call_args_list], batches
 
     def test_clean_data_hops_in_batches(self):
         # hops short enough for one step at tol 1e-8, the first a
@@ -779,33 +889,43 @@ class TestPropagateCalls(unittest.TestCase):
         domain = DomainRect(-0.3, 0.3, -0.3, 0.3, 17, 17)
         for target in ("h3", "e3-limit"):
             calls, batches = self.sample(data, domain, target)
-            self.assertEqual(self.expected_calls(data, batches), 0, target)
-            self.assertEqual(calls, 0, target)
+            self.assertEqual(self.expected_calls(data, domain, batches),
+                             [], target)
+            self.assertEqual(calls, [], target)
 
     def test_pole_data_fallback_hops(self):
-        # both targets sweep the reduced system, so they hop alike
-        for name in ("pole_on_sample", "pole_off_sample"):
+        # both targets sweep the same system, so they hop alike
+        for name in ("pole_on_sample", "pole_off_sample", "sqrt_cut",
+                     "log_left"):
             data, domain = _data(name)
             for target in ("h3", "e3-limit"):
                 calls, batches = self.sample(data, domain, target)
-                expected = self.expected_calls(data, batches)
-                self.assertGreater(expected, 0, name)
-                self.assertEqual(calls, expected, "%s %s" % (name, target))
+                expected = self.expected_calls(data, domain, batches)
+                self.assertIn("gauged" if name.startswith("pole")
+                              else "reduced", expected, name)
+                self.assertEqual(sorted(calls), sorted(expected),
+                                 "%s %s" % (name, target))
 
-    def expected_calls(self, data, batches, tol=1e-8):
-        """One call for each batch in which one hop runs more iterations
-        than every other hop of the batch, and more than the first: the
-        integrator hands that hop back.  A hop's iterations do not depend
-        on its batch; each is counted on a batch of two copies of the
-        hop, which end together.  Steps as the sampler does, under
+    def expected_calls(self, data, domain, batches):
+        """The systems of the calls: 'gauged' for each batch in which one
+        hop runs more iterations than every other hop of the batch, and
+        more than the first, unless the sweep takes that hop on Psi; the
+        integrator hands it back.  'reduced' for each hop that the sweep
+        takes on Psi.  A hop's iterations do not depend on its batch; each
+        is counted on a batch of two copies of the hop, which end
+        together, at the batch's tol (the mend's batch steps at tol /
+        _KAPPA_MEND).  Steps as the sampler does, under
         np.errstate(all="ignore"): a zero-length hop's error estimate is
         0."""
-        coef = _lane_coef(data)
-        calls = 0
-        for a, d, y in batches:
+        coef = lane_coef(data)
+        reach = _reach(domain)
+        iterations = {}
+        calls = []
+        for a, d, y, tol in batches:
             counts = []
-            for hop in zip(a.tolist(), d.tolist(), map(tuple, y.T.tolist())):
-                if hop not in self.iterations:
+            for hop in zip(a.tolist(), d.tolist(), map(tuple, y.T.tolist()),
+                           [tol] * a.size):
+                if hop not in iterations:
                     n = []
 
                     def counted(*args):
@@ -816,10 +936,16 @@ class TestPropagateCalls(unittest.TestCase):
                         _integrate_lanes(counted, np.array(hop[:1] * 2),
                                          np.array(hop[1:2] * 2),
                                          np.array([hop[2]] * 2).T, tol)
-                    self.iterations[hop] = len(n)
-                counts.append(self.iterations[hop])
-            counts.sort()
-            calls += counts[-1] > max([1] + counts[-2:-1])
+                    iterations[hop] = len(n)
+                counts.append(iterations[hop])
+            last = max(range(a.size), key=counts.__getitem__)
+            ranked = sorted(counts)
+            handed = ranked[-1] > max([1] + ranked[-2:-1])
+            for k, (za, dk) in enumerate(zip(a.tolist(), d.tolist())):
+                if psi_routed(data, za, za + dk, tol, reach):
+                    calls.append("reduced")
+                elif handed and k == last:
+                    calls.append("gauged")
         return calls
 
 
@@ -829,10 +955,11 @@ class TestMend(unittest.TestCase):
     line sweep's in one call, from the values the transfer matrices gave,
     each correction then entering its half line as a right factor."""
 
-    def sequential(self, data, tol):
+    def sequential(self, data, tol, reach):
         """A patch of _sweep_lines that takes the same hops, then advances
-        the halves one sample at a time, each marked hop a scalar
-        propagate from the value its line has reached."""
+        the halves one sample at a time, each marked hop at tol a scalar
+        hop from the value its line has reached, as the sweep takes it
+        (sweep_hop)."""
         real = solsurf.immersion._sweep_lines
 
         def lines(hop, combine, zs, ok, vals, k, lines_per_batch, mend=None):
@@ -844,9 +971,9 @@ class TestMend(unittest.TestCase):
                     for l in np.flatnonzero(ok[:, j]):
                         t, y = vals[:, l, j, None], vals[:, l, last[l], None]
                         if mend is not None and mend[0](t)[0]:
-                            vals[:, l, j] = propagate(
-                                data, zs[l, last[l]], zs[l, j],
-                                tuple(y[:, 0]), tol=tol, system="reduced")
+                            vals[:, l, j] = sweep_hop(
+                                data, zs[l, last[l]], zs[l, j], y[:, 0], tol,
+                                reach)
                         else:
                             vals[:, l, j] = combine(t, y)[:, 0]
                         last[l] = j
@@ -863,7 +990,8 @@ class TestMend(unittest.TestCase):
             for target, system in TARGETS:
                 label = "%s %s %s" % (name, target, system)
                 got = sample_surface(data, domain, target, system=system)
-                with self.sequential(data, 1e-8):
+                with self.sequential(data, 1e-8 / _KAPPA_MEND,
+                                     _reach(domain)):
                     want = sample_surface(data, domain, target, system=system)
                 np.testing.assert_array_equal(got.valid, want.valid, label)
                 self.assertLessEqual(
@@ -936,7 +1064,7 @@ class TestOnePassTables(unittest.TestCase):
             data, a, d = self.hops(name)
             coef = _array_coef(data)
             table = coef(a, d, nodes)
-            self.assertEqual(table.shape, (6, 4, len(a)), name)
+            self.assertEqual(table.shape, (6, 2, len(a)), name)
             per_node = np.stack([coef(a, d, t) for t in _UNIT_NODES])
             np.testing.assert_array_equal(_bits(table.view(float)),
                                           _bits(per_node.view(float)), name)
@@ -945,27 +1073,36 @@ class TestOnePassTables(unittest.TestCase):
         self.assertGreater(nan_lanes, 0)
 
     def test_one_coefficient_call_per_block(self):
-        """One call for the hop from z0, one for the rest of the seed
-        column, and one per block of _SWEEP_ROWS rows."""
-        data, domain = _data("clean")
-        self.assertEqual(domain.ny, 17)
-        for target in ("h3", "e3-limit"):
-            calls = []
+        """One first-step call for the hop from z0, one for the rest of the
+        seed column, and one per block of _SWEEP_ROWS rows, on a grid
+        whose hops the gauged system crosses in one step each.  On the
+        clean case's coarser grid some take a few steps (the reduced
+        system's crossed it in one step each), and each later iteration
+        makes one call at the five new stage times of the lanes still
+        running: the sequence is pinned as measured."""
+        data, coarse = _data("clean")
+        fine = DomainRect(-0.3, 0.3, -0.3, 0.3, 17, 17)
+        blocks = -(-fine.ny // _SWEEP_ROWS)
+        pinned = ((fine, [(6, 1)] * (2 + blocks)),
+                  (coarse, [(6, 1)] * 3 + [(5, 9)] * 2 + [(6, 1)]
+                   + [(5, 5)] * 2 + [(6, 1)] + [(5, 4)] * 2))
+        for domain, want in pinned:
+            for target in ("h3", "e3-limit"):
+                calls = []
 
-            def counting(*args, _real=_reduced_coef):
-                coef = _real(*args)
+                def counting(*args, _real=_gauged_coef):
+                    coef = _real(*args)
 
-                def counted(a, d, t):
-                    calls.append(np.shape(t))
-                    return coef(a, d, t)
+                    def counted(a, d, t, out):
+                        calls.append(np.shape(t))
+                        return coef(a, d, t, out)
 
-                return counted
+                    return counted
 
-            with mock.patch.object(solsurf.immersion, "_reduced_coef",
-                                   counting):
-                sample_surface(data, domain, target)
-            blocks = -(-domain.ny // _SWEEP_ROWS)
-            self.assertEqual(calls, [(6, 1)] * (2 + blocks), target)
+                with mock.patch.object(solsurf.immersion, "_gauged_coef",
+                                       counting):
+                    sample_surface(data, domain, target)
+                self.assertEqual(calls, want, "%s %r" % (target, domain))
 
 
 class TestImmersionPass(unittest.TestCase):
