@@ -326,7 +326,11 @@ def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, mend=None):
     point, so a sample beyond it could only be reached by stepping over a
     point where the integrator gave up.  Then the halves advance one
     sample at a time: a value is combine(hop value, value at the hop's
-    start).
+    start).  While every line of a half is ok at the column before and
+    the column reached, whole columns combine as slices; from a column
+    with a masked sample on, each line gathers its own start.  combine
+    must give the values of contiguous operands on strided ones (np.add,
+    and _mul4_array, which copies its operands by take).
 
     mend = (weak, fix), when given, mends hops whose value would carry a
     large error into the values: weak(hop values) marks them, and after
@@ -359,7 +363,13 @@ def _sweep_lines(hop, combine, zs, ok, vals, k, lines_per_batch, mend=None):
             ok[l, slice(j, None) if j > k else slice(0, j + 1)] = False
     for half in (range(k + 1, m), range(k - 1, -1, -1)):
         last = np.full(n_lines, k)
+        dense = bool(ok[:, k].all())
         for j in half:
+            dense = dense and bool(ok[:, j].all())
+            if dense:
+                vals[:, :, j] = combine(vals[:, :, j], vals[:, :, last[0]])
+                last[:] = j
+                continue
             lanes = np.flatnonzero(ok[:, j])
             vals[:, lanes, j] = combine(vals[:, lanes, j],
                                         vals[:, lanes, last[lanes]])
@@ -495,7 +505,9 @@ def _sample_ode(data, zgrid, valid, psi, target, tol, system):
     + |psi(a)| + |psi(b)|), and adaptive Gauss-Kronrod misses or fails
     too, as it does on a singular psi') and a hop past a sample the probe
     masked go through propagate of Psi from G(a) Phi_a, and G(b)^{-1}
-    takes the value back.  No hop's value depends on its batch.
+    takes the value back.  The quadrature sums its weighted nodes in node
+    order, elementwise, so neither a hop's way nor its value depends on
+    its batch or on the BLAS kernel.
     Near a pole T's condition number kappa reaches hundreds, and T Phi is
     off by up to kappa tol, so after each line sweep the hops with kappa
     above _KAPPA_MEND are integrated again from the value at their start,
@@ -526,7 +538,7 @@ def _sample_ode(data, zgrid, valid, psi, target, tol, system):
     def coef(a, d, t, out):
         c = gauged(a, d, t, out)
         if len(t) == 6:
-            quad.append(_UNIT_WEIGHTS @ c[:, 1])
+            quad.append(sum(w * e for w, e in zip(_UNIT_WEIGHTS, c[:, 1])))
         return c
 
     def lanes(za, zb, y, tol=tol):
@@ -644,7 +656,9 @@ def _sample_ode(data, zgrid, valid, psi, target, tol, system):
 # ---------------------------------------------------------------------------
 # frame reconstruction
 
-_G_LORENTZ = np.diag([-1.0, 1.0, 1.0, 1.0])
+# the diagonal of G = diag(-1, 1, 1, 1); a row times it elementwise is
+# the row times G, exactly where the row is finite (zeros' signs aside)
+_LORENTZ_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0])
 
 # per-sample outcome codes of the frame reconstruction; FRAME_OK marks an
 # evaluated sample, FRAME_EDGE one outside the swept ring
@@ -696,7 +710,8 @@ def _rowdot(x, y):
     several digits, so the summation order shows in H and Q.  A BLAS
     product may round a row by its batch or its alignment (OpenBLAS's
     Prescott kernel does); elementwise sums keep frame_sweep equal to
-    frame_and_curvature bit for bit.
+    frame_and_curvature bit for bit.  The frame code takes no BLAS
+    product: a row times _LORENTZ_SIGNS is its product with G.
     """
     return sum((x * y).T)
 
@@ -729,6 +744,11 @@ def _frame_block(p, valid, dx, dy, scale):
     sample, and vals maps F, fx, fy, N, u, H, Q and conf to arrays over
     the samples with code FRAME_OK, in row-major order.
 
+    Each sample takes one stencil: the fourth-order ones are formed over
+    the window, the x-difference once over all its rows (fx, and the rows
+    fxy differences), and the second-order ones only at the samples
+    gathered where the 3x3 block is valid and the 5x5 one is not.
+
     The Lorentz normal is the closed-form 4-D cross product
     N_i = G_ii eps_ijkl Y^j F_x^k F_y^l with the position row Y = F, or
     Y = scale F + e0 when scale is not None (see _position_scale),
@@ -745,41 +765,44 @@ def _frame_block(p, valid, dx, dy, scale):
     lorentz = p.shape[-1] == 4
     ny, nx = valid.shape[0] - 4, valid.shape[1] - 4
 
-    def at(di, dj, a=p):
-        return a[2 + di:2 + di + ny, 2 + dj:2 + dj + nx]
+    def at(di, dj):
+        return p[2 + di:2 + di + ny, 2 + dj:2 + dj + nx]
 
-    near = np.ones((ny, nx), dtype=bool)
-    wide = np.ones((ny, nx), dtype=bool)
-    for di in range(-2, 3):
-        for dj in range(-2, 3):
-            wide &= at(di, dj, valid)
-            if abs(di) <= 1 and abs(dj) <= 1:
-                near &= at(di, dj, valid)
+    # the 3x3 and the 5x5 block valid: erode along the rows, then down
+    # the columns
+    row3 = valid[:, 1:-3] & valid[:, 2:-2] & valid[:, 3:-1]
+    row5 = row3 & valid[:, :-4] & valid[:, 4:]
+    near = row3[1:-3] & row3[2:-2] & row3[3:-1]
+    wide = row5[:-4] & row5[1:-3] & row5[2:-2] & row5[3:-1] & row5[4:]
 
+    # the fourth-order stencils, exact through quartics, which keeps the
+    # conformality residual at truncation level even on coarse grids
     f = at(0, 0)
-    fx = (at(0, 1) - at(0, -1)) / (2.0 * dx)
-    fy = (at(1, 0) - at(-1, 0)) / (2.0 * dy)
-    fxx = (at(0, 1) - 2.0 * f + at(0, -1)) / (dx * dx)
-    fyy = (at(1, 0) - 2.0 * f + at(-1, 0)) / (dy * dy)
-    fxy = (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * dx * dy)
+    d1x = (-p[:, 4:] + 8.0 * p[:, 3:-1]
+           - 8.0 * p[:, 1:-3] + p[:, :-4]) / (12.0 * dx)
+    fx = d1x[2:-2]
+    fy = (-at(2, 0) + 8.0 * at(1, 0)
+          - 8.0 * at(-1, 0) + at(-2, 0)) / (12.0 * dy)
+    fxx = (-at(0, 2) + 16.0 * at(0, 1) - 30.0 * f
+           + 16.0 * at(0, -1) - at(0, -2)) / (12.0 * dx * dx)
+    fyy = (-at(2, 0) + 16.0 * at(1, 0) - 30.0 * f
+           + 16.0 * at(-1, 0) - at(-2, 0)) / (12.0 * dy * dy)
+    fxy = (-d1x[4:] + 8.0 * d1x[3:-1]
+           - 8.0 * d1x[1:-3] + d1x[:-4]) / (12.0 * dy)
 
-    # fourth-order stencils where the whole 5x5 block is valid; exact
-    # through quartics, which keeps the conformality residual at
-    # truncation level even on coarse grids
-    def d1x(di):
-        return (-at(di, 2) + 8.0 * at(di, 1)
-                - 8.0 * at(di, -1) + at(di, -2)) / (12.0 * dx)
+    # the second-order stencils where only the 3x3 block is valid, after
+    # fxy has read d1x, of which fx is a view
+    i, j = np.nonzero(near & ~wide)
+    if i.size:
+        def g(di, dj):
+            return p[i + 2 + di, j + 2 + dj]
 
-    w = wide[..., None]
-    fx = np.where(w, d1x(0), fx)
-    fy = np.where(w, (-at(2, 0) + 8.0 * at(1, 0)
-                      - 8.0 * at(-1, 0) + at(-2, 0)) / (12.0 * dy), fy)
-    fxx = np.where(w, (-at(0, 2) + 16.0 * at(0, 1) - 30.0 * f
-                       + 16.0 * at(0, -1) - at(0, -2)) / (12.0 * dx * dx), fxx)
-    fyy = np.where(w, (-at(2, 0) + 16.0 * at(1, 0) - 30.0 * f
-                       + 16.0 * at(-1, 0) - at(-2, 0)) / (12.0 * dy * dy), fyy)
-    fxy = np.where(w, (-d1x(2) + 8.0 * d1x(1)
-                       - 8.0 * d1x(-1) + d1x(-2)) / (12.0 * dy), fxy)
+        fx[i, j] = (g(0, 1) - g(0, -1)) / (2.0 * dx)
+        fy[i, j] = (g(1, 0) - g(-1, 0)) / (2.0 * dy)
+        fxx[i, j] = (g(0, 1) - 2.0 * g(0, 0) + g(0, -1)) / (dx * dx)
+        fyy[i, j] = (g(1, 0) - 2.0 * g(0, 0) + g(-1, 0)) / (dy * dy)
+        fxy[i, j] = (g(1, 1) - g(1, -1) - g(-1, 1)
+                     + g(-1, -1)) / (4.0 * dx * dy)
 
     # e^u = 2 (F_z|F_zbar) with F_z = a - i c, F_zbar = a + i c
     a = 0.5 * fx
@@ -791,13 +814,14 @@ def _frame_block(p, valid, dx, dy, scale):
 
     # from here on, only the samples that passed, as (K, dim) arrays
     sel = np.flatnonzero(conformal)
+    whole = sel.size == ny * nx
 
     def pick(x):
-        return x.reshape(ny * nx, -1)[sel]
+        x = x.reshape((ny * nx,) + x.shape[2:])
+        return x if whole else x[sel]
 
-    f, fx, fy, a, c, fxx, fyy, fxy = map(pick, (f, fx, fy, a, c,
-                                                fxx, fyy, fxy))
-    eu = eu.reshape(-1)[sel]
+    f, fx, fy, a, c, fxx, fyy, fxy, eu = map(pick, (f, fx, fy, a, c, fxx,
+                                                    fyy, fxy, eu))
     f_zzbar = 0.25 * (fxx + fyy)
     zz_re = 0.25 * (fxx - fyy)
     zz_im = -(0.5 * fxy)
@@ -824,12 +848,15 @@ def _frame_block(p, valid, dx, dy, scale):
         e2 = (yy * xx - yx * yx) + (yy * ww - yw * yw) + (xx * ww - xw * xw)
         bad = ~(n2 > 1e-16 * e1 * e2)
         n_vec = n_vec / np.sqrt(np.where(bad, 1.0, n2))[:, None]
-        nn = _rowdot(n_vec @ _G_LORENTZ, n_vec)
+        nn = _rowdot(n_vec * _LORENTZ_SIGNS, n_vec)
         timelike = ~bad & (nn <= 1e-12)
         codes = np.where(bad, FRAME_RANK, FRAME_TIMELIKE)
         bad |= timelike
         n_vec = n_vec / np.sqrt(np.where(bad, 1.0, nn))[:, None]
-        flip = _rowdot(f_zzbar @ _G_LORENTZ, n_vec) < 0.0
+        # a row of F_zzbar that is not finite leaves N as it is: the sign
+        # of (F_zzbar|N) is not defined there
+        flip = ((_rowdot(f_zzbar * _LORENTZ_SIGNS, n_vec) < 0.0)
+                & np.isfinite(f_zzbar).all(axis=1))
         n_vec = np.where(flip[:, None], -n_vec, n_vec)
     else:
         n_vec = np.cross(fx, fy)
@@ -837,22 +864,20 @@ def _frame_block(p, valid, dx, dy, scale):
         bad = norm <= 1e-14
         codes = np.full(bad.shape, FRAME_COLLINEAR)
         n_vec = n_vec / np.where(bad, 1.0, norm)[:, None]
-    reason.reshape(-1)[sel[bad]] = codes[bad]
-
-    keep = ~bad
-    eu = eu[keep]
-    n_vec = n_vec[keep]
-    a = a[keep]
-    c = c[keep]
+    if bad.any():
+        reason.reshape(-1)[sel[bad]] = codes[bad]
+        keep = ~bad
+        f, fx, fy, a, c, f_zzbar, zz_re, zz_im, n_vec, eu = (
+            x[keep] for x in (f, fx, fy, a, c, f_zzbar, zz_re, zz_im, n_vec,
+                              eu))
     # (F_z|F_z) = sum (a_k - i c_k)^2 with the target's signature
     ip_re = _form(a * a - c * c, lorentz)
     ip_im = 2.0 * _form(a * c, lorentz)
     q = np.empty(eu.shape, dtype=complex)
-    q.real = _form(zz_re[keep] * n_vec, lorentz)
-    q.imag = _form(zz_im[keep] * n_vec, lorentz)
-    vals = {"F": f[keep], "fx": fx[keep], "fy": fy[keep], "N": n_vec,
-            "u": np.log(eu),
-            "H": 2.0 * _form(f_zzbar[keep] * n_vec, lorentz) / eu,
+    q.real = _form(zz_re * n_vec, lorentz)
+    q.imag = _form(zz_im * n_vec, lorentz)
+    vals = {"F": f, "fx": fx, "fy": fy, "N": n_vec, "u": np.log(eu),
+            "H": 2.0 * _form(f_zzbar * n_vec, lorentz) / eu,
             "Q": q, "conf": np.hypot(ip_re, ip_im) / eu}
     return reason, vals
 
@@ -862,9 +887,10 @@ def frame_sweep(patch, ring=1):
     from the grid edge, as arrays; the grid-wide form of
     frame_and_curvature, with identical values and skip rules.
 
-    Each sample takes the fourth-order stencils when it lies two or more
-    samples from every edge and its whole 5x5 block is valid, else the
-    second-order ones, which need the 3x3 block valid.  A sample is
+    Each sample takes one stencil: the fourth-order ones when it lies two
+    or more samples from every edge and its whole 5x5 block is valid, else
+    the second-order ones, which need the 3x3 block valid and are formed
+    only at the samples gathered for them.  A sample is
     skipped, with the FRAME_* code of the reason, when its stencil touches
     a masked sample, e^u is not positive and finite, the Lorentz frame
     rows are rank-deficient or the Lorentz normal is not spacelike, or the

@@ -9,14 +9,16 @@ from unittest import mock
 
 import numpy as np
 
+import frame_model
 import solsurf.cli
+import solsurf.immersion
 from solsurf.cli import main as cli_main
 from solsurf.expr import parse
 from solsurf.geom import WeierstrassData
 from solsurf.immersion import (FRAME_COLLINEAR, FRAME_CONFORMAL, FRAME_EDGE,
                                FRAME_MASKED, FRAME_OK, FRAME_RANK,
                                FRAME_TIMELIKE, DegenerateFrame, DomainRect,
-                               frame_and_curvature, frame_sweep,
+                               SurfacePatch, frame_and_curvature, frame_sweep,
                                sample_surface)
 
 _G = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -184,46 +186,66 @@ class SweepCase(unittest.TestCase):
         return seen
 
 
+def enneper_h3_patch():
+    return sample_surface(enneper(1.0),
+                          DomainRect(-0.3, 0.3, -0.3, 0.3, 13, 13), "h3",
+                          tol=1e-10)
+
+
+def e3_direct_patch():
+    return sample_surface(enneper(1.0),
+                          DomainRect(-0.5, 0.5, -0.5, 0.5, 15, 15),
+                          "e3-direct", tol=1e-10)
+
+
+def make_e3_direct_degenerate(patch):
+    """A constant block has no tangents, a block over one line has
+    collinear ones."""
+    overwrite(patch, slice(0, 6), slice(0, 6),
+              lambda x, y: _stack(0.3, -0.2, 0.1))
+    overwrite(patch, slice(8, 15), slice(8, 15),
+              lambda x, y: _stack(x + y, 0.0, 0.0))
+
+
+def pole_patch():
+    data = WeierstrassData(eta=parse("1/z"), psi=parse("z"),
+                           z0=0.9 + 0.9j, lam=0.8)
+    return sample_surface(data, DomainRect(-1, 1, -1, 1, 25, 25), "h3",
+                          tol=1e-8)
+
+
+def make_pole_degenerate(patch):
+    """Far corners made degenerate: a constant block, a plane through the
+    origin (rank 2) and a block in the X0 = 0 hyperplane, whose normal is
+    timelike."""
+    overwrite(patch, slice(19, 25), slice(0, 6),
+              lambda x, y: _stack(1.5, 0.2, 0.1, 0.0))
+    overwrite(patch, slice(19, 25), slice(19, 25),
+              lambda x, y: _stack(0.0, x, y, 0.0))
+    overwrite(patch, slice(13, 19), slice(19, 25),
+              lambda x, y: _stack(0.0, 1.0, x, y))
+
+
 class TestFrameSweep(SweepCase):
     def test_enneper_h3(self):
-        patch = sample_surface(enneper(1.0),
-                               DomainRect(-0.3, 0.3, -0.3, 0.3, 13, 13),
-                               "h3", tol=1e-10)
+        patch = enneper_h3_patch()
         for ring in (1, 2):
             self.assertEqual(self.compare(patch, ring, 1e-12), {FRAME_OK})
 
     def test_e3_direct(self):
-        patch = sample_surface(enneper(1.0),
-                               DomainRect(-0.5, 0.5, -0.5, 0.5, 15, 15),
-                               "e3-direct", tol=1e-10)
+        patch = e3_direct_patch()
         self.assertEqual(self.compare(patch, 2, 1e-12), {FRAME_OK})
-        # a constant block has no tangents, a block over one line has
-        # collinear ones
-        overwrite(patch, slice(0, 6), slice(0, 6),
-                  lambda x, y: _stack(0.3, -0.2, 0.1))
-        overwrite(patch, slice(8, 15), slice(8, 15),
-                  lambda x, y: _stack(x + y, 0.0, 0.0))
+        make_e3_direct_degenerate(patch)
         seen = self.compare(patch, 1, 1e-12)
         self.assertEqual(seen, {FRAME_OK, FRAME_CONFORMAL, FRAME_COLLINEAR})
 
     def test_pole_on_a_sample(self):
-        data = WeierstrassData(eta=parse("1/z"), psi=parse("z"),
-                               z0=0.9 + 0.9j, lam=0.8)
-        patch = sample_surface(data, DomainRect(-1, 1, -1, 1, 25, 25), "h3",
-                               tol=1e-8)
+        patch = pole_patch()
         self.assertFalse(patch.valid[12, 12])
         wide, narrow = wide_and_narrow(patch, 1)
         self.assertGreater(wide, 0)
         self.assertGreater(narrow, 0)
-        # far corners made degenerate: a constant block, a plane through
-        # the origin (rank 2) and a block in the X0 = 0 hyperplane, whose
-        # normal is timelike
-        overwrite(patch, slice(19, 25), slice(0, 6),
-                  lambda x, y: _stack(1.5, 0.2, 0.1, 0.0))
-        overwrite(patch, slice(19, 25), slice(19, 25),
-                  lambda x, y: _stack(0.0, x, y, 0.0))
-        overwrite(patch, slice(13, 19), slice(19, 25),
-                  lambda x, y: _stack(0.0, 1.0, x, y))
+        make_pole_degenerate(patch)
         seen = self.compare(patch, 1, 1e-9) | self.compare(patch, 2, 1e-9)
         self.assertEqual(seen, {FRAME_OK, FRAME_MASKED, FRAME_CONFORMAL,
                                 FRAME_RANK, FRAME_TIMELIKE})
@@ -247,6 +269,82 @@ class TestFrameSweep(SweepCase):
             warnings.simplefilter("error")
             sweep = frame_sweep(patch, 2)
         self.assertEqual(sweep.reason.shape, (9, 9))
+
+
+def infinite_zzbar_patch():
+    """A 9x9 e3-limit patch on a square of side 8e-170, its points
+    dx (a t + b s + c (t^2 + s^2)) at column t and row s: the tangents are
+    fine, but 12 dx dx underflows to 0, so every component of F_xx, F_yy
+    and F_zzbar is infinite at every evaluated sample, none NaN, and the
+    signs c make the Lorentz form (F_zzbar|N) -inf at most of them."""
+    dx, n, lam = 1e-170, 9, 1e170
+    t = np.arange(n, dtype=float)[None, :, None]
+    s = np.arange(n, dtype=float)[:, None, None]
+    a = np.array([0.3, 1.0, 0.2, 0.1])
+    b = np.array([0.2, 0.1, 1.0, 0.3])
+    c = np.array([1e-3, 1e-3, 1e-3, -1e-3])
+    return SurfacePatch(data=enneper(lam), target="e3-limit", lam=lam,
+                        domain=DomainRect(0.0, 8 * dx, 0.0, 8 * dx, n, n),
+                        tol=1e-8, valid=np.ones((n, n), dtype=bool),
+                        points=dx * (a * t + b * s + c * (t * t + s * s)))
+
+
+class TestAgainstFrameModel(unittest.TestCase):
+    """frame_sweep byte-equal to its output over frame_model's block,
+    which formed both stencils at every sample, at rings 1 and 2."""
+
+    def assert_model_equal(self, patch, label):
+        for ring in (1, 2):
+            got = frame_sweep(patch, ring)
+            with mock.patch.object(solsurf.immersion, "_frame_block",
+                                   frame_model._frame_block):
+                want = frame_sweep(patch, ring)
+            for name in ("reason", "u", "H_est", "Q_est", "conformality"):
+                self.assertEqual(getattr(got, name).tobytes(),
+                                 getattr(want, name).tobytes(),
+                                 "%s: %s at ring %d" % (label, name, ring))
+
+    def test_frame_sweep_patches(self):
+        """TestFrameSweep's patches, which reach every FRAME_* code, and
+        the patch on which dx * dx underflows."""
+        self.assert_model_equal(enneper_h3_patch(), "enneper h3")
+        patch = e3_direct_patch()
+        self.assert_model_equal(patch, "e3-direct")
+        make_e3_direct_degenerate(patch)
+        self.assert_model_equal(patch, "e3-direct degenerate")
+        patch = pole_patch()
+        self.assert_model_equal(patch, "pole")
+        make_pole_degenerate(patch)
+        self.assert_model_equal(patch, "pole degenerate")
+        patch = sample_surface(enneper(1.0),
+                               DomainRect(0.0, 1e-300, 0.0, 1e-300, 9, 9),
+                               "h3")
+        self.assert_model_equal(patch, "underflow")
+
+    def test_pole_on_33_squared(self):
+        """eta = 1/z on 33^2 masks the pole and the 16 samples left of it,
+        so the second-order stencils are gathered in interior blocks."""
+        data = WeierstrassData(eta=parse("1/z"), psi=parse("z"),
+                               z0=0.9 + 0.9j, lam=0.8)
+        for target in ("h3", "e3-limit", "e3-direct"):
+            patch = sample_surface(data, DomainRect(-1, 1, -1, 1, 33, 33),
+                                   target)
+            v = patch.valid
+            narrow = [(i, j) for i in range(9, 24) for j in range(2, 31)
+                      if v[i - 1:i + 2, j - 1:j + 2].all()
+                      and not v[i - 2:i + 3, j - 2:j + 3].all()]
+            self.assertGreater(len(narrow), 0, target)
+            self.assert_model_equal(patch, target)
+
+    def test_infinite_zzbar_keeps_the_normal(self):
+        """A row of F_zzbar that is not finite made the product with G a
+        row of NaN, so N kept its sign there; so it does with the signs
+        applied elementwise: H stays -inf, at 45 of the 49 samples."""
+        patch = infinite_zzbar_patch()
+        sweep = frame_sweep(patch, 1)
+        self.assertEqual(int(np.count_nonzero(sweep.reason == FRAME_OK)), 49)
+        self.assertEqual(int(np.count_nonzero(sweep.H_est == -np.inf)), 45)
+        self.assert_model_equal(patch, "infinite F_zzbar")
 
 
 def readme_data(lam):

@@ -23,11 +23,11 @@ from solsurf._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch
 from solsurf.expr import parse
 from solsurf.geom import EVAL_ERRORS, DomainError, WeierstrassData
 from solsurf.immersion import (DomainRect, _lorentz4, _phi_vector_batch,
-                               _probe_validity, sample_surface)
+                               _probe_validity, _sweep_lines, sample_surface)
 from lanes_model import gauged_hop, lane_coef, scalar_coef, table_fresh
 from solsurf.lsp import (StepUnderflow, _ID4, _UNIT_NODES, _UNIT_WEIGHTS,
                          _gauged_coef, _integrate_unit, _integrate_lanes,
-                         _mul4, gauge_matrix, propagate)
+                         _mul4, _mul4_array, gauge_matrix, propagate)
 from solsurf.immersion import _KAPPA_MEND, _SWEEP_ROWS
 from solsurf.odebridge import erf_example_data
 
@@ -1103,6 +1103,66 @@ class TestOnePassTables(unittest.TestCase):
                                        counting):
                     sample_surface(data, domain, target)
                 self.assertEqual(calls, want, "%s %r" % (target, domain))
+
+
+def gather_combine(combine, ok, vals, k):
+    """The combine pass of _sweep_lines with every column's start
+    gathered line by line, the loop its whole-column combine shortcuts."""
+    for half in (range(k + 1, ok.shape[1]), range(k - 1, -1, -1)):
+        last = np.full(len(ok), k)
+        for j in half:
+            lanes = np.flatnonzero(ok[:, j])
+            vals[:, lanes, j] = combine(vals[:, lanes, j],
+                                        vals[:, lanes, last[lanes]])
+            last[lanes] = j
+
+
+class TestWholeColumnCombine(unittest.TestCase):
+    """While every line of a half is ok, _sweep_lines combines whole
+    columns as slices; its values are byte-equal to the gathered ones."""
+
+    def sweep(self, ok, combine, gathered):
+        n, m, k = ok.shape + (5,)
+        zs = 0.1 * (np.arange(m)[None, :] + 1j * np.arange(n)[:, None])
+        vals = np.full((4, n, m), complex(np.nan, np.nan))
+        rng = np.random.default_rng(1)
+        vals[:, :, k] = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+
+        def hop(za, zb):
+            d = zb - za
+            return np.stack((1.0 + d * za, d + zb, 0.5 * d * zb,
+                             1.0 - d * za)), np.ones(za.size, dtype=bool)
+
+        ok = ok.copy()
+        if gathered:
+            _sweep_lines(hop, lambda t, y: t, zs, ok, vals, k, 2)
+            gather_combine(combine, ok, vals, k)
+        else:
+            _sweep_lines(hop, combine, zs, ok, vals, k, 2)
+        return ok, vals
+
+    def check(self, ok, label):
+        for combine in (_mul4_array, np.add):
+            got_ok, got = self.sweep(ok, combine, False)
+            want_ok, want = self.sweep(ok, combine, True)
+            np.testing.assert_array_equal(got_ok, want_ok, label)
+            self.assertEqual(got.tobytes(), want.tobytes(),
+                             "%s %s" % (label, combine.__name__))
+
+    def test_dense_half_meets_a_masked_sample(self):
+        """Each half dense for a few columns, then a masked sample in the
+        middle of a line: line 2 at column 9, line 4 at column 2."""
+        ok = np.ones((6, 14), dtype=bool)
+        ok[2, 9] = ok[4, 2] = False
+        self.check(ok, "dense, then masked")
+
+    def test_masked_seed_column(self):
+        """A sample of the seed column masked, its line with it (as
+        _sweep_grid masks it): no half starts dense."""
+        ok = np.ones((6, 14), dtype=bool)
+        ok[3] = False
+        ok[1, 11] = False
+        self.check(ok, "masked seed column")
 
 
 class TestImmersionPass(unittest.TestCase):
