@@ -22,6 +22,7 @@ the simplifier below never manufactures a literal the grammar cannot spell
 
 import cmath
 import math
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -118,17 +119,6 @@ def _checked(v):
     return v
 
 
-def _pow_value(base, expo):
-    # integer exponents go through repeated squaring, which is both faster
-    # and exact for things like psi^2 in coefficient matrices
-    if expo.imag == 0.0 and expo.real == int(expo.real) and abs(expo.real) <= 1024:
-        n = int(expo.real)
-        if base == 0 and n < 0:
-            raise ZeroDivisionError("0 raised to a negative power")
-        return base ** n
-    return base ** expo
-
-
 def _array_quotient(x, y):
     # numpy's x / 0 is inf or NaN, where the scalar quotient raises
     return np.where(y == 0, _NAN, x / y)
@@ -138,7 +128,7 @@ def _array_quotient(x, y):
 # same _compile walk, given one of these two libraries: scalar closures
 # take builtin complex and cmath, array closures numpy arrays and ufuncs.
 _Leaves = namedtuple("_Leaves", "array var functions power")
-_SCALAR = _Leaves(False, complex, _FUNCTIONS, _pow_value)
+_SCALAR = _Leaves(False, complex, _FUNCTIONS, operator.pow)
 _ARRAY = _Leaves(True, lambda z: np.asarray(z, dtype=complex),
                  _ARRAY_FUNCTIONS, _raised_as_nan(np.power))
 
@@ -175,8 +165,10 @@ class Expr:
         blowup check of the result.  The bare closure checks nothing and
         raises the arithmetic's own errors; callers on hot paths
         (integrators, grid sweeps) guard the results themselves.  Unknown
-        parameters fail here, at compile time.  compiled_array is the same
-        tree walk over numpy arrays.
+        parameters fail here, at compile time.  Each node has one rule,
+        the same for compiled_array: only the leaves differ, Python's
+        complex arithmetic (its own power among it) and cmath here, numpy's
+        operators and ufuncs there.
         """
         return self._compile(params or {}, _SCALAR)
 
@@ -397,11 +389,6 @@ class Pow(Expr):
 
     def _compile(self, params, lib):
         bf = self.base._compile(params, lib)
-        if not lib.array and isinstance(self.expo, Num) \
-                and self.expo.value == int(self.expo.value) \
-                and abs(self.expo.value) <= 1024:
-            n = int(self.expo.value)
-            return lambda z: bf(z) ** n
         ef = self.expo._compile(params, lib)
         power = lib.power
         return lambda z: power(bf(z), ef(z))

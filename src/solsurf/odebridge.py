@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch
+from ._quad import QuadratureFailure, adaptive_gl_batch
 from .expr import (Call, Const, Expr, Num, Param, Var, add, const_expr, div,
                    mul, neg, num_signed, pow_, simplify, sub, subst_params,
                    _exp_exponent, _factor_product, _poly_coeffs, _subtrees)
@@ -66,17 +66,21 @@ class AntiderivativeNode(Expr):
 
     Evaluation integrates along the straight segment from base to z, which
     is path-independent for holomorphic integrands on simply connected
-    domains; the array closure integrates all its points as one batch.
-    The symbolic derivative is exact (the integrand); printing is
-    informational only, this node is outside the parseable grammar.
+    domains.  The symbolic derivative is exact (the integrand); printing
+    is informational only, this node is outside the parseable grammar.
 
-    Both closures integrate to _ANTIDERIVATIVE_TOL, absolute, and a
-    point that fails there once more to _ANTIDERIVATIVE_TOL max(1, |I|),
-    I the segment's 15-point Kronrod value: an absolute tolerance is not
-    met once the integral's rounding passes it (for exp(z) from 0, at
-    points from z = 7.3, |integral| about 1.5e3).  A point that passes
-    the first try keeps that value.  A point that fails both gives NaN in
-    the array closure and QuadratureFailure in the scalar one.
+    One integral serves both closures, so they agree bit for bit: a batch
+    of segments from the base to every point, over the integrand's array
+    closure, which the scalar closure takes at its one point.  A point is
+    integrated to _ANTIDERIVATIVE_TOL, absolute, and a point that fails
+    there once more to _ANTIDERIVATIVE_TOL max(1, |I|), I the segment's
+    15-point Kronrod value: an absolute tolerance is not met once the
+    integral's rounding passes it (for exp(z) from 0, at points from
+    z = 7.3, |integral| about 1.5e3).  A point that passes the first try
+    keeps that value.  A point that fails both, a pole of the integrand
+    on its segment among them, gives NaN in the array closure and
+    QuadratureFailure in the scalar one; no error of the integrand's own
+    passes through.
     """
     integrand: Expr
     base: complex
@@ -85,26 +89,10 @@ class AntiderivativeNode(Expr):
         return self.integrand
 
     def _compile(self, params, lib):
-        f = self.integrand._compile(params, lib)
+        values = self.integrand.compiled_array(params)
         base = self.base
-        if not lib.array:
-            def integral(z):
-                try:
-                    return adaptive_gl(f, base, z, tol=_ANTIDERIVATIVE_TOL)
-                except QuadratureFailure:
-                    size = abs(adaptive_gl(f, base, z, tol=math.inf))
-                    tol = _ANTIDERIVATIVE_TOL * max(1.0, size)
-                    return adaptive_gl(f, base, z, tol=tol)
-
-            return integral
-
-        def values(w):
-            return np.broadcast_to(f(w), w.shape)
 
         def integral(z):
-            # one batch of segments from the base to every point, and one
-            # of those that fail; a failed segment gives NaN where the
-            # scalar closure raises
             z = np.asarray(z, dtype=complex)
             pts = z.ravel()
             starts = np.full(pts.shape, base)
@@ -120,7 +108,17 @@ class AntiderivativeNode(Expr):
                     tol=_ANTIDERIVATIVE_TOL * np.fmax(1.0, size))[0]
             return total.reshape(z.shape)
 
-        return integral
+        if lib.array:
+            return integral
+
+        def integral_at(z):
+            v = complex(integral(z))
+            if cmath.isnan(v):
+                raise QuadratureFailure("no antiderivative from %r to %r "
+                                        "to tolerance" % (base, z))
+            return v
+
+        return integral_at
 
     def _has_z(self):
         return True
@@ -304,13 +302,14 @@ def erf_example_surface(n, c=1.0, c1=0.0, lam=1.0, domain=None, tol=1e-8,
     return sample_surface(data, domain, "h3", tol=tol, system="reduced")
 
 
-def _erf_closed_columns(n, c, c1, lam, sigma):
+def _erf_closed_columns(n, c, c1, lam):
     """Closed-form wavefunction columns as printed, as functions of z.
 
-    Column k is (alpha_k, beta_k); sigma multiplies the Kummer part in
-    column 1 only.  The second bracket of beta is read as printed, outside
-    the (1/(lambda c^2)) e^{-z^2} prefactor; scope="inside" applies the
-    prefactor to it as well (the reading the elimination identity favors).
+    column(z, s, scope) is (alpha, beta) with s multiplying the Kummer
+    part: sigma for column 1, 1 for column 2.  The second bracket of beta
+    is read as printed, outside the (1/(lambda c^2)) e^{-z^2} prefactor;
+    scope="inside" applies the prefactor to it as well (the reading the
+    elimination identity favors).
     """
     lc2 = lam * c * c
 
@@ -364,7 +363,7 @@ def kummer_crosscheck(n, c=1.0, c1=0.0, lam=1.0, z=1.5 + 0j):
     else:
         sigma = 1.0 + lam * math.e / denom
 
-    column = _erf_closed_columns(n, c, c1, lam, sigma)
+    column = _erf_closed_columns(n, c, c1, lam)
     svals = (sigma, 1.0)
 
     # fundamental solution of the reduced system from the base point

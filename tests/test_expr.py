@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 
 from solsurf.expr import (ExprSyntaxError, UnknownFunction, UnknownIdentifier,
-                          UnboundParameter, PoleOrOverflow, Param, Num, parse,
-                          evaluate, derivative, simplify, subst_params)
+                          UnboundParameter, PoleOrOverflow, Param, Num, Pow,
+                          Var, parse, evaluate, derivative, simplify,
+                          subst_params)
 from solsurf.odebridge import AntiderivativeNode
 
 POINTS = [0.3 + 0.4j, -1.2 + 0.1j, 2.0 - 0.5j, 0.05j, 1.0 + 0.0j]
@@ -178,6 +179,63 @@ class TestSingleEvaluator(unittest.TestCase):
         f = node.compiled()
         for z in POINTS:
             self.assertEqual(node.eval(z), f(z), "at %r" % (z,))
+
+
+def _pow_oracle(base, expo):
+    # the scalar power the library had before it used Python's own: integral
+    # exponents up to 1024 through an int power, with its own error for 0
+    # to a negative power
+    if expo.imag == 0.0 and expo.real == int(expo.real) and abs(expo.real) <= 1024:
+        n = int(expo.real)
+        if base == 0 and n < 0:
+            raise ZeroDivisionError("0 raised to a negative power")
+        return base ** n
+    return base ** expo
+
+
+def _outcome(f, *args):
+    # repr of the value, or the type of the exception raised
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+class TestScalarPower(unittest.TestCase):
+    """The scalar closure of z^b is Python's complex power, which gives the
+    values and the exceptions of the integer-power rule it replaced: an
+    integral exponent up to 100 in magnitude multiplies repeatedly, and 0
+    to a negative power raises ZeroDivisionError."""
+
+    rng = np.random.default_rng(7)
+    BASES = ([0j, 1 + 0j, -1 + 0j, 1j, 1e-300 + 0j, 1e300 + 1j]
+             + [complex(x, y) for x, y in rng.uniform(-3, 3, (300, 2))])
+    EXPONENTS = ([complex(n) for n in range(-120, 121)]
+                 + [complex(n) for n in (101, -101, 500, 1000, -1000, 1024,
+                                         -1024, 1025, 2000)]
+                 + [0.5 + 0j, 2.5 + 0.5j, complex(2.0, 1e-300)])
+
+    def test_bound_exponent_against_the_oracle(self):
+        power = Pow(Var(), Param("b"))
+        outcomes = set()
+        for b in self.EXPONENTS:
+            f = power.compiled({"b": b})
+            for z in self.BASES:
+                want = _outcome(_pow_oracle, z, b)
+                self.assertEqual(_outcome(f, z), want, "%r^%r" % (z, b))
+                outcomes.add(want)
+        # both of the oracle's errors occur among the pairs
+        self.assertLessEqual({ZeroDivisionError, OverflowError}, outcomes)
+
+    def test_literal_exponent_against_the_oracle(self):
+        # a nonnegative integral literal took a branch of its own
+        for b in self.EXPONENTS:
+            if b.imag or b.real < 0 or b.real != int(b.real):
+                continue
+            f = Pow(Var(), Num(b.real)).compiled()
+            for z in self.BASES:
+                self.assertEqual(_outcome(f, z), _outcome(_pow_oracle, z, b),
+                                 "%r^%r" % (z, b))
 
 
 class TestArrayClosures(unittest.TestCase):

@@ -5,7 +5,7 @@ import unittest
 
 import numpy as np
 
-from solsurf._quad import adaptive_gl, adaptive_gl_batch
+from solsurf._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch
 from solsurf.expr import Param, parse
 from solsurf.geom import EVAL_ERRORS, WeierstrassData
 from solsurf.immersion import DomainRect, LambdaZero
@@ -150,6 +150,38 @@ class TestAntiderivativeTolerance(unittest.TestCase):
         f = node.compiled()
         for z in zs[:4].tolist():
             self.assertEqual(f(z), adaptive_gl(cmath.exp, 0j, z, tol=1e-12))
+
+
+class TestAntiderivativeClosures(unittest.TestCase):
+    """One integral behind both closures: the scalar closure's value is the
+    array closure's at that point, bit for bit, and it raises
+    QuadratureFailure exactly where the array closure gives NaN."""
+
+    # (integrand, base); the grid holds the poles 0 and +-i, and segments
+    # from the base through them
+    CASES = [("exp(z)", 0j), ("sin(z)*exp(z)", 0.2 + 0.1j), ("1/z", 1 + 0j),
+             ("1/(1+z^2)", 0j)]
+
+    def test_scalar_closure_is_the_array_closure_at_one_point(self):
+        axis = np.linspace(-2.0, 2.0, 17)
+        grid = axis[None, :] + 1j * axis[:, None]
+        for text, base in self.CASES:
+            node = AntiderivativeNode(parse(text), base)
+            f = node.compiled()
+            want = node.compiled_array()(grid)
+            failed = np.isnan(want)
+            for z, w, nan in zip(grid.ravel().tolist(), want.ravel().tolist(),
+                                 failed.ravel().tolist()):
+                if nan:
+                    with self.assertRaises(QuadratureFailure,
+                                           msg="%s at %r" % (text, z)):
+                        f(z)
+                    continue
+                got = f(z)
+                self.assertEqual((got.real, got.imag), (w.real, w.imag),
+                                 "%s at %r" % (text, z))
+            # the poles' segments fail, and no other
+            self.assertEqual(bool(failed.any()), text.startswith("1/"), text)
 
 
 class TestErfExampleData(unittest.TestCase):

@@ -906,6 +906,33 @@ class TestPropagateCalls(unittest.TestCase):
                 self.assertEqual(sorted(calls), sorted(expected),
                                  "%s %s" % (name, target))
 
+    def test_the_pole_raises_on_psi_only(self):
+        # the pole on a sample: the sweep takes the hop through it on Psi,
+        # and that propagate call underflows, while every hop handed back
+        # on Phi returns.  solbench's pole-verify counts that raise through
+        # immersion.propagate
+        data = WeierstrassData(eta=parse("1/z"), psi=parse("z"),
+                               z0=0.9 + 0.9j, lam=0.8)
+        domain = DomainRect(-1, 1, -1, 1, 9, 9)
+        for target in ("h3", "e3-limit"):
+            outcomes = []
+
+            def recording(*args, **kwargs):
+                try:
+                    y = propagate(*args, **kwargs)
+                except Exception as exc:
+                    outcomes.append((kwargs["system"], type(exc)))
+                    raise
+                outcomes.append((kwargs["system"], None))
+                return y
+
+            with mock.patch.object(solsurf.immersion, "propagate",
+                                   recording):
+                sample_surface(data, domain, target, tol=1e-8)
+            self.assertIn(("reduced", StepUnderflow), outcomes, target)
+            raised = [system for system, error in outcomes if error]
+            self.assertNotIn("gauged", raised, target)
+
     def expected_calls(self, data, domain, batches):
         """The systems of the calls: 'gauged' for each batch in which one
         hop runs more iterations than every other hop of the batch, and
