@@ -13,6 +13,8 @@ is what makes iterated (Picard) integrals affordable: each level is one
 matrix product instead of a nested quadrature.
 """
 
+from functools import cache
+
 import numpy as np
 
 __all__ = ["QuadratureFailure", "gl_nodes", "integration_matrix", "adaptive_gl",
@@ -40,48 +42,24 @@ _K15_HALF = np.array([
 _KRONROD_X = np.concatenate([-_K15_HALF[:-1, 0], _K15_HALF[::-1, 0]])
 _KRONROD_W = np.concatenate([_K15_HALF[:-1, 1:], _K15_HALF[::-1, 1:]]).T.copy()
 _EPS = np.finfo(float).eps
-_NODE_CACHE = {}
-_MATRIX_CACHE = {}
 
 
+@cache
 def gl_nodes(n):
     """Gauss-Legendre nodes and weights on [-1, 1], cached."""
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _NODE_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
-def _legendre_values(nmax, x):
-    # P[i, m] = P_i(x_m) for i = 0..nmax by the three-term recurrence
-    p = np.empty((nmax + 1, x.size))
-    p[0] = 1.0
-    if nmax >= 1:
-        p[1] = x
-    for i in range(1, nmax):
-        p[i + 1] = ((2 * i + 1) * x * p[i] - i * p[i - 1]) / (i + 1)
-    return p
-
-
+@cache
 def integration_matrix(n):
-    """(nodes, weights, S) with S[m, j] the antiderivative-from--1 weights.
-
-    Built by expanding the node interpolant in Legendre polynomials and
-    integrating term by term: int P_i = (P_{i+1} - P_{i-1})/(2i+1) for
-    i >= 1 and int P_0 = P_1 + P_0, all vanishing at x = -1.
-    """
-    if n in _MATRIX_CACHE:
-        return _MATRIX_CACHE[n]
+    """(nodes, weights, S) with S[m, j] the antiderivative-from--1 weights,
+    cached: the node interpolant's Legendre coefficients by the Gauss rule,
+    c_i = (2i+1)/2 sum_m w_m P_i(x_m) f_m, exact for degree < n, times
+    each P_i integrated from -1 (legint) and evaluated at the nodes."""
+    leg = np.polynomial.legendre
     x, w = gl_nodes(n)
-    p = _legendre_values(n, x)
-    # coefficient extraction: c_i = (2i+1)/2 sum_m w_m P_i(x_m) f_m
-    coef = ((2.0 * np.arange(n) + 1.0) / 2.0)[:, None] * p[:n] * w[None, :]
-    anti = np.empty((n, n))
-    anti[0] = p[1] + 1.0
-    for i in range(1, n):
-        anti[i] = (p[i + 1] - p[i - 1]) / (2 * i + 1)
-    s = anti.T @ coef
-    _MATRIX_CACHE[n] = (x, w, s)
-    return _MATRIX_CACHE[n]
+    coef = (np.arange(n) + 0.5)[:, None] * leg.legvander(x, n - 1).T * w
+    return x, w, leg.legvander(x, n) @ leg.legint(np.eye(n), lbnd=-1) @ coef
 
 
 def _kronrod(f, starts, ends):

@@ -11,11 +11,12 @@ Commands
     ode erf-example   the error-function surface with its report
 
 Exit codes: 0 all checks pass, 2 at least one check failed, 1 usage or
-runtime error.  Reports are JSON with top-level keys command, config_echo,
-checks, wall_ms; checks holds the checks of solsurf.checks, whose table
-CHECKS gives each check's threshold and coverage need.  Identical
-configurations yield byte-identical reports apart from wall_ms.  An --out
-suffix other than .obj or .ply is a usage error before any work.
+runtime error; a stdout closed early is no error.  Reports are JSON with
+top-level keys command, config_echo, checks, wall_ms; checks holds the
+checks of solsurf.checks, whose table CHECKS gives each check's
+threshold and coverage need.  Identical configurations yield
+byte-identical reports apart from wall_ms.  An --out suffix other than
+.obj or .ply is a usage error before any work.
 
 A lambda that the chosen construction cannot use (LambdaZero) is an
 error (exit 1) that names --lambda: zero, or for h3 a square that
@@ -45,6 +46,7 @@ have no effect: sampling runs on one thread.
 import cmath
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -726,11 +728,29 @@ _COMMANDS = {
 }
 
 
+class _Output:
+    """The command's stream, flushed at each write.  A reader that closes
+    it (| head, | grep -q) is no error: the descriptor then points at
+    os.devnull, so the command runs to its end and the rest of its
+    output, the flush at exit included, goes nowhere."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, text):
+        try:
+            self.stream.write(text)
+            self.stream.flush()
+        except BrokenPipeError:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), self.stream.fileno())
+
+
 def main(argv=None, stream=None):
     """Entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    stream = stream or sys.stdout
+    stream = _Output(stream or sys.stdout)
     start = time.perf_counter()
     try:
         command, pairs = _split_argv(argv)

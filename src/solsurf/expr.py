@@ -127,10 +127,10 @@ def _array_quotient(x, y):
 # What a compiled tree bottoms out in.  Every node compiles through the
 # same _compile walk, given one of these two libraries: scalar closures
 # take builtin complex and cmath, array closures numpy arrays and ufuncs.
-_Leaves = namedtuple("_Leaves", "array var functions power")
-_SCALAR = _Leaves(False, complex, _FUNCTIONS, operator.pow)
+_Leaves = namedtuple("_Leaves", "array var functions quotient power")
+_SCALAR = _Leaves(False, complex, _FUNCTIONS, operator.truediv, operator.pow)
 _ARRAY = _Leaves(True, lambda z: np.asarray(z, dtype=complex),
-                 _ARRAY_FUNCTIONS, _raised_as_nan(np.power))
+                 _ARRAY_FUNCTIONS, _array_quotient, _raised_as_nan(np.power))
 
 
 class Expr:
@@ -165,10 +165,10 @@ class Expr:
         blowup check of the result.  The bare closure checks nothing and
         raises the arithmetic's own errors; callers on hot paths
         (integrators, grid sweeps) guard the results themselves.  Unknown
-        parameters fail here, at compile time.  Each node has one rule,
-        the same for compiled_array: only the leaves differ, Python's
-        complex arithmetic (its own power among it) and cmath here, numpy's
-        operators and ufuncs there.
+        parameters fail here, at compile time.  Every grammar node has
+        one rule, the same for compiled_array: only the leaves differ,
+        Python's complex arithmetic (its own quotient and power among it)
+        and cmath here, numpy's operators and ufuncs there.
         """
         return self._compile(params or {}, _SCALAR)
 
@@ -341,9 +341,8 @@ class Div(Expr):
 
     def _compile(self, params, lib):
         lf, rf = self.left._compile(params, lib), self.right._compile(params, lib)
-        if lib.array:
-            return lambda z: _array_quotient(lf(z), rf(z))
-        return lambda z: lf(z) / rf(z)
+        quotient = lib.quotient
+        return lambda z: quotient(lf(z), rf(z))
 
     def _fmt(self, ctx):
         s = "%s/%s" % (self.left._fmt(_P_MUL), self.right._fmt(_P_NEG))

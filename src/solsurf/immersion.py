@@ -53,9 +53,8 @@ import numpy as np
 # benchmark tracer in solbench/ wraps immersion.adaptive_gl
 from ._quad import QuadratureFailure, adaptive_gl, adaptive_gl_batch  # noqa: F401
 from .geom import EVAL_ERRORS, DomainError, WeierstrassData
-from .lsp import (BranchAmbiguity, StepUnderflow, _LaneWork, _UNIT_WEIGHTS,
-                  _gauged_coef, _integrate_lanes, _mul4_array, gauge_matrix,
-                  propagate)
+from .lsp import (BranchAmbiguity, StepUnderflow, _LaneWork, _gauged_coef,
+                  _integrate_lanes, _mul4_array, gauge_matrix, propagate)
 
 __all__ = [
     "DomainRect", "SurfacePatch", "FrameSample", "FrameSweep", "LambdaZero",
@@ -71,8 +70,9 @@ TARGETS = ("h3", "e3-limit", "e3-direct")
 # of frame_sweep, which also read a two-row halo), so their temporaries
 # stay a few grid rows deep instead of grid-sized.  For the ODE hops the
 # blocks must not shrink much: at one row per block the per-call overhead
-# of the coefficient table and the step made a 128^2 erf patch and its
-# PLY write take 0.49 s instead of 0.30 s (2 CPUs, no clock pinning)
+# of the coefficient table and the step makes a 128^2 erf patch and its
+# PLY write take 168-169 ms instead of 81 ms (medians of 9 warm calls in
+# each of 2 processes, 2 CPUs, no clock pinning)
 _SWEEP_ROWS = 8
 
 
@@ -501,13 +501,13 @@ def _sample_ode(data, zgrid, valid, psi, target, tol, system):
     through work arrays that this sweep owns), the hop left unsettled
     through the scalar propagate.  Phi is Psi's gauge where psi is
     continuous, so a hop on which psi(b) - psi(a) is not the integral of
-    psi' d (a cut: the first step's quadrature misses by more than tol (1
-    + |psi(a)| + |psi(b)|), and adaptive Gauss-Kronrod misses or fails
-    too, as it does on a singular psi') and a hop past a sample the probe
-    masked go through propagate of Psi from G(a) Phi_a, and G(b)^{-1}
-    takes the value back.  The quadrature sums its weighted nodes in node
-    order, elementwise, so neither a hop's way nor its value depends on
-    its batch or on the BLAS kernel.
+    psi' d (a cut: the first step's quadrature, returned by
+    _integrate_lanes, misses by more than tol (1 + |psi(a)| + |psi(b)|),
+    and adaptive Gauss-Kronrod misses or fails too, as it does on a
+    singular psi') and a hop past a sample the probe masked go through
+    propagate of Psi from G(a) Phi_a, and G(b)^{-1} takes the value back.
+    Both quadratures sum elementwise, so neither a hop's way nor its
+    value depends on its batch or on the BLAS kernel.
     Near a pole T's condition number kappa reaches hundreds, and T Phi is
     off by up to kappa tol, so after each line sweep the hops with kappa
     above _KAPPA_MEND are integrated again from the value at their start,
@@ -531,27 +531,20 @@ def _sample_ode(data, zgrid, valid, psi, target, tol, system):
     p0 = psi_a(np.array([data.z0]))[0]   # Phi(z0) = G(z0)^-1
     valid &= bool(np.isfinite(p0))
     rows, cols = zgrid[:, 0].imag, zgrid[0].real
-    # the lock-step stages' work arrays, for every batch of the sweep, and
-    # the quadrature of -psi' d over each batch's first table
-    work, quad = _LaneWork(), []
-
-    def coef(a, d, t, out):
-        c = gauged(a, d, t, out)
-        if len(t) == 6:
-            quad.append(sum(w * e for w, e in zip(_UNIT_WEIGHTS, c[:, 1])))
-        return c
+    # the lock-step stages' work arrays, for every batch of the sweep
+    work = _LaneWork()
 
     def lanes(za, zb, y, tol=tol):
         # the hops za -> zb from the (4, n) values y in lock step, those
         # on Psi (on_psi, see above) and the one left unsettled by the
         # scalar propagate; the probe's psi is found by row and column
         d = zb - za
-        t, ok, failed = _integrate_lanes(coef, za, d, y, tol, work)
+        t, ok, failed, quad = _integrate_lanes(gauged, za, d, y, tol, work)
         pa, pb = (np.where(z == data.z0, p0, psi[
             np.searchsorted(rows, z.imag).clip(0, ny - 1),
             np.searchsorted(cols, z.real).clip(0, nx - 1)]) for z in (za, zb))
         bound = tol * (1.0 + abs(pa) + abs(pb))
-        odd = ~(abs(pb - pa + quad.pop()) <= bound)
+        odd = ~(abs(pb - pa + quad) <= bound)
         part, bad = adaptive_gl_batch(dpsi_a, za[odd], zb[odd],
                                       bound[odd] / 10)
         on_psi = ((abs(d.real) > 1.5 * (cols[1] - cols[0]))

@@ -37,9 +37,10 @@ as its transfer matrix from the identity, many at once: _integrate_lanes
 runs _integrate_unit over (4, n) arrays in lock step, one lane per
 segment, taking the same decisions in the scalar term order, over a (6,
 2, n) table of the two entries and the work arrays of a _LaneWork, so
-every value keeps the bits of fresh arrays; on a fine grid the first
-full step settles every hop.  The one lane left running when every
-other has ended goes through propagate(system='gauged'): a single
+every value keeps the bits of fresh arrays, and it returns the first
+table's quadrature of -psi' d, the sampler's cut test; on a fine grid
+the first full step settles every hop.  The one lane left running when
+every other has ended goes through propagate(system='gauged'): a single
 segment steps faster through the scalar integrator.
 
 The Picard oracle computes I + sum_j lambda^j I_j, where I_j are iterated
@@ -370,7 +371,7 @@ def _integrate_unit(cfun, y, tol):
 # the stage times of a first step, t = 0 and h = 1 (0.0 + C2 * 1.0 is C2,
 # and so on), and as a column, over which one call of an array coefficient
 # tabulates n segments at all six as a (6, 2, n) table; the step's
-# fifth-order weights make a quadrature over them
+# fifth-order weights make _integrate_lanes' quadrature over them
 _UNIT_NODES = (0.0, _C2, _C3, _C4, _C5, 1.0)
 _NODE_AXIS = np.array(_UNIT_NODES)[:, None]
 _UNIT_WEIGHTS = np.array((_B1, 0.0, _B3, _B4, _B5, _B6))
@@ -396,11 +397,12 @@ def _integrate_lanes(coef, a, d, y, tol, work=None):
     one coefficient call at the six _UNIT_NODES; each later one makes
     one call at the five new stage times of every lane still running.
 
-    Returns (y, settled, failed): the values at t = 1 where settled.  A
-    lane in neither is the one left running when every other has ended,
-    returned unsettled.  A lane's result does not depend on the other
-    lanes.  numpy rounds apart from Python's complex type, so only an
-    error estimate within rounding of its bound could be judged apart
+    Returns (y, settled, failed, quad): the values at t = 1 where settled,
+    and the first step's fifth-order quadrature of -psi' d, summed in node
+    order.  A lane in neither is the one left running when every other has
+    ended, returned unsettled.  A lane's result does not depend on the
+    other lanes.  numpy rounds apart from Python's complex type, so only
+    an error estimate within rounding of its bound could be judged apart
     from _integrate_unit; toward a pole, where the steps shrink to the
     floor, a lane can take a few more or fewer steps to the same failure.
     Call under np.errstate(all="ignore").
@@ -417,6 +419,7 @@ def _integrate_lanes(coef, a, d, y, tol, work=None):
     ymax = np.abs(y).max(axis=0)
     st = work.stages(n)
     c = coef(a, d, _NODE_AXIS, st.table)
+    quad = sum(w * e for w, e in zip(_UNIT_WEIGHTS, c[:, 1]))
     k1 = _gauged_mul(c[0], y, np.empty_like(y))
     c = c[1:]
     stop = ~np.isfinite(k1).all(axis=0)
@@ -451,12 +454,12 @@ def _integrate_lanes(coef, a, d, y, tol, work=None):
             y, k1 = y[:, run], k1[:, run]
             stop = stop[run]
         if lane.size <= 1:
-            return out, settled, failed
+            return out, settled, failed, quad
         h = np.minimum(h, 1.0 - t)
         st = work.stages(lane.size)
         c = coef(a, d, t + _NODE_AXIS[1:] * h, st.table[:5])
     failed[lane] = True
-    return out, settled, failed
+    return out, settled, failed, quad
 
 
 # ---------------------------------------------------------------------------

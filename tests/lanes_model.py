@@ -20,8 +20,8 @@ from functools import partial
 
 import numpy as np
 
-from solsurf.lsp import (_MAX_STEPS, _NODE_AXIS, _T_FLOOR, _dp_step,
-                         _gauged_coef, _integrate_unit)
+from solsurf.lsp import (_MAX_STEPS, _NODE_AXIS, _T_FLOOR, _UNIT_WEIGHTS,
+                         _dp_step, _gauged_coef, _integrate_unit)
 
 
 def lc4_fresh(y, h, terms, out=None):
@@ -79,7 +79,8 @@ FRESH_OPS = _FreshOps(mul4_fresh, lc4_fresh, 0.0j, (None,) * 9)
 
 
 def integrate_lanes_fresh(coef, a, d, y, tol):
-    """lsp._integrate_lanes with fresh arrays: (y, settled, failed)."""
+    """lsp._integrate_lanes with fresh arrays: (y, settled, failed,
+    quad)."""
     n = a.size
     out = np.full_like(y, np.nan)
     settled = np.zeros(n, dtype=bool)
@@ -89,6 +90,9 @@ def integrate_lanes_fresh(coef, a, d, y, tol):
     h = np.ones(n)
     ymax = np.abs(y).max(axis=0)
     c = table_fresh(coef, a, d, _NODE_AXIS)
+    quad = 0
+    for w, e in zip(_UNIT_WEIGHTS, c[:, 1]):
+        quad = quad + w * e
     k1 = mul4_fresh(c[0], y)
     c = c[1:]
     stop = ~np.isfinite(k1).all(axis=0)
@@ -119,8 +123,8 @@ def integrate_lanes_fresh(coef, a, d, y, tol):
             y, k1 = y[:, run], k1[:, run]
             stop = stop[run]
         if lane.size <= 1:
-            return out, settled, failed
+            return out, settled, failed, quad
         h = np.minimum(h, 1.0 - t)
         c = table_fresh(coef, a, d, t + _NODE_AXIS[1:] * h)
     failed[lane] = True
-    return out, settled, failed
+    return out, settled, failed, quad

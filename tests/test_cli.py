@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -608,6 +609,36 @@ class TestModuleEntry(CliCase):
                                          "--perturb"), 2)
 
 
+class TestClosedStdout(CliCase):
+    """A reader that closes stdout early (| head, | grep -q) is no runtime
+    error: the command runs to its end, writes its report file and exits
+    with the status its work earned, and stderr stays empty, whether
+    stdout is buffered or not."""
+
+    def run_closed(self, *argv, **env):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "solsurf", *argv], cwd=self.dir,
+                env=dict(os.environ, PYTHONPATH=TestModuleEntry.SRC, **env),
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=300)
+        finally:
+            os.close(write)
+        return proc.returncode, proc.stderr
+
+    def test_status_of_the_work(self):
+        for env in ({}, {"PYTHONUNBUFFERED": "1"}):
+            self.assertEqual(self.run_closed("ode", "from-ode", "--p=-2*z",
+                                             "--q=-4", **env), (0, ""), env)
+            report = self.path("report.json")
+            self.assertEqual(self.run_closed("verify", "--eta", "1", "--psi",
+                                             "z", "--res", "9", "--report",
+                                             report, **env), (2, ""), env)
+            self.assertIn("checks", self.report())
+            os.remove(report)
+
+
 class TestLimit(CliCase):
     def test_flat_limit_study(self):
         code, text = run_cli("limit", "--eta", "1", "--psi", "z",
@@ -663,6 +694,34 @@ class TestOdeBridgeCommands(CliCase):
         self.assertEqual(code, 0)
         self.assertIn("eta = exp(0.5*z^2)", text)
         self.assertIn("psi = sqrt(pi)*erf(z)", text)
+
+    def same_report_twice(self, *argv):
+        """The report of two runs of argv with --report, byte for byte
+        apart from wall_ms; returns it, parsed."""
+        texts = []
+        for _ in range(2):
+            code, _ = run_cli(*argv, "--report", self.path("report.json"))
+            self.assertEqual(code, 0)
+            with open(self.path("report.json")) as fh:
+                texts.append(re.sub(r'"wall_ms": [0-9.e+-]+', '"wall_ms": 0',
+                                    fh.read()))
+        self.assertEqual(texts[0], texts[1])
+        return json.loads(texts[0])
+
+    def test_to_ode_report(self):
+        rep = self.same_report_twice("ode", "to-ode", "--eta", "exp(0.5*z^2)",
+                                     "--psi", "sqrt(pi)*erf(z)")
+        self.assertEqual(sorted(rep), ["checks", "command", "config_echo",
+                                       "p", "potential", "q", "wall_ms"])
+        self.assertEqual((rep["command"], rep["p"], rep["q"], rep["checks"]),
+                         ("ode to-ode", "-2*z", "-2", {}))
+
+    def test_from_ode_report(self):
+        rep = self.same_report_twice("ode", "from-ode", "--p=-2*z", "--q=-4")
+        self.assertEqual(sorted(rep), ["checks", "command", "config_echo",
+                                       "eta", "psi", "wall_ms"])
+        self.assertEqual((rep["command"], rep["psi"], rep["checks"]),
+                         ("ode from-ode", "2*sqrt(pi)*erf(z)", {}))
 
     def test_erf_example(self):
         code, text = run_cli("ode", "erf-example", "--n", "1", "--res", "17",
@@ -790,6 +849,21 @@ class TestConfigFile(CliCase):
         for value in ("false", "0"):
             cfg = self.write_config("perturb = %s\n" % value)
             self.assertEqual(run_cli(*args, "--config", cfg)[0], 0)
+
+    def test_unreadable_config_is_a_usage_error(self):
+        # a missing file, and a line without '='
+        missing = self.path("missing.cfg")
+        broken = self.write_config("eta = 1\npsi z\n")
+        for path, message in ((missing, "cannot read config file: "),
+                              (broken, "%s:2: expected key=value" % broken)):
+            err = io.StringIO()
+            out = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["generate", "--config", path], stream=out)
+            self.assertEqual(code, 1, path)
+            self.assertTrue(err.getvalue().startswith("error: " + message),
+                            err.getvalue())
+            self.assertEqual(out.getvalue(), "")
 
     def test_config_perturb_bad_value(self):
         for value in ("yes", "2", ""):

@@ -9,7 +9,7 @@ import numpy as np
 
 from solsurf.expr import (ExprSyntaxError, UnknownFunction, UnknownIdentifier,
                           UnboundParameter, PoleOrOverflow, Param, Num, Pow,
-                          Var, parse, evaluate, derivative, simplify,
+                          Div, Var, parse, evaluate, derivative, simplify,
                           subst_params)
 from solsurf.odebridge import AntiderivativeNode
 
@@ -236,6 +236,49 @@ class TestScalarPower(unittest.TestCase):
             for z in self.BASES:
                 self.assertEqual(_outcome(f, z), _outcome(_pow_oracle, z, b),
                                  "%r^%r" % (z, b))
+
+
+def _div_oracle(x, y, array):
+    # the rule Div._compile had before the leaf library supplied the
+    # quotient: Python's / for scalars, NaN at a zero denominator for arrays
+    if array:
+        return np.where(y == 0, complex(math.nan, math.nan), x / y)
+    return x / y
+
+
+class TestQuotient(unittest.TestCase):
+    """Div compiles by one rule, the library's quotient, which gives the
+    values and the exceptions of the two rules it replaced."""
+
+    rng = np.random.default_rng(11)
+    SPECIAL = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+    SPECIAL += [complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                complex(0.0, math.inf), complex(0.0, -math.inf),
+                complex(math.nan, 0.0), complex(math.nan, math.nan)]
+    DENOMINATORS = SPECIAL + [complex(x, y)
+                              for x, y in rng.uniform(-3, 3, (300, 2))]
+    NUMERATORS = [1 + 0j, 0j, complex(-0.0, -0.0), 2.5 - 1j, 1e300 + 1e300j,
+                  complex(math.inf, 0.0), complex(math.nan, 0.0)]
+
+    def test_scalar_closure_against_the_oracle(self):
+        outcomes = set()
+        for a in self.NUMERATORS:
+            f = Div(Param("a"), Var()).compiled({"a": a})
+            for z in self.DENOMINATORS:
+                want = _outcome(_div_oracle, a, z, False)
+                self.assertEqual(_outcome(f, z), want, "%r/%r" % (a, z))
+                outcomes.add(want)
+        self.assertIn(ZeroDivisionError, outcomes)
+
+    def test_array_closure_against_the_oracle(self):
+        z = np.array(self.DENOMINATORS)
+        for a in self.NUMERATORS:
+            got = Div(Param("a"), Var()).compiled_array({"a": a})(z)
+            with np.errstate(all="ignore"):
+                want = _div_oracle(a, z, True)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64), repr(a))
+            self.assertTrue(bool(np.all(np.isnan(got[z == 0]))))
 
 
 class TestArrayClosures(unittest.TestCase):

@@ -10,8 +10,8 @@ import numpy as np
 import solsurf.lsp
 from solsurf.expr import parse
 from solsurf.geom import WeierstrassData, weierstrass_solution
-from solsurf.lsp import (PathSpec, QuadratureFailure, gauge_matrix,
-                         integrate_reduced, integrate_full)
+from solsurf.lsp import (PathSpec, QuadratureFailure, Wavefunction,
+                         gauge_matrix, integrate_reduced, integrate_full)
 from solsurf.immersion import (DomainRect, LambdaZero, DegenerateFrame,
                                _phi_vector_batch, sym_immersion, shifted_immersion,
                                enneper_weierstrass, loop_period,
@@ -61,6 +61,15 @@ class TestPointImmersion(unittest.TestCase):
             sym_immersion(dataclasses.replace(wf, lam=0.0))
         with self.assertRaises(LambdaZero):
             shifted_immersion(dataclasses.replace(wf, lam=0.0))
+
+    def test_value_not_2x2_or_unimodular_refused(self):
+        for value, message in ((np.eye(3), "must be 2x2"),
+                               (np.diag([2.0, 1.0]), "determinant drifted")):
+            wf = Wavefunction(value=value.astype(complex), at=0j, lam=0.8,
+                              which="reduced")
+            for immersion in (sym_immersion, shifted_immersion):
+                with self.assertRaisesRegex(ValueError, message):
+                    immersion(wf)
 
     def test_shifted_limit_hits_flat_surface(self):
         # the shifted image converges, at rate O(lambda), to the classical

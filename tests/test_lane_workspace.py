@@ -2,7 +2,8 @@
 stages and coefficient tables into an lsp._LaneWork that the sampler's
 sweep owns.  The values are those of fresh arrays bit for bit (the model
 in tests/lanes_model.py), no returned array is a view of the work
-arrays, and a step allocates next to nothing."""
+arrays, and a step allocates next to nothing.  The quadrature it returns
+is that of its first table."""
 
 import tracemalloc
 import unittest
@@ -13,8 +14,8 @@ from lanes_model import FRESH_OPS, integrate_lanes_fresh, lane_coef
 from solsurf.expr import parse
 from solsurf.geom import WeierstrassData
 from solsurf.immersion import _SWEEP_ROWS, DomainRect
-from solsurf.lsp import (_NODE_AXIS, _LaneWork, _dp_step, _gauged_mul,
-                         _integrate_lanes)
+from solsurf.lsp import (_B1, _B3, _B4, _B5, _B6, _NODE_AXIS, _LaneWork,
+                         _dp_step, _gauged_mul, _integrate_lanes)
 from solsurf.odebridge import erf_example_data
 
 
@@ -106,6 +107,38 @@ class TestAgainstFreshArrays(unittest.TestCase):
         _integrate_lanes(coef2, a2, d2, _start(a2.size, seed=6), 1e-10, work)
         for r, k in zip(first, kept):
             np.testing.assert_array_equal(_bits(r), _bits(k))
+
+
+class TestFirstTableQuadrature(unittest.TestCase):
+    """The fourth value of _integrate_lanes, which the sweep's cut test
+    reads: the first step's fifth-order quadrature of the table's second
+    entry, -psi' d, summed over the six nodes in node order."""
+
+    def test_bits_equal_the_weighted_sum_of_the_first_table(self):
+        # README's block settles every lane in the first iteration; the
+        # pole block fails a lane and hands one back
+        weights = (_B1, 0.0, _B3, _B4, _B5, _B6)
+        for name, handed in (("readme", 0), ("pole", 1)):
+            coef, a, d = _block(name)
+            tables = []
+
+            def copying(a, d, t, out, coef=coef, tables=tables):
+                c = coef(a, d, t, out)
+                if not tables:
+                    tables.append(c.copy())
+                return c
+
+            eye = np.zeros((4, a.size), dtype=complex)
+            eye[[0, 3]] = 1.0
+            with np.errstate(all="ignore"):
+                _, settled, failed, quad = _integrate_lanes(
+                    copying, a, d, eye, 1e-8, _LaneWork())
+            self.assertEqual(int(np.sum(~(settled | failed))), handed, name)
+            want = 0
+            for w, row in zip(weights, tables[0][:, 1]):
+                want = want + w * row
+            self.assertEqual(quad.shape, a.shape, name)
+            np.testing.assert_array_equal(_bits(quad), _bits(want), name)
 
 
 class TestAllocationBudget(unittest.TestCase):

@@ -12,7 +12,8 @@ from solsurf.expr import parse
 from solsurf.geom import (DomainError, WeierstrassData, build_UV,
                           fields_from_weierstrass, lax_coefficient)
 from solsurf.lsp import (PathSpec, PoleClearanceViolated, BranchAmbiguity,
-                         IncompatibleSystem, Wavefunction, propagate,
+                         IncompatibleSystem, StepUnderflow, Wavefunction,
+                         propagate,
                          integrate_reduced, integrate_full, picard_series,
                          gauge_matrix, gauge_equivalence_residual,
                          reduced_coefficient, _full_coef)
@@ -75,6 +76,23 @@ class TestReducedIntegration(unittest.TestCase):
             self.assertLess(abs(got - want), 1e-9)
 
 
+class TestPropagate(unittest.TestCase):
+    DATA = make_data("1/z", "z", 0.8, z0=1.0)
+
+    def test_start_on_a_pole_refused(self):
+        for system in ("reduced", "gauged", "full"):
+            with self.assertRaisesRegex(StepUnderflow,
+                                        "not evaluable at segment start",
+                                        msg=system):
+                propagate(self.DATA, 0j, 0.5, (1, 0, 0, 1), system=system)
+
+    def test_zero_length_hop_returns_its_start(self):
+        # no coefficient is evaluated, so even a hop on the pole returns
+        y0 = (1 + 0j, 2j, 0j, 1 + 0j)
+        for z in (0.3 + 0.1j, 0j):
+            self.assertIs(propagate(self.DATA, z, z, y0), y0)
+
+
 class TestReducedCoefficient(unittest.TestCase):
     def test_entries(self):
         data = make_data("1+0.3*z", "z^2", 0.8)
@@ -111,6 +129,15 @@ class TestFullIntegration(unittest.TestCase):
         with self.assertRaisesRegex(IncompatibleSystem,
                                     "not evaluable near path at 0j"):
             integrate_full(data, PathSpec.line(-0.5, 0.5))
+
+    def test_gmc_residual_above_the_bound(self):
+        # eta = 1/z, psi = z: the stencil residual of the Gauss-Mainardi-
+        # Codazzi equations at the path's start near the pole reads 4.9e-3
+        data = make_data("1/z", "z", 1.0)
+        with self.assertRaisesRegex(IncompatibleSystem,
+                                    r"GMC residual 4\.883e-03 at "
+                                    r"\(0\.02\+0j\) exceeds 1e-4"):
+            integrate_full(data, PathSpec.line(0.02, 1.0))
 
     def test_coefficient_is_lax_pair(self):
         # the integrator's coefficient along a -> b is U d + V^H conj(d),
@@ -265,6 +292,14 @@ class TestGaugeTransform(unittest.TestCase):
             want = _continued_gauge(data, points)
             got = gauge_matrix(data, points[-1])
             self.assertLess(np.max(np.abs(got - want)), 1e-13, (eta, points))
+
+    def test_unevaluable_data_refused(self):
+        # the error names the function that has no value at z
+        for eta, psi, name in (("1", "1/z", "psi"), ("1/z", "z", "eta")):
+            data = make_data(eta, psi, 0.8, z0=1.0)
+            with self.assertRaisesRegex(DomainError,
+                                        "^%s not evaluable at" % name):
+                gauge_matrix(data, 0.0)
 
     def test_eta_zero_refused(self):
         data = make_data("z-1", "z", 1.0)

@@ -13,7 +13,8 @@ import numpy as np
 
 import solsurf.immersion
 from solsurf._quad import (QuadratureFailure, _KRONROD_W, _KRONROD_X,
-                           adaptive_gl, adaptive_gl_batch)
+                           adaptive_gl, adaptive_gl_batch, gl_nodes,
+                           integration_matrix)
 from solsurf.expr import parse
 from solsurf.geom import EVAL_ERRORS, WeierstrassData
 from solsurf.immersion import (DomainRect, _probe_validity, loop_period,
@@ -122,6 +123,64 @@ class TestFifteenPointRule(unittest.TestCase):
                               env=dict(os.environ, PYTHONPATH=SRC),
                               capture_output=True, text=True, timeout=300)
         self.assertEqual(proc.returncode, 0, proc.stderr)
+
+
+def _legendre_values(nmax, x):
+    # P[i, m] = P_i(x_m) for i = 0..nmax by the three-term recurrence
+    p = np.empty((nmax + 1, x.size))
+    p[0] = 1.0
+    if nmax >= 1:
+        p[1] = x
+    for i in range(1, nmax):
+        p[i + 1] = ((2 * i + 1) * x * p[i] - i * p[i - 1]) / (i + 1)
+    return p
+
+
+def _termwise_matrix(n):
+    # the antiderivative matrix as it was built before numpy's legendre
+    # module built it: int P_i = (P_{i+1} - P_{i-1})/(2i+1) for i >= 1 and
+    # int P_0 = P_1 + P_0, each vanishing at x = -1
+    x, w = gl_nodes(n)
+    p = _legendre_values(n, x)
+    coef = ((2.0 * np.arange(n) + 1.0) / 2.0)[:, None] * p[:n] * w[None, :]
+    anti = np.empty((n, n))
+    anti[0] = p[1] + 1.0
+    for i in range(1, n):
+        anti[i] = (p[i + 1] - p[i - 1]) / (2 * i + 1)
+    return anti.T @ coef
+
+
+class TestIntegrationMatrix(unittest.TestCase):
+    """The Picard oracle's spectral antiderivative matrix S."""
+
+    SIZES = (8, 32, 48, 64, 96)
+
+    def test_equals_the_termwise_matrix(self):
+        for n in self.SIZES:
+            x, w, s = integration_matrix(n)
+            self.assertEqual(s.shape, (n, n))
+            self.assertLessEqual(float(np.max(np.abs(s - _termwise_matrix(n)))),
+                                 1e-15, n)
+
+    def test_integrates_monomials_from_minus_one(self):
+        # S x^k = (x^(k+1) - (-1)^(k+1)) / (k+1) at the nodes, for k < n
+        for n in self.SIZES:
+            x, _, s = integration_matrix(n)
+            k = np.arange(n)
+            want = (x[:, None] ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+            err = float(np.max(np.abs(s @ x[:, None] ** k - want)))
+            self.assertLessEqual(err, 2e-14, n)
+
+    def test_import_loads_no_polynomial_module(self):
+        # S and the Gauss nodes load numpy.polynomial on their first call;
+        # importing the package and its command line loads none of it
+        code = ("import sys, solsurf, solsurf.cli\n"
+                "sys.exit(sorted(m for m in sys.modules\n"
+                "                if m.startswith('numpy.polynomial')) or 0)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=300)
+        self.assertEqual((proc.returncode, proc.stderr), (0, ""))
 
 
 class TestMendImportsNoMaskedArrays(unittest.TestCase):

@@ -751,16 +751,16 @@ class TestBatchedStep(unittest.TestCase):
     def alone(self, data, a, d, y, tol):
         """One hop through _integrate_lanes as a batch of two copies of
         itself, so that it is never the last lane left: (y, settled)."""
-        got, settled, _ = _integrate_lanes(lane_coef(data), np.array([a, a]),
-                                           np.array([d, d]),
-                                           np.stack([y, y], axis=1), tol)
+        got, settled, _, _ = _integrate_lanes(
+            lane_coef(data), np.array([a, a]), np.array([d, d]),
+            np.stack([y, y], axis=1), tol)
         return got[:, 0], bool(settled[0])
 
     def check(self, name, tol):
         data, a, b, y, n = self.hops(name)
         d = b - a
-        got, settled, failed = _integrate_lanes(lane_coef(data), a, d, y,
-                                                tol)
+        got, settled, failed, _ = _integrate_lanes(lane_coef(data), a, d,
+                                                   y, tol)
         # at most one lane is handed back, to the scalar integrator
         self.assertLessEqual(int(np.sum(~(settled | failed))), 1, name)
         counts = np.zeros(2, dtype=int)
